@@ -66,10 +66,6 @@ def vec_add(v, w):
     return tuple(a + b for a, b in zip(v, w))
 
 
-def vec_sub(v, w):
-    return tuple(a - b for a, b in zip(v, w))
-
-
 def vec_scale(v, factor):
     factor = Fraction(factor)
     return tuple(factor * a for a in v)
@@ -234,9 +230,6 @@ class LeibnizAlgebra:
                              for i in range(self.dim)])
         return tuple(tuple(v) for v in kernel_basis(rows, self.dim))
 
-    def pairing_kernel(self):
-        return self.kernel_basis
-
     def is_fat(self):
         return not self.kernel_basis
 
@@ -268,18 +261,6 @@ def check_leibniz(algebra_or_table):
         if lhs != rhs:
             violations.append((i, j, l, lhs, rhs))
     return LeibnizReport(ok=not violations, violations=violations)
-
-
-def left_center(algebra):
-    return algebra.z_basis
-
-
-def pairing_kernel(algebra):
-    return algebra.kernel_basis
-
-
-def is_fat(algebra):
-    return algebra.is_fat()
 
 
 def quotient_by_kernel(algebra):
@@ -397,9 +378,6 @@ def _omni(n):
         if b == c:
             table[eidx(a, b)][uidx(c)] = basis_vec(dim, uidx(a))
     return LeibnizAlgebra(labels, table)
-
-
-FIXTURE_NAMES = ("A3", "O1", "O2", "AFF_O1")
 
 
 # -- the JSON file format -----------------------------------------------------

@@ -24,7 +24,7 @@ which on a fat algebra recovers e1 . e2 itself through the section.
 
 from dataclasses import dataclass
 
-from .cochains import Cochain, component_keys, position_splits, split_sign, _accumulate, _flush
+from .cochains import Cochain, accumulate, assemble, position_splits, split_sign
 from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
                       pair_extended, sharp, tilde_value)
 from .sympoly import SymPoly, derivation_extend
@@ -35,19 +35,8 @@ class ArityError(ValueError):
 
 
 @dataclass
-class HomSymExt:
-    """Map from size-`arity` Z-multisets to S(Z) (x) L."""
-
-    arity: int
-    fn: object
-
-    def __call__(self, fs):
-        return self.fn(tuple(sorted(fs)))
-
-
-@dataclass
 class HomSym:
-    """Map from size-`arity` Z-multisets to S(Z)."""
+    """Map from size-`arity` Z-multisets to S(Z), or to S(Z) (x) L."""
 
     arity: int
     fn: object
@@ -102,68 +91,48 @@ def _component_map(omega, k, es):
 
 
 def _tilde_map(ctx, omega, k, es):
-    return HomSymExt(k, lambda fs: tilde_value(ctx, omega, k, es, fs))
+    return HomSym(k, lambda fs: tilde_value(ctx, omega, k, es, fs))
 
 
 def bullet(ctx, omega, eta):
     """Pairing half of the bracket; requires both operands representable."""
     n, m = omega.degree, eta.degree
-    total = max(n + m - 2, 0)
     global_sign = -1 if m % 2 == 0 else 1  # (-1)^(m-1)
-    comps = {}
-    for k in range(total // 2 + 1):
-        nl = n + m - 2 - 2 * k
-        if nl < 0:
-            continue
-        table = {}
-        for es, fs in component_keys(ctx, total, k):
-            acc = {}
-            for i in range(k + 1):
-                j = k - i
-                p, q = n - 2 * i - 1, m - 2 * j - 1
-                if p < 0 or q < 0:
-                    continue
-                for left, right in position_splits(nl, p):
-                    sign = split_sign(left, right) * global_sign
-                    alpha = _tilde_map(ctx, omega, i, tuple(es[x] for x in left))
-                    beta = _tilde_map(ctx, eta, j, tuple(es[x] for x in right))
-                    _accumulate(acc, pair_bracket(ctx, alpha, beta)(fs), sign)
-            if acc:
-                table[(es, fs)] = _flush(ctx, acc)
-        if table:
-            comps[k] = table
-    return Cochain(total, ctx.zdim, comps)
+
+    def fill(acc, k, es, fs):
+        for i in range(k + 1):
+            j = k - i
+            p, q = n - 2 * i - 1, m - 2 * j - 1
+            if p < 0 or q < 0:
+                continue
+            for left, right in position_splits(len(es), p):
+                sign = split_sign(left, right) * global_sign
+                alpha = _tilde_map(ctx, omega, i, tuple(es[x] for x in left))
+                beta = _tilde_map(ctx, eta, j, tuple(es[x] for x in right))
+                accumulate(acc, pair_bracket(ctx, alpha, beta)(fs), sign)
+
+    return assemble(ctx, max(n + m - 2, 0), fill)
 
 
 def diamond(ctx, omega, eta):
     """Composition half of the bracket; terms whose component is missing are zero."""
     n, m = omega.degree, eta.degree
-    total = max(n + m - 2, 0)
-    comps = {}
-    for k in range(total // 2 + 1):
-        nl = n + m - 2 - 2 * k
-        if nl < 0:
-            continue
-        table = {}
-        for es, fs in component_keys(ctx, total, k):
-            acc = {}
-            for i in range(k + 1):
-                j = k - i
-                p, q = n - 2 * i - 2, m - 2 * j
-                if p < 0 or q < 0:
-                    continue
-                if i + 1 not in omega.components:
-                    continue
-                for left, right in position_splits(nl, p):
-                    sign = split_sign(left, right)
-                    gamma = _component_map(omega, i + 1, tuple(es[x] for x in left))
-                    delta = _component_map(eta, j, tuple(es[x] for x in right))
-                    _accumulate(acc, circ_compose(ctx, gamma, delta)(fs), sign)
-            if acc:
-                table[(es, fs)] = _flush(ctx, acc)
-        if table:
-            comps[k] = table
-    return Cochain(total, ctx.zdim, comps)
+
+    def fill(acc, k, es, fs):
+        for i in range(k + 1):
+            j = k - i
+            p, q = n - 2 * i - 2, m - 2 * j
+            if p < 0 or q < 0:
+                continue
+            if i + 1 not in omega.components:
+                continue
+            for left, right in position_splits(len(es), p):
+                sign = split_sign(left, right)
+                gamma = _component_map(omega, i + 1, tuple(es[x] for x in left))
+                delta = _component_map(eta, j, tuple(es[x] for x in right))
+                accumulate(acc, circ_compose(ctx, gamma, delta)(fs), sign)
+
+    return assemble(ctx, max(n + m - 2, 0), fill)
 
 
 def poisson(ctx, omega, eta):

@@ -19,7 +19,7 @@ from .cochains import (CochainFormatError, ComplexContext, InvalidCochainError,
                        coboundary, cochain_to_dict, cup, load_cochain)
 from .duality import NotRepresentableError, is_representable, sharp
 from .sympoly import SymPolyParseError
-from .verify import VerifyConfig, run_verify
+from .verify import VerifyConfig, VerifyConfigError, run_verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -27,7 +27,7 @@ EXIT_INPUT_ERROR = 2
 
 _INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
                  json.JSONDecodeError, AlgebraFormatError, CochainFormatError,
-                 SymPolyParseError, UnicodeDecodeError)
+                 SymPolyParseError, UnicodeDecodeError, VerifyConfigError)
 _CHECK_ERRORS = (InvalidAlgebraError, InvalidCochainError, NotRepresentableError,
                  IntegrityError, PreconditionError)
 
@@ -64,9 +64,6 @@ def cmd_check(args):
         return EXIT_CHECK_FAILED
     report = check_leibniz(algebra)
     zdim = algebra.zdim
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            algebra.pairing_z(basis_vec(algebra.dim, i), basis_vec(algebra.dim, j))
     _emit(args, {"passed": report.ok, "dim": algebra.dim, "left_center_dim": zdim,
                  "fat": algebra.is_fat()},
           f"PASS {algebra.dim}-dimensional algebra, left center dim {zdim}, "
@@ -100,29 +97,12 @@ def cmd_quotient(args):
     return EXIT_OK
 
 
-def cmd_d(args):
-    algebra = _load_algebra_arg(args.algebra)
-    ctx = ComplexContext(algebra)
-    omega = load_cochain(ctx, args.cochain[0])
-    _emit_cochain(args, coboundary(ctx, omega))
-    return EXIT_OK
-
-
-def cmd_cup(args):
-    algebra = _load_algebra_arg(args.algebra)
-    ctx = ComplexContext(algebra)
-    omega = load_cochain(ctx, args.cochain[0])
-    eta = load_cochain(ctx, args.cochain[1])
-    _emit_cochain(args, cup(ctx, omega, eta))
-    return EXIT_OK
-
-
-def cmd_bracket(args):
-    algebra = _load_algebra_arg(args.algebra)
-    ctx = ComplexContext(algebra)
-    omega = load_cochain(ctx, args.cochain[0])
-    eta = load_cochain(ctx, args.cochain[1])
-    _emit_cochain(args, poisson(ctx, omega, eta))
+def cmd_operator(args):
+    """d, cup and bracket: the operator applied to the --cochain files."""
+    op = {"d": coboundary, "cup": cup, "bracket": poisson}[args.command]
+    ctx = ComplexContext(_load_algebra_arg(args.algebra))
+    cochains = [load_cochain(ctx, path) for path in args.cochain]
+    _emit_cochain(args, op(ctx, *cochains))
     return EXIT_OK
 
 
@@ -177,8 +157,7 @@ def cmd_derived_bracket(args):
 
 def cmd_verify(args):
     config = VerifyConfig(max_degree=args.max_degree, fixtures=tuple(args.fixtures),
-                          seed=args.seed, samples=args.samples, fmt=args.format,
-                          out=args.out)
+                          seed=args.seed, samples=args.samples)
     report = run_verify(config, mutation=args.inject_mutation)
     _emit(args, report.to_dict(), report.render_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -227,8 +206,8 @@ def build_parser():
 
     handlers = {
         "check": cmd_check, "center": cmd_center, "fat": cmd_fat,
-        "quotient": cmd_quotient, "d": cmd_d, "cup": cmd_cup,
-        "bracket": cmd_bracket, "representable": cmd_representable,
+        "quotient": cmd_quotient, "d": cmd_operator, "cup": cmd_operator,
+        "bracket": cmd_operator, "representable": cmd_representable,
         "derived-bracket": cmd_derived_bracket, "verify": cmd_verify,
     }
     return parser, handlers

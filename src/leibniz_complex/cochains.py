@@ -70,9 +70,6 @@ class ComplexContext:
         self.pivot_strategy = pivot_strategy
         self.cache = {}
 
-    def zero_poly(self):
-        return SymPoly.zero(self.zdim)
-
     def __repr__(self):
         return f"ComplexContext({self.algebra!r}, pivot_strategy={self.pivot_strategy!r})"
 
@@ -212,7 +209,8 @@ def component_keys(ctx, degree, k):
             yield es, fs
 
 
-def _accumulate(acc, poly, factor=1):
+def accumulate(acc, poly, factor=1):
+    """Add factor * poly into the monomial -> coefficient dict acc."""
     if poly.is_zero() or factor == 0:
         return
     for mono, coeff in poly.items():
@@ -223,8 +221,21 @@ def _accumulate(acc, poly, factor=1):
             acc[mono] = total
 
 
-def _flush(ctx, acc):
-    return SymPoly(ctx.zdim, acc)
+def assemble(ctx, degree, fill):
+    """The one output loop of d, cup, bullet and diamond: the degree-n
+    cochain whose value at each key is what `fill(acc, k, es, fs)` adds
+    into an empty accumulator."""
+    comps = {}
+    for k in range(degree // 2 + 1):
+        table = {}
+        for es, fs in component_keys(ctx, degree, k):
+            acc = {}
+            fill(acc, k, es, fs)
+            if acc:
+                table[(es, fs)] = SymPoly(ctx.zdim, acc)
+        if table:
+            comps[k] = table
+    return Cochain(degree, ctx.zdim, comps)
 
 
 # -- validity ------------------------------------------------------------------
@@ -236,89 +247,83 @@ class ValidationReport:
     violations: list = field(default_factory=list)  # (k, position, es, fs, lhs, rhs)
 
 
+def skew_equations(ctx, degree):
+    """Each weak skew-symmetry equation on degree-n cochains, once:
+
+        w_k(es; fs) + w_k(swapped; fs) = -sum_r c_r w_{k+1}(reduced; fs + (r,))
+
+    with pair = sum_r c_r z_r = (es[pos], es[pos+1]). Only es[pos] <= es[pos+1]
+    is yielded; the swapped key carries the same equation.
+    """
+    for k in range(degree // 2 + 1):
+        nl = degree - 2 * k
+        if nl < 2:
+            break
+        for es, fs in component_keys(ctx, degree, k):
+            for pos in range(nl - 1):
+                if es[pos] > es[pos + 1]:
+                    continue
+                swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
+                pair = ctx.algebra.pairing_poly_basis(es[pos], es[pos + 1])
+                reduced = es[:pos] + es[pos + 2:]
+                yield k, pos, es, fs, swapped, reduced, pair
+
+
 def validate_cochain(ctx, omega):
     """Check weak skew-symmetry on every component, position and basis key."""
     violations = []
-    n = omega.degree
-    for k in range(n // 2 + 1):
-        nl = n - 2 * k
-        if nl < 2:
-            break
-        for es, fs in component_keys(ctx, n, k):
-            for pos in range(nl - 1):
-                if es[pos] > es[pos + 1]:
-                    continue  # the swapped tuple carries the same equation
-                swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
-                lhs = omega.value(k, es, fs) + omega.value(k, swapped, fs)
-                pair = ctx.algebra.pairing_poly_basis(es[pos], es[pos + 1])
-                reduced = es[:pos] + es[pos + 2:]
-                rhs = SymPoly.zero(ctx.zdim)
-                for (r,), c in pair.items():
-                    rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
-                if lhs != rhs:
-                    violations.append((k, pos, es, fs, lhs, rhs))
+    for k, pos, es, fs, swapped, reduced, pair in skew_equations(ctx, omega.degree):
+        lhs = omega.value(k, es, fs) + omega.value(k, swapped, fs)
+        rhs = SymPoly.zero(ctx.zdim)
+        for (r,), c in pair.items():
+            rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
+        if lhs != rhs:
+            violations.append((k, pos, es, fs, lhs, rhs))
     return ValidationReport(ok=not violations, violations=violations)
 
 
 # -- the differential ----------------------------------------------------------
 
 
-def coboundary(ctx, omega, _flip_first_action_term=False):
+def coboundary(ctx, omega):
     """d(omega) = d0(omega) + delta(omega), one degree up.
 
     The input must be a valid cochain (InvalidCochainError otherwise).
-    `_flip_first_action_term` negates the action term at the first
-    argument slot; it exists only so the verification suite can prove
-    its own checks would catch a wrong sign.
     """
     report = validate_cochain(ctx, omega)
     if not report.ok:
         raise InvalidCochainError(report)
-    return _coboundary_unchecked(ctx, omega, _flip_first_action_term)
-
-
-def _coboundary_unchecked(ctx, omega, flip=False):
     n = omega.degree
     alg = ctx.algebra
-    comps = {}
-    for k in range((n + 1) // 2 + 1):
-        nl = n + 1 - 2 * k
-        if nl < 0:
-            continue
-        table = {}
-        for es, fs in component_keys(ctx, n + 1, k):
-            acc = {}
-            if k <= n // 2:
-                for a in range(nl):
-                    rest = es[:a] + es[a + 1:]
-                    sign = -1 if a % 2 else 1
-                    if flip and a == 0:
-                        sign = -sign
-                    val = omega.value(k, rest, fs)
-                    if not val.is_zero():
-                        _accumulate(acc, alg.rho_basis(es[a], val), sign)
-                for a in range(nl):
-                    for b in range(a + 1, nl):
-                        w = alg.table[es[a]][es[b]]
-                        sign = 1 if a % 2 else -1  # one less than the action-term sign
-                        for t, c in enumerate(w):
-                            if c == 0:
-                                continue
-                            inserted = es[:a] + es[a + 1:b] + (t,) + es[b + 1:]
-                            _accumulate(acc, omega.value(k, inserted, fs), sign * c)
-            if k >= 1:
-                for jpos in range(k):
-                    fj = fs[jpos]
-                    rest_fs = fs[:jpos] + fs[jpos + 1:]
-                    zvec = alg.z_basis[fj]
-                    for t, c in enumerate(zvec):
-                        if c != 0:
-                            _accumulate(acc, omega.value(k - 1, (t,) + es, rest_fs), c)
-            if acc:
-                table[(es, fs)] = _flush(ctx, acc)
-        if table:
-            comps[k] = table
-    return Cochain(n + 1, ctx.zdim, comps)
+
+    def fill(acc, k, es, fs):
+        nl = len(es)
+        if k <= n // 2:
+            for a in range(nl):
+                rest = es[:a] + es[a + 1:]
+                sign = -1 if a % 2 else 1
+                val = omega.value(k, rest, fs)
+                if not val.is_zero():
+                    accumulate(acc, alg.rho_basis(es[a], val), sign)
+            for a in range(nl):
+                for b in range(a + 1, nl):
+                    w = alg.table[es[a]][es[b]]
+                    sign = 1 if a % 2 else -1  # one less than the action-term sign
+                    for t, c in enumerate(w):
+                        if c == 0:
+                            continue
+                        inserted = es[:a] + es[a + 1:b] + (t,) + es[b + 1:]
+                        accumulate(acc, omega.value(k, inserted, fs), sign * c)
+        if k >= 1:
+            for jpos in range(k):
+                fj = fs[jpos]
+                rest_fs = fs[:jpos] + fs[jpos + 1:]
+                zvec = alg.z_basis[fj]
+                for t, c in enumerate(zvec):
+                    if c != 0:
+                        accumulate(acc, omega.value(k - 1, (t,) + es, rest_fs), c)
+
+    return assemble(ctx, n + 1, fill)
 
 
 @dataclass
@@ -349,34 +354,27 @@ def cup(ctx, omega, eta):
     if omega.nvars != ctx.zdim or eta.nvars != ctx.zdim:
         raise ContextMismatchError("cochains built over a different center basis")
     n, m = omega.degree, eta.degree
-    total = n + m
-    comps = {}
-    for k in range(total // 2 + 1):
-        table = {}
-        for es, fs in component_keys(ctx, total, k):
-            acc = {}
-            for i in range(k + 1):
-                j = k - i
-                p, q = n - 2 * i, m - 2 * j
-                if p < 0 or q < 0:
-                    continue
-                for left, right in position_splits(len(es), p):
-                    sign = split_sign(left, right)
-                    left_es = tuple(es[x] for x in left)
-                    right_es = tuple(es[x] for x in right)
-                    for fleft, fright in position_splits(k, i):
-                        v1 = omega.value(i, left_es, tuple(fs[x] for x in fleft))
-                        if v1.is_zero():
-                            continue
-                        v2 = eta.value(j, right_es, tuple(fs[x] for x in fright))
-                        if v2.is_zero():
-                            continue
-                        _accumulate(acc, v1 * v2, sign)
-            if acc:
-                table[(es, fs)] = _flush(ctx, acc)
-        if table:
-            comps[k] = table
-    return Cochain(total, ctx.zdim, comps)
+
+    def fill(acc, k, es, fs):
+        for i in range(k + 1):
+            j = k - i
+            p, q = n - 2 * i, m - 2 * j
+            if p < 0 or q < 0:
+                continue
+            for left, right in position_splits(len(es), p):
+                sign = split_sign(left, right)
+                left_es = tuple(es[x] for x in left)
+                right_es = tuple(es[x] for x in right)
+                for fleft, fright in position_splits(k, i):
+                    v1 = omega.value(i, left_es, tuple(fs[x] for x in fleft))
+                    if v1.is_zero():
+                        continue
+                    v2 = eta.value(j, right_es, tuple(fs[x] for x in fright))
+                    if v2.is_zero():
+                        continue
+                    accumulate(acc, v1 * v2, sign)
+
+    return assemble(ctx, n + m, fill)
 
 
 # -- a basis of the space of valid cochains --------------------------------------
@@ -401,24 +399,14 @@ def cochain_space_basis(ctx, degree):
             index[(k, es, fs)] = len(keys)
             keys.append((k, es, fs))
     rows = []
-    for k in range(degree // 2 + 1):
-        nl = degree - 2 * k
-        if nl < 2:
-            break
-        for es, fs in component_keys(ctx, degree, k):
-            for pos in range(nl - 1):
-                if es[pos] > es[pos + 1]:
-                    continue
-                row = [Fraction(0)] * len(keys)
-                swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
-                row[index[(k, es, fs)]] += 1
-                row[index[(k, swapped, fs)]] += 1
-                pair = ctx.algebra.pairing_poly_basis(es[pos], es[pos + 1])
-                reduced = es[:pos] + es[pos + 2:]
-                for (r,), c in pair.items():
-                    row[index[(k + 1, reduced, tuple(sorted(fs + (r,))))]] += c
-                if any(v != 0 for v in row):
-                    rows.append(row)
+    for k, pos, es, fs, swapped, reduced, pair in skew_equations(ctx, degree):
+        row = [Fraction(0)] * len(keys)
+        row[index[(k, es, fs)]] += 1
+        row[index[(k, swapped, fs)]] += 1
+        for (r,), c in pair.items():
+            row[index[(k + 1, reduced, tuple(sorted(fs + (r,))))]] += c
+        if any(v != 0 for v in row):
+            rows.append(row)
     basis = []
     for vec in kernel_basis(rows, len(keys)):
         comps = {}
@@ -443,17 +431,26 @@ def cochain_to_dict(omega):
     return {"degree": omega.degree, "components": components}
 
 
+def _is_index(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def cochain_from_dict(ctx, data):
-    if not isinstance(data, dict) or not isinstance(data.get("degree"), int):
+    if not isinstance(data, dict) or not _is_index(data.get("degree")):
         raise CochainFormatError("cochain file needs an integer 'degree'")
     degree = data["degree"]
     comps = {}
-    for block in data.get("components", []):
+    blocks = data.get("components", [])
+    if not isinstance(blocks, list):
+        raise CochainFormatError("'components' must be a list")
+    for block in blocks:
         try:
             k = block["k"]
             entries = block["entries"]
         except (KeyError, TypeError) as exc:
             raise CochainFormatError(f"bad component block {block!r}") from exc
+        if not _is_index(k) or not isinstance(entries, list):
+            raise CochainFormatError(f"bad component block {block!r}")
         table = comps.setdefault(k, {})
         for entry in entries:
             try:
@@ -462,6 +459,8 @@ def cochain_from_dict(ctx, data):
                 value = parse_sympoly(ctx.zdim, entry["value"])
             except (KeyError, TypeError, SymPolyParseError) as exc:
                 raise CochainFormatError(f"bad cochain entry {entry!r}") from exc
+            if not all(_is_index(i) for i in es + fs):
+                raise CochainFormatError(f"non-integer index in {entry!r}")
             if any(not (0 <= i < ctx.dim) for i in es):
                 raise CochainFormatError(f"algebra index out of range in {entry!r}")
             if any(not (0 <= r < ctx.zdim) for r in fs):

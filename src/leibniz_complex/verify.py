@@ -11,9 +11,12 @@ the ones the package promises:
   and the structure-constant cross-check of {flat, flat}.
 
 `run_verify` aggregates them over a fixture list. The `mutation`
-argument deliberately injects a wrong sign (in zeta's tail or in the
-first action term of the differential) so tests can confirm the suites
-actually catch it; production runs leave it None.
+argument deliberately injects a wrong sign so tests can confirm the
+suites actually catch it; production runs leave it None. "zeta-sign"
+flips zeta's tail inside `check_theta_is_dzeta`; "d0-sign" swaps the
+differential for `d0_sign_mutant`, built here as d minus twice the
+action term at the first argument slot, so the production `coboundary`
+carries no hook.
 
 Random cochains are generated constructively as sums of products of
 flats and degree-0 cochains, which stay inside the representable
@@ -28,8 +31,8 @@ from random import Random
 
 from .algebra import basis_vec, build_fixture, check_leibniz, quotient_by_kernel
 from .brackets import derived_bracket_dual, poisson, theta, zeta
-from .cochains import (Cochain, ComplexContext, InvalidCochainError, coboundary,
-                       cochain_space_basis, cup, validate_cochain)
+from .cochains import (Cochain, ComplexContext, InvalidCochainError, accumulate, assemble,
+                       coboundary, cochain_space_basis, cup, validate_cochain)
 from .duality import NotRepresentableError, flat_cochain, is_representable, sharp
 from .sympoly import SymPoly
 
@@ -41,20 +44,22 @@ EXPECTED_CENTERS = {
 }
 
 
+class VerifyConfigError(ValueError):
+    """A verify setting outside its range."""
+
+
 @dataclass
 class VerifyConfig:
     max_degree: int = 3
     fixtures: tuple = ("A3", "O1", "O2", "AFF_O1")
     seed: int = 0
     samples: int = 25
-    fmt: str = "text"
-    out: str = None
 
     def __post_init__(self):
         if self.max_degree < 1:
-            raise ValueError("max_degree must be at least 1")
+            raise VerifyConfigError("max_degree must be at least 1")
         if self.samples < 1:
-            raise ValueError("sample_count must be at least 1")
+            raise VerifyConfigError("sample_count must be at least 1")
 
 
 @dataclass
@@ -188,6 +193,27 @@ def random_representable(ctx, rng, degree):
     return total
 
 
+# -- the d0-sign mutation --------------------------------------------------------
+
+
+def d0_sign_mutant(ctx, omega):
+    """d with its action term at the first slot, rho(e_0) omega(e_1, ..), negated."""
+    alg = ctx.algebra
+    n = omega.degree
+
+    def fill(acc, k, es, fs):
+        if k <= n // 2:
+            val = omega.value(k, es[1:], fs)
+            if not val.is_zero():
+                accumulate(acc, alg.rho_basis(es[0], val))
+
+    return coboundary(ctx, omega) - assemble(ctx, n + 1, fill).scale(2)
+
+
+def _differential(mutation):
+    return d0_sign_mutant if mutation == "d0-sign" else coboundary
+
+
 # -- individual checks -----------------------------------------------------------
 
 
@@ -221,15 +247,14 @@ def _generator_variants(ctx, omega):
 
 
 def check_d_squared(ctx, fixture, max_degree, mutation=None):
-    flip = mutation == "d0-sign"
-
     def run():
+        d = _differential(mutation)
         checked = 0
         for degree in range(max_degree + 1):
             for seed in cochain_space_basis(ctx, degree):
                 for omega in _generator_variants(ctx, seed):
-                    once = coboundary(ctx, omega, _flip_first_action_term=flip)
-                    twice = coboundary(ctx, once, _flip_first_action_term=flip)
+                    once = d(ctx, omega)
+                    twice = d(ctx, once)
                     checked += 1
                     if not twice.is_zero():
                         diff = first_difference(twice, Cochain.zero(twice.degree, ctx.zdim))
@@ -289,8 +314,7 @@ def check_theta_is_dzeta(ctx, fixture, mutation=None):
             tail = {((), (r,)): SymPoly.monomial(ctx.zdim, (r,), 2) for r in range(ctx.zdim)}
             zeta_cochain = Cochain(2, ctx.zdim, {0: dict(zeta_cochain.components.get(0, {})),
                                                  1: tail})
-        flip = mutation == "d0-sign"
-        d_zeta = coboundary(ctx, zeta_cochain, _flip_first_action_term=flip)
+        d_zeta = _differential(mutation)(ctx, zeta_cochain)
         diff = first_difference(theta(ctx), d_zeta)
         if diff:
             return False, "theta != d(zeta)", _difference_payload(diff)

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import (ArityError, HomSym, HomSymExt, bullet, circ_compose,
+from leibniz_complex.brackets import (ArityError, HomSym, bullet, circ_compose,
                                       derived_bracket, derived_bracket_dual, diamond,
                                       pair_bracket, poisson, theta, zeta)
 from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, validate_cochain
@@ -19,7 +19,7 @@ Z1 = SymPoly.generator(1, 0)
 
 
 def const_ext(ctx, vec):
-    return HomSymExt(0, lambda fs: ExtendedElement.from_vector(ctx, vec))
+    return HomSym(0, lambda fs: ExtendedElement.from_vector(ctx, vec))
 
 
 # -- the two ingredient operations ------------------------------------------------
@@ -32,14 +32,14 @@ def test_pair_bracket_two_constants(o1):
 
 
 def test_pair_bracket_with_zero(o1):
-    alpha = HomSymExt(0, lambda fs: ExtendedElement.zero(o1))
+    alpha = HomSym(0, lambda fs: ExtendedElement.zero(o1))
     beta = const_ext(o1, basis_vec(2, 1))
     assert pair_bracket(o1, alpha, beta)(()).is_zero()
 
 
 def test_pair_bracket_one_center_slot(o1):
     # alpha(f) = a constant in f, beta = b: single shuffle, (a, b) = b
-    alpha = HomSymExt(1, lambda fs: ExtendedElement.from_vector(o1, basis_vec(2, 0)))
+    alpha = HomSym(1, lambda fs: ExtendedElement.from_vector(o1, basis_vec(2, 0)))
     beta = const_ext(o1, basis_vec(2, 1))
     assert pair_bracket(o1, alpha, beta)((0,)) == Z1
 

@@ -145,6 +145,20 @@ def test_verify_mutation_exits_nonzero(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_settings_out_of_range_are_input_errors(capsys):
+    assert main(["verify", "--fixtures", "O1", "--max-degree", "0"]) == 2
+    assert "max_degree must be at least 1" in capsys.readouterr().err
+    assert main(["verify", "--fixtures", "O1", "--samples", "0"]) == 2
+    assert "sample_count must be at least 1" in capsys.readouterr().err
+
+
+def test_non_integer_cochain_index_is_input_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"degree": 1, "components": [
+        {"k": 0, "entries": [{"es": ["a"], "fs": [], "value": "z1"}]}]}))
+    assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 2
+
+
 def test_cup_needs_two_cochains(tmp_path):
     ctx = ComplexContext(build_fixture("O1"))
     fa = write_cochain(tmp_path, ctx, flat_cochain(ctx, basis_vec(2, 0)), "fa.json")

@@ -245,6 +245,17 @@ def test_cochain_format_errors(o1):
     with pytest.raises(CochainFormatError):
         cochain_from_dict(o1, {"degree": 2, "components": [
             {"k": 0, "entries": [{"es": [0], "fs": [], "value": "z1"}]}]})
+    # indices must be ints: no strings, floats or booleans
+    for es, fs in ((["a"], []), ([0], ["b"]), ([0.5], []), ([True], []), ([0], [False])):
+        with pytest.raises(CochainFormatError):
+            cochain_from_dict(o1, {"degree": len(es) + 2 * len(fs), "components": [
+                {"k": len(fs), "entries": [{"es": es, "fs": fs, "value": "z1"}]}]})
+    for degree, k, entries in ((True, 0, []), (2, True, []), (2, [0], []), (1, 0, 5)):
+        with pytest.raises(CochainFormatError):
+            cochain_from_dict(o1, {"degree": degree, "components": [
+                {"k": k, "entries": entries}]})
+    with pytest.raises(CochainFormatError):
+        cochain_from_dict(o1, {"degree": 1, "components": 5})
 
 
 def test_zero_cochain_addition_across_degrees(o1):
