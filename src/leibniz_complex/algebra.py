@@ -41,6 +41,10 @@ class UnknownFixtureError(KeyError):
     pass
 
 
+class AlgebraFormatError(ValueError):
+    """Structurally malformed algebra file (bad JSON shape, indices, coeffs)."""
+
+
 class InvalidAlgebraError(ValueError):
     """A structure-constant table violating the Leibniz identity."""
 
@@ -73,6 +77,10 @@ def vec_scale(v, factor):
 
 def zero_vec(dim):
     return (ZERO,) * dim
+
+
+def _is_index(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def basis_vec(dim, i):
@@ -351,6 +359,8 @@ def build_fixture(name):
         return LeibnizAlgebra(["x", "y", "a", "b"], table)
     match = _OMNI_RE.match(name)
     if match:
+        if int(match.group(1)) < 1:
+            raise AlgebraFormatError(f"{name}: n must be at least 1")
         return _omni(int(match.group(1)))
     raise UnknownFixtureError(name)
 
@@ -383,10 +393,6 @@ def _omni(n):
 # -- the JSON file format -----------------------------------------------------
 
 
-class AlgebraFormatError(ValueError):
-    """Structurally malformed algebra file (bad JSON shape, indices, coeffs)."""
-
-
 def algebra_to_dict(algebra):
     brackets = []
     for i in range(algebra.dim):
@@ -405,18 +411,21 @@ def algebra_from_dict(data):
         basis = data["basis"]
     except (KeyError, TypeError) as exc:
         raise AlgebraFormatError(f"missing algebra field: {exc}") from exc
-    if not isinstance(dim, int) or dim <= 0:
+    if not _is_index(dim) or dim <= 0:
         raise AlgebraFormatError("'dim' must be a positive integer")
     if not isinstance(basis, list) or len(basis) != dim:
         raise AlgebraFormatError("'basis' must list exactly dim labels")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise AlgebraFormatError("'brackets' must be a list")
     table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for entry in data.get("brackets", []):
+    for entry in brackets:
         try:
             i, j, coeffs = entry["i"], entry["j"], entry["coeffs"]
         except (KeyError, TypeError) as exc:
             raise AlgebraFormatError(f"bad bracket entry {entry!r}") from exc
-        if not (isinstance(i, int) and 0 <= i < dim and isinstance(j, int) and 0 <= j < dim):
-            raise AlgebraFormatError(f"bracket indices ({i},{j}) out of range")
+        if not (_is_index(i) and 0 <= i < dim and _is_index(j) and 0 <= j < dim):
+            raise AlgebraFormatError(f"bracket indices ({i},{j}) are not integers in 0..{dim - 1}")
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise AlgebraFormatError(f"bracket ({i},{j}) needs exactly {dim} coefficients")
         try:

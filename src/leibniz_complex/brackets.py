@@ -8,8 +8,9 @@ Two ingredient operations act on partially evaluated components:
     extending that first slot as a derivation (so polynomial values are
     consumed Leibniz-style), again shuffling the remaining arguments.
 
-From these the two halves of the bracket are built degreewise over
-signed shuffles of the algebra arguments, and
+The two halves of the bracket are these operations summed over signed
+shuffles of the algebra arguments; `bullet` and `diamond` scatter that
+sum from the operands' stored entries, and
 
     {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
 
@@ -24,7 +25,7 @@ which on a fat algebra recovers e1 . e2 itself through the section.
 
 from dataclasses import dataclass
 
-from .cochains import Cochain, accumulate, assemble, position_splits, split_sign
+from .cochains import Cochain, entries, pair_terms, position_splits, scatter
 from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
                       pair_extended, sharp, tilde_value)
 from .sympoly import SymPoly, derivation_extend
@@ -86,53 +87,40 @@ def circ_compose(ctx, gamma, delta):
     return HomSym(k + l - 1, fn)
 
 
-def _component_map(omega, k, es):
-    return HomSym(k, lambda fs: omega.value(k, es, fs))
-
-
-def _tilde_map(ctx, omega, k, es):
-    return HomSym(k, lambda fs: tilde_value(ctx, omega, k, es, fs))
+def _lifts(ctx, omega):
+    """(k, prefix, fs, lift) for each distinct stored prefix of omega: the
+    section lift of its bar covector, nonzero because the covector is."""
+    prefixes = sorted({(k, es[:-1], fs) for k, es, fs, _ in entries(omega) if es})
+    return [(k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
+            for k, prefix, fs in prefixes]
 
 
 def bullet(ctx, omega, eta):
-    """Pairing half of the bracket; requires both operands representable."""
-    n, m = omega.degree, eta.degree
-    global_sign = -1 if m % 2 == 0 else 1  # (-1)^(m-1)
+    """Pairing half of the bracket: the lifts of both operands paired.
 
-    def fill(acc, k, es, fs):
-        for i in range(k + 1):
-            j = k - i
-            p, q = n - 2 * i - 1, m - 2 * j - 1
-            if p < 0 or q < 0:
-                continue
-            for left, right in position_splits(len(es), p):
-                sign = split_sign(left, right) * global_sign
-                alpha = _tilde_map(ctx, omega, i, tuple(es[x] for x in left))
-                beta = _tilde_map(ctx, eta, j, tuple(es[x] for x in right))
-                accumulate(acc, pair_bracket(ctx, alpha, beta)(fs), sign)
-
-    return assemble(ctx, max(n + m - 2, 0), fill)
+    A lift x of omega's bar covector at (prefix, fs) has phi(x) =
+    omega(prefix, -; fs), so pairing x with a lift y of eta's is the sum of
+    omega's entries omega(prefix, e; fs) times y's e-coefficient.
+    Raises NotRepresentableError when either operand is not representable.
+    """
+    _lifts(ctx, omega)  # only to raise when omega is not representable
+    left = [(k, es[:-1], fs, (es[-1], v)) for k, es, fs, v in entries(omega) if es]
+    terms = pair_terms(left, _lifts(ctx, eta), lambda ev, y: ev[1] * y.coeffs[ev[0]])
+    sign = -1 if eta.degree % 2 == 0 else 1  # (-1)^(m-1)
+    return scatter(ctx, max(omega.degree + eta.degree - 2, 0), terms).scale(sign)
 
 
 def diamond(ctx, omega, eta):
-    """Composition half of the bracket; terms whose component is missing are zero."""
-    n, m = omega.degree, eta.degree
-
-    def fill(acc, k, es, fs):
-        for i in range(k + 1):
-            j = k - i
-            p, q = n - 2 * i - 2, m - 2 * j
-            if p < 0 or q < 0:
-                continue
-            if i + 1 not in omega.components:
-                continue
-            for left, right in position_splits(len(es), p):
-                sign = split_sign(left, right)
-                gamma = _component_map(omega, i + 1, tuple(es[x] for x in left))
-                delta = _component_map(eta, j, tuple(es[x] for x in right))
-                accumulate(acc, circ_compose(ctx, gamma, delta)(fs), sign)
-
-    return assemble(ctx, max(n + m - 2, 0), fill)
+    """Composition half of the bracket: each eta entry fed, as a
+    derivation, into the first center argument of omega's components."""
+    bases = {}  # (k, es, other centers) -> [omega_{k+1}(es; r, others) for each r]
+    for k, es, fs, value in entries(omega):
+        for pos, r in enumerate(fs):
+            key = (k - 1, es, fs[:pos] + fs[pos + 1:])
+            bases.setdefault(key, [SymPoly.zero(ctx.zdim)] * ctx.zdim)[r] = value
+    left = [(i, es, rest, base) for (i, es, rest), base in bases.items()]
+    terms = pair_terms(left, entries(eta), derivation_extend)
+    return scatter(ctx, max(omega.degree + eta.degree - 2, 0), terms)
 
 
 def poisson(ctx, omega, eta):

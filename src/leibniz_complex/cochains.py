@@ -26,10 +26,14 @@ enumerations are lexicographic so failure reports are reproducible.
 """
 
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
+from math import comb, prod
 
+from .algebra import _is_index
 from .sympoly import SymPoly, SymPolyParseError, parse_sympoly
 
 
@@ -72,6 +76,9 @@ class ComplexContext:
 
     def __repr__(self):
         return f"ComplexContext({self.algebra!r}, pivot_strategy={self.pivot_strategy!r})"
+
+
+_zero = cache(SymPoly.zero)  # one shared zero per generator count; SymPoly is immutable
 
 
 class Cochain:
@@ -118,9 +125,8 @@ class Cochain:
 
     def value(self, k, es, fs):
         table = self.components.get(k)
-        if table is None:
-            return SymPoly.zero(self.nvars)
-        return table.get((tuple(es), tuple(sorted(fs)))) or SymPoly.zero(self.nvars)
+        found = table and table.get((tuple(es), tuple(sorted(fs))))
+        return found or _zero(self.nvars)
 
     def is_zero(self):
         return not self.components
@@ -199,14 +205,30 @@ def split_sign(left, right):
     return -1 if inversions % 2 else 1
 
 
-# -- enumeration helpers -------------------------------------------------------
+@cache
+def shuffle_table(n, p):
+    """(order, sign) for each (p, n-p) shuffle: merging a p-tuple a with an
+    (n-p)-tuple b puts (a + b)[order[x]] at position x."""
+    return tuple((tuple(map((left + right).index, range(n))), split_sign(left, right))
+                 for left, right in position_splits(n, p))
 
 
-def component_keys(ctx, degree, k):
-    nl = degree - 2 * k
-    for es in product(range(ctx.dim), repeat=nl):
-        for fs in combinations_with_replacement(range(ctx.zdim), k):
-            yield es, fs
+@cache
+def merge_centers(fs1, fs2):
+    """The sorted union of two center multisets, and the number of ways to
+    place fs1 in it (a sum over center splits counts each placement)."""
+    fs = tuple(sorted(fs1 + fs2))
+    return fs, prod(comb(fs.count(r), fs1.count(r)) for r in set(fs1))
+
+
+# -- the scatter kernel --------------------------------------------------------
+
+
+def entries(omega):
+    """The stored (k, es, fs, value) of a cochain."""
+    for k, table in omega.components.items():
+        for (es, fs), value in table.items():
+            yield k, es, fs, value
 
 
 def accumulate(acc, poly, factor=1):
@@ -221,24 +243,44 @@ def accumulate(acc, poly, factor=1):
             acc[mono] = total
 
 
-def assemble(ctx, degree, fill):
+def scatter(ctx, degree, terms):
     """The one output loop of d, cup, bullet and diamond: the degree-n
-    cochain whose value at each key is what `fill(acc, k, es, fs)` adds
-    into an empty accumulator."""
+    cochain summing factor * poly over its terms (k, es, fs, poly, factor),
+    fs sorted. Operators derive their terms from stored entries, so the
+    cost follows the terms, never the dim^degree output keys."""
+    sums = {}
+    for k, es, fs, poly, factor in terms:
+        accumulate(sums.setdefault((k, es, fs), {}), poly, factor)
     comps = {}
-    for k in range(degree // 2 + 1):
-        table = {}
-        for es, fs in component_keys(ctx, degree, k):
-            acc = {}
-            fill(acc, k, es, fs)
-            if acc:
-                table[(es, fs)] = SymPoly(ctx.zdim, acc)
-        if table:
-            comps[k] = table
+    for (k, es, fs), acc in sums.items():
+        if acc:
+            comps.setdefault(k, {})[(es, fs)] = SymPoly(ctx.zdim, acc)
     return Cochain(degree, ctx.zdim, comps)
 
 
+def pair_terms(left, right, combine):
+    """Terms of a product-like operator: items (i, es1, fs1, x) and (j, es2,
+    fs2, y), one from each side, put combine(x, y) at every signed shuffle
+    of es1 and es2, on the merged center multiset."""
+    right = list(right)
+    for i, es1, fs1, x in left:
+        for j, es2, fs2, y in right:
+            value = combine(x, y)
+            if not value.is_zero():
+                fs, mult = merge_centers(fs1, fs2)
+                merged = es1 + es2
+                for order, sign in shuffle_table(len(merged), len(es1)):
+                    yield i + j, tuple([merged[o] for o in order]), fs, value, sign * mult
+
+
 # -- validity ------------------------------------------------------------------
+
+
+def component_keys(ctx, degree, k):
+    nl = degree - 2 * k
+    for es in product(range(ctx.dim), repeat=nl):
+        for fs in combinations_with_replacement(range(ctx.zdim), k):
+            yield es, fs
 
 
 @dataclass
@@ -293,37 +335,33 @@ def coboundary(ctx, omega):
     report = validate_cochain(ctx, omega)
     if not report.ok:
         raise InvalidCochainError(report)
-    n = omega.degree
+    return scatter(ctx, omega.degree + 1, _coboundary_terms(ctx, omega))
+
+
+def _coboundary_terms(ctx, omega):
+    """The terms of d, from each stored entry omega_k(es; fs): d0's action
+    terms, e_i acting on it from every position; d0's bracket terms, each
+    argument t replaced by every pair (x, y) whose product x.y has a
+    t-component c, x moved left; and delta, the first argument t traded
+    for each center generator z_r whose basis vector has a t-coordinate."""
     alg = ctx.algebra
-
-    def fill(acc, k, es, fs):
-        nl = len(es)
-        if k <= n // 2:
-            for a in range(nl):
-                rest = es[:a] + es[a + 1:]
-                sign = -1 if a % 2 else 1
-                val = omega.value(k, rest, fs)
-                if not val.is_zero():
-                    accumulate(acc, alg.rho_basis(es[a], val), sign)
-            for a in range(nl):
-                for b in range(a + 1, nl):
-                    w = alg.table[es[a]][es[b]]
-                    sign = 1 if a % 2 else -1  # one less than the action-term sign
-                    for t, c in enumerate(w):
-                        if c == 0:
-                            continue
-                        inserted = es[:a] + es[a + 1:b] + (t,) + es[b + 1:]
-                        accumulate(acc, omega.value(k, inserted, fs), sign * c)
-        if k >= 1:
-            for jpos in range(k):
-                fj = fs[jpos]
-                rest_fs = fs[:jpos] + fs[jpos + 1:]
-                zvec = alg.z_basis[fj]
-                for t, c in enumerate(zvec):
-                    if c != 0:
-                        accumulate(acc, omega.value(k - 1, (t,) + es, rest_fs), c)
-
-    return assemble(ctx, n + 1, fill)
+    basis = [(0, (i,), (), i) for i in range(ctx.dim)]
+    yield from pair_terms(basis, entries(omega), alg.rho_basis)
+    products = ctx.cache.get("products")  # t -> [(x, y, c)]: x.y has t-component c != 0
+    if products is None:
+        pairs = list(product(range(ctx.dim), repeat=2))
+        products = ctx.cache["products"] = [[(x, y, alg.table[x][y][t]) for x, y in pairs
+                                             if alg.table[x][y][t] != 0] for t in range(ctx.dim)]
+    for k, es, fs, val in entries(omega):
+        for b, t in enumerate(es):
+            for x, y, c in products[t]:
+                for a in range(b + 1):
+                    yield (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs, val,
+                           c if a % 2 else -c)
+        for r, zvec in enumerate(alg.z_basis):
+            if es and zvec[es[0]] != 0:
+                out_fs, mult = merge_centers((r,), fs)
+                yield k + 1, es[1:], out_fs, val, zvec[es[0]] * mult
 
 
 @dataclass
@@ -353,28 +391,8 @@ def cup(ctx, omega, eta):
     """
     if omega.nvars != ctx.zdim or eta.nvars != ctx.zdim:
         raise ContextMismatchError("cochains built over a different center basis")
-    n, m = omega.degree, eta.degree
-
-    def fill(acc, k, es, fs):
-        for i in range(k + 1):
-            j = k - i
-            p, q = n - 2 * i, m - 2 * j
-            if p < 0 or q < 0:
-                continue
-            for left, right in position_splits(len(es), p):
-                sign = split_sign(left, right)
-                left_es = tuple(es[x] for x in left)
-                right_es = tuple(es[x] for x in right)
-                for fleft, fright in position_splits(k, i):
-                    v1 = omega.value(i, left_es, tuple(fs[x] for x in fleft))
-                    if v1.is_zero():
-                        continue
-                    v2 = eta.value(j, right_es, tuple(fs[x] for x in fright))
-                    if v2.is_zero():
-                        continue
-                    accumulate(acc, v1 * v2, sign)
-
-    return assemble(ctx, n + m, fill)
+    terms = pair_terms(entries(omega), entries(eta), operator.mul)
+    return scatter(ctx, omega.degree + eta.degree, terms)
 
 
 # -- a basis of the space of valid cochains --------------------------------------
@@ -429,10 +447,6 @@ def cochain_to_dict(omega):
                             "value": omega.components[k][(es, fs)].render()})
         components.append({"k": k, "entries": entries})
     return {"degree": omega.degree, "components": components}
-
-
-def _is_index(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def cochain_from_dict(ctx, data):

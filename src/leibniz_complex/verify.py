@@ -31,8 +31,8 @@ from random import Random
 
 from .algebra import basis_vec, build_fixture, check_leibniz, quotient_by_kernel
 from .brackets import derived_bracket_dual, poisson, theta, zeta
-from .cochains import (Cochain, ComplexContext, InvalidCochainError, accumulate, assemble,
-                       coboundary, cochain_space_basis, cup, validate_cochain)
+from .cochains import (Cochain, ComplexContext, InvalidCochainError, coboundary,
+                       cochain_space_basis, cup, entries, scatter, validate_cochain)
 from .duality import NotRepresentableError, flat_cochain, is_representable, sharp
 from .sympoly import SymPoly
 
@@ -198,16 +198,9 @@ def random_representable(ctx, rng, degree):
 
 def d0_sign_mutant(ctx, omega):
     """d with its action term at the first slot, rho(e_0) omega(e_1, ..), negated."""
-    alg = ctx.algebra
-    n = omega.degree
-
-    def fill(acc, k, es, fs):
-        if k <= n // 2:
-            val = omega.value(k, es[1:], fs)
-            if not val.is_zero():
-                accumulate(acc, alg.rho_basis(es[0], val))
-
-    return coboundary(ctx, omega) - assemble(ctx, n + 1, fill).scale(2)
+    first_slot = ((k, (i,) + es, fs, ctx.algebra.rho_basis(i, val), 1)
+                  for k, es, fs, val in entries(omega) for i in range(ctx.dim))
+    return coboundary(ctx, omega) - scatter(ctx, omega.degree + 1, first_slot).scale(2)
 
 
 def _differential(mutation):

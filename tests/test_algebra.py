@@ -151,6 +151,13 @@ def test_omni2_left_center_dim():
     assert build_fixture("omni(2)").zdim == 2
 
 
+def test_omni_needs_positive_n():
+    for name in ("omni(0)", "omni(00)"):
+        with pytest.raises(AlgebraFormatError):
+            build_fixture(name)
+    assert build_fixture("omni(1)").dim == 2
+
+
 def test_unknown_fixture():
     with pytest.raises(UnknownFixtureError):
         build_fixture("nope")
@@ -212,6 +219,15 @@ def test_loader_shape_errors():
                            "brackets": [{"i": 0, "j": 0, "coeffs": ["x", "0"]}]})
     with pytest.raises(AlgebraFormatError):
         algebra_from_dict([1, 2, 3])
+    # booleans are not indices, and brackets must be a list
+    entry = {"i": 0, "j": 1, "coeffs": ["0", "1"]}
+    for data in ({"dim": True, "basis": ["a"]},
+                 {"dim": 2, "basis": ["a", "b"], "brackets": [dict(entry, i=False)]},
+                 {"dim": 2, "basis": ["a", "b"], "brackets": [dict(entry, j=True)]},
+                 {"dim": 2, "basis": ["a", "b"], "brackets": 5},
+                 {"dim": 2, "basis": ["a", "b"], "brackets": entry}):
+        with pytest.raises(AlgebraFormatError):
+            algebra_from_dict(data)
 
 
 def test_omitted_brackets_mean_zero():

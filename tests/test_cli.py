@@ -159,6 +159,24 @@ def test_non_integer_cochain_index_is_input_error(tmp_path):
     assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 2
 
 
+def test_malformed_algebra_files_are_input_errors(tmp_path, capsys):
+    entry = {"i": 0, "j": 1, "coeffs": ["0", "1"]}
+    for data in ({"dim": True, "basis": ["a"]},
+                 {"dim": 2, "basis": ["a", "b"], "brackets": [dict(entry, i=False, j=True)]},
+                 {"dim": 2, "basis": ["a", "b"], "brackets": 5}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--algebra", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_omni_zero_is_input_error(capsys):
+    assert main(["check", "--algebra", "omni(0)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_cup_needs_two_cochains(tmp_path):
     ctx = ComplexContext(build_fixture("O1"))
     fa = write_cochain(tmp_path, ctx, flat_cochain(ctx, basis_vec(2, 0)), "fa.json")
