@@ -10,9 +10,9 @@ never user-supplied, and all symmetric products
 
     (e1, e2) = e1 . e2 + e2 . e1
 
-are stored in coordinates over the computed echelon basis of Z. The
-generators of the symmetric algebra S(Z) are identified with that basis,
-in order, so z1 is the first echelon basis vector and so on.
+are stored once, as degree-1 elements of S(Z) over the computed echelon
+basis of Z. The generators of the symmetric algebra S(Z) are identified
+with that basis, in order, so z1 is the first echelon basis vector and so on.
 
 Elements are plain coordinate tuples of Fractions over the chosen basis.
 """
@@ -88,7 +88,9 @@ def basis_vec(dim, i):
 
 
 class LeibnizAlgebra:
-    """Structure constants plus eagerly computed left-center/pairing caches."""
+    """Structure constants plus the facts every layer reads, each computed
+    once here: the left center, the pairing kernel, the pairing and the
+    action on Z as SymPolys, and the index of nonzero structure constants."""
 
     def __init__(self, labels, table):
         self.labels = tuple(str(s) for s in labels)
@@ -100,15 +102,21 @@ class LeibnizAlgebra:
             for entry in row:
                 if len(entry) != self.dim:
                     raise ValueError("structure constants have the wrong length")
-        self.z_basis = self._left_center()
+        dims = range(self.dim)
+        sym = [[vec_add(self.table[i][j], self.table[j][i]) for j in dims] for i in dims]
+        self.z_basis = _annihilator(self.table)
         self.zdim = len(self.z_basis)
         self._z_pivots = [_leading_index(v) for v in self.z_basis]
-        # (e_i, e_j) in Z-coordinates; None marks entries outside span(Z),
-        # which only happens for tables violating the Leibniz identity.
-        self._pairing = [[self._try_z_coords(self.symmetric_product_vec(basis_vec(self.dim, i), basis_vec(self.dim, j)))
-                          for j in range(self.dim)] for i in range(self.dim)]
-        self._rho_base = [self._try_rho_base(i) for i in range(self.dim)]
-        self.kernel_basis = self._pairing_kernel()
+        self.kernel_basis = _annihilator(sym)
+        # (e_i, e_j) and e_i acting on the Z-basis, as degree-1 elements of
+        # S(Z); None marks values outside span(Z), which only happen for
+        # tables violating the Leibniz identity.
+        self._pairing = [[self._z_poly(sym[i][j]) for j in dims] for i in dims]
+        rho = [[self._z_poly(self.bracket(basis_vec(self.dim, i), z)) for z in self.z_basis] for i in dims]
+        self._rho_base = [None if None in base else base for base in rho]
+        # t -> [(x, y, c)]: x.y has t-component c != 0
+        self.product_index = [[(x, y, self.table[x][y][t]) for x, y in product(dims, repeat=2)
+                               if self.table[x][y][t] != 0] for t in dims]
 
     # -- products ----------------------------------------------------------
 
@@ -135,13 +143,6 @@ class LeibnizAlgebra:
 
     # -- the left center and Z-coordinates ----------------------------------
 
-    def _left_center(self):
-        rows = []
-        for j in range(self.dim):
-            for t in range(self.dim):
-                rows.append([self.table[i][j][t] for i in range(self.dim)])
-        return tuple(tuple(v) for v in kernel_basis(rows, self.dim))
-
     def z_coords(self, v):
         """Coordinates of v over the echelon Z-basis; IntegrityError if v is not in Z."""
         coords = [v[p] for p in self._z_pivots]
@@ -153,11 +154,13 @@ class LeibnizAlgebra:
             raise IntegrityError("vector outside the left center span")
         return tuple(coords)
 
-    def _try_z_coords(self, v):
+    def _z_poly(self, v):
+        """v as a degree-1 element of S(Z), or None when v lies outside span(Z)."""
         try:
-            return self.z_coords(v)
+            coords = self.z_coords(v)
         except IntegrityError:
             return None
+        return SymPoly(self.zdim, {(r,): c for r, c in enumerate(coords) if c != 0})
 
     def z_vector(self, zcoords):
         """Embed Z-coordinates back into L."""
@@ -184,9 +187,8 @@ class LeibnizAlgebra:
                     # broken table: recompute so the IntegrityError surfaces
                     return self.z_coords(self.symmetric_product_vec(v, w))
                 f = vi * wj
-                for r, c in enumerate(entry):
-                    if c != 0:
-                        out[r] += f * c
+                for (r,), c in entry.items():
+                    out[r] += f * c
         return tuple(out)
 
     def symmetric_product(self, v, w):
@@ -201,18 +203,9 @@ class LeibnizAlgebra:
         entry = self._pairing[i][j]
         if entry is None:
             raise IntegrityError(f"pairing of basis elements {i},{j} lies outside the left center")
-        return SymPoly(self.zdim, {(r,): c for r, c in enumerate(entry) if c != 0})
+        return entry
 
     # -- the action on S(Z) ---------------------------------------------------
-
-    def _try_rho_base(self, i):
-        base = []
-        for zvec in self.z_basis:
-            coords = self._try_z_coords(self.bracket(basis_vec(self.dim, i), zvec))
-            if coords is None:
-                return None
-            base.append(SymPoly(self.zdim, {(r,): c for r, c in enumerate(coords) if c != 0}))
-        return base
 
     def rho_basis(self, i, poly):
         """Action of basis element e_i on S(Z), extended as a derivation."""
@@ -230,24 +223,11 @@ class LeibnizAlgebra:
 
     # -- fatness and the quotient ---------------------------------------------
 
-    def _pairing_kernel(self):
-        rows = []
-        for j in range(self.dim):
-            for t in range(self.dim):
-                rows.append([self.symmetric_product_vec(basis_vec(self.dim, i), basis_vec(self.dim, j))[t]
-                             for i in range(self.dim)])
-        return tuple(tuple(v) for v in kernel_basis(rows, self.dim))
-
     def is_fat(self):
         return not self.kernel_basis
 
     def two_sided_center(self):
-        rows = []
-        for j in range(self.dim):
-            for t in range(self.dim):
-                rows.append([self.table[i][j][t] for i in range(self.dim)])
-                rows.append([self.table[j][i][t] for i in range(self.dim)])
-        return tuple(tuple(v) for v in kernel_basis(rows, self.dim))
+        return _annihilator(self.table, tuple(zip(*self.table)))
 
     def __repr__(self):
         return f"LeibnizAlgebra(dim={self.dim}, labels={list(self.labels)})"
@@ -312,6 +292,15 @@ def quotient_by_kernel(algebra):
 
 def _leading_index(v):
     return next(i for i, c in enumerate(v) if c != 0)
+
+
+def _annihilator(*tables):
+    """Reduced echelon basis of {x : sum_i x_i table[i][j] = 0 for every j
+    and every table}; for the structure table that is the left center."""
+    dim = len(tables[0])
+    rows = [[table[i][j][t] for i in range(dim)]
+            for table in tables for j in range(dim) for t in range(dim)]
+    return tuple(tuple(v) for v in kernel_basis([row for row in rows if any(row)], dim))
 
 
 def _complement_coords(kernel, v, dim):

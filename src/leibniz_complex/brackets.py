@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .cochains import Cochain, entries, pair_terms, position_splits, scatter
 from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
-                      pair_extended, sharp, tilde_value)
+                      pair_extended, sharp, stored_prefixes, tilde_value)
 from .sympoly import SymPoly, derivation_extend
 
 
@@ -90,9 +90,8 @@ def circ_compose(ctx, gamma, delta):
 def _lifts(ctx, omega):
     """(k, prefix, fs, lift) for each distinct stored prefix of omega: the
     section lift of its bar covector, nonzero because the covector is."""
-    prefixes = sorted({(k, es[:-1], fs) for k, es, fs, _ in entries(omega) if es})
     return [(k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
-            for k, prefix, fs in prefixes]
+            for k, prefix, fs in stored_prefixes(omega)]
 
 
 def bullet(ctx, omega, eta):

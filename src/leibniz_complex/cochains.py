@@ -347,14 +347,9 @@ def _coboundary_terms(ctx, omega):
     alg = ctx.algebra
     basis = [(0, (i,), (), i) for i in range(ctx.dim)]
     yield from pair_terms(basis, entries(omega), alg.rho_basis)
-    products = ctx.cache.get("products")  # t -> [(x, y, c)]: x.y has t-component c != 0
-    if products is None:
-        pairs = list(product(range(ctx.dim), repeat=2))
-        products = ctx.cache["products"] = [[(x, y, alg.table[x][y][t]) for x, y in pairs
-                                             if alg.table[x][y][t] != 0] for t in range(ctx.dim)]
     for k, es, fs, val in entries(omega):
         for b, t in enumerate(es):
-            for x, y, c in products[t]:
+            for x, y, c in alg.product_index[t]:
                 for a in range(b + 1):
                     yield (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs, val,
                            c if a % 2 else -c)

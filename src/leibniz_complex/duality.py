@@ -22,6 +22,7 @@ of the lift is unique and independent of the pivot strategy.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .cochains import Cochain, entries
 from .linalg import LinearSolver
 from .sympoly import SymPoly
 
@@ -139,8 +140,6 @@ def flat(ctx, v):
 
 def flat_cochain(ctx, v):
     """(v, -) packaged as a degree-1 cochain."""
-    from .cochains import Cochain
-
     dual = flat(ctx, v)
     table = {((j,), ()): poly for j, poly in enumerate(dual.values) if not poly.is_zero()}
     return Cochain(1, ctx.zdim, {0: table} if table else None)
@@ -269,23 +268,22 @@ class RepresentabilityReport:
     failures: list  # (k, prefix, fs)
 
 
+def stored_prefixes(omega):
+    """The distinct (k, prefix, fs) of omega's stored entries with an
+    algebra argument, sorted: the only bar covectors that can be nonzero."""
+    return sorted({(k, es[:-1], fs) for k, es, fs, _ in entries(omega) if es})
+
+
 def is_representable(ctx, omega):
     """Do all bar covectors land in Im(phi)?
 
-    Components with no algebra arguments have no bar map and are
-    vacuously fine.
+    The zero covector is phi(0), so only the stored prefixes can fail;
+    they are reported in key order. Components with no algebra arguments
+    have no bar map and are vacuously fine.
     """
-    from .cochains import component_keys
-
     section = phi_section(ctx)
-    failures = []
-    n = omega.degree
-    for k in range(n // 2 + 1):
-        if n - 2 * k < 1:
-            break
-        for es, fs in component_keys(ctx, n - 1, k):
-            if not section.contains(bar(ctx, omega, k, es, fs)):
-                failures.append((k, es, fs))
+    failures = [(k, prefix, fs) for k, prefix, fs in stored_prefixes(omega)
+                if not section.contains(bar(ctx, omega, k, prefix, fs))]
     return RepresentabilityReport(ok=not failures, failures=failures)
 
 

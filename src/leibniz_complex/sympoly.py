@@ -283,12 +283,14 @@ def derivation_extend(base, poly):
     for b in base:
         if b.nvars != poly.nvars:
             raise DimensionError("base values live over a different generator count")
-    result = SymPoly.zero(poly.nvars)
+    terms = {}
     for mono, coeff in poly.items():
-        for r in sorted(set(mono)):
-            mult = mono.count(r)
-            rest = list(mono)
-            rest.remove(r)
-            cofactor = SymPoly.monomial(poly.nvars, rest, coeff * mult)
-            result = result + cofactor * base[r]
-    return result
+        for pos, r in enumerate(mono):  # a generator of multiplicity m counts m times
+            rest = mono[:pos] + mono[pos + 1:]
+            for m2, c2 in base[r].items():
+                key = tuple(sorted(rest + m2))
+                terms[key] = terms.get(key, 0) + coeff * c2
+    out = SymPoly.__new__(SymPoly)
+    out.nvars = poly.nvars
+    out._terms = {m: c for m, c in terms.items() if c != 0}
+    return out

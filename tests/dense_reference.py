@@ -1,17 +1,19 @@
-"""Dense reference implementations of d, the product and the two bracket halves.
+"""Dense reference implementations of d, the product, the two bracket
+halves and the representability test.
 
-These enumerate every output key (es, fs) of the result's degree and pull
-each input value through `Cochain.value`, exactly as the package did
-before its operators scattered from stored entries. They cost
-dim^degree per call, so the tests run them only on small inputs, as an
-oracle that the sparse operators must match by exact equality.
+These enumerate every output key (es, fs) of the result's degree (for the
+representability test, every bar prefix) and pull each input value
+through `Cochain.value`, exactly as the package did before its operators
+walked stored entries. They cost dim^degree per call, so the tests run
+them only on small inputs, as an oracle that the sparse operators must
+match by exact equality.
 """
 
 from leibniz_complex.brackets import HomSym, circ_compose, pair_bracket
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, accumulate,
                                       component_keys, position_splits, split_sign,
                                       validate_cochain)
-from leibniz_complex.duality import tilde_value
+from leibniz_complex.duality import RepresentabilityReport, bar, phi_section, tilde_value
 from leibniz_complex.sympoly import SymPoly
 
 
@@ -151,3 +153,17 @@ def first_slot_action(ctx, omega):
                 accumulate(acc, ctx.algebra.rho_basis(es[0], val))
 
     return assemble(ctx, n + 1, fill)
+
+
+def is_representable(ctx, omega):
+    """Every bar covector of omega, at every prefix, tested against Im(phi)."""
+    section = phi_section(ctx)
+    failures = []
+    n = omega.degree
+    for k in range(n // 2 + 1):
+        if n - 2 * k < 1:
+            break
+        for es, fs in component_keys(ctx, n - 1, k):
+            if not section.contains(bar(ctx, omega, k, es, fs)):
+                failures.append((k, es, fs))
+    return RepresentabilityReport(ok=not failures, failures=failures)

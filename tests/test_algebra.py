@@ -81,6 +81,14 @@ def test_symmetric_product_integrity_error():
     alg = broken_dim2()
     with pytest.raises(IntegrityError):
         alg.symmetric_product(basis_vec(2, 0), basis_vec(2, 0))
+    with pytest.raises(IntegrityError):
+        alg.pairing_poly_basis(0, 0)
+    # a.b = a: Z = span(b), and e_a moves b to a, outside Z
+    moves_center = LeibnizAlgebra(["a", "b"], [[zero_vec(2), basis_vec(2, 0)],
+                                               [zero_vec(2), zero_vec(2)]])
+    assert moves_center.z_basis == (basis_vec(2, 1),)
+    with pytest.raises(IntegrityError):
+        moves_center.rho_basis(0, SymPoly.generator(1, 0))
 
 
 def test_rho_o1(algebras):
@@ -103,6 +111,57 @@ def test_pairing_kernel_lie_algebra_is_everything():
 
 def test_pairing_kernel_aff_o1_block(algebras):
     assert algebras["AFF_O1"].kernel_basis == (basis_vec(4, 0), basis_vec(4, 1))
+
+
+def _sympy_kernel(rows, dim):
+    """Reduced echelon basis of the null space of `rows`, computed by sympy."""
+    sympy = pytest.importorskip("sympy")
+    vectors = sympy.Matrix(rows).nullspace()
+    if not vectors:
+        return ()
+    echelon = sympy.Matrix.hstack(*vectors).T.rref()[0]
+    return tuple(tuple(F(int(c.p), int(c.q)) for c in echelon.row(r))
+                 for r in range(echelon.rows) if any(echelon.row(r)))
+
+
+@pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1", "omni(3)", "aff1"))
+def test_centers_and_kernel_against_sympy(name):
+    """z_basis, kernel_basis and two_sided_center() against null spaces of
+    matrices built from products of basis vectors, not from the table."""
+    alg = aff1() if name == "aff1" else build_fixture(name)
+    dim, e = alg.dim, [basis_vec(alg.dim, i) for i in range(alg.dim)]
+    left = [[alg.bracket(e[i], e[j])[t] for i in range(dim)] for j in range(dim) for t in range(dim)]
+    right = [[alg.bracket(e[j], e[i])[t] for i in range(dim)] for j in range(dim) for t in range(dim)]
+    pairing = [[a + b for a, b in zip(row_l, row_r)] for row_l, row_r in zip(left, right)]
+    assert alg.z_basis == _sympy_kernel(left, dim)
+    assert alg.kernel_basis == _sympy_kernel(pairing, dim)
+    assert alg.two_sided_center() == _sympy_kernel(left + right, dim)
+
+
+def test_construction_work(monkeypatch):
+    # products enter the center and pairing tables straight from the
+    # structure table; only the action on Z goes through bracket
+    calls = []
+    bracket = LeibnizAlgebra.bracket
+
+    def counted(self, v, w):
+        calls.append((v, w))
+        return bracket(self, v, w)
+
+    monkeypatch.setattr(LeibnizAlgebra, "bracket", counted)
+    alg = build_fixture("omni(4)")
+    assert (alg.dim, alg.zdim) == (20, 4)
+    assert len(calls) <= alg.dim * alg.zdim
+
+
+def test_pairing_store_is_a_lookup(algebras):
+    alg = algebras["O2"]
+    for i, j in product(range(alg.dim), repeat=2):
+        value = alg.pairing_poly_basis(i, j)
+        assert value is alg.pairing_poly_basis(i, j)
+        ei, ej = basis_vec(6, i), basis_vec(6, j)
+        coords = alg.z_coords(tuple(a + b for a, b in zip(alg.bracket(ei, ej), alg.bracket(ej, ei))))
+        assert value == SymPoly(alg.zdim, {(r,): c for r, c in enumerate(coords)})
 
 
 def test_is_fat(algebras):

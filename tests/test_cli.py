@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -109,6 +110,19 @@ def test_representable_command(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(bad_data))
     assert main(["representable", "--algebra", "AFF_O1", "--cochain", str(bad)]) == 1
+
+
+def test_representable_walks_only_stored_prefixes(tmp_path, capsys):
+    # one scalar entry in degree 40: a walk over all 2^39 bar prefixes never ends
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"degree": 40, "components": [
+        {"k": 0, "entries": [{"es": [0, 1] * 20, "fs": [], "value": "1"}]}]}))
+    start = time.perf_counter()
+    assert main(["representable", "--algebra", "O1", "--cochain", str(path),
+                 "--format", "json"]) == 1
+    assert time.perf_counter() - start < 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["failures"] == [{"component": 0, "prefix": [0, 1] * 19 + [0], "fs": []}]
 
 
 def test_derived_bracket_command(capsys):

@@ -1,15 +1,18 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from leibniz_complex.algebra import basis_vec
-from leibniz_complex.brackets import theta
-from leibniz_complex.cochains import Cochain, ComplexContext
+import dense_reference as dense
+from leibniz_complex.algebra import basis_vec, build_fixture
+from leibniz_complex.brackets import theta, zeta
+from leibniz_complex.cochains import Cochain, ComplexContext, cochain_space_basis
 from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError,
                                      bar, dual_from_cochain, flat, flat_cochain,
                                      is_representable, phi, phi_section, sharp, tilde,
                                      tilde_value)
 from leibniz_complex.sympoly import SymPoly
+from leibniz_complex.verify import random_poly, random_representable
 
 F = Fraction
 Z1 = SymPoly.generator(1, 0)
@@ -178,3 +181,55 @@ def test_dual_from_cochain_roundtrip(o1):
     assert dual_from_cochain(o1, fa) == flat(o1, basis_vec(2, 0))
     with pytest.raises(ValueError):
         dual_from_cochain(o1, theta(o1))
+
+
+# -- the stored-prefix walk against the dense reference ----------------------------
+
+FIXTURES = ("A3", "O1", "O2", "AFF_O1")
+
+
+def same_report(ctx, omega):
+    """is_representable and the dense walk over every prefix agree exactly."""
+    got, expected = is_representable(ctx, omega), dense.is_representable(ctx, omega)
+    assert (got.ok, got.failures) == (expected.ok, expected.failures), omega
+    return got
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("omni(3)",))
+def test_representable_on_basis_cochains(contexts, name):
+    ctx = ComplexContext(build_fixture(name)) if name == "omni(3)" else contexts[name]
+    reports = [same_report(ctx, omega)
+               for n in range(3 if name == "omni(3)" else 4)
+               for omega in cochain_space_basis(ctx, n)]
+    assert {r.ok for r in reports} == {True, False}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_representable_on_canonical_and_random_cochains(contexts, name):
+    ctx = contexts[name]
+    for omega in [theta(ctx), zeta(ctx)] + [flat_cochain(ctx, basis_vec(ctx.dim, i))
+                                            for i in range(ctx.dim)]:
+        same_report(ctx, omega)
+    rng = Random(5)
+    for _ in range(8):
+        assert same_report(ctx, random_representable(ctx, rng, rng.randint(0, 3))).ok
+
+
+@pytest.mark.parametrize("name", ("O1", "O2", "AFF_O1"))
+def test_representable_on_single_entry_tables(contexts, name):
+    ctx = contexts[name]
+    rng = Random(17)
+    for _ in range(40):
+        degree = rng.randint(1, 4)
+        k = rng.randint(0, degree // 2)
+        es = tuple(rng.randrange(ctx.dim) for _ in range(degree - 2 * k))
+        fs = tuple(sorted(rng.randrange(ctx.zdim) for _ in range(k)))
+        same_report(ctx, Cochain(degree, ctx.zdim, {k: {(es, fs): random_poly(rng, ctx.zdim)}}))
+
+
+def test_non_representable_on_aff_o1(aff_o1):
+    one = SymPoly.one(1)
+    for omega in (Cochain(1, 1, {0: {((0,), ()): one, ((2,), ()): one}}),
+                  Cochain(2, 1, {0: {((1, 0), ()): one, ((3, 2), ()): Z1}, 1: {((), (0,)): one}}),
+                  theta(aff_o1) + Cochain(3, 1, {1: {((0,), (0,)): Z1}})):
+        assert not same_report(aff_o1, omega).ok

@@ -136,6 +136,8 @@ def test_derivation_is_a_derivation(p, q, base):
     lhs = derivation_extend(base, p * q)
     rhs = derivation_extend(base, p) * q + p * derivation_extend(base, q)
     assert lhs == rhs
+    for r in range(2):
+        assert derivation_extend(base, SymPoly.generator(2, r)) == base[r]
 
 
 @given(sympolys())
