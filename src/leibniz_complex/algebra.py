@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .linalg import kernel_basis
 from .sympoly import SymPoly, derivation_extend
@@ -90,7 +90,8 @@ def basis_vec(dim, i):
 class LeibnizAlgebra:
     """Structure constants plus the facts every layer reads, each computed
     once here: the left center, the pairing kernel, the pairing and the
-    action on Z as SymPolys, and the index of nonzero structure constants."""
+    action on Z as SymPolys, and the indexes of nonzero pairing
+    coefficients and structure constants."""
 
     def __init__(self, labels, table):
         self.labels = tuple(str(s) for s in labels)
@@ -114,6 +115,11 @@ class LeibnizAlgebra:
         self._pairing = [[self._z_poly(sym[i][j]) for j in dims] for i in dims]
         rho = [[self._z_poly(self.bracket(basis_vec(self.dim, i), z)) for z in self.z_basis] for i in dims]
         self._rho_base = [None if None in base else base for base in rho]
+        # r -> [(x, y, c)]: x <= y and (e_x, e_y) has z_r-component c != 0
+        self.pairing_index = [[] for _ in range(self.zdim)]
+        for x, y in combinations_with_replacement(dims, 2):
+            for (r,), c in (self._pairing[x][y] or {}).items():
+                self.pairing_index[r].append((x, y, c))
         # t -> [(x, y, c)]: x.y has t-component c != 0
         self.product_index = [[(x, y, self.table[x][y][t]) for x, y in product(dims, repeat=2)
                                if self.table[x][y][t] != 0] for t in dims]

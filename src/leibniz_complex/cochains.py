@@ -13,7 +13,9 @@ component evaluated on the symmetric product of the swapped pair,
     w_k(..e,e'..; fs) + w_k(..e',e..; fs) = -w_{k+1}(.. ; (e,e'), fs).
 
 Storage does not canonicalize this (the structure is only weakly skew);
-`validate_cochain` checks it instead.
+`validate_cochain` checks it instead, on the equations stored entries
+touch, and `cochain_space_basis` builds valid cochains from their values
+at strictly increasing keys.
 
 The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
@@ -34,6 +36,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 
 from .algebra import _is_index
+from .linalg import rref
 from .sympoly import SymPoly, SymPolyParseError, parse_sympoly
 
 
@@ -277,6 +280,8 @@ def pair_terms(left, right, combine):
 
 
 def component_keys(ctx, degree, k):
+    """Every basis key (es, fs) of component k of a degree-n cochain, es in
+    lexicographic order, then fs."""
     nl = degree - 2 * k
     for es in product(range(ctx.dim), repeat=nl):
         for fs in combinations_with_replacement(range(ctx.zdim), k):
@@ -289,39 +294,47 @@ class ValidationReport:
     violations: list = field(default_factory=list)  # (k, position, es, fs, lhs, rhs)
 
 
-def skew_equations(ctx, degree):
-    """Each weak skew-symmetry equation on degree-n cochains, once:
+def validate_cochain(ctx, omega):
+    """Check weak skew-symmetry wherever it can fail.
+
+    The equation at (k, es, fs, pos), for es[pos] <= es[pos+1], reads
 
         w_k(es; fs) + w_k(swapped; fs) = -sum_r c_r w_{k+1}(reduced; fs + (r,))
 
-    with pair = sum_r c_r z_r = (es[pos], es[pos+1]). Only es[pos] <= es[pos+1]
-    is yielded; the swapped key carries the same equation.
+    with pair = sum_r c_r z_r = (es[pos], es[pos+1]). One whose terms are
+    all zero holds, so only those touching a stored entry are tested: each
+    adjacent pair of a stored es, at its own level, and each key one level
+    down made by inserting a pair (x <= y) whose pairing has a
+    z_r-component, r in the stored fs. Violations are sorted by
+    (k, es, fs, pos), the order of a walk over every key.
     """
-    for k in range(degree // 2 + 1):
-        nl = degree - 2 * k
-        if nl < 2:
-            break
-        for es, fs in component_keys(ctx, degree, k):
-            for pos in range(nl - 1):
-                if es[pos] > es[pos + 1]:
-                    continue
-                swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
-                pair = ctx.algebra.pairing_poly_basis(es[pos], es[pos + 1])
-                reduced = es[:pos] + es[pos + 2:]
-                yield k, pos, es, fs, swapped, reduced, pair
-
-
-def validate_cochain(ctx, omega):
-    """Check weak skew-symmetry on every component, position and basis key."""
+    equations = set()
+    for k, es, fs, _ in entries(omega):
+        for pos in range(len(es) - 1):
+            x, y = es[pos], es[pos + 1]
+            equations.add((k, es if x <= y else es[:pos] + (y, x) + es[pos + 2:], fs, pos))
+        for r in set(fs):
+            rest = _remove_one(fs, r)
+            for x, y, _ in ctx.algebra.pairing_index[r]:
+                for pos in range(len(es) + 1):
+                    equations.add((k - 1, es[:pos] + (x, y) + es[pos:], rest, pos))
     violations = []
-    for k, pos, es, fs, swapped, reduced, pair in skew_equations(ctx, omega.degree):
+    for k, es, fs, pos in sorted(equations):
+        swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
+        reduced = es[:pos] + es[pos + 2:]
         lhs = omega.value(k, es, fs) + omega.value(k, swapped, fs)
         rhs = SymPoly.zero(ctx.zdim)
-        for (r,), c in pair.items():
+        for (r,), c in ctx.algebra.pairing_poly_basis(es[pos], es[pos + 1]).items():
             rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
         if lhs != rhs:
             violations.append((k, pos, es, fs, lhs, rhs))
     return ValidationReport(ok=not violations, violations=violations)
+
+
+def _remove_one(fs, r):
+    """The sorted multiset fs with one copy of r taken out."""
+    i = fs.index(r)
+    return fs[:i] + fs[i + 1:]
 
 
 # -- the differential ----------------------------------------------------------
@@ -396,38 +409,132 @@ def cup(ctx, omega, eta):
 def cochain_space_basis(ctx, degree):
     """Deterministic basis of the degree-n valid cochains with scalar values.
 
-    The weak skew-symmetry constraints are linear with rational
-    coefficients, so the valid cochains with values in the ground field
-    form the kernel of an explicit matrix; its reduced echelon basis is
-    returned as honest cochains. Single-key indicator tables are NOT
-    valid cochains in general, which is why the exhaustive d.d = 0 and
-    product suites run over this basis instead.
+    A valid cochain is fixed by its free data, its values at the keys
+    (k, es, fs) with es strictly increasing: from the top component down,
+    weak skew-symmetry gives every other value of w_k from w_k at a key
+    with one inversion fewer and from w_{k+1}. Every choice of free data
+    occurs (their count, sum_k C(dim, n-2k) C(zdim+k-1, k), is the
+    dimension of the space), so the cochains with one unit free datum span
+    it. Their reduced echelon form over the keys they touch, ordered by
+    (k, es, fs), is returned; it depends only on the space, so it is the
+    kernel basis of the full constraint matrix, entry for entry. Single-key
+    indicator tables are NOT valid cochains in general, which is why the
+    exhaustive d.d = 0 and product suites run over this basis instead.
     """
-    from .linalg import kernel_basis
-
-    keys = []
-    index = {}
-    for k in range(degree // 2 + 1):
-        for es, fs in component_keys(ctx, degree, k):
-            index[(k, es, fs)] = len(keys)
-            keys.append((k, es, fs))
+    vectors = [_free_datum_cochain(ctx, k, es, fs)
+               for k in range(degree // 2 + 1)
+               for es in combinations(range(ctx.dim), degree - 2 * k)
+               for fs in combinations_with_replacement(range(ctx.zdim), k)]
     rows = []
-    for k, pos, es, fs, swapped, reduced, pair in skew_equations(ctx, degree):
-        row = [Fraction(0)] * len(keys)
-        row[index[(k, es, fs)]] += 1
-        row[index[(k, swapped, fs)]] += 1
-        for (r,), c in pair.items():
-            row[index[(k + 1, reduced, tuple(sorted(fs + (r,))))]] += c
-        if any(v != 0 for v in row):
-            rows.append(row)
+    for block in _blocks(vectors):
+        keys = sorted(set().union(*block))
+        index = {key: c for c, key in enumerate(keys)}
+        matrix = []
+        for vec in block:
+            row = [0] * len(keys)
+            for key, c in vec.items():
+                row[index[key]] = c
+            matrix.append(row)
+        reduced, pivots = rref(matrix)
+        rows.extend((keys[p], [(keys[c], v) for c, v in enumerate(row) if v != 0])
+                    for row, p in zip(reduced, pivots))
     basis = []
-    for vec in kernel_basis(rows, len(keys)):
+    for _, row in sorted(rows, key=lambda item: item[0]):
         comps = {}
-        for (k, es, fs), c in zip(keys, vec):
-            if c != 0:
-                comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
+        for (k, es, fs), c in row:
+            comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
         basis.append(Cochain(degree, ctx.zdim, comps))
     return basis
+
+
+def _blocks(vectors):
+    """The vectors grouped so that no two groups share a key. The echelon
+    form of the span is the union of the groups' echelon forms, and each
+    group is reduced over its own keys only."""
+    parent = list(range(len(vectors)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}
+    for i, vec in enumerate(vectors):
+        for key in vec:
+            parent[root(i)] = root(first.setdefault(key, i))
+    groups = {}
+    for i, vec in enumerate(vectors):
+        groups.setdefault(root(i), []).append(vec)
+    return list(groups.values())
+
+
+def _free_datum_cochain(ctx, k0, es0, fs0):
+    """The valid scalar cochain whose one nonzero free datum is
+    w_{k0}(es0; fs0) = 1, as {(k, es, fs): value}.
+
+    w_{k0} is sign(sigma) at each permutation sigma(es0), with fs0, and zero
+    elsewhere. Below k0, w_k can be nonzero only at a key holding a stored
+    (es', fs') of w_{k+1} plus a pair (x, y) whose pairing has a
+    z_r-component, r in fs'; each such multiset of arguments is evaluated
+    at its distinct orderings, in lexicographic order, at the first
+    adjacent pair that is not strictly increasing:
+
+        w(..x,y..; fs) = -w(..y,x..; fs) - sum_r c_r w_{k+1}(..; fs + (r,))   x > y
+        w(..x,x..; fs) = -1/2 sum_r c_r w_{k+1}(..; fs + (r,))
+
+    (..y,x.. comes earlier in that order), and a strictly increasing key
+    below k0 is a free datum, zero here.
+    """
+    alg = ctx.algebra
+    upper = {(es, fs0): _inversion_sign(es) for es in _orderings(es0)}
+    out = {(k0, es, fs): value for (es, fs), value in upper.items()}
+    for k in range(k0 - 1, -1, -1):
+        groups = {(tuple(sorted(es + (x, y))), _remove_one(fs, r))
+                  for es, fs in upper for r in set(fs) for x, y, _ in alg.pairing_index[r]}
+        lower = {}
+        for args, fs in groups:
+            known = {}
+            for es in _orderings(args):
+                pos = next((i for i in range(len(es) - 1) if es[i] >= es[i + 1]), None)
+                if pos is None:
+                    known[es] = 0
+                    continue
+                x, y = es[pos], es[pos + 1]
+                reduced = es[:pos] + es[pos + 2:]
+                correction = sum(c * upper.get((reduced, tuple(sorted(fs + (r,)))), 0)
+                                 for (r,), c in alg.pairing_poly_basis(x, y).items())
+                if x == y:
+                    value = -Fraction(correction) / 2
+                else:
+                    value = -known[es[:pos] + (y, x) + es[pos + 2:]] - correction
+                known[es] = value
+                if value != 0:
+                    lower[(es, fs)] = value
+        out.update(((k, es, fs), value) for (es, fs), value in lower.items())
+        upper = lower
+    return out
+
+
+def _orderings(args):
+    """The distinct orderings of the sorted tuple args, in lexicographic order."""
+    seq = list(args)
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
+
+
+def _inversion_sign(es):
+    return -1 if sum(a > b for a, b in combinations(es, 2)) % 2 else 1
 
 
 # -- the JSON file format ---------------------------------------------------------

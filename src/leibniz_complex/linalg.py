@@ -16,28 +16,48 @@ def rref(matrix):
 
     Returns (rows, pivot_cols). Rows of the result below len(pivot_cols)
     are identically zero.
+
+    Elimination runs on sparse rows ({column: value}, zeros dropped): each
+    row is reduced by the pivot rows found so far, which are kept fully
+    reduced, and its first nonzero column becomes the next pivot. The
+    reduced echelon form of a matrix is unique, so this is the form that
+    pivoting on the first usable column, left to right, gives.
     """
-    rows = [list(map(Fraction, row)) for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    pivot_rows = {}  # pivot column -> row with a 1 there and 0 at every other pivot
+    for row in matrix:
+        vec = {c: Fraction(v) for c, v in enumerate(row) if v != 0}
+        for p in [c for c in vec if c in pivot_rows]:
+            _subtract(vec, vec[p], pivot_rows[p])
+        if not vec:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        lead = min(vec)
+        inv = ONE / vec[lead]
+        vec = {c: v * inv for c, v in vec.items()}
+        for other in pivot_rows.values():
+            if lead in other:
+                _subtract(other, other[lead], vec)
+        pivot_rows[lead] = vec
+    pivots = sorted(pivot_rows)
+    rows = []
+    for p in pivots:
+        dense = [ZERO] * ncols
+        for c, v in pivot_rows[p].items():
+            dense[c] = v
+        rows.append(dense)
+    rows.extend([ZERO] * ncols for _ in range(nrows - len(pivots)))
     return rows, pivots
+
+
+def _subtract(vec, factor, row):
+    """vec -= factor * row, on sparse rows."""
+    for c, v in row.items():
+        total = vec.get(c, ZERO) - factor * v
+        if total:
+            vec[c] = total
+        else:
+            del vec[c]
 
 
 def kernel_basis(matrix, ncols):
@@ -73,7 +93,8 @@ class LinearSolver:
     """Factorization of A for repeated exact solves of A @ x = b.
 
     Gauss-Jordan is run once on A, the row operations are recorded in a
-    square transform E with E @ A = rref(A). solve() then costs one
+    square transform E with E @ A = rref(A), each row of E kept as its
+    nonzero (column, value) pairs. solve() then costs one sparse
     matrix-vector product plus a consistency check. Free variables are
     set to zero, which makes the solution map linear on the column space
     (a genuine section of A).
@@ -89,11 +110,10 @@ class LinearSolver:
             augmented.append(perm + _unit(self.nrows, i))
         if augmented:
             reduced, pivots = rref(augmented)
-            self.rows = [row[:ncols] for row in reduced]
-            self.transform = [row[ncols:] for row in reduced]
+            self.transform = [[(j, t) for j, t in enumerate(row[ncols:]) if t != 0]
+                              for row in reduced]
             self.pivots = [p for p in pivots if p < ncols]
         else:
-            self.rows = []
             self.transform = []
             self.pivots = []
         self.rank = len(self.pivots)
@@ -102,12 +122,13 @@ class LinearSolver:
         """One solution of A @ x = b, or None if b is outside the image."""
         if len(b) != self.nrows:
             raise ValueError(f"rhs has length {len(b)}, expected {self.nrows}")
+        support = {j: bv for j, bv in enumerate(b) if bv != 0}
         x = [ZERO] * self.ncols
-        for r in range(self.nrows):
+        for r, row in enumerate(self.transform):
             c = ZERO
-            for t, bv in zip(self.transform[r], b):
-                if t != 0 and bv != 0:
-                    c += t * bv
+            for j, t in row:
+                if j in support:
+                    c += t * support[j]
             if r < self.rank:
                 x[self.column_order[self.pivots[r]]] = c
             elif c != 0:

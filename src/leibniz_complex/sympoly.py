@@ -27,6 +27,12 @@ class SymPolyParseError(ValueError):
     """Malformed polynomial text."""
 
 
+# The largest total degree of one term that `parse_sympoly` accepts. Each
+# exponent is checked against it before its term is expanded, so text
+# such as "z1^99999999999" is rejected instead of exhausting memory.
+MAX_TERM_DEGREE = 1000
+
+
 def _as_fraction(value):
     if isinstance(value, Fraction):
         return value
@@ -249,15 +255,18 @@ def parse_sympoly(nvars, text):
             elif kind == "num":
                 if saw_factor:
                     raise SymPolyParseError(f"coefficient after variables in {text!r}")
-                coeff = Fraction(value)
+                coeff = _number(value)
                 saw_factor = True
                 expect_factor = False
             else:
                 base, _, exp = value.partition("^")
-                index = int(base[1:]) - 1
-                power = int(exp) if exp else 1
+                index = int(_number(base[1:])) - 1
+                power = int(_number(exp)) if exp else 1
                 if not (0 <= index < nvars):
                     raise SymPolyParseError(f"generator {base} out of range (nvars={nvars})")
+                if len(mono) + power > MAX_TERM_DEGREE:
+                    raise SymPolyParseError(
+                        f"a term of {text!r} has degree above {MAX_TERM_DEGREE}")
                 mono.extend([index] * power)
                 saw_factor = True
                 expect_factor = False
@@ -268,6 +277,15 @@ def parse_sympoly(nvars, text):
             raise SymPolyParseError(f"empty term in {text!r}")
         terms.append((tuple(sorted(mono)), sign * coeff))
     return SymPoly(nvars, terms)
+
+
+def _number(token):
+    """The rational a numeric token spells; SymPolyParseError for a zero
+    denominator or more digits than the interpreter converts to an int."""
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SymPolyParseError(f"bad number {token[:20]!r}: {exc}") from exc
 
 
 def derivation_extend(base, poly):

@@ -1,20 +1,162 @@
 """Dense reference implementations of d, the product, the two bracket
-halves and the representability test.
+halves, the representability test, weak skew-symmetry, the basis of the
+valid cochains and exact elimination.
 
 These enumerate every output key (es, fs) of the result's degree (for the
-representability test, every bar prefix) and pull each input value
-through `Cochain.value`, exactly as the package did before its operators
-walked stored entries. They cost dim^degree per call, so the tests run
-them only on small inputs, as an oracle that the sparse operators must
-match by exact equality.
+representability test, every bar prefix; for validity and the basis,
+every weak skew-symmetry equation) and pull each input value through
+`Cochain.value`, exactly as the package did before its operators walked
+stored entries; elimination runs on dense rows. They cost dim^degree per
+call, so the tests run them only on small inputs, as an oracle that the
+sparse code must match by exact equality.
 """
 
+from fractions import Fraction
+
 from leibniz_complex.brackets import HomSym, circ_compose, pair_bracket
-from leibniz_complex.cochains import (Cochain, InvalidCochainError, accumulate,
-                                      component_keys, position_splits, split_sign,
-                                      validate_cochain)
+from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
+                                      accumulate, component_keys, position_splits,
+                                      split_sign)
 from leibniz_complex.duality import RepresentabilityReport, bar, phi_section, tilde_value
 from leibniz_complex.sympoly import SymPoly
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+# -- exact elimination -------------------------------------------------------------
+
+
+def rref(matrix):
+    """Reduced row echelon form on dense rows, pivoting on the first usable
+    column left to right; returns (rows, pivot_cols)."""
+    rows = [list(map(Fraction, row)) for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def kernel_basis(matrix, ncols):
+    """Reduced echelon basis of {x : matrix @ x = 0}."""
+    if not matrix:
+        return [[ONE if j == i else ZERO for j in range(ncols)] for i in range(ncols)]
+    rows, pivots = rref(matrix)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        basis.append(vec)
+    if not basis:
+        return []
+    echelon, _ = rref(basis)
+    return [row for row in echelon if any(v != 0 for v in row)]
+
+
+def solve(matrix, ncols, b, column_order=None):
+    """One solution of matrix @ x = b, or None: the dense transform E with
+    E @ A = rref(A), from the reduced [A | I], times b, free variables zero."""
+    nrows = len(matrix)
+    order = list(column_order) if column_order is not None else list(range(ncols))
+    augmented = [[row[c] for c in order] + [ONE if j == i else ZERO for j in range(nrows)]
+                 for i, row in enumerate(matrix)]
+    reduced, pivots = rref(augmented)
+    pivots = [p for p in pivots if p < ncols]
+    x = [ZERO] * ncols
+    for r, row in enumerate(reduced):
+        c = sum((t * bv for t, bv in zip(row[ncols:], b)), ZERO)
+        if r < len(pivots):
+            x[order[pivots[r]]] = c
+        elif c != 0:
+            return None
+    return x
+
+
+# -- weak skew-symmetry and the basis of the valid cochains ------------------------
+
+
+def skew_equations(ctx, degree):
+    """Each weak skew-symmetry equation on degree-n cochains, once:
+
+        w_k(es; fs) + w_k(swapped; fs) = -sum_r c_r w_{k+1}(reduced; fs + (r,))
+
+    with pair = sum_r c_r z_r = (es[pos], es[pos+1]). Only es[pos] <= es[pos+1]
+    is yielded; the swapped key carries the same equation.
+    """
+    for k in range(degree // 2 + 1):
+        nl = degree - 2 * k
+        if nl < 2:
+            break
+        for es, fs in component_keys(ctx, degree, k):
+            for pos in range(nl - 1):
+                if es[pos] > es[pos + 1]:
+                    continue
+                swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
+                pair = ctx.algebra.pairing_poly_basis(es[pos], es[pos + 1])
+                reduced = es[:pos] + es[pos + 2:]
+                yield k, pos, es, fs, swapped, reduced, pair
+
+
+def validate_cochain(ctx, omega):
+    """Check weak skew-symmetry on every component, position and basis key."""
+    violations = []
+    for k, pos, es, fs, swapped, reduced, pair in skew_equations(ctx, omega.degree):
+        lhs = omega.value(k, es, fs) + omega.value(k, swapped, fs)
+        rhs = SymPoly.zero(ctx.zdim)
+        for (r,), c in pair.items():
+            rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
+        if lhs != rhs:
+            violations.append((k, pos, es, fs, lhs, rhs))
+    return ValidationReport(ok=not violations, violations=violations)
+
+
+def cochain_space_basis(ctx, degree):
+    """The reduced echelon basis of the kernel of the weak skew-symmetry
+    constraint matrix over every key, as cochains."""
+    keys = []
+    index = {}
+    for k in range(degree // 2 + 1):
+        for es, fs in component_keys(ctx, degree, k):
+            index[(k, es, fs)] = len(keys)
+            keys.append((k, es, fs))
+    rows = []
+    for k, pos, es, fs, swapped, reduced, pair in skew_equations(ctx, degree):
+        row = [Fraction(0)] * len(keys)
+        row[index[(k, es, fs)]] += 1
+        row[index[(k, swapped, fs)]] += 1
+        for (r,), c in pair.items():
+            row[index[(k + 1, reduced, tuple(sorted(fs + (r,))))]] += c
+        if any(v != 0 for v in row):
+            rows.append(row)
+    basis = []
+    for vec in kernel_basis(rows, len(keys)):
+        comps = {}
+        for (k, es, fs), c in zip(keys, vec):
+            if c != 0:
+                comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
+        basis.append(Cochain(degree, ctx.zdim, comps))
+    return basis
+
+
+# -- the operators -------------------------------------------------------------------
 
 
 def assemble(ctx, degree, fill):

@@ -159,6 +159,28 @@ def test_verify_mutation_exits_nonzero(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_d_checks_only_the_equations_stored_entries_touch(tmp_path, capsys):
+    # one entry in degree 40: a walk over all 2^40 keys never ends
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"degree": 40, "components": [
+        {"k": 0, "entries": [{"es": [0, 1] * 20, "fs": [], "value": "1"}]}]}))
+    start = time.perf_counter()
+    assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and err.count("\n") == 1
+
+
+def test_oversized_or_unusable_values_are_input_errors(tmp_path, capsys):
+    for value in ("z1^99999999999", "1/0", "1" * 5000):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"degree": 1, "components": [
+            {"k": 0, "entries": [{"es": [0], "fs": [], "value": value}]}]}))
+        assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_verify_settings_out_of_range_are_input_errors(capsys):
     assert main(["verify", "--fixtures", "O1", "--max-degree", "0"]) == 2
     assert "max_degree must be at least 1" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from random import Random
 
+import dense_reference as dense
 from leibniz_complex.linalg import LinearSolver, kernel_basis, matvec, rref
 
 F = Fraction
@@ -75,3 +76,40 @@ def test_solver_section_is_linear():
     s1, s2 = solver.solve(b1), solver.solve(b2)
     combined = solver.solve([a + b for a, b in zip(b1, b2)])
     assert combined == [a + b for a, b in zip(s1, s2)]
+
+
+def random_matrix(rng, nrows, ncols):
+    """Mostly zero rational entries; some rows repeat or combine earlier ones,
+    so ranks fall short and pivots are skipped."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            f = F(rng.randint(-2, 2), rng.randint(1, 3))
+            rows.append([x + f * y for x, y in zip(a, b)])
+        else:
+            rows.append([F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+def test_rref_matches_dense_elimination():
+    rng = Random(29)
+    for _ in range(300):
+        matrix = random_matrix(rng, rng.randint(0, 7), rng.randint(1, 8))
+        assert rref(matrix) == dense.rref(matrix)
+    assert rref([[0, 0], [0, 0]]) == dense.rref([[0, 0], [0, 0]])
+
+
+def test_solver_matches_dense_transform():
+    rng = Random(31)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = random_matrix(rng, nrows, ncols)
+        for order in (None, list(range(ncols - 1, -1, -1))):
+            solver = LinearSolver(matrix, ncols, column_order=order)
+            for _ in range(3):
+                inside = matvec(matrix, random_matrix(rng, 1, ncols)[0])
+                anywhere = random_matrix(rng, 1, nrows)[0]
+                for b in (inside, anywhere, [F(0)] * nrows):
+                    assert solver.solve(b) == dense.solve(matrix, ncols, b, order)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from leibniz_complex.sympoly import (DimensionError, SymPoly, SymPolyParseError,
-                                     derivation_extend, parse_sympoly)
+from leibniz_complex.sympoly import (MAX_TERM_DEGREE, DimensionError, SymPoly,
+                                     SymPolyParseError, derivation_extend, parse_sympoly)
 
 B = SymPoly.generator(1, 0)  # single generator, think "b"
 ONE = SymPoly.one(1)
@@ -95,6 +95,22 @@ def test_parse_examples():
 
 def test_parse_rejects_garbage():
     for bad in ("z1 +", "* z1", "z9", "1 2", "q"):
+        with pytest.raises(SymPolyParseError):
+            parse_sympoly(2, bad)
+
+
+def test_parse_bounds_the_degree_of_a_term():
+    assert parse_sympoly(2, f"z1^{MAX_TERM_DEGREE - 1}*z2 + z1^{MAX_TERM_DEGREE}").degree() \
+        == MAX_TERM_DEGREE
+    for bad in ("z1^99999999999", f"z1^{MAX_TERM_DEGREE + 1}", f"z1^{MAX_TERM_DEGREE}*z2",
+                f"1 + 2*z1^{MAX_TERM_DEGREE // 2}*z2^{MAX_TERM_DEGREE // 2 + 1}"):
+        with pytest.raises(SymPolyParseError):
+            parse_sympoly(2, bad)
+
+
+def test_parse_rejects_unusable_numbers():
+    digits = "1" * 5000  # longer than the interpreter converts to an int
+    for bad in ("1/0", "z1 - 3/0", digits, f"{digits}*z1", f"z{digits}", f"z1^{digits}"):
         with pytest.raises(SymPolyParseError):
             parse_sympoly(2, bad)
 

@@ -1,0 +1,142 @@
+"""The valid-cochain layer against the dense reference.
+
+`cochain_space_basis` builds the valid cochains from their free data and
+`validate_cochain` tests only the weak skew-symmetry equations that
+stored entries touch; `dense_reference` builds the full constraint matrix
+and walks every equation. Both are exact, so bases and reports must agree
+entry for entry.
+"""
+
+from math import comb
+from random import Random
+
+import pytest
+
+import dense_reference as dense
+from leibniz_complex.algebra import build_fixture
+from leibniz_complex.brackets import theta, zeta
+from leibniz_complex.cochains import (Cochain, ComplexContext, cochain_space_basis,
+                                      cochain_to_dict, validate_cochain)
+from leibniz_complex.verify import random_poly
+
+# fixture -> top degree, as in the space-basis benchmark workload
+DEGREES = {"A3": 5, "O1": 6, "AFF_O1": 4, "O2": 3, "omni(3)": 2}
+
+
+@pytest.fixture(scope="module")
+def ctxs():
+    return {name: ComplexContext(build_fixture(name)) for name in DEGREES}
+
+
+def free_data_count(ctx, degree):
+    """sum_k C(dim, n-2k) C(zdim+k-1, k): the number of keys (k, es, fs)
+    with es strictly increasing, the dimension of the valid cochains."""
+    return sum(comb(ctx.dim, degree - 2 * k) * comb(ctx.zdim + k - 1, k)
+               for k in range(degree // 2 + 1))
+
+
+def entry_count(cochains):
+    return sum(len(table) for omega in cochains for table in omega.components.values())
+
+
+def same_report(ctx, omega):
+    """validate_cochain and the walk over every equation agree exactly."""
+    got, expected = validate_cochain(ctx, omega), dense.validate_cochain(ctx, omega)
+    assert (got.ok, got.violations) == (expected.ok, expected.violations), omega
+    return got
+
+
+def random_key(rng, ctx, degree):
+    k = rng.randint(0, degree // 2)
+    es = tuple(rng.randrange(ctx.dim) for _ in range(degree - 2 * k))
+    return k, es, tuple(sorted(rng.randrange(ctx.zdim) for _ in range(k)))
+
+
+# -- the basis -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(DEGREES))
+def test_basis_equals_the_dense_kernel_basis(ctxs, name):
+    ctx = ctxs[name]
+    for n in range(DEGREES[name] + 1):
+        basis = cochain_space_basis(ctx, n)
+        expected = dense.cochain_space_basis(ctx, n)
+        assert basis == expected
+        assert [cochain_to_dict(b) for b in basis] == [cochain_to_dict(b) for b in expected]
+        assert len(basis) == free_data_count(ctx, n)
+        for omega in basis:
+            assert same_report(ctx, omega).ok
+
+
+def test_basis_dimension_on_omni4():
+    ctx = ComplexContext(build_fixture("omni(4)"))
+    for n in range(4):
+        basis = cochain_space_basis(ctx, n)
+        assert len(basis) == free_data_count(ctx, n)
+        assert all(validate_cochain(ctx, omega).ok for omega in basis)
+
+
+def test_basis_work_follows_the_output(monkeypatch):
+    # every key the free-data walk evaluates looks up one pairing; walking
+    # all 20^3 level-0 keys for each of the 1220 vectors would take millions
+    ctx = ComplexContext(build_fixture("omni(4)"))
+    lookup = ctx.algebra.pairing_poly_basis
+    calls = []
+
+    def counting(i, j):
+        calls.append((i, j))
+        return lookup(i, j)
+
+    monkeypatch.setattr(ctx.algebra, "pairing_poly_basis", counting)
+    basis = cochain_space_basis(ctx, 3)
+    assert len(basis) == 1220
+    assert len(calls) <= entry_count(basis)  # 1536 evaluations, 8296 entries
+
+
+# -- validation ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(DEGREES))
+def test_reports_on_theta_and_zeta(ctxs, name):
+    ctx = ctxs[name]
+    for omega in (theta(ctx), zeta(ctx)):
+        assert same_report(ctx, omega).ok
+
+
+@pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1"))
+def test_reports_on_single_entry_cochains(ctxs, name):
+    ctx = ctxs[name]
+    rng = Random(19)
+    outcomes = set()
+    for _ in range(40):
+        degree = rng.randint(1, 4)
+        k, es, fs = random_key(rng, ctx, degree)
+        omega = Cochain(degree, ctx.zdim, {k: {(es, fs): random_poly(rng, ctx.zdim)}})
+        outcomes.add(same_report(ctx, omega).ok)
+    assert False in outcomes
+
+
+@pytest.mark.parametrize("name", list(DEGREES))
+def test_reports_on_perturbed_cochains(ctxs, name):
+    # S(Z)-combinations of basis cochains are valid; one more entry at a
+    # random key, or a stored entry changed, usually breaks validity
+    ctx = ctxs[name]
+    rng = Random(23)
+    outcomes = set()
+    for n in range(2, min(DEGREES[name], 4) + 1):
+        basis = cochain_space_basis(ctx, n)
+        for _ in range(8):
+            valid = Cochain.zero(n, ctx.zdim)
+            for omega in rng.sample(basis, min(3, len(basis))):
+                poly = random_poly(rng, ctx.zdim)
+                valid = valid + Cochain(n, ctx.zdim, {
+                    k: {key: value * poly for key, value in table.items()}
+                    for k, table in omega.components.items()})
+            assert same_report(ctx, valid).ok
+            k, es, fs = random_key(rng, ctx, n)
+            if valid.components and rng.random() < 0.5:
+                k = rng.choice(sorted(valid.components))
+                es, fs = rng.choice(sorted(valid.components[k]))
+            bump = Cochain(n, ctx.zdim, {k: {(es, fs): random_poly(rng, ctx.zdim)}})
+            outcomes.add(same_report(ctx, valid + bump).ok)
+    assert False in outcomes
