@@ -14,7 +14,9 @@ are stored once, as degree-1 elements of S(Z) over the computed echelon
 basis of Z. The generators of the symmetric algebra S(Z) are identified
 with that basis, in order, so z1 is the first echelon basis vector and so on.
 
-Elements are plain coordinate tuples of Fractions over the chosen basis.
+Elements are plain coordinate tuples over the chosen basis, each
+coordinate an exact rational in the canonical form of `sympoly.exact`
+(an int when it is whole, a Fraction only when it is not).
 """
 
 import json
@@ -24,9 +26,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .linalg import kernel_basis
-from .sympoly import SymPoly, derivation_extend
+from .sympoly import SymPoly, derivation_extend, exact
 
-ZERO = Fraction(0)
+ZERO = 0
 
 
 class IntegrityError(RuntimeError):
@@ -63,16 +65,16 @@ class LeibnizReport:
 
 
 def _vec(coords):
-    return tuple(Fraction(c) for c in coords)
+    return tuple(exact(c) for c in coords)
 
 
 def vec_add(v, w):
-    return tuple(a + b for a, b in zip(v, w))
+    return tuple(exact(a + b) for a, b in zip(v, w))
 
 
 def vec_scale(v, factor):
-    factor = Fraction(factor)
-    return tuple(factor * a for a in v)
+    factor = exact(factor)
+    return tuple(exact(factor * a) for a in v)
 
 
 def zero_vec(dim):
@@ -84,7 +86,7 @@ def _is_index(value):
 
 
 def basis_vec(dim, i):
-    return tuple(Fraction(1) if j == i else ZERO for j in range(dim))
+    return tuple(1 if j == i else ZERO for j in range(dim))
 
 
 class LeibnizAlgebra:
@@ -142,7 +144,7 @@ class LeibnizAlgebra:
                 for t, c in enumerate(entry):
                     if c != 0:
                         out[t] += f * c
-        return tuple(out)
+        return _vec(out)
 
     def symmetric_product_vec(self, v, w):
         return vec_add(self.bracket(v, w), self.bracket(w, v))
@@ -158,7 +160,7 @@ class LeibnizAlgebra:
                 residual = [a - c * b for a, b in zip(residual, zvec)]
         if any(a != 0 for a in residual):
             raise IntegrityError("vector outside the left center span")
-        return tuple(coords)
+        return _vec(coords)
 
     def _z_poly(self, v):
         """v as a degree-1 element of S(Z), or None when v lies outside span(Z)."""
@@ -175,7 +177,7 @@ class LeibnizAlgebra:
             if c != 0:
                 for t, b in enumerate(zvec):
                     out[t] += c * b
-        return tuple(out)
+        return _vec(out)
 
     # -- the symmetric product valued in S(Z) --------------------------------
 
@@ -195,7 +197,7 @@ class LeibnizAlgebra:
                 f = vi * wj
                 for (r,), c in entry.items():
                     out[r] += f * c
-        return tuple(out)
+        return _vec(out)
 
     def symmetric_product(self, v, w):
         """Alias for the Z-coordinate pairing (raises IntegrityError when broken)."""
@@ -424,7 +426,7 @@ def algebra_from_dict(data):
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise AlgebraFormatError(f"bracket ({i},{j}) needs exactly {dim} coefficients")
         try:
-            table[i][j] = tuple(Fraction(str(c)) for c in coeffs)
+            table[i][j] = _vec(Fraction(str(c)) for c in coeffs)
         except (ValueError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"bad coefficient in bracket ({i},{j}): {exc}") from exc
     algebra = LeibnizAlgebra(basis, table)

@@ -2,8 +2,10 @@
 
 Exit codes are a stable contract: 0 all checks passed, 1 an identity or
 validity check failed, 2 unusable input (bad file, bad syntax, unknown
-fixture). `--algebra` accepts either a JSON file path or the name of a
-bundled fixture (A3, O1, O2, AFF_O1, omni(n)).
+fixture, a product over the shuffle budget), 3 an internal error (any
+other exception, reported on one line without a traceback). `--algebra`
+accepts either a JSON file path or the name of a bundled fixture (A3,
+O1, O2, AFF_O1, omni(n)).
 """
 
 import argparse
@@ -16,7 +18,7 @@ from .algebra import (AlgebraFormatError, InvalidAlgebraError, IntegrityError,
                       quotient_by_kernel)
 from .brackets import derived_bracket_dual, poisson
 from .cochains import (CochainFormatError, ComplexContext, InvalidCochainError,
-                       coboundary, cochain_to_dict, cup, load_cochain)
+                       ShuffleBudgetError, coboundary, cochain_to_dict, cup, load_cochain)
 from .duality import NotRepresentableError, is_representable, sharp
 from .sympoly import SymPolyParseError
 from .verify import VerifyConfig, VerifyConfigError, run_verify
@@ -24,10 +26,12 @@ from .verify import VerifyConfig, VerifyConfigError, run_verify
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 _INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
                  json.JSONDecodeError, AlgebraFormatError, CochainFormatError,
-                 SymPolyParseError, UnicodeDecodeError, VerifyConfigError)
+                 SymPolyParseError, UnicodeDecodeError, VerifyConfigError,
+                 ShuffleBudgetError)
 _CHECK_ERRORS = (InvalidAlgebraError, InvalidCochainError, NotRepresentableError,
                  IntegrityError, PreconditionError)
 
@@ -231,6 +235,10 @@ def main(argv=None):
     except _CHECK_ERRORS as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except Exception as exc:  # anything else is a fault of the program, not of the input
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from math import comb, prod
 
 from .algebra import _is_index
 from .linalg import rref
-from .sympoly import SymPoly, SymPolyParseError, parse_sympoly
+from .sympoly import SymPoly, SymPolyParseError, exact, parse_sympoly
 
 
 class CochainShapeError(ValueError):
@@ -59,6 +59,10 @@ class ContextMismatchError(ValueError):
 
 class CochainFormatError(ValueError):
     """Malformed cochain file."""
+
+
+class ShuffleBudgetError(ValueError):
+    """A product whose operands' argument tuples need more than MAX_SHUFFLES shuffles."""
 
 
 class ComplexContext:
@@ -135,7 +139,7 @@ class Cochain:
         return not self.components
 
     def scale(self, factor):
-        factor = Fraction(factor)
+        factor = exact(factor)
         if factor == 0:
             return Cochain.zero(self.degree, self.nvars)
         comps = {k: {key: v.scale(factor) for key, v in table.items()}
@@ -190,6 +194,14 @@ class Cochain:
 
 
 # -- shuffles ------------------------------------------------------------------
+
+# The most shuffles one product may merge a pair of argument tuples with.
+# `pair_terms`, which derives the terms of `cup`, `bullet`, `diamond` and
+# d's action terms, checks C(p + q, p) for the longest argument tuples p
+# and q its operands store, once per call and before any shuffle table is
+# built: two entries with 20 algebra arguments each would otherwise need
+# C(40, 20) = 1.4e11 of them.
+MAX_SHUFFLES = 100_000
 
 
 def position_splits(n, p):
@@ -265,7 +277,13 @@ def pair_terms(left, right, combine):
     """Terms of a product-like operator: items (i, es1, fs1, x) and (j, es2,
     fs2, y), one from each side, put combine(x, y) at every signed shuffle
     of es1 and es2, on the merged center multiset."""
-    right = list(right)
+    left, right = list(left), list(right)
+    p = max((len(item[1]) for item in left), default=0)
+    q = max((len(item[1]) for item in right), default=0)
+    count = comb(p + q, p)
+    if count > MAX_SHUFFLES:
+        raise ShuffleBudgetError(f"merging argument tuples of lengths {p} and {q} takes "
+                                 f"{count} shuffles, above the limit of {MAX_SHUFFLES}")
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             value = combine(x, y)
@@ -505,9 +523,9 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
                 correction = sum(c * upper.get((reduced, tuple(sorted(fs + (r,)))), 0)
                                  for (r,), c in alg.pairing_poly_basis(x, y).items())
                 if x == y:
-                    value = -Fraction(correction) / 2
+                    value = exact(Fraction(-correction, 2))
                 else:
-                    value = -known[es[:pos] + (y, x) + es[pos + 2:]] - correction
+                    value = exact(-known[es[:pos] + (y, x) + es[pos + 2:]] - correction)
                 known[es] = value
                 if value != 0:
                     lower[(es, fs)] = value

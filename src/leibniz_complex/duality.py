@@ -92,12 +92,10 @@ class ExtendedElement:
 
     def as_vector(self):
         """Coordinate tuple over L if every coefficient is scalar, else None."""
-        from fractions import Fraction
-
         out = []
         for c in self.coeffs:
             if c.is_zero():
-                out.append(Fraction(0))
+                out.append(0)
             elif c.degree() == 0:
                 out.append(c.coeff(()))
             else:

@@ -1,14 +1,18 @@
 """Exact linear algebra over rationals: RREF, kernels, and repeated solves.
 
-Matrices are plain lists of lists of Fraction. Everything here is
-deterministic: pivots are always the first usable column left to right,
-so echelon bases and solutions are reproducible across runs.
+Matrices are plain lists of lists of exact rationals, each entry stored
+as `sympoly.exact` makes it: an int when it is whole, a Fraction only
+when it is not. Everything here is deterministic: pivots are always the
+first usable column left to right, so echelon bases and solutions are
+reproducible across runs.
 """
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .sympoly import exact
+
+ZERO = 0
+ONE = 1
 
 
 def rref(matrix):
@@ -27,14 +31,15 @@ def rref(matrix):
     ncols = len(matrix[0]) if nrows else 0
     pivot_rows = {}  # pivot column -> row with a 1 there and 0 at every other pivot
     for row in matrix:
-        vec = {c: Fraction(v) for c, v in enumerate(row) if v != 0}
+        vec = {c: exact(v) for c, v in enumerate(row) if v != 0}
         for p in [c for c in vec if c in pivot_rows]:
             _subtract(vec, vec[p], pivot_rows[p])
         if not vec:
             continue
         lead = min(vec)
-        inv = ONE / vec[lead]
-        vec = {c: v * inv for c, v in vec.items()}
+        if vec[lead] != 1:
+            inv = Fraction(1, vec[lead])
+            vec = {c: exact(v * inv) for c, v in vec.items()}
         for other in pivot_rows.values():
             if lead in other:
                 _subtract(other, other[lead], vec)
@@ -53,7 +58,7 @@ def rref(matrix):
 def _subtract(vec, factor, row):
     """vec -= factor * row, on sparse rows."""
     for c, v in row.items():
-        total = vec.get(c, ZERO) - factor * v
+        total = exact(vec.get(c, ZERO) - factor * v)
         if total:
             vec[c] = total
         else:
@@ -130,7 +135,7 @@ class LinearSolver:
                 if j in support:
                     c += t * support[j]
             if r < self.rank:
-                x[self.column_order[self.pivots[r]]] = c
+                x[self.column_order[self.pivots[r]]] = exact(c)
             elif c != 0:
                 return None
         return x
@@ -140,4 +145,5 @@ class LinearSolver:
 
 
 def matvec(matrix, vec):
-    return [sum((a * v for a, v in zip(row, vec) if a != 0 and v != 0), ZERO) for row in matrix]
+    return [exact(sum((a * v for a, v in zip(row, vec) if a != 0 and v != 0), ZERO))
+            for row in matrix]

@@ -1,7 +1,9 @@
 """The symmetric algebra on an ordered basis z1..zN, with exact coefficients.
 
-A SymPoly is a sparse map {sorted index tuple -> Fraction}. The empty
-tuple indexes the scalar part, so Fractions embed as degree-0 elements.
+A SymPoly is a sparse map {sorted index tuple -> exact rational}. The
+empty tuple indexes the scalar part, so rationals embed as degree-0
+elements. Every stored coefficient is canonical in the sense of `exact`:
+an int when it is whole, a Fraction only when its denominator exceeds 1.
 Monomial keys ("Z-multisets") are tuples of 0-based generator indices in
 non-decreasing order; two multisets are equal exactly when the sorted
 tuples are equal.
@@ -33,11 +35,20 @@ class SymPolyParseError(ValueError):
 MAX_TERM_DEGREE = 1000
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def exact(value):
+    """The canonical exact scalar equal to `value`: an int when the value is
+    whole, a Fraction only when its denominator exceeds 1.
+
+    int and Fraction compare and hash alike, so canonical values make the
+    same keys and equalities as Fractions would; ints are just cheaper to
+    compute with. Floats and other non-rationals raise TypeError.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -56,10 +67,10 @@ class SymPoly:
                 raise DimensionError(f"generator index out of range in {mono} (nvars={nvars})")
             if any(mono[i] > mono[i + 1] for i in range(len(mono) - 1)):
                 mono = tuple(sorted(mono))
-            coeff = _as_fraction(coeff)
+            coeff = exact(coeff)
             if coeff != 0:
                 acc = clean.get(mono)
-                total = coeff if acc is None else acc + coeff
+                total = coeff if acc is None else exact(acc + coeff)
                 if total == 0:
                     clean.pop(mono, None)
                 else:
@@ -72,25 +83,25 @@ class SymPoly:
 
     @classmethod
     def one(cls, nvars):
-        return cls(nvars, {(): Fraction(1)})
+        return cls(nvars, {(): 1})
 
     @classmethod
     def constant(cls, nvars, value):
-        return cls(nvars, {(): _as_fraction(value)})
+        return cls(nvars, {(): value})
 
     @classmethod
     def generator(cls, nvars, index):
-        return cls(nvars, {(index,): Fraction(1)})
+        return cls(nvars, {(index,): 1})
 
     @classmethod
     def monomial(cls, nvars, multiset, coeff=1):
-        return cls(nvars, {tuple(multiset): _as_fraction(coeff)})
+        return cls(nvars, {tuple(multiset): coeff})
 
     def items(self):
         return self._terms.items()
 
     def coeff(self, multiset):
-        return self._terms.get(tuple(sorted(multiset)), Fraction(0))
+        return self._terms.get(tuple(sorted(multiset)), 0)
 
     def is_zero(self):
         return not self._terms
@@ -116,7 +127,7 @@ class SymPoly:
         self._check_dim(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            total = terms.get(mono, Fraction(0)) + coeff
+            total = exact(terms.get(mono, 0) + coeff)
             if total == 0:
                 terms.pop(mono, None)
             else:
@@ -147,7 +158,7 @@ class SymPoly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = tuple(sorted(m1 + m2))
-                total = terms.get(mono, Fraction(0)) + c1 * c2
+                total = exact(terms.get(mono, 0) + c1 * c2)
                 if total == 0:
                     terms.pop(mono, None)
                 else:
@@ -163,12 +174,12 @@ class SymPoly:
         return NotImplemented
 
     def scale(self, factor):
-        factor = _as_fraction(factor)
+        factor = exact(factor)
         if factor == 0:
             return SymPoly.zero(self.nvars)
         out = SymPoly.__new__(SymPoly)
         out.nvars = self.nvars
-        out._terms = {m: factor * c for m, c in self._terms.items()}
+        out._terms = {m: exact(factor * c) for m, c in self._terms.items()}
         return out
 
     def __eq__(self, other):
@@ -242,7 +253,7 @@ def parse_sympoly(nvars, text):
             if terms or sign == -1:
                 raise SymPolyParseError(f"dangling sign in {text!r}")
             break
-        coeff = Fraction(1)
+        coeff = 1
         mono = []
         saw_factor = False
         expect_factor = True
@@ -310,5 +321,5 @@ def derivation_extend(base, poly):
                 terms[key] = terms.get(key, 0) + coeff * c2
     out = SymPoly.__new__(SymPoly)
     out.nvars = poly.nvars
-    out._terms = {m: c for m, c in terms.items() if c != 0}
+    out._terms = {m: exact(c) for m, c in terms.items() if c != 0}
     return out

@@ -172,7 +172,7 @@ def random_poly(rng, zdim, max_degree=2):
 
 def random_element(rng, dim):
     while True:
-        coords = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+        coords = tuple(rng.randint(-2, 2) for _ in range(dim))
         if any(coords):
             return coords
 

@@ -1,14 +1,17 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 from random import Random
 
 import pytest
 
+from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import (ArityError, HomSym, bullet, circ_compose,
                                       derived_bracket, derived_bracket_dual, diamond,
                                       pair_bracket, poisson, theta, zeta)
-from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, validate_cochain
+from leibniz_complex.cochains import (MAX_SHUFFLES, Cochain, ComplexContext, ShuffleBudgetError,
+                                      coboundary, cup, validate_cochain)
 from leibniz_complex.duality import (DualElement, ExtendedElement, flat, flat_cochain,
                                      is_representable)
 from leibniz_complex.sympoly import SymPoly
@@ -263,3 +266,22 @@ def test_bracket_choice_independence_on_fat(algebras):
     omega = random_representable(first, rng, 2)
     eta = random_representable(first, rng, 1)
     assert poisson(first, omega, eta) == poisson(last, omega, eta)
+
+
+def test_products_check_the_shuffle_budget_of_stored_arguments(o1, monkeypatch):
+    z, t, f = zeta(o1), theta(o1), flat_cochain(o1, basis_vec(2, 0))
+    monkeypatch.setattr(cochains, "MAX_SHUFFLES", 3)
+    cup(o1, z, f)  # argument tuples of lengths 2 and 1: C(3, 1) = 3 shuffles
+    for over in (lambda: cup(o1, z, z), lambda: bullet(o1, t, t), lambda: diamond(o1, t, t),
+                 lambda: poisson(o1, t, t), lambda: coboundary(o1, t)):
+        with pytest.raises(ShuffleBudgetError, match="above the limit of 3"):
+            over()
+
+
+def test_shuffle_budget_counts_argument_tuples_not_degrees(o1):
+    # degree 20 stored only at k = 10: no algebra arguments, one shuffle
+    deep = Cochain(20, o1.zdim, {10: {((), (0,) * 10): SymPoly.one(o1.zdim)}})
+    assert cup(o1, deep, deep).value(20, (), (0,) * 20) == SymPoly.constant(o1.zdim, comb(20, 10))
+    wide = Cochain(20, o1.zdim, {0: {((0, 1) * 10, ()): SymPoly.one(o1.zdim)}})
+    with pytest.raises(ShuffleBudgetError, match=str(MAX_SHUFFLES)):
+        cup(o1, wide, wide)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from leibniz_complex import cli
 from leibniz_complex.algebra import basis_vec, build_fixture, save_algebra
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cli import main
@@ -222,3 +223,27 @@ def test_cup_needs_two_cochains(tmp_path):
 
 def test_unknown_fixture_is_input_error():
     assert main(["center", "--algebra", "Q99"]) == 2
+
+
+def test_products_over_the_shuffle_budget_are_input_errors(tmp_path, capsys):
+    # two one-entry degree-20 cochains: C(40, 20) = 1.4e11 shuffles of their
+    # arguments, which no table could hold
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"degree": 20, "components": [
+        {"k": 0, "entries": [{"es": [0, 1] * 10, "fs": [], "value": "1"}]}]}))
+    start = time.perf_counter()
+    assert main(["cup", "--algebra", "O1", "--cochain", str(path), "--cochain", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "shuffles" in err and err.count("\n") == 1
+
+
+def test_unexpected_exceptions_exit_3_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert main(["check", "--algebra", "O1"]) == cli.EXIT_INTERNAL_ERROR == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom second line\n"
+    assert captured.out == ""

@@ -113,3 +113,24 @@ def test_solver_matches_dense_transform():
                 anywhere = random_matrix(rng, 1, nrows)[0]
                 for b in (inside, anywhere, [F(0)] * nrows):
                     assert solver.solve(b) == dense.solve(matrix, ncols, b, order)
+
+
+def test_rref_of_integer_matrices_is_exact_and_canonical():
+    """Integer input with pivots other than 1: entries come back as ints or
+    as Fractions with a denominator above 1, never as floats, and equal
+    to the dense elimination."""
+    rng = Random(37)
+    saw_fraction = False
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        matrix = [[rng.choice([0, 0, 0, 2, -3, 4, 6, -9]) for _ in range(ncols)]
+                  for _ in range(nrows)]
+        rows, pivots = rref(matrix)
+        assert (rows, pivots) == dense.rref(matrix)
+        values = [v for row in rows for v in row]
+        values += [v for row in kernel_basis(matrix, ncols) for v in row]
+        x = LinearSolver(matrix, ncols).solve(matvec(matrix, [1] * ncols))
+        values += x
+        assert all(type(v) is int or (type(v) is F and v.denominator > 1) for v in values)
+        saw_fraction = saw_fraction or any(type(v) is F for v in values)
+    assert saw_fraction

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leibniz_complex.sympoly import (MAX_TERM_DEGREE, DimensionError, SymPoly,
-                                     SymPolyParseError, derivation_extend, parse_sympoly)
+                                     SymPolyParseError, derivation_extend, exact,
+                                     parse_sympoly)
 
 B = SymPoly.generator(1, 0)  # single generator, think "b"
 ONE = SymPoly.one(1)
@@ -115,6 +116,40 @@ def test_parse_rejects_unusable_numbers():
             parse_sympoly(2, bad)
 
 
+def canonical(value):
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+def test_exact_keeps_ints_and_whole_fractions_as_int():
+    assert type(exact(7)) is int and exact(7) == 7
+    assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
+    assert type(exact(True)) is int and exact(True) == 1
+    assert exact(Fraction(-1, 2)) == Fraction(-1, 2)
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            exact(bad)
+
+
+def test_int_and_whole_fraction_coefficients_give_one_polynomial():
+    for n in (-3, 1, 7):
+        p = SymPoly(2, {(0, 1): Fraction(n), (): Fraction(2 * n, 2)})
+        q = SymPoly(2, {(0, 1): n, (): n})
+        assert p == q and hash(p) == hash(q) and p.render() == q.render()
+        assert all(type(c) is int for _, c in p.items())
+        assert parse_sympoly(2, p.render()) == q
+    assert SymPoly.constant(1, Fraction(4, 2)).render() == "2"
+    assert SymPoly.monomial(1, (0,), Fraction(-3, 3)).render() == "-z1"
+
+
+def test_whole_sums_and_products_are_stored_as_int():
+    half = SymPoly.constant(1, Fraction(1, 2))
+    assert type(half.coeff(())) is Fraction
+    for whole in (half + half, half * SymPoly.constant(1, 2), half.scale(4),
+                  SymPoly(1, [((), Fraction(1, 2)), ((), Fraction(1, 2))]),
+                  derivation_extend([SymPoly.constant(1, Fraction(1, 2))], B.scale(2))):
+        assert [type(c) for _, c in whole.items()] == [int]
+
+
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
@@ -154,6 +189,12 @@ def test_derivation_is_a_derivation(p, q, base):
     assert lhs == rhs
     for r in range(2):
         assert derivation_extend(base, SymPoly.generator(2, r)) == base[r]
+
+
+@given(sympolys(), sympolys(), st.lists(sympolys(), min_size=2, max_size=2), fractions)
+def test_arithmetic_keeps_coefficients_canonical(p, q, base, f):
+    for result in (p, p + q, p - q, -p, p * q, p.scale(f), derivation_extend(base, p)):
+        assert all(canonical(c) for _, c in result.items())
 
 
 @given(sympolys())
