@@ -15,14 +15,13 @@ The package is organized bottom-up:
 
 from .algebra import (InvalidAlgebraError, IntegrityError, LeibnizAlgebra,
                       PreconditionError, UnknownFixtureError, build_fixture,
-                      check_leibniz, load_algebra, quotient_by_kernel, save_algebra)
-from .brackets import (bullet, circ_compose, derived_bracket, derived_bracket_dual,
-                       diamond, pair_bracket, poisson, theta, zeta)
+                      check_leibniz, load_algebra, quotient_by_kernel)
+from .brackets import (bullet, derived_bracket, derived_bracket_dual, diamond, poisson,
+                       theta, zeta)
 from .cochains import (Cochain, ComplexContext, InvalidCochainError, coboundary,
-                       cochain_space_basis, cup, d_squared_zero, load_cochain,
-                       save_cochain, validate_cochain)
+                       cochain_space_basis, cup, load_cochain, validate_cochain)
 from .duality import (DualElement, ExtendedElement, NotRepresentableError, bar,
-                      flat, flat_cochain, is_representable, phi, sharp, tilde)
+                      flat, flat_cochain, is_representable, sharp)
 from .sympoly import DimensionError, SymPoly, derivation_extend, parse_sympoly
 from .verify import VerifyConfig, run_verify
 
@@ -30,10 +29,9 @@ __all__ = [
     "Cochain", "ComplexContext", "DimensionError", "DualElement", "ExtendedElement",
     "IntegrityError", "InvalidAlgebraError", "InvalidCochainError", "LeibnizAlgebra",
     "NotRepresentableError", "PreconditionError", "SymPoly", "UnknownFixtureError",
-    "VerifyConfig", "bar", "build_fixture", "bullet", "check_leibniz", "circ_compose",
-    "coboundary", "cochain_space_basis", "cup", "d_squared_zero", "derivation_extend",
-    "derived_bracket", "derived_bracket_dual", "diamond", "flat", "flat_cochain",
-    "is_representable", "load_algebra", "load_cochain", "pair_bracket", "parse_sympoly",
-    "phi", "poisson", "quotient_by_kernel", "run_verify", "save_algebra", "save_cochain",
-    "sharp", "theta", "tilde", "validate_cochain", "zeta",
+    "VerifyConfig", "bar", "build_fixture", "bullet", "check_leibniz", "coboundary",
+    "cochain_space_basis", "cup", "derivation_extend", "derived_bracket",
+    "derived_bracket_dual", "diamond", "flat", "flat_cochain", "is_representable",
+    "load_algebra", "load_cochain", "parse_sympoly", "poisson", "quotient_by_kernel",
+    "run_verify", "sharp", "theta", "validate_cochain", "zeta",
 ]

@@ -128,9 +128,6 @@ class LeibnizAlgebra:
 
     # -- products ----------------------------------------------------------
 
-    def basis_vector(self, i):
-        return basis_vec(self.dim, i)
-
     def bracket(self, v, w):
         out = [ZERO] * self.dim
         for i, vi in enumerate(v):
@@ -145,9 +142,6 @@ class LeibnizAlgebra:
                     if c != 0:
                         out[t] += f * c
         return _vec(out)
-
-    def symmetric_product_vec(self, v, w):
-        return vec_add(self.bracket(v, w), self.bracket(w, v))
 
     # -- the left center and Z-coordinates ----------------------------------
 
@@ -170,42 +164,21 @@ class LeibnizAlgebra:
             return None
         return SymPoly(self.zdim, {(r,): c for r, c in enumerate(coords) if c != 0})
 
-    def z_vector(self, zcoords):
-        """Embed Z-coordinates back into L."""
-        out = [ZERO] * self.dim
-        for c, zvec in zip(zcoords, self.z_basis):
-            if c != 0:
-                for t, b in enumerate(zvec):
-                    out[t] += c * b
-        return _vec(out)
-
     # -- the symmetric product valued in S(Z) --------------------------------
 
-    def pairing_z(self, v, w):
-        """(v, w) in Z-coordinates."""
-        out = [ZERO] * self.zdim
+    def pairing_poly(self, v, w):
+        """(v, w) as a degree-1 element of S(Z), summed from the stored
+        basis pairings (IntegrityError when one it needs is broken)."""
+        acc = {}
         for i, vi in enumerate(v):
             if vi == 0:
                 continue
             for j, wj in enumerate(w):
                 if wj == 0:
                     continue
-                entry = self._pairing[i][j]
-                if entry is None:
-                    # broken table: recompute so the IntegrityError surfaces
-                    return self.z_coords(self.symmetric_product_vec(v, w))
-                f = vi * wj
-                for (r,), c in entry.items():
-                    out[r] += f * c
-        return _vec(out)
-
-    def symmetric_product(self, v, w):
-        """Alias for the Z-coordinate pairing (raises IntegrityError when broken)."""
-        return self.pairing_z(v, w)
-
-    def pairing_poly(self, v, w):
-        """(v, w) as a degree-1 element of S(Z)."""
-        return SymPoly(self.zdim, {(r,): c for r, c in enumerate(self.pairing_z(v, w)) if c != 0})
+                for mono, c in self.pairing_poly_basis(i, j).items():
+                    acc[mono] = acc.get(mono, 0) + vi * wj * c
+        return SymPoly(self.zdim, acc)
 
     def pairing_poly_basis(self, i, j):
         entry = self._pairing[i][j]
@@ -222,13 +195,6 @@ class LeibnizAlgebra:
             raise IntegrityError(f"e_{i} does not preserve the left center")
         return derivation_extend(base, poly)
 
-    def rho(self, v, poly):
-        result = SymPoly.zero(self.zdim)
-        for i, vi in enumerate(v):
-            if vi != 0:
-                result = result + self.rho_basis(i, poly).scale(vi)
-        return result
-
     # -- fatness and the quotient ---------------------------------------------
 
     def is_fat(self):
@@ -241,12 +207,8 @@ class LeibnizAlgebra:
         return f"LeibnizAlgebra(dim={self.dim}, labels={list(self.labels)})"
 
 
-def check_leibniz(algebra_or_table):
+def check_leibniz(algebra):
     """Exhaustively test the left Leibniz identity on basis triples."""
-    algebra = algebra_or_table
-    if not isinstance(algebra, LeibnizAlgebra):
-        table = algebra_or_table
-        algebra = LeibnizAlgebra([f"e{i+1}" for i in range(len(table))], table)
     violations = []
     dim = algebra.dim
     for i, j, l in product(range(dim), repeat=3):
@@ -440,9 +402,3 @@ def load_algebra(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return algebra_from_dict(data)
-
-
-def save_algebra(algebra, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(algebra), fh, indent=2)
-        fh.write("\n")

@@ -1,16 +1,12 @@
 """The graded bracket on representable cochains and the derived bracket.
 
-Two ingredient operations act on partially evaluated components:
-
-  * pair_bracket combines two lifted maps valued in S(Z) (x) L by
-    shuffling the center arguments between them and pairing the values.
-  * circ_compose feeds one map's value into the first slot of another,
-    extending that first slot as a derivation (so polynomial values are
-    consumed Leibniz-style), again shuffling the remaining arguments.
-
-The two halves of the bracket are these operations summed over signed
-shuffles of the algebra arguments; `bullet` and `diamond` scatter that
-sum from the operands' stored entries, and
+The bracket has two halves, each a sum over signed shuffles of the
+algebra arguments. `bullet` pairs the section lifts of both operands'
+partial evaluations; `diamond` feeds one operand's value into the first
+center slot of the other, extended as a derivation. Both scatter that
+sum from the operands' stored entries (the paper's defining formulas,
+pair_bracket and circ_compose, are the test oracle in
+tests/dense_reference.py), and
 
     {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
 
@@ -23,68 +19,11 @@ and the derived-bracket reconstruction
 which on a fat algebra recovers e1 . e2 itself through the section.
 """
 
-from dataclasses import dataclass
-
-from .cochains import Cochain, entries, pair_terms, position_splits, scatter
+from .algebra import basis_vec
+from .cochains import Cochain, check_context, entries, pair_terms, scatter
 from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
-                      pair_extended, sharp, stored_prefixes, tilde_value)
+                      sharp, stored_prefixes, tilde_value)
 from .sympoly import SymPoly, derivation_extend
-
-
-class ArityError(ValueError):
-    pass
-
-
-@dataclass
-class HomSym:
-    """Map from size-`arity` Z-multisets to S(Z), or to S(Z) (x) L."""
-
-    arity: int
-    fn: object
-
-    def __call__(self, fs):
-        return self.fn(tuple(sorted(fs)))
-
-
-def pair_bracket(ctx, alpha, beta):
-    """Shuffle the center arguments over alpha and beta and pair the values."""
-
-    k, l = alpha.arity, beta.arity
-
-    def fn(fs):
-        acc = SymPoly.zero(ctx.zdim)
-        for left, right in position_splits(k + l, k):
-            x = alpha(tuple(fs[p] for p in left))
-            if x.is_zero():
-                continue
-            y = beta(tuple(fs[p] for p in right))
-            if y.is_zero():
-                continue
-            acc = acc + pair_extended(ctx, x, y)
-        return acc
-
-    return HomSym(k + l, fn)
-
-
-def circ_compose(ctx, gamma, delta):
-    """Feed delta's value into gamma's derivation-extended first slot."""
-
-    k, l = gamma.arity, delta.arity
-    if k < 1:
-        raise ArityError("the first operand needs at least one center argument")
-
-    def fn(fs):
-        acc = SymPoly.zero(ctx.zdim)
-        for left, right in position_splits(k + l - 1, l):
-            value = delta(tuple(fs[p] for p in left))
-            if value.is_zero():
-                continue
-            rest = tuple(fs[p] for p in right)
-            base = [gamma(tuple(sorted((r,) + rest))) for r in range(ctx.zdim)]
-            acc = acc + derivation_extend(base, value)
-        return acc
-
-    return HomSym(k + l - 1, fn)
 
 
 def _lifts(ctx, omega):
@@ -102,6 +41,7 @@ def bullet(ctx, omega, eta):
     omega's entries omega(prefix, e; fs) times y's e-coefficient.
     Raises NotRepresentableError when either operand is not representable.
     """
+    check_context(ctx, omega, eta)
     _lifts(ctx, omega)  # only to raise when omega is not representable
     left = [(k, es[:-1], fs, (es[-1], v)) for k, es, fs, v in entries(omega) if es]
     terms = pair_terms(left, _lifts(ctx, eta), lambda ev, y: ev[1] * y.coeffs[ev[0]])
@@ -112,6 +52,7 @@ def bullet(ctx, omega, eta):
 def diamond(ctx, omega, eta):
     """Composition half of the bracket: each eta entry fed, as a
     derivation, into the first center argument of omega's components."""
+    check_context(ctx, omega, eta)
     bases = {}  # (k, es, other centers) -> [omega_{k+1}(es; r, others) for each r]
     for k, es, fs, value in entries(omega):
         for pos, r in enumerate(fs):
@@ -167,7 +108,7 @@ def theta(ctx):
         table1 = {}
         for i in range(ctx.dim):
             for r in range(ctx.zdim):
-                value = alg.pairing_poly(alg.basis_vector(i), alg.z_basis[r]).scale(-1)
+                value = alg.pairing_poly(basis_vec(ctx.dim, i), alg.z_basis[r]).scale(-1)
                 if not value.is_zero():
                     table1[((i,), (r,))] = value
         cached = Cochain(3, ctx.zdim, {0: table0, 1: table1})

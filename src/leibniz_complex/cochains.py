@@ -37,7 +37,7 @@ from math import comb, prod
 
 from .algebra import _is_index
 from .linalg import rref
-from .sympoly import SymPoly, SymPolyParseError, exact, parse_sympoly
+from .sympoly import SymPoly, SymPolyParseError, _canonical, exact, parse_sympoly
 
 
 class CochainShapeError(ValueError):
@@ -54,7 +54,7 @@ class InvalidCochainError(ValueError):
 
 
 class ContextMismatchError(ValueError):
-    pass
+    """An operand built over another center basis than the context's."""
 
 
 class CochainFormatError(ValueError):
@@ -239,6 +239,13 @@ def merge_centers(fs1, fs2):
 # -- the scatter kernel --------------------------------------------------------
 
 
+def check_context(ctx, *cochains):
+    """ContextMismatchError unless every cochain lives over ctx's center
+    basis; d, cup, bullet and diamond call it before anything else."""
+    if any(omega.nvars != ctx.zdim for omega in cochains):
+        raise ContextMismatchError("cochains built over a different center basis")
+
+
 def entries(omega):
     """The stored (k, es, fs, value) of a cochain."""
     for k, table in omega.components.items():
@@ -255,21 +262,23 @@ def accumulate(acc, poly, factor=1):
         if total == 0:
             acc.pop(mono, None)
         else:
-            acc[mono] = total
+            acc[mono] = exact(total)
 
 
 def scatter(ctx, degree, terms):
     """The one output loop of d, cup, bullet and diamond: the degree-n
     cochain summing factor * poly over its terms (k, es, fs, poly, factor),
     fs sorted. Operators derive their terms from stored entries, so the
-    cost follows the terms, never the dim^degree output keys."""
+    cost follows the terms, never the dim^degree output keys. The polys
+    must live over ctx's center (see `check_context`): their monomials
+    are taken as they are, without re-checking."""
     sums = {}
     for k, es, fs, poly, factor in terms:
         accumulate(sums.setdefault((k, es, fs), {}), poly, factor)
     comps = {}
     for (k, es, fs), acc in sums.items():
         if acc:
-            comps.setdefault(k, {})[(es, fs)] = SymPoly(ctx.zdim, acc)
+            comps.setdefault(k, {})[(es, fs)] = _canonical(ctx.zdim, acc)
     return Cochain(degree, ctx.zdim, comps)
 
 
@@ -363,6 +372,7 @@ def coboundary(ctx, omega):
 
     The input must be a valid cochain (InvalidCochainError otherwise).
     """
+    check_context(ctx, omega)
     report = validate_cochain(ctx, omega)
     if not report.ok:
         raise InvalidCochainError(report)
@@ -390,22 +400,6 @@ def _coboundary_terms(ctx, omega):
                 yield k + 1, es[1:], out_fs, val, zvec[es[0]] * mult
 
 
-@dataclass
-class DSquaredReport:
-    ok: bool
-    first_nonzero: tuple = None  # (k, es, fs, value)
-
-
-def d_squared_zero(ctx, omega):
-    """Assert d(d(omega)) vanishes identically; report the first entry otherwise."""
-    ddo = coboundary(ctx, coboundary(ctx, omega))
-    for k in sorted(ddo.components):
-        for key in sorted(ddo.components[k]):
-            es, fs = key
-            return DSquaredReport(ok=False, first_nonzero=(k, es, fs, ddo.components[k][key]))
-    return DSquaredReport(ok=True)
-
-
 # -- the product ----------------------------------------------------------------
 
 
@@ -415,8 +409,7 @@ def cup(ctx, omega, eta):
     The algebra arguments contribute the shuffle sign; the symmetric
     center arguments shuffle without sign.
     """
-    if omega.nvars != ctx.zdim or eta.nvars != ctx.zdim:
-        raise ContextMismatchError("cochains built over a different center basis")
+    check_context(ctx, omega, eta)
     terms = pair_terms(entries(omega), entries(eta), operator.mul)
     return scatter(ctx, omega.degree + eta.degree, terms)
 
@@ -611,9 +604,3 @@ def load_cochain(ctx, path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return cochain_from_dict(ctx, data)
-
-
-def save_cochain(omega, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cochain_to_dict(omega), fh, indent=2)
-        fh.write("\n")

@@ -22,6 +22,7 @@ of the lift is unique and independent of the pivot strategy.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .algebra import basis_vec
 from .cochains import Cochain, entries
 from .linalg import LinearSolver
 from .sympoly import SymPoly
@@ -39,19 +40,6 @@ class DualElement:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(tuple(SymPoly.zero(ctx.zdim) for _ in range(ctx.dim)))
-
-    def is_zero(self):
-        return all(v.is_zero() for v in self.values)
-
-    def __add__(self, other):
-        return DualElement(tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        return DualElement(tuple(a - b for a, b in zip(self.values, other.values)))
 
     def scale(self, factor):
         return DualElement(tuple(v.scale(factor) for v in self.values))
@@ -77,19 +65,6 @@ class ExtendedElement:
     def zero(cls, ctx):
         return cls(tuple(SymPoly.zero(ctx.zdim) for _ in range(ctx.dim)))
 
-    @classmethod
-    def from_vector(cls, ctx, v):
-        return cls(tuple(SymPoly.constant(ctx.zdim, c) for c in v))
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __add__(self, other):
-        return ExtendedElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, factor):
-        return ExtendedElement(tuple(c.scale(factor) for c in self.coeffs))
-
     def as_vector(self):
         """Coordinate tuple over L if every coefficient is scalar, else None."""
         out = []
@@ -103,37 +78,10 @@ class ExtendedElement:
         return tuple(out)
 
 
-def phi(ctx, x):
-    """phi(x)(e_j) = sum_i x_i * (e_i, e_j)."""
-    alg = ctx.algebra
-    values = []
-    for j in range(ctx.dim):
-        acc = SymPoly.zero(ctx.zdim)
-        for i, coeff in enumerate(x.coeffs):
-            if not coeff.is_zero():
-                acc = acc + coeff * alg.pairing_poly_basis(i, j)
-        values.append(acc)
-    return DualElement(tuple(values))
-
-
-def pair_extended(ctx, x, y):
-    """S(Z)-bilinear symmetric product on S(Z) (x) L."""
-    alg = ctx.algebra
-    acc = SymPoly.zero(ctx.zdim)
-    for i, ci in enumerate(x.coeffs):
-        if ci.is_zero():
-            continue
-        for j, cj in enumerate(y.coeffs):
-            if cj.is_zero():
-                continue
-            acc = acc + ci * cj * alg.pairing_poly_basis(i, j)
-    return acc
-
-
 def flat(ctx, v):
     """The covector (v, -)."""
     alg = ctx.algebra
-    return DualElement(tuple(alg.pairing_poly(v, alg.basis_vector(j)) for j in range(ctx.dim)))
+    return DualElement(tuple(alg.pairing_poly(v, basis_vec(ctx.dim, j)) for j in range(ctx.dim)))
 
 
 def flat_cochain(ctx, v):
@@ -228,9 +176,6 @@ class PhiSection:
             total = ExtendedElement(tuple(coeffs))
         return total
 
-    def contains(self, psi):
-        return self.solve(psi) is not None
-
 
 def phi_section(ctx):
     section = ctx.cache.get("phi_section")
@@ -281,7 +226,7 @@ def is_representable(ctx, omega):
     """
     section = phi_section(ctx)
     failures = [(k, prefix, fs) for k, prefix, fs in stored_prefixes(omega)
-                if not section.contains(bar(ctx, omega, k, prefix, fs))]
+                if section.solve(bar(ctx, omega, k, prefix, fs)) is None]
     return RepresentabilityReport(ok=not failures, failures=failures)
 
 
@@ -299,8 +244,3 @@ def tilde_value(ctx, omega, k, prefix, fs):
                 "is not representable")
         cache[key] = hit
     return hit
-
-
-def tilde(ctx, omega, k, prefix):
-    """The lifted map: Z-multisets of size k to extended elements."""
-    return lambda fs: tilde_value(ctx, omega, k, prefix, fs)

@@ -139,11 +139,3 @@ class LinearSolver:
             elif c != 0:
                 return None
         return x
-
-    def contains(self, b):
-        return self.solve(b) is not None
-
-
-def matvec(matrix, vec):
-    return [exact(sum((a * v for a, v in zip(row, vec) if a != 0 and v != 0), ZERO))
-            for row in matrix]

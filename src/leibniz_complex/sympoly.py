@@ -82,10 +82,6 @@ class SymPoly:
         return cls(nvars)
 
     @classmethod
-    def one(cls, nvars):
-        return cls(nvars, {(): 1})
-
-    @classmethod
     def constant(cls, nvars, value):
         return cls(nvars, {(): value})
 
@@ -115,7 +111,7 @@ class SymPoly:
         parts = {}
         for mono, coeff in self._terms.items():
             parts.setdefault(len(mono), {})[mono] = coeff
-        return {d: SymPoly(self.nvars, t) for d, t in sorted(parts.items())}
+        return {d: _canonical(self.nvars, t) for d, t in sorted(parts.items())}
 
     def _check_dim(self, other):
         if self.nvars != other.nvars:
@@ -132,10 +128,7 @@ class SymPoly:
                 terms.pop(mono, None)
             else:
                 terms[mono] = total
-        out = SymPoly.__new__(SymPoly)
-        out.nvars = self.nvars
-        out._terms = terms
-        return out
+        return _canonical(self.nvars, terms)
 
     def __sub__(self, other):
         if not isinstance(other, SymPoly):
@@ -143,10 +136,7 @@ class SymPoly:
         return self + (-other)
 
     def __neg__(self):
-        out = SymPoly.__new__(SymPoly)
-        out.nvars = self.nvars
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _canonical(self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -163,24 +153,13 @@ class SymPoly:
                     terms.pop(mono, None)
                 else:
                     terms[mono] = total
-        out = SymPoly.__new__(SymPoly)
-        out.nvars = self.nvars
-        out._terms = terms
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return _canonical(self.nvars, terms)
 
     def scale(self, factor):
         factor = exact(factor)
         if factor == 0:
             return SymPoly.zero(self.nvars)
-        out = SymPoly.__new__(SymPoly)
-        out.nvars = self.nvars
-        out._terms = {m: exact(factor * c) for m, c in self._terms.items()}
-        return out
+        return _canonical(self.nvars, {m: exact(factor * c) for m, c in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, SymPoly):
@@ -215,6 +194,15 @@ class SymPoly:
         for sign, text in pieces[1:]:
             out += f" {sign} {text}"
         return out
+
+
+def _canonical(nvars, terms):
+    """The SymPoly holding `terms` as given, unchecked: the caller
+    guarantees sorted in-range keys and canonical nonzero coefficients."""
+    out = SymPoly.__new__(SymPoly)
+    out.nvars = nvars
+    out._terms = terms
+    return out
 
 
 def _render_monomial(mono):
@@ -319,7 +307,4 @@ def derivation_extend(base, poly):
             for m2, c2 in base[r].items():
                 key = tuple(sorted(rest + m2))
                 terms[key] = terms.get(key, 0) + coeff * c2
-    out = SymPoly.__new__(SymPoly)
-    out.nvars = poly.nvars
-    out._terms = {m: exact(c) for m, c in terms.items() if c != 0}
-    return out
+    return _canonical(poly.nvars, {m: exact(c) for m, c in terms.items() if c != 0})

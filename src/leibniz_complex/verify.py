@@ -323,7 +323,7 @@ def check_theta_is_dzeta(ctx, fixture, mutation=None):
 def check_representability_closure(ctx, fixture, rng, samples, max_degree=3):
     def run():
         for index in range(samples):
-            degree = rng.randint(0, 2)
+            degree = rng.randint(0, min(2, max_degree))
             omega = random_representable(ctx, rng, degree)
             produced = [("d", coboundary(ctx, omega))]
             other_degree = rng.randint(0, min(2, max_degree - degree))

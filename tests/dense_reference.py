@@ -1,6 +1,8 @@
 """Dense reference implementations of d, the product, the two bracket
 halves, the representability test, weak skew-symmetry, the basis of the
-valid cochains and exact elimination.
+valid cochains and exact elimination, and the paper's defining formulas
+behind the bracket: phi, the pairing on S(Z) (x) L, and the two
+ingredient operations pair_bracket and circ_compose.
 
 These enumerate every output key (es, fs) of the result's degree (for the
 representability test, every bar prefix; for validity and the basis,
@@ -11,14 +13,15 @@ call, so the tests run them only on small inputs, as an oracle that the
 sparse code must match by exact equality.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from leibniz_complex.brackets import HomSym, circ_compose, pair_bracket
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
                                       accumulate, component_keys, position_splits,
                                       split_sign)
-from leibniz_complex.duality import RepresentabilityReport, bar, phi_section, tilde_value
-from leibniz_complex.sympoly import SymPoly
+from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, phi_section,
+                                     tilde_value)
+from leibniz_complex.sympoly import SymPoly, derivation_extend
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -154,6 +157,88 @@ def cochain_space_basis(ctx, degree):
                 comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
         basis.append(Cochain(degree, ctx.zdim, comps))
     return basis
+
+
+# -- the defining formulas of the bracket --------------------------------------------
+
+
+def phi(ctx, x):
+    """phi(x)(e_j) = sum_i x_i * (e_i, e_j)."""
+    alg = ctx.algebra
+    values = []
+    for j in range(ctx.dim):
+        acc = SymPoly.zero(ctx.zdim)
+        for i, coeff in enumerate(x.coeffs):
+            if not coeff.is_zero():
+                acc = acc + coeff * alg.pairing_poly_basis(i, j)
+        values.append(acc)
+    return DualElement(tuple(values))
+
+
+def pair_extended(ctx, x, y):
+    """S(Z)-bilinear symmetric product on S(Z) (x) L."""
+    alg = ctx.algebra
+    acc = SymPoly.zero(ctx.zdim)
+    for i, ci in enumerate(x.coeffs):
+        if ci.is_zero():
+            continue
+        for j, cj in enumerate(y.coeffs):
+            if cj.is_zero():
+                continue
+            acc = acc + ci * cj * alg.pairing_poly_basis(i, j)
+    return acc
+
+
+class ArityError(ValueError):
+    pass
+
+
+@dataclass
+class HomSym:
+    """Map from size-`arity` Z-multisets to S(Z), or to S(Z) (x) L."""
+
+    arity: int
+    fn: object
+
+    def __call__(self, fs):
+        return self.fn(tuple(sorted(fs)))
+
+
+def pair_bracket(ctx, alpha, beta):
+    """Shuffle the center arguments over alpha and beta and pair the values."""
+
+    k, l = alpha.arity, beta.arity
+
+    def fn(fs):
+        acc = SymPoly.zero(ctx.zdim)
+        for left, right in position_splits(k + l, k):
+            x = alpha(tuple(fs[p] for p in left))
+            y = beta(tuple(fs[p] for p in right))
+            acc = acc + pair_extended(ctx, x, y)
+        return acc
+
+    return HomSym(k + l, fn)
+
+
+def circ_compose(ctx, gamma, delta):
+    """Feed delta's value into gamma's derivation-extended first slot."""
+
+    k, l = gamma.arity, delta.arity
+    if k < 1:
+        raise ArityError("the first operand needs at least one center argument")
+
+    def fn(fs):
+        acc = SymPoly.zero(ctx.zdim)
+        for left, right in position_splits(k + l - 1, l):
+            value = delta(tuple(fs[p] for p in left))
+            if value.is_zero():
+                continue
+            rest = tuple(fs[p] for p in right)
+            base = [gamma(tuple(sorted((r,) + rest))) for r in range(ctx.zdim)]
+            acc = acc + derivation_extend(base, value)
+        return acc
+
+    return HomSym(k + l - 1, fn)
 
 
 # -- the operators -------------------------------------------------------------------
@@ -306,6 +391,6 @@ def is_representable(ctx, omega):
         if n - 2 * k < 1:
             break
         for es, fs in component_keys(ctx, n - 1, k):
-            if not section.contains(bar(ctx, omega, k, es, fs)):
+            if section.solve(bar(ctx, omega, k, es, fs)) is None:
                 failures.append((k, es, fs))
     return RepresentabilityReport(ok=not failures, failures=failures)

@@ -5,13 +5,14 @@ from random import Random
 
 import pytest
 
+from dense_reference import ArityError, HomSym, circ_compose, pair_bracket
 from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import (ArityError, HomSym, bullet, circ_compose,
-                                      derived_bracket, derived_bracket_dual, diamond,
-                                      pair_bracket, poisson, theta, zeta)
-from leibniz_complex.cochains import (MAX_SHUFFLES, Cochain, ComplexContext, ShuffleBudgetError,
-                                      coboundary, cup, validate_cochain)
+from leibniz_complex.brackets import (bullet, derived_bracket, derived_bracket_dual, diamond,
+                                      poisson, theta, zeta)
+from leibniz_complex.cochains import (MAX_SHUFFLES, Cochain, ComplexContext,
+                                      ContextMismatchError, ShuffleBudgetError, coboundary, cup,
+                                      validate_cochain)
 from leibniz_complex.duality import (DualElement, ExtendedElement, flat, flat_cochain,
                                      is_representable)
 from leibniz_complex.sympoly import SymPoly
@@ -21,11 +22,16 @@ F = Fraction
 Z1 = SymPoly.generator(1, 0)
 
 
+def extended(ctx, vec):
+    """The vector vec of L as an element of S(Z) (x) L with scalar coefficients."""
+    return ExtendedElement(tuple(SymPoly.constant(ctx.zdim, c) for c in vec))
+
+
 def const_ext(ctx, vec):
-    return HomSym(0, lambda fs: ExtendedElement.from_vector(ctx, vec))
+    return HomSym(0, lambda fs: extended(ctx, vec))
 
 
-# -- the two ingredient operations ------------------------------------------------
+# -- the two ingredient operations (the oracle's defining formulas) -----------------
 
 
 def test_pair_bracket_two_constants(o1):
@@ -42,7 +48,7 @@ def test_pair_bracket_with_zero(o1):
 
 def test_pair_bracket_one_center_slot(o1):
     # alpha(f) = a constant in f, beta = b: single shuffle, (a, b) = b
-    alpha = HomSym(1, lambda fs: ExtendedElement.from_vector(o1, basis_vec(2, 0)))
+    alpha = HomSym(1, lambda fs: extended(o1, basis_vec(2, 0)))
     beta = const_ext(o1, basis_vec(2, 1))
     assert pair_bracket(o1, alpha, beta)((0,)) == Z1
 
@@ -189,7 +195,7 @@ def test_derived_bracket_o1(o1):
 def test_derived_bracket_abelian(a3):
     for i, j in product(range(3), repeat=2):
         dual = derived_bracket(a3, basis_vec(3, i), basis_vec(3, j))
-        assert isinstance(dual, DualElement) and dual.is_zero()
+        assert isinstance(dual, DualElement) and all(v.is_zero() for v in dual.values)
 
 
 def test_derived_bracket_dual_level_aff_o1(aff_o1):
@@ -280,8 +286,32 @@ def test_products_check_the_shuffle_budget_of_stored_arguments(o1, monkeypatch):
 
 def test_shuffle_budget_counts_argument_tuples_not_degrees(o1):
     # degree 20 stored only at k = 10: no algebra arguments, one shuffle
-    deep = Cochain(20, o1.zdim, {10: {((), (0,) * 10): SymPoly.one(o1.zdim)}})
+    deep = Cochain(20, o1.zdim, {10: {((), (0,) * 10): SymPoly.constant(o1.zdim, 1)}})
     assert cup(o1, deep, deep).value(20, (), (0,) * 20) == SymPoly.constant(o1.zdim, comb(20, 10))
-    wide = Cochain(20, o1.zdim, {0: {((0, 1) * 10, ()): SymPoly.one(o1.zdim)}})
+    wide = Cochain(20, o1.zdim, {0: {((0, 1) * 10, ()): SymPoly.constant(o1.zdim, 1)}})
     with pytest.raises(ShuffleBudgetError, match=str(MAX_SHUFFLES)):
         cup(o1, wide, wide)
+
+
+# -- operands over another center ---------------------------------------------------
+
+
+def test_bullet_rejects_operands_over_another_center(o1, o2):
+    flat_o1 = flat_cochain(o1, basis_vec(2, 0))
+    flat_o2 = flat_cochain(o2, basis_vec(6, 0))
+    for omega, eta in ((flat_o1, flat_o2), (flat_o2, flat_o1), (flat_o1, flat_o1)):
+        with pytest.raises(ContextMismatchError):
+            bullet(o2, omega, eta)
+
+
+def test_diamond_rejects_operands_over_another_center(o1, o2):
+    for omega, eta in ((theta(o1), theta(o2)), (theta(o2), theta(o1))):
+        with pytest.raises(ContextMismatchError):
+            diamond(o2, omega, eta)
+
+
+def test_poisson_rejects_operands_over_another_center(o1, o2):
+    # flats of O1 are representable over O1, but O2 has a 2-dimensional center
+    fa, fb = flat_cochain(o1, basis_vec(2, 0)), flat_cochain(o1, basis_vec(2, 1))
+    with pytest.raises(ContextMismatchError):
+        poisson(o2, fa, fb)

@@ -4,24 +4,24 @@ import time
 import pytest
 
 from leibniz_complex import cli
-from leibniz_complex.algebra import basis_vec, build_fixture, save_algebra
+from leibniz_complex.algebra import algebra_to_dict, basis_vec, build_fixture
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cli import main
 from leibniz_complex.cochains import ComplexContext, coboundary, cochain_from_dict, \
-    cup, save_cochain
+    cochain_to_dict, cup
 from leibniz_complex.duality import flat_cochain
 
 
 @pytest.fixture()
 def o1_file(tmp_path):
     path = tmp_path / "o1.json"
-    save_algebra(build_fixture("O1"), path)
+    path.write_text(json.dumps(algebra_to_dict(build_fixture("O1"))))
     return str(path)
 
 
 def write_cochain(tmp_path, ctx, omega, name):
     path = tmp_path / name
-    save_cochain(omega, path)
+    path.write_text(json.dumps(cochain_to_dict(omega)))
     return str(path)
 
 
@@ -152,6 +152,14 @@ def test_verify_text_and_json(tmp_path, capsys):
         data = json.load(fh)
     assert data["passed"] is True
     assert json.loads(json.dumps(data)) == data
+
+
+def test_verify_runs_at_every_small_max_degree(capsys):
+    # closure samples draw their degrees within --max-degree
+    for max_degree in ("1", "2"):
+        assert main(["verify", "--max-degree", max_degree, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] and report["config"]["max_degree"] == int(max_degree)
 
 
 def test_verify_mutation_exits_nonzero(capsys):

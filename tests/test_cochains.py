@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -6,13 +7,14 @@ import pytest
 
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cochains import (Cochain, CochainFormatError, CochainShapeError,
-                                      InvalidCochainError, coboundary, cochain_from_dict,
-                                      cochain_space_basis, cochain_to_dict, cup,
-                                      d_squared_zero, load_cochain, position_splits,
-                                      save_cochain, split_sign, validate_cochain)
+                                      ContextMismatchError, InvalidCochainError, coboundary,
+                                      cochain_from_dict, cochain_space_basis, cochain_to_dict,
+                                      cup, load_cochain, position_splits, split_sign,
+                                      validate_cochain)
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.algebra import basis_vec
 from leibniz_complex.sympoly import SymPoly
+from leibniz_complex.verify import check_d_squared
 
 F = Fraction
 Z1 = SymPoly.generator(1, 0)
@@ -84,10 +86,19 @@ def test_coboundary_rejects_invalid_input(o1):
         coboundary(o1, bad)
 
 
+def test_coboundary_rejects_cochains_over_another_center(o1, o2, a3):
+    # zeta(O1) has one center generator: O2 has two, A3 three; the mismatch
+    # is named before validation can misread theta as not skew-symmetric
+    for ctx, omega in ((o2, zeta(o1)), (a3, theta(o1)), (o1, zeta(o2))):
+        with pytest.raises(ContextMismatchError):
+            coboundary(ctx, omega)
+
+
 def test_d_squared_zero_reports(o1):
-    report = d_squared_zero(o1, zeta(o1))
-    assert report.ok
-    assert report.first_nonzero is None
+    assert coboundary(o1, coboundary(o1, zeta(o1))).is_zero()
+    report = check_d_squared(o1, "O1", 3)
+    assert report.passed
+    assert report.counterexample is None
 
 
 def test_abelian_differential_is_delta_only(a3):
@@ -116,8 +127,14 @@ def test_cup_two_flats_hand_expansion(o1):
     assert prod.value(0, (0, 0), ()).is_zero()
 
 
+def test_cup_rejects_cochains_over_another_center(o1, o2):
+    for omega, eta in ((zeta(o1), zeta(o2)), (zeta(o2), zeta(o1)), (zeta(o1), zeta(o1))):
+        with pytest.raises(ContextMismatchError):
+            cup(o2, omega, eta)
+
+
 def test_cup_unit(o1):
-    one = Cochain.constant(SymPoly.one(1))
+    one = Cochain.constant(SymPoly.constant(1, 1))
     omega = zeta(o1)
     assert cup(o1, one, omega) == omega
     assert cup(o1, omega, one) == omega
@@ -204,13 +221,13 @@ def test_basis_dimensions_o1(o1):
 
 def test_single_key_tables_are_not_cochains(a3):
     # the indicator of one key violates weak skew-symmetry
-    omega = Cochain(2, 3, {0: {((0, 1), ()): SymPoly.one(3)}})
+    omega = Cochain(2, 3, {0: {((0, 1), ()): SymPoly.constant(3, 1)}})
     assert not validate_cochain(a3, omega).ok
 
 
 def test_validation_covers_partially_descending_tuples(a3):
     # the constraint at the sorted pair inside (1,0,0) must still be seen
-    omega = Cochain(3, 3, {0: {((1, 0, 0), ()): SymPoly.one(3)}})
+    omega = Cochain(3, 3, {0: {((1, 0, 0), ()): SymPoly.constant(3, 1)}})
     report = validate_cochain(a3, omega)
     assert not report.ok
     positions = {(v[0], v[1]) for v in report.violations}
@@ -222,7 +239,7 @@ def test_validation_covers_partially_descending_tuples(a3):
 
 def test_cochain_json_roundtrip(tmp_path, o1):
     path = tmp_path / "theta.json"
-    save_cochain(theta(o1), path)
+    path.write_text(json.dumps(cochain_to_dict(theta(o1))))
     assert load_cochain(o1, path) == theta(o1)
 
 

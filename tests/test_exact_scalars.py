@@ -104,7 +104,7 @@ def test_random_cochains_and_their_brackets_are_canonical(contexts):
 
 def test_float_scale_factor_is_rejected_by_sympoly():
     with pytest.raises(TypeError):
-        SymPoly.one(1).scale(0.1)
+        SymPoly.constant(1, 1).scale(0.1)
 
 
 def test_float_scale_factor_is_rejected_by_cochain(o1):

@@ -56,7 +56,8 @@ def with_center_values(ctx, omega):
     """omega with every value times 1 + z_1 + ... + z_N: still valid, since
     validity is linear over S(Z), and unlike a scalar-valued cochain it has
     nonzero action terms."""
-    factor = sum((SymPoly.generator(ctx.zdim, r) for r in range(ctx.zdim)), SymPoly.one(ctx.zdim))
+    factor = sum((SymPoly.generator(ctx.zdim, r) for r in range(ctx.zdim)),
+                 SymPoly.constant(ctx.zdim, 1))
     return Cochain(omega.degree, ctx.zdim, {k: {key: v * factor for key, v in table.items()}
                                             for k, table in omega.components.items()})
 
@@ -121,7 +122,7 @@ def test_repeated_center_indices(contexts, o1, o2):
     # A3 is abelian: any component-1 table is a valid cochain, and delta
     # sends omega_1(e_1; z_1) to (d omega)_2(; z_1, z_1) twice
     a3 = contexts["A3"]
-    one = SymPoly.one(3)
+    one = SymPoly.constant(3, 1)
     omega = Cochain(3, 3, {1: {((0,), (0,)): one, ((1,), (0,)): one, ((0,), (2,)): one}})
     d_omega = same(a3, "coboundary", omega)
     assert d_omega.value(2, (), (0, 0)) == SymPoly.constant(3, 2)
@@ -137,7 +138,7 @@ def test_repeated_center_indices(contexts, o1, o2):
 
 def test_degree_zero_and_zero_operands(o1, o2):
     for ctx in (o1, o2):
-        const = Cochain.constant(SymPoly.generator(ctx.zdim, 0) + SymPoly.one(ctx.zdim))
+        const = Cochain.constant(SymPoly.generator(ctx.zdim, 0) + SymPoly.constant(ctx.zdim, 1))
         zero0, zero3 = Cochain.zero(0, ctx.zdim), Cochain.zero(3, ctx.zdim)
         small = [const, zero0, Cochain.zero(1, ctx.zdim), flats(ctx)[-1]]
         for omega in small + [zero3, theta(ctx)]:
@@ -159,13 +160,13 @@ def test_brackets_with_clamped_degree(o1):
 
 
 def test_non_representable_bullet_operand_raises(aff_o1):
-    bad = Cochain(1, 1, {0: {((0,), ()): SymPoly.one(1)}})
+    bad = Cochain(1, 1, {0: {((0,), ()): SymPoly.constant(1, 1)}})
     flat = flat_cochain(aff_o1, basis_vec(4, 2))
     assert not flat.is_zero()
     for omega, eta in ((bad, flat), (flat, bad)):
         assert same(aff_o1, "bullet", omega, eta) is NotRepresentableError
     with pytest.raises(NotRepresentableError):
-        bullet(aff_o1, bad, Cochain.constant(SymPoly.one(1)))
+        bullet(aff_o1, bad, Cochain.constant(SymPoly.constant(1, 1)))
 
 
 def test_d0_sign_mutant_against_dense(o1, o2):

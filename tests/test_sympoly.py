@@ -8,7 +8,7 @@ from leibniz_complex.sympoly import (MAX_TERM_DEGREE, DimensionError, SymPoly,
                                      parse_sympoly)
 
 B = SymPoly.generator(1, 0)  # single generator, think "b"
-ONE = SymPoly.one(1)
+ONE = SymPoly.constant(1, 1)
 
 
 def test_additive_inverse():
