@@ -4,7 +4,7 @@ finite-dimensional Leibniz algebras.
 The package is organized bottom-up:
 
   sympoly   - the symmetric algebra S(Z) with exact rational coefficients
-  linalg    - rational row reduction, kernels, repeated solves
+  linalg    - rational row reduction, kernels, repeated solves on sparse rows
   algebra   - Leibniz algebras from structure constants, fixtures, quotients
   cochains  - the standard complex: cochains, d = d0 + delta, the product
   duality   - phi, the musical maps, representability, section lifts

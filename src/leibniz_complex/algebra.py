@@ -237,8 +237,7 @@ def quotient_by_kernel(algebra):
         for i in range(dim):
             e = basis_vec(dim, i)
             for w in (algebra.bracket(e, kvec), algebra.bracket(kvec, e)):
-                split = _complement_coords(kernel, w, dim)
-                if split is None or any(c != 0 for c in split[1]):
+                if any(c != 0 for c in _complement_coords(kernel, w, dim)):
                     raise IntegrityError("pairing kernel is not a two-sided ideal")
     pivots = [_leading_index(v) for v in kernel]
     comp = [i for i in range(dim) if i not in pivots]
@@ -248,10 +247,7 @@ def quotient_by_kernel(algebra):
         row = []
         for j in comp:
             w = algebra.bracket(basis_vec(dim, i), basis_vec(dim, j))
-            split = _complement_coords(kernel, w, dim)
-            if split is None:
-                raise IntegrityError("bracket does not project onto the chosen complement")
-            row.append(tuple(split[1]))
+            row.append(tuple(_complement_coords(kernel, w, dim)))
         table.append(row)
     quotient = LeibnizAlgebra(labels, table)
     report = check_leibniz(quotient)
@@ -268,35 +264,31 @@ def _annihilator(*tables):
     """Reduced echelon basis of {x : sum_i x_i table[i][j] = 0 for every j
     and every table}; for the structure table that is the left center."""
     dim = len(tables[0])
-    rows = [[table[i][j][t] for i in range(dim)]
+    rows = [{i: table[i][j][t] for i in range(dim) if table[i][j][t] != 0}
             for table in tables for j in range(dim) for t in range(dim)]
-    return tuple(tuple(v) for v in kernel_basis([row for row in rows if any(row)], dim))
+    return tuple(tuple(v.get(i, 0) for i in range(dim)) for v in kernel_basis(rows, range(dim)))
 
 
 def _complement_coords(kernel, v, dim):
-    """Split v = k + c with k in span(kernel), c over the non-pivot axes.
-
-    Returns (kernel coords, complement coords) or None if the split fails.
-    """
+    """The coordinates of v over the non-pivot axes once the reduced echelon
+    rows of kernel are subtracted from it: v = k + c with k in span(kernel)."""
     pivots = [_leading_index(k) for k in kernel]
     residual = list(v)
-    kcoords = []
     for p, kvec in zip(pivots, kernel):
         c = residual[p]
-        kcoords.append(c)
         if c != 0:
             residual = [a - c * b for a, b in zip(residual, kvec)]
-    comp = [i for i in range(dim) if i not in pivots]
-    ccoords = [residual[i] for i in comp]
-    for p in pivots:
-        if residual[p] != 0:
-            return None
-    return kcoords, ccoords
+    return [residual[i] for i in range(dim) if i not in pivots]
 
 
 # -- fixtures ----------------------------------------------------------------
 
 _OMNI_RE = re.compile(r"^omni\((\d+)\)$")
+
+# The largest dimension an algebra may have. `build_fixture` and
+# `algebra_from_dict` check it before any dim x dim x dim table is built;
+# omni(7), dim 56, is the largest omni(n) under it.
+MAX_DIM = 64
 
 
 def build_fixture(name):
@@ -318,9 +310,12 @@ def build_fixture(name):
         return LeibnizAlgebra(["x", "y", "a", "b"], table)
     match = _OMNI_RE.match(name)
     if match:
-        if int(match.group(1)) < 1:
+        n = int(match.group(1))
+        if n < 1:
             raise AlgebraFormatError(f"{name}: n must be at least 1")
-        return _omni(int(match.group(1)))
+        if n * n + n > MAX_DIM:
+            raise AlgebraFormatError(f"{name}: dimension {n * n + n} exceeds MAX_DIM = {MAX_DIM}")
+        return _omni(n)
     raise UnknownFixtureError(name)
 
 
@@ -372,6 +367,8 @@ def algebra_from_dict(data):
         raise AlgebraFormatError(f"missing algebra field: {exc}") from exc
     if not _is_index(dim) or dim <= 0:
         raise AlgebraFormatError("'dim' must be a positive integer")
+    if dim > MAX_DIM:
+        raise AlgebraFormatError(f"'dim' {dim} exceeds MAX_DIM = {MAX_DIM}")
     if not isinstance(basis, list) or len(basis) != dim:
         raise AlgebraFormatError("'basis' must list exactly dim labels")
     brackets = data.get("brackets", [])

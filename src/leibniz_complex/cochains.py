@@ -91,7 +91,7 @@ _zero = cache(SymPoly.zero)  # one shared zero per generator count; SymPoly is i
 class Cochain:
     """Immutable sparse cochain; missing keys are zero."""
 
-    __slots__ = ("degree", "nvars", "components", "_hash")
+    __slots__ = ("degree", "nvars", "components", "_hash", "_extent")
 
     def __init__(self, degree, nvars, components=None):
         if degree < 0:
@@ -120,6 +120,7 @@ class Cochain:
                 clean[k] = out
         self.components = clean
         self._hash = None
+        self._extent = None
 
     @classmethod
     def zero(cls, degree, nvars):
@@ -137,6 +138,15 @@ class Cochain:
 
     def is_zero(self):
         return not self.components
+
+    def extent(self):
+        """One more than the largest stored algebra index and than the largest
+        stored center index: the least dim and zdim a context must have."""
+        if self._extent is None:
+            keys = [key for table in self.components.values() for key in table]
+            self._extent = (1 + max((max(es) for es, _ in keys if es), default=-1),
+                            1 + max((fs[-1] for _, fs in keys if fs), default=-1))
+        return self._extent
 
     def scale(self, factor):
         factor = exact(factor)
@@ -240,10 +250,18 @@ def merge_centers(fs1, fs2):
 
 
 def check_context(ctx, *cochains):
-    """ContextMismatchError unless every cochain lives over ctx's center
-    basis; d, cup, bullet and diamond call it before anything else."""
-    if any(omega.nvars != ctx.zdim for omega in cochains):
-        raise ContextMismatchError("cochains built over a different center basis")
+    """ContextMismatchError unless every cochain lives over ctx: its center
+    basis has ctx's size, and its stored algebra and center indices lie
+    below ctx.dim and ctx.zdim. d, cup, bullet and diamond call it before
+    anything else."""
+    for omega in cochains:
+        if omega.nvars != ctx.zdim:
+            raise ContextMismatchError("cochains built over a different center basis")
+        dim, zdim = omega.extent()
+        if dim > ctx.dim or zdim > ctx.zdim:
+            raise ContextMismatchError(
+                f"cochain indices need an algebra of dimension {dim} with {zdim} center "
+                f"generators, the context has {ctx.dim} and {ctx.zdim}")
 
 
 def entries(omega):
@@ -438,21 +456,11 @@ def cochain_space_basis(ctx, degree):
                for fs in combinations_with_replacement(range(ctx.zdim), k)]
     rows = []
     for block in _blocks(vectors):
-        keys = sorted(set().union(*block))
-        index = {key: c for c, key in enumerate(keys)}
-        matrix = []
-        for vec in block:
-            row = [0] * len(keys)
-            for key, c in vec.items():
-                row[index[key]] = c
-            matrix.append(row)
-        reduced, pivots = rref(matrix)
-        rows.extend((keys[p], [(keys[c], v) for c, v in enumerate(row) if v != 0])
-                    for row, p in zip(reduced, pivots))
+        rows.extend(rref(block))
     basis = []
-    for _, row in sorted(rows, key=lambda item: item[0]):
+    for row in sorted(rows, key=min):
         comps = {}
-        for (k, es, fs), c in row:
+        for (k, es, fs), c in sorted(row.items()):
             comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
         basis.append(Cochain(degree, ctx.zdim, comps))
     return basis

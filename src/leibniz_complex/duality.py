@@ -61,10 +61,6 @@ class ExtendedElement:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-    @classmethod
-    def zero(cls, ctx):
-        return cls(tuple(SymPoly.zero(ctx.zdim) for _ in range(ctx.dim)))
-
     def as_vector(self):
         """Coordinate tuple over L if every coefficient is scalar, else None."""
         out = []
@@ -98,19 +94,16 @@ def dual_from_cochain(ctx, omega):
 
 
 class PhiSection:
-    """Per-degree factorizations of phi with a fixed deterministic section."""
+    """Per-degree factorizations of phi with a fixed deterministic section.
+
+    The degree-d system has a column (mono, i) for each input p (x) e_i,
+    p the degree-d monomial mono, and a row (j, mono') for each output
+    coefficient of mono' in psi(e_j).
+    """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self._solvers = {}
-        self._monomials = {}
-
-    def _monomial_list(self, degree):
-        mono = self._monomials.get(degree)
-        if mono is None:
-            mono = list(combinations_with_replacement(range(self.ctx.zdim), degree))
-            self._monomials[degree] = mono
-        return mono
 
     def _solver(self, degree):
         """LinearSolver for phi restricted to degree-`degree` inputs."""
@@ -118,26 +111,16 @@ class PhiSection:
         if solver is not None:
             return solver
         ctx = self.ctx
-        in_monos = self._monomial_list(degree)
-        out_monos = self._monomial_list(degree + 1)
-        out_index = {m: t for t, m in enumerate(out_monos)}
-        ncols = len(in_monos) * ctx.dim
-        nrows = ctx.dim * len(out_monos)
-        matrix = [[0] * ncols for _ in range(nrows)]
-        for col_m, mono in enumerate(in_monos):
-            for i in range(ctx.dim):
-                col = col_m * ctx.dim + i
-                for j in range(ctx.dim):
-                    pair = ctx.algebra.pairing_poly_basis(i, j)
-                    for (r,), c in pair.items():
-                        target = tuple(sorted(mono + (r,)))
-                        row = j * len(out_monos) + out_index[target]
-                        matrix[row][col] += c
+        columns = [(mono, i) for mono in combinations_with_replacement(range(ctx.zdim), degree)
+                   for i in range(ctx.dim)]
+        rows = {}
+        for mono, i in columns:
+            for j in range(ctx.dim):
+                for (r,), c in ctx.algebra.pairing_poly_basis(i, j).items():
+                    rows.setdefault((j, tuple(sorted(mono + (r,)))), {})[(mono, i)] = c
         if ctx.pivot_strategy == "last":
-            order = list(range(ncols - 1, -1, -1))
-        else:
-            order = None
-        solver = LinearSolver(matrix, ncols, column_order=order)
+            columns.reverse()
+        solver = LinearSolver(rows, columns)
         self._solvers[degree] = solver
         return solver
 
@@ -150,31 +133,18 @@ class PhiSection:
         ctx = self.ctx
         by_degree = {}
         for j, poly in enumerate(psi.values):
-            for d, part in poly.homogeneous_parts().items():
-                if d == 0:
+            for mono, coeff in poly.items():
+                if not mono:
                     return None
-                by_degree.setdefault(d, {})[j] = part
-        total = ExtendedElement.zero(ctx)
-        for d, parts in sorted(by_degree.items()):
-            solver = self._solver(d - 1)
-            out_monos = self._monomial_list(d)
-            out_index = {m: t for t, m in enumerate(out_monos)}
-            b = [0] * (ctx.dim * len(out_monos))
-            for j, part in parts.items():
-                for mono, coeff in part.items():
-                    b[j * len(out_monos) + out_index[mono]] = coeff
-            x = solver.solve(b)
+                by_degree.setdefault(len(mono), {})[(j, mono)] = coeff
+        coeffs = [SymPoly.zero(ctx.zdim)] * ctx.dim
+        for d, b in sorted(by_degree.items()):
+            x = self._solver(d - 1).solve(b)
             if x is None:
                 return None
-            in_monos = self._monomial_list(d - 1)
-            coeffs = list(total.coeffs)
-            for col_m, mono in enumerate(in_monos):
-                for i in range(ctx.dim):
-                    c = x[col_m * ctx.dim + i]
-                    if c != 0:
-                        coeffs[i] = coeffs[i] + SymPoly.monomial(ctx.zdim, mono, c)
-            total = ExtendedElement(tuple(coeffs))
-        return total
+            for (mono, i), c in sorted(x.items()):
+                coeffs[i] = coeffs[i] + SymPoly.monomial(ctx.zdim, mono, c)
+        return ExtendedElement(tuple(coeffs))
 
 
 def phi_section(ctx):

@@ -1,37 +1,32 @@
 """Exact linear algebra over rationals: RREF, kernels, and repeated solves.
 
-Matrices are plain lists of lists of exact rationals, each entry stored
-as `sympoly.exact` makes it: an int when it is whole, a Fraction only
-when it is not. Everything here is deterministic: pivots are always the
-first usable column left to right, so echelon bases and solutions are
-reproducible across runs.
+A matrix is a list of sparse rows {column: value}. A column is any totally
+ordered key: an int, a (mono, i) pair or a cochain key (k, es, fs). Zeros
+are never stored, and a value is an exact rational as `sympoly.exact`
+makes it: an int when it is whole, a Fraction only when it is not.
+Everything here is deterministic: a row's pivot is always the least
+column it holds, so echelon bases and solutions are reproducible across
+runs. `LinearSolver` takes its pivot preference as an explicit column
+order instead.
 """
 
 from fractions import Fraction
 
 from .sympoly import exact
 
-ZERO = 0
-ONE = 1
 
+def rref(rows):
+    """The nonzero rows of the reduced row echelon form of `rows`, sorted by
+    pivot, the least column each row holds.
 
-def rref(matrix):
-    """Reduced row echelon form of a copy of `matrix`.
-
-    Returns (rows, pivot_cols). Rows of the result below len(pivot_cols)
-    are identically zero.
-
-    Elimination runs on sparse rows ({column: value}, zeros dropped): each
-    row is reduced by the pivot rows found so far, which are kept fully
-    reduced, and its first nonzero column becomes the next pivot. The
+    Each row is reduced by the pivot rows found so far, which are kept
+    fully reduced, and its least column becomes the next pivot. The
     reduced echelon form of a matrix is unique, so this is the form that
-    pivoting on the first usable column, left to right, gives.
+    pivoting on the least usable column gives.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
     pivot_rows = {}  # pivot column -> row with a 1 there and 0 at every other pivot
-    for row in matrix:
-        vec = {c: exact(v) for c, v in enumerate(row) if v != 0}
+    for row in rows:
+        vec = {c: exact(v) for c, v in row.items() if v != 0}
         for p in [c for c in vec if c in pivot_rows]:
             _subtract(vec, vec[p], pivot_rows[p])
         if not vec:
@@ -44,98 +39,75 @@ def rref(matrix):
             if lead in other:
                 _subtract(other, other[lead], vec)
         pivot_rows[lead] = vec
-    pivots = sorted(pivot_rows)
-    rows = []
-    for p in pivots:
-        dense = [ZERO] * ncols
-        for c, v in pivot_rows[p].items():
-            dense[c] = v
-        rows.append(dense)
-    rows.extend([ZERO] * ncols for _ in range(nrows - len(pivots)))
-    return rows, pivots
+    return [pivot_rows[p] for p in sorted(pivot_rows)]
 
 
 def _subtract(vec, factor, row):
     """vec -= factor * row, on sparse rows."""
     for c, v in row.items():
-        total = exact(vec.get(c, ZERO) - factor * v)
+        total = exact(vec.get(c, 0) - factor * v)
         if total:
             vec[c] = total
         else:
             del vec[c]
 
 
-def kernel_basis(matrix, ncols):
-    """Reduced echelon basis of {x : matrix @ x = 0} (rows of the result).
-
-    `ncols` must be given explicitly so empty matrices work.
-    """
-    if not matrix:
-        return [_unit(ncols, i) for i in range(ncols)]
-    rows, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+def kernel_basis(rows, columns):
+    """Reduced echelon basis of {x : rows @ x = 0} over the unknowns
+    `columns`, which hold every column the rows do."""
+    pivots = {min(row): row for row in rref(rows)}
     basis = []
-    for free in free_cols:
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
-        basis.append(vec)
-    if not basis:
-        return []
-    echelon, _ = rref(basis)
-    return [row for row in echelon if any(v != 0 for v in row)]
-
-
-def _unit(n, i):
-    vec = [ZERO] * n
-    vec[i] = ONE
-    return vec
+    for free in columns:
+        if free not in pivots:
+            vec = {free: 1}
+            vec.update((p, -row[free]) for p, row in pivots.items() if free in row)
+            basis.append(vec)
+    return rref(basis)
 
 
 class LinearSolver:
     """Factorization of A for repeated exact solves of A @ x = b.
 
-    Gauss-Jordan is run once on A, the row operations are recorded in a
-    square transform E with E @ A = rref(A), each row of E kept as its
-    nonzero (column, value) pairs. solve() then costs one sparse
-    matrix-vector product plus a consistency check. Free variables are
-    set to zero, which makes the solution map linear on the column space
-    (a genuine section of A).
+    A is given as {row key: row}; a row key it leaves out is a zero row.
+    `columns` lists A's columns in pivot-preference order. Gauss-Jordan
+    is run once on [A | I], A's columns relabelled (0, position) and the
+    identity's (1, row key), so the reduced rows carry the transform E
+    with E @ A = rref(A), each row of E kept as its nonzero entries.
+    solve() then costs one sparse matrix-vector product plus a
+    consistency check. Free variables are set to zero, which makes the
+    solution map linear on the column space (a genuine section of A).
     """
 
-    def __init__(self, matrix, ncols, column_order=None):
-        self.nrows = len(matrix)
-        self.ncols = ncols
-        self.column_order = list(column_order) if column_order is not None else list(range(ncols))
+    def __init__(self, rows, columns):
+        columns = list(columns)
+        position = {c: (0, p) for p, c in enumerate(columns)}
         augmented = []
-        for i, row in enumerate(matrix):
-            perm = [row[c] for c in self.column_order]
-            augmented.append(perm + _unit(self.nrows, i))
-        if augmented:
-            reduced, pivots = rref(augmented)
-            self.transform = [[(j, t) for j, t in enumerate(row[ncols:]) if t != 0]
-                              for row in reduced]
-            self.pivots = [p for p in pivots if p < ncols]
-        else:
-            self.transform = []
-            self.pivots = []
-        self.rank = len(self.pivots)
+        for key, row in rows.items():
+            vec = {position[c]: v for c, v in row.items()}
+            vec[(1, key)] = 1
+            augmented.append(vec)
+        self._keys = set(rows)
+        self._pivots = []  # (column, E row) for each pivot in A's columns
+        self._checks = []  # E rows that must vanish on b
+        for row in rref(augmented):
+            side, lead = min(row)
+            transform = [(key, t) for (s, key), t in row.items() if s == 1]
+            if side == 0:
+                self._pivots.append((columns[lead], transform))
+            else:
+                self._checks.append(transform)
 
     def solve(self, b):
-        """One solution of A @ x = b, or None if b is outside the image."""
-        if len(b) != self.nrows:
-            raise ValueError(f"rhs has length {len(b)}, expected {self.nrows}")
-        support = {j: bv for j, bv in enumerate(b) if bv != 0}
-        x = [ZERO] * self.ncols
-        for r, row in enumerate(self.transform):
-            c = ZERO
-            for j, t in row:
-                if j in support:
-                    c += t * support[j]
-            if r < self.rank:
-                x[self.column_order[self.pivots[r]]] = exact(c)
-            elif c != 0:
+        """One solution {column: value} of A @ x = b, for b given as
+        {row key: value}, or None if b is outside the image."""
+        if any(v != 0 and key not in self._keys for key, v in b.items()):
+            return None
+        for transform in self._checks:
+            if sum(t * b[key] for key, t in transform if key in b) != 0:
                 return None
+        x = {}
+        for column, transform in self._pivots:
+            value = exact(sum(t * b[key] for key, t in transform if key in b))
+            if value != 0:
+                x[column] = value
         return x

@@ -106,13 +106,6 @@ class SymPoly:
         """Maximal symmetric degree among the terms; -1 for the zero element."""
         return max((len(m) for m in self._terms), default=-1)
 
-    def homogeneous_parts(self):
-        """Split into {degree: homogeneous SymPoly}; empty for zero."""
-        parts = {}
-        for mono, coeff in self._terms.items():
-            parts.setdefault(len(mono), {})[mono] = coeff
-        return {d: _canonical(self.nvars, t) for d, t in sorted(parts.items())}
-
     def _check_dim(self, other):
         if self.nvars != other.nvars:
             raise DimensionError(f"mixed generator counts: {self.nvars} vs {other.nvars}")

@@ -41,7 +41,7 @@ def test_pair_bracket_two_constants(o1):
 
 
 def test_pair_bracket_with_zero(o1):
-    alpha = HomSym(0, lambda fs: ExtendedElement.zero(o1))
+    alpha = HomSym(0, lambda fs: ExtendedElement((SymPoly.zero(1),) * 2))
     beta = const_ext(o1, basis_vec(2, 1))
     assert pair_bracket(o1, alpha, beta)(()).is_zero()
 
@@ -315,3 +315,20 @@ def test_poisson_rejects_operands_over_another_center(o1, o2):
     fa, fb = flat_cochain(o1, basis_vec(2, 0)), flat_cochain(o1, basis_vec(2, 1))
     with pytest.raises(ContextMismatchError):
         poisson(o2, fa, fb)
+
+
+def test_bracket_halves_reject_indices_outside_the_algebra(o1, aff_o1):
+    # an AFF_O1 flat over O1: the same center size, an algebra index 3 >= 2
+    omega = flat_cochain(aff_o1, basis_vec(4, 2))
+    fa = flat_cochain(o1, basis_vec(2, 0))
+    for op in (bullet, diamond, poisson):
+        for pair in ((omega, fa), (fa, omega), (omega, omega)):
+            with pytest.raises(ContextMismatchError):
+                op(o1, *pair)
+
+
+def test_bracket_halves_reject_center_indices_outside_the_center(o1):
+    omega = Cochain(3, 1, {1: {((0,), (1,)): SymPoly.constant(1, 1)}})
+    for op in (bullet, diamond, poisson):
+        with pytest.raises(ContextMismatchError):
+            op(o1, theta(o1), omega)

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from leibniz_complex import cli
-from leibniz_complex.algebra import algebra_to_dict, basis_vec, build_fixture
+from leibniz_complex import algebra, cli
+from leibniz_complex.algebra import MAX_DIM, algebra_to_dict, basis_vec, build_fixture
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cli import main
 from leibniz_complex.cochains import ComplexContext, coboundary, cochain_from_dict, \
@@ -220,6 +220,25 @@ def test_omni_zero_is_input_error(capsys):
     assert main(["check", "--algebra", "omni(0)"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_algebras_over_the_size_budget_are_input_errors(tmp_path, capsys, monkeypatch):
+    assert build_fixture("omni(7)").dim == 56 <= MAX_DIM  # omni(8) has dim 72
+
+    # a missing budget check fails here at once instead of allocating the table
+    def no_table(dim):
+        raise AssertionError(f"a table of dimension {dim} was started")
+
+    monkeypatch.setattr(algebra, "zero_vec", no_table)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": MAX_DIM + 1,
+                                "basis": [f"e{i}" for i in range(MAX_DIM + 1)]}))
+    for name in (str(path), f"omni({10**9})", "omni(8)"):
+        start = time.perf_counter()
+        assert main(["check", "--algebra", name]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "MAX_DIM" in err and err.count("\n") == 1
 
 
 def test_cup_needs_two_cochains(tmp_path):

@@ -94,6 +94,27 @@ def test_coboundary_rejects_cochains_over_another_center(o1, o2, a3):
             coboundary(ctx, omega)
 
 
+def test_operators_reject_indices_outside_the_algebra(o1, aff_o1):
+    # AFF_O1 has one center generator, as O1 does, so only the algebra index
+    # of its flat (a, -), which is z1 at b = e_3, tells it apart from an O1 cochain
+    omega = flat_cochain(aff_o1, basis_vec(4, 2))
+    assert any(max(es) >= o1.dim for table in omega.components.values() for es, _ in table)
+    with pytest.raises(ContextMismatchError):
+        coboundary(o1, omega)
+    for pair in ((omega, zeta(o1)), (zeta(o1), omega), (omega, omega)):
+        with pytest.raises(ContextMismatchError):
+            cup(o1, *pair)
+
+
+def test_operators_reject_center_indices_outside_the_center(o1):
+    # one center generator, as O1 has, but a stored center argument z2
+    omega = Cochain(2, 1, {1: {((), (1,)): SymPoly.constant(1, 1)}})
+    with pytest.raises(ContextMismatchError):
+        coboundary(o1, omega)
+    with pytest.raises(ContextMismatchError):
+        cup(o1, zeta(o1), omega)
+
+
 def test_d_squared_zero_reports(o1):
     assert coboundary(o1, coboundary(o1, zeta(o1))).is_zero()
     report = check_d_squared(o1, "O1", 3)

@@ -73,13 +73,6 @@ def test_degree_additive_on_monomials():
     assert (p * q).degree() == 3
 
 
-def test_homogeneous_parts():
-    p = SymPoly(2, {(): 2, (0,): 1, (0, 1): -1})
-    parts = p.homogeneous_parts()
-    assert sorted(parts) == [0, 1, 2]
-    assert sum(parts.values(), SymPoly.zero(2)) == p
-
-
 def test_render_examples():
     assert SymPoly.zero(2).render() == "0"
     assert SymPoly(2, {(0, 0, 1): Fraction(3, 2), (): 1}).render() == "3/2*z1^2*z2 + 1"
