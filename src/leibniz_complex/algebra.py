@@ -283,7 +283,7 @@ def _complement_coords(kernel, v, dim):
 
 # -- fixtures ----------------------------------------------------------------
 
-_OMNI_RE = re.compile(r"^omni\((\d+)\)$")
+_OMNI_RE = re.compile(r"^omni\(([0-9]+)\)$")
 
 # The largest dimension an algebra may have. `build_fixture` and
 # `algebra_from_dict` check it before any dim x dim x dim table is built;
@@ -310,7 +310,13 @@ def build_fixture(name):
         return LeibnizAlgebra(["x", "y", "a", "b"], table)
     match = _OMNI_RE.match(name)
     if match:
-        n = int(match.group(1))
+        digits = match.group(1).lstrip("0")
+        # more digits than MAX_DIM has means n * n + n > MAX_DIM: reject before int()
+        # converts an arbitrarily long string
+        if len(digits) > len(str(MAX_DIM)):
+            raise AlgebraFormatError(f"omni(n): n has {len(digits)} digits, so its dimension "
+                                     f"exceeds MAX_DIM = {MAX_DIM}")
+        n = int(digits or "0")
         if n < 1:
             raise AlgebraFormatError(f"{name}: n must be at least 1")
         if n * n + n > MAX_DIM:

@@ -17,6 +17,11 @@ and the derived-bracket reconstruction
     (e1 . e2)-flat = -{{theta, e1-flat}, e2-flat},
 
 which on a fat algebra recovers e1 . e2 itself through the section.
+The bracket is bilinear and the inner bracket {theta, v-flat} depends
+on v alone, so it is summed as sum_i v_i {theta, e_i-flat} from the
+per-basis values `theta_flat` keeps in the context's cache (at most dim
+of them, each computed once, like `theta` and `zeta`); only the outer
+bracket is computed per pair.
 """
 
 from .algebra import basis_vec
@@ -116,9 +121,30 @@ def theta(ctx):
     return cached
 
 
+def theta_flat(ctx, i):
+    """{theta, e_i-flat}, computed once per context and basis index."""
+    if not 0 <= i < ctx.dim:
+        raise IndexError(f"basis index {i} outside 0..{ctx.dim - 1}")
+    cached = ctx.cache.setdefault("theta_flat", {})
+    value = cached.get(i)
+    if value is None:
+        value = poisson(ctx, theta(ctx), flat_cochain(ctx, basis_vec(ctx.dim, i)))
+        cached[i] = value
+    return value
+
+
 def derived_bracket_dual(ctx, v, w):
-    """-{{theta, v-flat}, w-flat} as a covector (defined for any algebra)."""
-    inner = poisson(ctx, theta(ctx), flat_cochain(ctx, v))
+    """-{{theta, v-flat}, w-flat} as a covector (defined for any algebra).
+
+    The inner bracket is sum_i v_i {theta, e_i-flat}; for a basis vector it
+    is the cached cochain itself, so its section lifts are found by identity.
+    """
+    support = [(i, vi) for i, vi in enumerate(v) if vi != 0]
+    if len(support) == 1 and support[0][1] == 1:
+        inner = theta_flat(ctx, support[0][0])
+    else:
+        inner = scatter(ctx, 2, ((k, es, fs, value, vi) for i, vi in support  # degree 3 + 1 - 2
+                                 for k, es, fs, value in entries(theta_flat(ctx, i))))
     outer = poisson(ctx, inner, flat_cochain(ctx, w))
     return -dual_from_cochain(ctx, outer)
 

@@ -28,8 +28,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
-_INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                 json.JSONDecodeError, AlgebraFormatError, CochainFormatError,
+_INPUT_ERRORS = (OSError, json.JSONDecodeError, AlgebraFormatError, CochainFormatError,
                  SymPolyParseError, UnicodeDecodeError, VerifyConfigError,
                  ShuffleBudgetError)
 _CHECK_ERRORS = (InvalidAlgebraError, InvalidCochainError, NotRepresentableError,
@@ -219,6 +218,10 @@ def build_parser():
 
 def main(argv=None):
     parser, handlers = build_parser()
+    # only an in-process caller can pass a NUL byte; open() raises ValueError on one
+    if any("\0" in arg for arg in (sys.argv[1:] if argv is None else argv)):
+        print("input error: arguments cannot contain NUL bytes", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     args = parser.parse_args(argv)
     if getattr(args, "cochain", None) is not None:
         needed = 2 if args.command in ("cup", "bracket") else 1

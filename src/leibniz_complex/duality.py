@@ -22,10 +22,9 @@ of the lift is unique and independent of the pivot strategy.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .algebra import basis_vec
-from .cochains import Cochain, entries
+from .cochains import Cochain, accumulate, entries
 from .linalg import LinearSolver
-from .sympoly import SymPoly
+from .sympoly import SymPoly, _canonical
 
 
 class NotRepresentableError(ValueError):
@@ -75,9 +74,17 @@ class ExtendedElement:
 
 
 def flat(ctx, v):
-    """The covector (v, -)."""
-    alg = ctx.algebra
-    return DualElement(tuple(alg.pairing_poly(v, basis_vec(ctx.dim, j)) for j in range(ctx.dim)))
+    """The covector (v, -): (v, e_j) summed from the stored basis pairings
+    (e_i, e_j) over the nonzero coordinates v_i."""
+    pairing = ctx.algebra.pairing_poly_basis
+    support = [(i, vi) for i, vi in enumerate(v) if vi != 0]
+    values = []
+    for j in range(ctx.dim):
+        acc = {}
+        for i, vi in support:
+            accumulate(acc, pairing(i, j), vi)
+        values.append(_canonical(ctx.zdim, acc))
+    return DualElement(tuple(values))
 
 
 def flat_cochain(ctx, v):

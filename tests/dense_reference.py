@@ -1,6 +1,6 @@
 """Dense reference implementations of d, the product, the two bracket
-halves, the representability test, weak skew-symmetry, the basis of the
-valid cochains and exact elimination, and the paper's defining formulas
+halves, flats, the representability test, weak skew-symmetry, the basis
+of the valid cochains and exact elimination, and the paper's defining formulas
 behind the bracket: phi, the pairing on S(Z) (x) L, and the two
 ingredient operations pair_bracket and circ_compose.
 
@@ -10,12 +10,15 @@ every weak skew-symmetry equation) and pull each input value through
 `Cochain.value`, exactly as the package did before its operators walked
 stored entries; elimination runs on dense rows. They cost dim^degree per
 call, so the tests run them only on small inputs, as an oracle that the
-sparse code must match by exact equality.
+sparse code must match by exact equality. The flat pairs v with a fresh
+basis vector per slot, as the package did before it summed the stored
+basis pairings over v's nonzero coordinates.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from leibniz_complex.algebra import basis_vec
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
                                       accumulate, component_keys, position_splits,
                                       split_sign)
@@ -157,6 +160,21 @@ def cochain_space_basis(ctx, degree):
                 comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
         basis.append(Cochain(degree, ctx.zdim, comps))
     return basis
+
+
+# -- flats -------------------------------------------------------------------------
+
+
+def flat_cochain(ctx, v):
+    """(v, -) as a degree-1 cochain, each slot (v, e_j) through the
+    vector-level pairing with a freshly built basis vector e_j."""
+    alg = ctx.algebra
+    table = {}
+    for j in range(ctx.dim):
+        poly = alg.pairing_poly(v, basis_vec(ctx.dim, j))
+        if not poly.is_zero():
+            table[((j,), ())] = poly
+    return Cochain(1, ctx.zdim, {0: table} if table else None)
 
 
 # -- the defining formulas of the bracket --------------------------------------------

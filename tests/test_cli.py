@@ -241,6 +241,24 @@ def test_algebras_over_the_size_budget_are_input_errors(tmp_path, capsys, monkey
         assert err.startswith("input error:") and "MAX_DIM" in err and err.count("\n") == 1
 
 
+def test_omni_with_more_digits_than_int_converts_is_input_error(capsys):
+    # 5,000 digits is over the interpreter's int-from-string limit (4,300)
+    for digits in ("9" * 5000, "0" * 5000 + "9" * 3):
+        assert main(["check", "--algebra", f"omni({digits})"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "MAX_DIM" in err and err.count("\n") == 1
+    assert main(["check", "--algebra", "omni(" + "0" * 5000 + "2)"]) == 0
+
+
+def test_unopenable_algebra_paths_are_input_errors(tmp_path, capsys):
+    # a name too long for the file system, a file used as a directory, a NUL byte
+    (tmp_path / "file").write_text("{}")
+    for name in ("x" * 300, str(tmp_path / "file" / "x"), "a\0b"):
+        assert main(["check", "--algebra", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1, err
+
+
 def test_cup_needs_two_cochains(tmp_path):
     ctx = ComplexContext(build_fixture("O1"))
     fa = write_cochain(tmp_path, ctx, flat_cochain(ctx, basis_vec(2, 0)), "fa.json")

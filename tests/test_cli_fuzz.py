@@ -1,0 +1,72 @@
+"""The CLI's exit-code contract under generated input.
+
+Every input must end in exit 0, 1 or 2 with at most a one-line message:
+no traceback and no `internal error` (exit 3). The inputs are `--algebra`
+values, as omni(n) fixture names with up to 6,000 digits and as arbitrary
+text (read as a file path), and the "value" strings of a cochain file.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from leibniz_complex.cli import main
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+
+omni_names = st.builds(lambda digits: f"omni({digits})",
+                       st.one_of(st.text("0123456789", min_size=1, max_size=12),
+                                 st.integers(1, 6000).map(lambda n: "9" * n),
+                                 st.integers(1, 6000).map(lambda n: "0" * n + "3")))
+poly_text = st.text("z0123456789^*/+- .", max_size=40)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line with exit 2
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, err):
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err and "internal error" not in err, err
+    assert err.count("\n") <= 1 or err.startswith("usage:"), err
+
+
+@FUZZ
+@given(st.one_of(omni_names, st.text(max_size=300)))
+@example("omni(" + "9" * 5000 + ")")
+@example("x" * 300)
+@example("a\0b")
+@example("/dev/null/x")
+def test_algebra_argument_keeps_the_exit_contract(name):
+    # `center` loads the algebra but skips check's dim^3 Leibniz walk, seconds long on omni(7)
+    code, _, err = run_cli(["center", "--algebra=" + name])
+    assert_contract(code, err)
+
+
+@FUZZ
+@given(st.one_of(poly_text, st.text(max_size=40)))
+@example("z1^99999999999")
+@example("1/0")
+@example("9" * 5000)
+@example("z2")
+def test_cochain_value_string_keeps_the_exit_contract(value):
+    data = {"degree": 1, "components": [
+        {"k": 0, "entries": [{"es": [0], "fs": [], "value": value}]}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "omega.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code, _, err = run_cli(["d", "--algebra", "O1", "--cochain", path])
+    assert_contract(code, err)
