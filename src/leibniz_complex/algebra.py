@@ -166,20 +166,6 @@ class LeibnizAlgebra:
 
     # -- the symmetric product valued in S(Z) --------------------------------
 
-    def pairing_poly(self, v, w):
-        """(v, w) as a degree-1 element of S(Z), summed from the stored
-        basis pairings (IntegrityError when one it needs is broken)."""
-        acc = {}
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            for j, wj in enumerate(w):
-                if wj == 0:
-                    continue
-                for mono, c in self.pairing_poly_basis(i, j).items():
-                    acc[mono] = acc.get(mono, 0) + vi * wj * c
-        return SymPoly(self.zdim, acc)
-
     def pairing_poly_basis(self, i, j):
         entry = self._pairing[i][j]
         if entry is None:
@@ -284,6 +270,11 @@ def _complement_coords(kernel, v, dim):
 # -- fixtures ----------------------------------------------------------------
 
 _OMNI_RE = re.compile(r"^omni\(([0-9]+)\)$")
+
+# The most digits an algebra-file coefficient may spell out, counting the
+# zeros its exponent stands for: `Fraction("1e10000000")` would expand ten
+# million of them, so `_coefficient` checks the text before converting it.
+MAX_COEFF_DIGITS = 1000
 
 # The largest dimension an algebra may have. `build_fixture` and
 # `algebra_from_dict` check it before any dim x dim x dim table is built;
@@ -390,10 +381,7 @@ def algebra_from_dict(data):
             raise AlgebraFormatError(f"bracket indices ({i},{j}) are not integers in 0..{dim - 1}")
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise AlgebraFormatError(f"bracket ({i},{j}) needs exactly {dim} coefficients")
-        try:
-            table[i][j] = _vec(Fraction(str(c)) for c in coeffs)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise AlgebraFormatError(f"bad coefficient in bracket ({i},{j}): {exc}") from exc
+        table[i][j] = _vec(_coefficient(c, i, j) for c in coeffs)
     algebra = LeibnizAlgebra(basis, table)
     report = check_leibniz(algebra)
     if not report.ok:
@@ -401,7 +389,26 @@ def algebra_from_dict(data):
     return algebra
 
 
+def _coefficient(value, i, j):
+    """The rational a coefficient of bracket (i, j) spells, as a JSON number
+    or string, within MAX_COEFF_DIGITS digits (AlgebraFormatError if not)."""
+    text = str(value)
+    try:
+        spelled = len(text) + abs(int(text.lower().partition("e")[2] or 0))
+    except ValueError:  # no integer exponent, and Fraction accepts no other kind
+        spelled = len(text)
+    try:
+        if spelled > MAX_COEFF_DIGITS:
+            raise ValueError(f"it spells more than MAX_COEFF_DIGITS = {MAX_COEFF_DIGITS} digits")
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise AlgebraFormatError(f"bad coefficient in bracket ({i},{j}): {exc}") from exc
+
+
 def load_algebra(path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also an integer literal too long for int()
+            raise AlgebraFormatError(str(exc)) from exc
     return algebra_from_dict(data)

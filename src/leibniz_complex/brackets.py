@@ -8,11 +8,14 @@ sum from the operands' stored entries (the paper's defining formulas,
 pair_bracket and circ_compose, are the test oracle in
 tests/dense_reference.py), and
 
-    {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
+    {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w),
 
-The canonical cochains live here too: the degree-2 `zeta` (symmetric
-product plus the -2f tail) whose coboundary is the degree-3 `theta`,
-and the derived-bracket reconstruction
+one signed sum (`cochains.combine`) of the three halves.
+
+The canonical cochains live here too, each a stream of terms into
+`cochains.scatter` read off the stored basis pairings: the degree-2 `zeta`
+(symmetric product plus the -2f tail) whose coboundary is the degree-3
+`theta`, and the derived-bracket reconstruction
 
     (e1 . e2)-flat = -{{theta, e1-flat}, e2-flat},
 
@@ -24,8 +27,10 @@ of them, each computed once, like `theta` and `zeta`); only the outer
 bracket is computed per pair.
 """
 
+from itertools import chain
+
 from .algebra import basis_vec
-from .cochains import Cochain, check_context, entries, pair_terms, scatter
+from .cochains import check_context, combine, entries, pair_terms, scatter
 from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
                       sharp, stored_prefixes, tilde_value)
 from .sympoly import SymPoly, derivation_extend
@@ -43,15 +48,17 @@ def bullet(ctx, omega, eta):
 
     A lift x of omega's bar covector at (prefix, fs) has phi(x) =
     omega(prefix, -; fs), so pairing x with a lift y of eta's is the sum of
-    omega's entries omega(prefix, e; fs) times y's e-coefficient.
+    omega's entries omega(prefix, e; fs) times y's e-coefficient, signed
+    by (-1)^(m-1).
     Raises NotRepresentableError when either operand is not representable.
     """
     check_context(ctx, omega, eta)
     _lifts(ctx, omega)  # only to raise when omega is not representable
     left = [(k, es[:-1], fs, (es[-1], v)) for k, es, fs, v in entries(omega) if es]
     terms = pair_terms(left, _lifts(ctx, eta), lambda ev, y: ev[1] * y.coeffs[ev[0]])
-    sign = -1 if eta.degree % 2 == 0 else 1  # (-1)^(m-1)
-    return scatter(ctx, max(omega.degree + eta.degree - 2, 0), terms).scale(sign)
+    sign = -1 if eta.degree % 2 == 0 else 1
+    return scatter(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
+                   ((k, es, fs, value, sign * factor) for k, es, fs, value, factor in terms))
 
 
 def diamond(ctx, omega, eta):
@@ -65,14 +72,15 @@ def diamond(ctx, omega, eta):
             bases.setdefault(key, [SymPoly.zero(ctx.zdim)] * ctx.zdim)[r] = value
     left = [(i, es, rest, base) for (i, es, rest), base in bases.items()]
     terms = pair_terms(left, entries(eta), derivation_extend)
-    return scatter(ctx, max(omega.degree + eta.degree - 2, 0), terms)
+    return scatter(ctx.zdim, max(omega.degree + eta.degree - 2, 0), terms)
 
 
 def poisson(ctx, omega, eta):
-    """{omega, eta} = bullet + diamond - (-1)^(nm) diamond flipped."""
+    """{omega, eta} = bullet + diamond - (-1)^(nm) diamond flipped, one signed sum."""
     n, m = omega.degree, eta.degree
     sign = -1 if (n * m) % 2 else 1
-    return bullet(ctx, omega, eta) + diamond(ctx, omega, eta) - diamond(ctx, eta, omega).scale(sign)
+    return combine(ctx.zdim, max(n + m - 2, 0), (bullet(ctx, omega, eta), 1),
+                   (diamond(ctx, omega, eta), 1), (diamond(ctx, eta, omega), -sign))
 
 
 def zeta(ctx):
@@ -80,14 +88,10 @@ def zeta(ctx):
     cached = ctx.cache.get("zeta")
     if cached is None:
         alg = ctx.algebra
-        table0 = {}
-        for i in range(ctx.dim):
-            for j in range(ctx.dim):
-                value = alg.pairing_poly_basis(i, j)
-                if not value.is_zero():
-                    table0[((i, j), ())] = value
-        table1 = {((), (r,)): SymPoly.monomial(ctx.zdim, (r,), -2) for r in range(ctx.zdim)}
-        cached = Cochain(2, ctx.zdim, {0: table0, 1: table1})
+        pairings = ((0, (i, j), (), alg.pairing_poly_basis(i, j), 1)
+                    for i in range(ctx.dim) for j in range(ctx.dim))
+        tail = ((1, (), (r,), SymPoly.generator(ctx.zdim, r), -2) for r in range(ctx.zdim))
+        cached = scatter(ctx.zdim, 2, chain(pairings, tail))
         ctx.cache["zeta"] = cached
     return cached
 
@@ -97,26 +101,12 @@ def theta(ctx):
     cached = ctx.cache.get("theta")
     if cached is None:
         alg = ctx.algebra
-        table0 = {}
-        for i in range(ctx.dim):
-            for j in range(ctx.dim):
-                w = alg.table[i][j]
-                if all(c == 0 for c in w):
-                    continue
-                for l in range(ctx.dim):
-                    acc = SymPoly.zero(ctx.zdim)
-                    for t, c in enumerate(w):
-                        if c != 0:
-                            acc = acc + alg.pairing_poly_basis(t, l).scale(c)
-                    if not acc.is_zero():
-                        table0[((i, j, l), ())] = acc
-        table1 = {}
-        for i in range(ctx.dim):
-            for r in range(ctx.zdim):
-                value = alg.pairing_poly(basis_vec(ctx.dim, i), alg.z_basis[r]).scale(-1)
-                if not value.is_zero():
-                    table1[((i,), (r,))] = value
-        cached = Cochain(3, ctx.zdim, {0: table0, 1: table1})
+        pairing = alg.pairing_poly_basis
+        products = ((0, (x, y, l), (), pairing(t, l), c) for t in range(ctx.dim)
+                    for x, y, c in alg.product_index[t] for l in range(ctx.dim))
+        tail = ((1, (i,), (r,), pairing(i, s), -c) for i in range(ctx.dim)
+                for r, zvec in enumerate(alg.z_basis) for s, c in enumerate(zvec) if c != 0)
+        cached = scatter(ctx.zdim, 3, chain(products, tail))
         ctx.cache["theta"] = cached
     return cached
 
@@ -142,9 +132,8 @@ def derived_bracket_dual(ctx, v, w):
     support = [(i, vi) for i, vi in enumerate(v) if vi != 0]
     if len(support) == 1 and support[0][1] == 1:
         inner = theta_flat(ctx, support[0][0])
-    else:
-        inner = scatter(ctx, 2, ((k, es, fs, value, vi) for i, vi in support  # degree 3 + 1 - 2
-                                 for k, es, fs, value in entries(theta_flat(ctx, i))))
+    else:  # degree 3 + 1 - 2
+        inner = combine(ctx.zdim, 2, *((theta_flat(ctx, i), vi) for i, vi in support))
     outer = poisson(ctx, inner, flat_cochain(ctx, w))
     return -dual_from_cochain(ctx, outer)
 

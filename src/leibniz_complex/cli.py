@@ -19,7 +19,7 @@ from .algebra import (AlgebraFormatError, InvalidAlgebraError, IntegrityError,
 from .brackets import derived_bracket_dual, poisson
 from .cochains import (CochainFormatError, ComplexContext, InvalidCochainError,
                        ShuffleBudgetError, coboundary, cochain_to_dict, cup, load_cochain)
-from .duality import NotRepresentableError, is_representable, sharp
+from .duality import NotRepresentableError, flat, is_representable, sharp
 from .sympoly import SymPolyParseError
 from .verify import VerifyConfig, VerifyConfigError, run_verify
 
@@ -130,8 +130,7 @@ def cmd_derived_bracket(args):
     ei, ej = basis_vec(algebra.dim, args.i), basis_vec(algebra.dim, args.j)
     direct = algebra.bracket(ei, ej)
     dual = derived_bracket_dual(ctx, ei, ej)
-    expected = tuple(algebra.pairing_poly(direct, basis_vec(algebra.dim, t))
-                     for t in range(algebra.dim))
+    expected = flat(ctx, direct).values
     dual_equal = all(a == b for a, b in zip(dual.values, expected))
     payload = {
         "pair": [args.i, args.j],

@@ -25,6 +25,13 @@ center kills everything on the left, so it is not implemented.
 
 Everything expands multilinearly over the chosen bases, and all shuffle
 enumerations are lexicographic so failure reports are reproducible.
+
+`scatter` is the one builder of computed cochains: d, the product, the
+bracket halves, sums and scalings (`combine`), flats, Theta, zeta and the
+basis cochains stream it terms (k, es, fs, poly, factor), and it stores
+their sum unchecked. `Cochain()` checks every key and value: it is the
+entry point for cochains from files, tests and library callers. No other
+module of the package reads or writes the `components` layout.
 """
 
 import json
@@ -149,37 +156,21 @@ class Cochain:
         return self._extent
 
     def scale(self, factor):
-        factor = exact(factor)
-        if factor == 0:
-            return Cochain.zero(self.degree, self.nvars)
-        comps = {k: {key: v.scale(factor) for key, v in table.items()}
-                 for k, table in self.components.items()}
-        return Cochain(self.degree, self.nvars, comps)
+        return combine(self.nvars, self.degree, (self, factor))
 
     def __add__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise CochainShapeError("cannot add cochains over different centers")
-        if self.degree != other.degree:
-            # the zero cochain sits in every degree (brackets of low-degree
-            # cochains land there with a clamped degree)
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise CochainShapeError("cannot add nonzero cochains of different degree")
-        comps = {k: dict(table) for k, table in self.components.items()}
-        for k, table in other.components.items():
-            mine = comps.setdefault(k, {})
-            for key, value in table.items():
-                mine[key] = mine[key] + value if key in mine else value
-        return Cochain(self.degree, self.nvars, comps)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
         if not isinstance(other, Cochain):
             return NotImplemented
-        return self + other.scale(-1)
+        # the zero cochain sits in every degree (brackets of low-degree
+        # cochains land there with a clamped degree)
+        degree = other.degree if self.is_zero() else self.degree
+        return combine(self.nvars, degree, (self, 1), (other, sign))
 
     def __neg__(self):
         return self.scale(-1)
@@ -283,21 +274,38 @@ def accumulate(acc, poly, factor=1):
             acc[mono] = exact(total)
 
 
-def scatter(ctx, degree, terms):
-    """The one output loop of d, cup, bullet and diamond: the degree-n
-    cochain summing factor * poly over its terms (k, es, fs, poly, factor),
-    fs sorted. Operators derive their terms from stored entries, so the
-    cost follows the terms, never the dim^degree output keys. The polys
-    must live over ctx's center (see `check_context`): their monomials
-    are taken as they are, without re-checking."""
+def scatter(nvars, degree, terms):
+    """The degree-n cochain summing factor * poly over its terms (k, es, fs,
+    poly, factor); operators derive them from stored entries, so the cost
+    follows the terms, never the dim^degree output keys. It is built
+    unchecked, as `sympoly._canonical` builds a SymPoly: each es must be a
+    tuple of n - 2k algebra indices, each fs a sorted tuple of k center
+    indices, each poly over nvars generators (see `check_context`), and
+    each factor exact."""
     sums = {}
     for k, es, fs, poly, factor in terms:
         accumulate(sums.setdefault((k, es, fs), {}), poly, factor)
     comps = {}
     for (k, es, fs), acc in sums.items():
         if acc:
-            comps.setdefault(k, {})[(es, fs)] = _canonical(ctx.zdim, acc)
-    return Cochain(degree, ctx.zdim, comps)
+            comps.setdefault(k, {})[(es, fs)] = _canonical(nvars, acc)
+    out = Cochain.__new__(Cochain)
+    out.degree, out.nvars, out.components = degree, nvars, comps
+    out._hash = out._extent = None
+    return out
+
+
+def combine(nvars, degree, *scaled):
+    """sum factor * omega over the (omega, factor) pairs, a degree-n
+    cochain; a zero omega may have any degree."""
+    scaled = [(omega, exact(factor)) for omega, factor in scaled]
+    for omega, _ in scaled:
+        if omega.nvars != nvars:
+            raise CochainShapeError("cannot add cochains over different centers")
+        if omega.degree != degree and not omega.is_zero():
+            raise CochainShapeError("cannot add nonzero cochains of different degree")
+    return scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
+                                   for k, es, fs, value in entries(omega)))
 
 
 def pair_terms(left, right, combine):
@@ -394,7 +402,7 @@ def coboundary(ctx, omega):
     report = validate_cochain(ctx, omega)
     if not report.ok:
         raise InvalidCochainError(report)
-    return scatter(ctx, omega.degree + 1, _coboundary_terms(ctx, omega))
+    return scatter(ctx.zdim, omega.degree + 1, _coboundary_terms(ctx, omega))
 
 
 def _coboundary_terms(ctx, omega):
@@ -429,7 +437,7 @@ def cup(ctx, omega, eta):
     """
     check_context(ctx, omega, eta)
     terms = pair_terms(entries(omega), entries(eta), operator.mul)
-    return scatter(ctx, omega.degree + eta.degree, terms)
+    return scatter(ctx.zdim, omega.degree + eta.degree, terms)
 
 
 # -- a basis of the space of valid cochains --------------------------------------
@@ -457,13 +465,9 @@ def cochain_space_basis(ctx, degree):
     rows = []
     for block in _blocks(vectors):
         rows.extend(rref(block))
-    basis = []
-    for row in sorted(rows, key=min):
-        comps = {}
-        for (k, es, fs), c in sorted(row.items()):
-            comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
-        basis.append(Cochain(degree, ctx.zdim, comps))
-    return basis
+    one = SymPoly.constant(ctx.zdim, 1)
+    return [scatter(ctx.zdim, degree, ((k, es, fs, one, c) for (k, es, fs), c in row.items()))
+            for row in sorted(rows, key=min)]
 
 
 def _blocks(vectors):
@@ -610,5 +614,8 @@ def cochain_from_dict(ctx, data):
 
 def load_cochain(ctx, path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also an integer literal too long for int()
+            raise CochainFormatError(str(exc)) from exc
     return cochain_from_dict(ctx, data)

@@ -22,9 +22,9 @@ of the lift is unique and independent of the pivot strategy.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .cochains import Cochain, accumulate, entries
+from .cochains import entries, scatter
 from .linalg import LinearSolver
-from .sympoly import SymPoly, _canonical
+from .sympoly import SymPoly
 
 
 class NotRepresentableError(ValueError):
@@ -74,24 +74,16 @@ class ExtendedElement:
 
 
 def flat(ctx, v):
-    """The covector (v, -): (v, e_j) summed from the stored basis pairings
-    (e_i, e_j) over the nonzero coordinates v_i."""
-    pairing = ctx.algebra.pairing_poly_basis
-    support = [(i, vi) for i, vi in enumerate(v) if vi != 0]
-    values = []
-    for j in range(ctx.dim):
-        acc = {}
-        for i, vi in support:
-            accumulate(acc, pairing(i, j), vi)
-        values.append(_canonical(ctx.zdim, acc))
-    return DualElement(tuple(values))
+    """The covector (v, -), read off `flat_cochain`."""
+    return dual_from_cochain(ctx, flat_cochain(ctx, v))
 
 
 def flat_cochain(ctx, v):
-    """(v, -) packaged as a degree-1 cochain."""
-    dual = flat(ctx, v)
-    table = {((j,), ()): poly for j, poly in enumerate(dual.values) if not poly.is_zero()}
-    return Cochain(1, ctx.zdim, {0: table} if table else None)
+    """(v, -) packaged as a degree-1 cochain: (v, e_j) summed from the
+    stored basis pairings (e_i, e_j) over the nonzero coordinates v_i."""
+    pairing = ctx.algebra.pairing_poly_basis
+    return scatter(ctx.zdim, 1, ((0, (j,), (), pairing(i, j), vi)
+                                 for i, vi in enumerate(v) if vi != 0 for j in range(ctx.dim)))
 
 
 def dual_from_cochain(ctx, omega):

@@ -1,5 +1,5 @@
 """Dense reference implementations of d, the product, the two bracket
-halves, flats, the representability test, weak skew-symmetry, the basis
+halves, the vector-level pairing, flats, the representability test, weak skew-symmetry, the basis
 of the valid cochains and exact elimination, and the paper's defining formulas
 behind the bracket: phi, the pairing on S(Z) (x) L, and the two
 ingredient operations pair_bracket and circ_compose.
@@ -162,7 +162,23 @@ def cochain_space_basis(ctx, degree):
     return basis
 
 
-# -- flats -------------------------------------------------------------------------
+# -- the pairing and flats ---------------------------------------------------------
+
+
+def pairing_poly(alg, v, w):
+    """(v, w) as a degree-1 element of S(Z), summed from the stored basis
+    pairings over the nonzero coordinates of both vectors (IntegrityError
+    when one it needs is broken)."""
+    acc = {}
+    for i, vi in enumerate(v):
+        if vi == 0:
+            continue
+        for j, wj in enumerate(w):
+            if wj == 0:
+                continue
+            for mono, c in alg.pairing_poly_basis(i, j).items():
+                acc[mono] = acc.get(mono, 0) + vi * wj * c
+    return SymPoly(alg.zdim, acc)
 
 
 def flat_cochain(ctx, v):
@@ -171,7 +187,7 @@ def flat_cochain(ctx, v):
     alg = ctx.algebra
     table = {}
     for j in range(ctx.dim):
-        poly = alg.pairing_poly(v, basis_vec(ctx.dim, j))
+        poly = pairing_poly(alg, v, basis_vec(ctx.dim, j))
         if not poly.is_zero():
             table[((j,), ())] = poly
     return Cochain(1, ctx.zdim, {0: table} if table else None)

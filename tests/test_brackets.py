@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from dense_reference import ArityError, HomSym, circ_compose, pair_bracket
+from dense_reference import ArityError, HomSym, circ_compose, pair_bracket, pairing_poly
 from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import (bullet, derived_bracket, derived_bracket_dual, diamond,
@@ -55,8 +55,8 @@ def test_pair_bracket_one_center_slot(o1):
 
 def test_circ_compose_single_term(o1):
     # gamma(f) = -(a, f), delta = (b, a) = b constant: gamma-check of b is -(a,b)
-    gamma = HomSym(1, lambda fs: -o1.algebra.pairing_poly(
-        basis_vec(2, 0), o1.algebra.z_basis[fs[0]]))
+    gamma = HomSym(1, lambda fs: -pairing_poly(
+        o1.algebra, basis_vec(2, 0), o1.algebra.z_basis[fs[0]]))
     delta = HomSym(0, lambda fs: Z1)
     assert circ_compose(o1, gamma, delta)(()) == -Z1
 

@@ -216,6 +216,32 @@ def test_malformed_algebra_files_are_input_errors(tmp_path, capsys):
         assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_coefficients_over_the_digit_budget_are_input_errors(tmp_path, capsys):
+    # Fraction would expand "1e10000000" to ten million digits, and a JSON
+    # integer of 5,000 digits is over the interpreter's int-from-string limit
+    one = '{"dim": 1, "basis": ["a"], "brackets": [{"i": 0, "j": 0, "coeffs": [%s]}]}'
+    cochain = '{"degree": %s}' % ("9" * 5000)
+    for coeff in ('"1e100000"', '"1e10000000"', '"1e-1000"', '"%s"' % ("1" * 1001), "9" * 5000):
+        path = tmp_path / "big.json"
+        path.write_text(one % coeff)
+        start = time.perf_counter()
+        assert main(["check", "--algebra", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1, err
+    (tmp_path / "big.json").write_text(cochain)
+    assert main(["d", "--algebra", "O1", "--cochain", str(tmp_path / "big.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1, err
+    # exponent notation within the budget still reads exactly
+    entry = {"i": 0, "j": 0, "coeffs": ["0", "0"]}
+    for coeff in ("1e3", "2.5e-2", 1e-5):
+        data = {"dim": 2, "basis": ["a", "b"], "brackets": [dict(entry, coeffs=["0", coeff])]}
+        (tmp_path / "ok.json").write_text(json.dumps(data))
+        assert main(["check", "--algebra", str(tmp_path / "ok.json")]) == 0
+        capsys.readouterr()
+
+
 def test_omni_zero_is_input_error(capsys):
     assert main(["check", "--algebra", "omni(0)"]) == 2
     err = capsys.readouterr().err

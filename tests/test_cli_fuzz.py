@@ -3,7 +3,10 @@
 Every input must end in exit 0, 1 or 2 with at most a one-line message:
 no traceback and no `internal error` (exit 3). The inputs are `--algebra`
 values, as omni(n) fixture names with up to 6,000 digits and as arbitrary
-text (read as a file path), and the "value" strings of a cochain file.
+text (read as a file path), the contents of an algebra file (its `dim`,
+`basis` labels and bracket entries, coefficients as JSON numbers,
+numeric strings and other JSON values) and the "value" strings of a
+cochain file.
 """
 
 import contextlib
@@ -24,6 +27,38 @@ omni_names = st.builds(lambda digits: f"omni({digits})",
                                  st.integers(1, 6000).map(lambda n: "9" * n),
                                  st.integers(1, 6000).map(lambda n: "0" * n + "3")))
 poly_text = st.text("z0123456789^*/+- .", max_size=40)
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+numeric_text = st.one_of(st.from_regex(r"-?[0-9]{1,6}(/[0-9]{1,4})?", fullmatch=True),
+                         st.from_regex(r"-?[0-9]{0,4}\.?[0-9]{1,4}([eE][-+]?[0-9]{1,9})?",
+                                       fullmatch=True))
+
+
+def algebra_files(dim, other):
+    """Contents of an algebra file of dimension dim, each field sometimes
+    drawn from `other` instead; st.nothing() gives well-shaped files."""
+    index = st.integers(0, dim - 1) | other
+    coeff = st.one_of(st.integers(-2, 2), st.integers(), st.floats(), numeric_text, other)
+    entry = st.fixed_dictionaries({
+        "i": index, "j": index,
+        "coeffs": st.lists(coeff, min_size=dim, max_size=dim) | other}) | other
+    return st.fixed_dictionaries({
+        "dim": st.just(dim) | other,
+        "basis": st.lists(st.text(max_size=3), min_size=dim, max_size=dim) | other,
+        "brackets": st.lists(entry, max_size=4) | other})
+
+
+algebra_data = st.integers(1, 3).flatmap(
+    lambda dim: algebra_files(dim, st.nothing())
+    | algebra_files(dim, json_values | st.integers(-1, dim))) | json_values
+
+
+def one_bracket(coeff):
+    return {"dim": 1, "basis": ["a"], "brackets": [{"i": 0, "j": 0, "coeffs": [coeff]}]}
 
 
 def run_cli(argv):
@@ -70,3 +105,19 @@ def test_cochain_value_string_keeps_the_exit_contract(value):
             json.dump(data, fh)
         code, _, err = run_cli(["d", "--algebra", "O1", "--cochain", path])
     assert_contract(code, err)
+
+
+@FUZZ
+@given(algebra_data)
+@example(one_bracket("1e100000"))
+@example(one_bracket("1e10000000"))
+@example(one_bracket(1e300))
+@example(one_bracket("1/0"))
+def test_algebra_file_contents_keep_the_exit_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for command in ("center", "check"):
+            code, _, err = run_cli([command, "--algebra", path])
+            assert_contract(code, err)

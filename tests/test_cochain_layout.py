@@ -1,0 +1,48 @@
+"""Only `cochains.py` knows how a cochain stores its entries.
+
+The nested `components` layout {k: {(es, fs): SymPoly}} is read and
+written in `cochains.py` alone: other modules read entries through
+`cochains.entries` and `Cochain.value`, and build computed cochains as
+streams of terms into `cochains.scatter`. `Cochain(degree, nvars,
+components)` checks its input and is left to cochains from outside.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibniz_complex"
+
+
+def layout_uses(tree):
+    """(line, what) for each read or write of `.components` and each
+    `Cochain(...)` call given components, in one module's syntax tree."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "components":
+            uses.append((node.lineno, ".components"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Cochain" and (len(node.args) > 2 or any(
+                    kw.arg in ("components", None) for kw in node.keywords)):
+                uses.append((node.lineno, "Cochain(..., components)"))
+    return sorted(uses)
+
+
+def test_only_cochains_reads_or_writes_the_components_layout():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "cochains.py" in modules
+    outside = [f"{path.name}:{line}: {what}" for path in modules if path.name != "cochains.py"
+               for line, what in layout_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert outside == []
+
+
+def test_the_scan_sees_each_kind_of_use():
+    source = ("omega.components[0]\n"
+              "omega.components = {}\n"
+              "Cochain(1, 2, {0: table})\n"
+              "cochains.Cochain(1, 2, components=comps)\n"
+              "Cochain(1, 2, **kwargs)\n"
+              "Cochain.zero(1, 2)\n"
+              "Cochain(1, 2)\n")
+    assert [line for line, _ in layout_uses(ast.parse(source))] == [1, 2, 3, 4, 5]

@@ -16,7 +16,7 @@ import pytest
 import dense_reference as dense
 from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import bullet, diamond, theta, zeta
+from leibniz_complex.brackets import bullet, diamond, poisson, theta, zeta
 from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, cochain_space_basis, cup
 from leibniz_complex.duality import NotRepresentableError, flat_cochain
 from leibniz_complex.sympoly import SymPoly
@@ -45,7 +45,19 @@ def same(ctx, op, omega, eta=None):
     assert outcomes[0] == outcomes[1], (op, omega, eta)
     if isinstance(outcomes[0], Cochain):
         assert outcomes[0].degree == outcomes[1].degree
+        assert_canonical(outcomes[0])
     return outcomes[0]
+
+
+def assert_canonical(result):
+    """`scatter` builds its result unchecked; the checked constructor must
+    find nothing to change: no zero value, tuple keys of the right arity
+    with sorted centers, and values whose terms SymPoly would store as they are."""
+    checked = Cochain(result.degree, result.nvars, result.components)
+    assert checked.components == result.components
+    for table in result.components.values():
+        for value in table.values():
+            assert SymPoly(value.nvars, dict(value.items())) == value
 
 
 def flats(ctx):
@@ -167,6 +179,18 @@ def test_non_representable_bullet_operand_raises(aff_o1):
         assert same(aff_o1, "bullet", omega, eta) is NotRepresentableError
     with pytest.raises(NotRepresentableError):
         bullet(aff_o1, bad, Cochain.constant(SymPoly.constant(1, 1)))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_built_cochains_are_canonical(contexts, name):
+    ctx = contexts[name]
+    flat, basis = flats(ctx)[-1], cochain_space_basis(ctx, 2)
+    results = [zeta(ctx), theta(ctx), flat, *basis, flat + flat, flat - flat, -flat,
+               zeta(ctx).scale(Fraction(1, 2)), d0_sign_mutant(ctx, zeta(ctx))]
+    if ctx.algebra.is_fat():
+        results.append(poisson(ctx, theta(ctx), flat))
+    for result in results:
+        assert_canonical(result)
 
 
 def test_d0_sign_mutant_against_dense(o1, o2):
