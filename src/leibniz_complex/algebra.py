@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .linalg import kernel_basis
-from .sympoly import SymPoly, derivation_extend, exact
+from .sympoly import SymPoly, derivation_extend, exact, rational_text
 
 ZERO = 0
 
@@ -174,12 +174,13 @@ class LeibnizAlgebra:
 
     # -- the action on S(Z) ---------------------------------------------------
 
-    def rho_basis(self, i, poly):
-        """Action of basis element e_i on S(Z), extended as a derivation."""
+    def rho_basis(self, i, poly, images=None):
+        """Action of basis element e_i on S(Z), extended as a derivation;
+        `images` is passed on to `derivation_extend` (one dict per i)."""
         base = self._rho_base[i]
         if base is None:
             raise IntegrityError(f"e_{i} does not preserve the left center")
-        return derivation_extend(base, poly)
+        return derivation_extend(base, poly, images)
 
     # -- fatness and the quotient ---------------------------------------------
 
@@ -350,7 +351,7 @@ def algebra_to_dict(algebra):
         for j in range(algebra.dim):
             entry = algebra.table[i][j]
             if any(c != 0 for c in entry):
-                brackets.append({"i": i, "j": j, "coeffs": [str(c) for c in entry]})
+                brackets.append({"i": i, "j": j, "coeffs": [rational_text(c) for c in entry]})
     return {"dim": algebra.dim, "basis": list(algebra.labels), "brackets": brackets}
 
 

@@ -22,9 +22,16 @@ The canonical cochains live here too, each a stream of terms into
 which on a fat algebra recovers e1 . e2 itself through the section.
 The bracket is bilinear and the inner bracket {theta, v-flat} depends
 on v alone, so it is summed as sum_i v_i {theta, e_i-flat} from the
-per-basis values `theta_flat` keeps in the context's cache (at most dim
-of them, each computed once, like `theta` and `zeta`); only the outer
-bracket is computed per pair.
+per-basis values `theta_flat` keeps in the context's cache; only the
+outer bracket is computed per pair.
+
+Every piece that depends on a basis index or on one operand alone is
+computed once per context and found by identity afterwards: `theta`,
+`zeta`, `basis_flat` (e_j-flat) and `theta_flat` (at most dim values
+each), and the section lifts of each bracketed cochain (`_lifts`, one
+list per cochain, solved and stored by `duality.tilde_value`). `diamond`
+keeps the image of each monomial under each of its derivation bases for
+the length of one call (`sympoly.derivation_extend`'s `images`).
 """
 
 from itertools import chain
@@ -38,9 +45,19 @@ from .sympoly import SymPoly, derivation_extend
 
 def _lifts(ctx, omega):
     """(k, prefix, fs, lift) for each distinct stored prefix of omega: the
-    section lift of its bar covector, nonzero because the covector is."""
-    return [(k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
-            for k, prefix, fs in stored_prefixes(omega)]
+    section lift of its bar covector, nonzero because the covector is.
+
+    The list is kept per cochain in the context's cache, so an operand
+    bracketed again (Theta, a cached `theta_flat` or `basis_flat`) costs
+    one lookup; `tilde_value` still solves and stores each lift.
+    """
+    cache = ctx.cache.setdefault("lifts", {})
+    lifts = cache.get(omega)
+    if lifts is None:
+        lifts = [(k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
+                 for k, prefix, fs in stored_prefixes(omega)]
+        cache[omega] = lifts
+    return lifts
 
 
 def bullet(ctx, omega, eta):
@@ -65,14 +82,18 @@ def diamond(ctx, omega, eta):
     """Composition half of the bracket: each eta entry fed, as a
     derivation, into the first center argument of omega's components."""
     check_context(ctx, omega, eta)
+    degree = max(omega.degree + eta.degree - 2, 0)
+    if omega.extent()[1] == 0:  # no stored center argument: nothing to feed into
+        return scatter(ctx.zdim, degree, ())
     bases = {}  # (k, es, other centers) -> [omega_{k+1}(es; r, others) for each r]
     for k, es, fs, value in entries(omega):
         for pos, r in enumerate(fs):
             key = (k - 1, es, fs[:pos] + fs[pos + 1:])
             bases.setdefault(key, [SymPoly.zero(ctx.zdim)] * ctx.zdim)[r] = value
-    left = [(i, es, rest, base) for (i, es, rest), base in bases.items()]
-    terms = pair_terms(left, entries(eta), derivation_extend)
-    return scatter(ctx.zdim, max(omega.degree + eta.degree - 2, 0), terms)
+    # each base with the images of the monomials it has met during this call
+    left = [(i, es, rest, (base, {})) for (i, es, rest), base in bases.items()]
+    terms = pair_terms(left, entries(eta), lambda b, y: derivation_extend(b[0], y, b[1]))
+    return scatter(ctx.zdim, degree, terms)
 
 
 def poisson(ctx, omega, eta):
@@ -111,30 +132,51 @@ def theta(ctx):
     return cached
 
 
-def theta_flat(ctx, i):
-    """{theta, e_i-flat}, computed once per context and basis index."""
+def _per_basis(ctx, name, i, compute):
+    """ctx.cache[name][i], computed by compute(i) on first use (at most dim values)."""
     if not 0 <= i < ctx.dim:
         raise IndexError(f"basis index {i} outside 0..{ctx.dim - 1}")
-    cached = ctx.cache.setdefault("theta_flat", {})
+    cached = ctx.cache.setdefault(name, {})
     value = cached.get(i)
     if value is None:
-        value = poisson(ctx, theta(ctx), flat_cochain(ctx, basis_vec(ctx.dim, i)))
-        cached[i] = value
+        value = cached[i] = compute(i)
     return value
+
+
+def basis_flat(ctx, j):
+    """e_j-flat as a degree-1 cochain, computed once per context and basis index."""
+    return _per_basis(ctx, "basis_flat", j,
+                      lambda j: flat_cochain(ctx, basis_vec(ctx.dim, j)))
+
+
+def theta_flat(ctx, i):
+    """{theta, e_i-flat}, computed once per context and basis index."""
+    return _per_basis(ctx, "theta_flat", i,
+                      lambda i: poisson(ctx, theta(ctx), basis_flat(ctx, i)))
+
+
+def _unit_index(v):
+    """i when v is the basis vector e_i, else None."""
+    support = [i for i, vi in enumerate(v) if vi != 0]
+    return support[0] if len(support) == 1 and v[support[0]] == 1 else None
 
 
 def derived_bracket_dual(ctx, v, w):
     """-{{theta, v-flat}, w-flat} as a covector (defined for any algebra).
 
-    The inner bracket is sum_i v_i {theta, e_i-flat}; for a basis vector it
-    is the cached cochain itself, so its section lifts are found by identity.
+    The inner bracket is sum_i v_i {theta, e_i-flat}; for a basis vector v
+    it is the cached cochain itself, and for a basis vector w the flat is
+    the cached `basis_flat`, so both operands' section lifts are found by
+    identity.
     """
-    support = [(i, vi) for i, vi in enumerate(v) if vi != 0]
-    if len(support) == 1 and support[0][1] == 1:
-        inner = theta_flat(ctx, support[0][0])
+    i = _unit_index(v)
+    if i is not None:
+        inner = theta_flat(ctx, i)
     else:  # degree 3 + 1 - 2
-        inner = combine(ctx.zdim, 2, *((theta_flat(ctx, i), vi) for i, vi in support))
-    outer = poisson(ctx, inner, flat_cochain(ctx, w))
+        inner = combine(ctx.zdim, 2, *((theta_flat(ctx, t), vt)
+                                       for t, vt in enumerate(v) if vt != 0))
+    j = _unit_index(w)
+    outer = poisson(ctx, inner, flat_cochain(ctx, w) if j is None else basis_flat(ctx, j))
     return -dual_from_cochain(ctx, outer)
 
 

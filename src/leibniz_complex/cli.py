@@ -2,10 +2,11 @@
 
 Exit codes are a stable contract: 0 all checks passed, 1 an identity or
 validity check failed, 2 unusable input (bad file, bad syntax, unknown
-fixture, a product over the shuffle budget), 3 an internal error (any
-other exception, reported on one line without a traceback). `--algebra`
-accepts either a JSON file path or the name of a bundled fixture (A3,
-O1, O2, AFF_O1, omni(n)).
+fixture, a product over the shuffle budget, a result with a coefficient
+too long to print), 3 an internal error (any other exception, reported
+on one line without a traceback). `--algebra` accepts either a JSON
+file path or the name of a bundled fixture (A3, O1, O2, AFF_O1,
+omni(n)).
 """
 
 import argparse
@@ -20,7 +21,7 @@ from .brackets import derived_bracket_dual, poisson
 from .cochains import (CochainFormatError, ComplexContext, InvalidCochainError,
                        ShuffleBudgetError, coboundary, cochain_to_dict, cup, load_cochain)
 from .duality import NotRepresentableError, flat, is_representable, sharp
-from .sympoly import SymPolyParseError
+from .sympoly import DigitBudgetError, SymPolyParseError, rational_text
 from .verify import VerifyConfig, VerifyConfigError, run_verify
 
 EXIT_OK = 0
@@ -30,7 +31,7 @@ EXIT_INTERNAL_ERROR = 3
 
 _INPUT_ERRORS = (OSError, json.JSONDecodeError, AlgebraFormatError, CochainFormatError,
                  SymPolyParseError, UnicodeDecodeError, VerifyConfigError,
-                 ShuffleBudgetError)
+                 ShuffleBudgetError, DigitBudgetError)
 _CHECK_ERRORS = (InvalidAlgebraError, InvalidCochainError, NotRepresentableError,
                  IntegrityError, PreconditionError)
 
@@ -40,6 +41,12 @@ def _load_algebra_arg(value):
         return build_fixture(value)
     except UnknownFixtureError:
         return load_algebra(value)
+
+
+def _texts(vector):
+    """The coordinates of an algebra element as text (DigitBudgetError
+    for one too long to print)."""
+    return [rational_text(c) for c in vector]
 
 
 def _emit(args, payload, text):
@@ -62,7 +69,7 @@ def cmd_check(args):
     except InvalidAlgebraError as exc:
         i, j, l, lhs, rhs = exc.report.violations[0]
         _emit(args, {"passed": False, "violation": {
-            "triple": [i, j, l], "lhs": [str(c) for c in lhs], "rhs": [str(c) for c in rhs]}},
+            "triple": [i, j, l], "lhs": _texts(lhs), "rhs": _texts(rhs)}},
             f"FAIL Leibniz identity at triple ({i},{j},{l})")
         return EXIT_CHECK_FAILED
     report = check_leibniz(algebra)
@@ -76,7 +83,7 @@ def cmd_check(args):
 
 def cmd_center(args):
     algebra = _load_algebra_arg(args.algebra)
-    vectors = [[str(c) for c in v] for v in algebra.z_basis]
+    vectors = [_texts(v) for v in algebra.z_basis]
     text = "\n".join("  " + "  ".join(row) for row in vectors) or "  (trivial)"
     _emit(args, {"dim": algebra.dim, "left_center": vectors},
           f"left center dimension {len(vectors)}\n{text}")
@@ -85,7 +92,7 @@ def cmd_center(args):
 
 def cmd_fat(args):
     algebra = _load_algebra_arg(args.algebra)
-    kernel = [[str(c) for c in v] for v in algebra.kernel_basis]
+    kernel = [_texts(v) for v in algebra.kernel_basis]
     fat = algebra.is_fat()
     _emit(args, {"fat": fat, "kernel": kernel},
           f"fat={fat}, pairing kernel dimension {len(kernel)}")
@@ -134,19 +141,19 @@ def cmd_derived_bracket(args):
     dual_equal = all(a == b for a, b in zip(dual.values, expected))
     payload = {
         "pair": [args.i, args.j],
-        "structure_product": [str(c) for c in direct],
+        "structure_product": _texts(direct),
         "derived_dual": [v.render() for v in dual.values],
         "flat_of_product": [p.render() for p in expected],
         "dual_equal": dual_equal,
     }
     lines = [f"e_{args.i} . e_{args.j} from structure constants: "
-             + " ".join(str(c) for c in direct),
+             + " ".join(_texts(direct)),
              "derived covector: " + dual.render(ctx),
              f"covector level equal: {dual_equal}"]
     if algebra.is_fat():
         lifted = sharp(ctx, dual).as_vector()
         sharp_equal = lifted == direct
-        payload["sharp"] = [str(c) for c in lifted] if lifted else None
+        payload["sharp"] = _texts(lifted) if lifted else None
         payload["sharp_equal"] = sharp_equal
         lines.append(f"sharp recovers the product: {sharp_equal}")
         ok = dual_equal and sharp_equal

@@ -21,7 +21,10 @@ The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
 argument back in as the first algebra argument. The term moving center
 arguments along the bracket vanishes identically here because the left
-center kills everything on the left, so it is not implemented.
+center kills everything on the left, so it is not implemented. The
+action terms apply e_i to S(Z) through `action`, which keeps each
+monomial's image in the context's cache, one dict per basis index, so
+the algebra itself stays immutable.
 
 Everything expands multilinearly over the chosen bases, and all shuffle
 enumerations are lexicographic so failure reports are reproducible.
@@ -405,6 +408,13 @@ def coboundary(ctx, omega):
     return scatter(ctx.zdim, omega.degree + 1, _coboundary_terms(ctx, omega))
 
 
+def action(ctx, i, poly):
+    """e_i acting on poly in S(Z) (`LeibnizAlgebra.rho_basis`), with the
+    image of every monomial kept in the context's cache, one dict per i."""
+    images = ctx.cache.setdefault("action_images", {}).setdefault(i, {})
+    return ctx.algebra.rho_basis(i, poly, images)
+
+
 def _coboundary_terms(ctx, omega):
     """The terms of d, from each stored entry omega_k(es; fs): d0's action
     terms, e_i acting on it from every position; d0's bracket terms, each
@@ -413,7 +423,7 @@ def _coboundary_terms(ctx, omega):
     for each center generator z_r whose basis vector has a t-coordinate."""
     alg = ctx.algebra
     basis = [(0, (i,), (), i) for i in range(ctx.dim)]
-    yield from pair_terms(basis, entries(omega), alg.rho_basis)
+    yield from pair_terms(basis, entries(omega), lambda i, poly: action(ctx, i, poly))
     for k, es, fs, val in entries(omega):
         for b, t in enumerate(es):
             for x, y, c in alg.product_index[t]:

@@ -17,6 +17,9 @@ one algebra slot left open (the "bar" covectors) land in Im(phi). For
 such cochains the section provides the lifted maps used by the graded
 bracket; when the symmetric product is non-degenerate the degree-0 part
 of the lift is unique and independent of the pivot strategy.
+`tilde_value` is the one place such a lift is solved; it keeps each in
+the context's cache under (cochain, k, prefix, fs), and the bracket
+keeps the list of an operand's lifts per cochain on top of it.
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from itertools import combinations_with_replacement
 
 from .cochains import entries, scatter
 from .linalg import LinearSolver
-from .sympoly import SymPoly
+from .sympoly import _canonical
 
 
 class NotRepresentableError(ValueError):
@@ -40,11 +43,8 @@ class DualElement:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
 
-    def scale(self, factor):
-        return DualElement(tuple(v.scale(factor) for v in self.values))
-
     def __neg__(self):
-        return self.scale(-1)
+        return DualElement(tuple(-v for v in self.values))
 
     def render(self, ctx):
         return ", ".join(f"{label} -> {v.render()}"
@@ -136,14 +136,14 @@ class PhiSection:
                 if not mono:
                     return None
                 by_degree.setdefault(len(mono), {})[(j, mono)] = coeff
-        coeffs = [SymPoly.zero(ctx.zdim)] * ctx.dim
+        terms = [{} for _ in range(ctx.dim)]
         for d, b in sorted(by_degree.items()):
             x = self._solver(d - 1).solve(b)
             if x is None:
                 return None
             for (mono, i), c in sorted(x.items()):
-                coeffs[i] = coeffs[i] + SymPoly.monomial(ctx.zdim, mono, c)
-        return ExtendedElement(tuple(coeffs))
+                terms[i][mono] = c
+        return ExtendedElement(tuple(_canonical(ctx.zdim, t) for t in terms))
 
 
 def phi_section(ctx):

@@ -11,13 +11,17 @@ tuples are equal.
 Besides ring arithmetic this module provides the one derivation-style
 primitive everything downstream leans on: `derivation_extend`, the unique
 derivation of the algebra agreeing with a prescribed map on the
-generators (and therefore vanishing on scalars).
+generators (and therefore vanishing on scalars). A derivation is linear,
+so it is fixed by its value on each monomial; a caller that applies one
+base many times passes a dict of those values (`images`), which the
+calls read and fill, and each monomial's image is computed once.
 
 Text form used by the CLI and the JSON formats: terms sorted by
 (degree descending, multiset lexicographic), e.g. ``3/2*z1^2*z2 + 1``.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 
@@ -27,6 +31,11 @@ class DimensionError(ValueError):
 
 class SymPolyParseError(ValueError):
     """Malformed polynomial text."""
+
+
+class DigitBudgetError(ValueError):
+    """A rational to be printed has more digits than the interpreter
+    converts from int to text."""
 
 
 # The largest total degree of one term that `parse_sympoly` accepts. Each
@@ -50,6 +59,23 @@ def exact(value):
     if isinstance(value, int):  # bool and other int subclasses
         return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def rational_text(value):
+    """str(value) for an exact rational, or DigitBudgetError when its
+    numerator or denominator has more digits than the interpreter's
+    int-to-text limit (sys.get_int_max_str_digits(), 4,300 by default).
+
+    Inputs are bounded (algebra.MAX_COEFF_DIGITS), but values computed
+    from them, such as the minors in a left-center basis, can grow past
+    that limit; every rational the CLI prints goes through here.
+    """
+    try:
+        return str(value)
+    except ValueError as exc:  # raised by int-to-text conversion only
+        raise DigitBudgetError(
+            f"a result has a coefficient of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for printing an integer") from exc
 
 
 class SymPoly:
@@ -178,9 +204,9 @@ class SymPoly:
             body = _render_monomial(mono)
             mag = -coeff if coeff < 0 else coeff
             if body:
-                text = body if mag == 1 else f"{mag}*{body}"
+                text = body if mag == 1 else f"{rational_text(mag)}*{body}"
             else:
-                text = str(mag)
+                text = rational_text(mag)
             pieces.append(("-" if coeff < 0 else "+", text))
         sign, first = pieces[0]
         out = ("-" if sign == "-" else "") + first
@@ -280,12 +306,15 @@ def _number(token):
         raise SymPolyParseError(f"bad number {token[:20]!r}: {exc}") from exc
 
 
-def derivation_extend(base, poly):
+def derivation_extend(base, poly, images=None):
     """Apply the derivation sending generator r to base[r] to `poly`.
 
     `base` assigns a SymPoly to every generator. The result is the unique
     derivation of the algebra with those generator values; in particular
-    it kills the scalar part.
+    it kills the scalar part. `images`, when given, is a dict {monomial:
+    image} that the caller keeps for this one base: an image already in
+    it is read, a new one is computed and added, so a monomial met again
+    costs a lookup. `base` is checked on every call either way.
     """
     base = list(base)
     if len(base) != poly.nvars:
@@ -293,11 +322,25 @@ def derivation_extend(base, poly):
     for b in base:
         if b.nvars != poly.nvars:
             raise DimensionError("base values live over a different generator count")
+    if images is None:
+        images = {}
     terms = {}
     for mono, coeff in poly.items():
-        for pos, r in enumerate(mono):  # a generator of multiplicity m counts m times
-            rest = mono[:pos] + mono[pos + 1:]
-            for m2, c2 in base[r].items():
-                key = tuple(sorted(rest + m2))
-                terms[key] = terms.get(key, 0) + coeff * c2
+        image = images.get(mono)
+        if image is None:
+            image = images[mono] = _monomial_image(base, mono)
+        for m2, c2 in image:
+            terms[m2] = terms.get(m2, 0) + coeff * c2
     return _canonical(poly.nvars, {m: exact(c) for m, c in terms.items() if c != 0})
+
+
+def _monomial_image(base, mono):
+    """The derivation's value on one monomial, as (monomial, coefficient)
+    pairs with nonzero exact coefficients."""
+    terms = {}
+    for pos, r in enumerate(mono):  # a generator of multiplicity m counts m times
+        rest = mono[:pos] + mono[pos + 1:]
+        for m2, c2 in base[r].items():
+            key = tuple(sorted(rest + m2))
+            terms[key] = terms.get(key, 0) + c2
+    return tuple((m, exact(c)) for m, c in terms.items() if c != 0)

@@ -30,11 +30,11 @@ from fractions import Fraction
 from random import Random
 
 from .algebra import basis_vec, build_fixture, check_leibniz, quotient_by_kernel
-from .brackets import derived_bracket_dual, poisson, theta, theta_flat, zeta
-from .cochains import (Cochain, ComplexContext, InvalidCochainError, coboundary,
+from .brackets import basis_flat, derived_bracket_dual, poisson, theta, theta_flat, zeta
+from .cochains import (Cochain, ComplexContext, InvalidCochainError, action, coboundary,
                        cochain_space_basis, combine, cup, entries, scatter, validate_cochain)
 from .duality import NotRepresentableError, flat, flat_cochain, is_representable, sharp
-from .sympoly import SymPoly
+from .sympoly import SymPoly, rational_text
 
 EXPECTED_CENTERS = {
     "A3": 3,
@@ -195,7 +195,7 @@ def random_representable(ctx, rng, degree):
 
 def d0_sign_mutant(ctx, omega):
     """d with its action term at the first slot, rho(e_0) omega(e_1, ..), negated."""
-    first_slot = ((k, (i,) + es, fs, ctx.algebra.rho_basis(i, val), 1)
+    first_slot = ((k, (i,) + es, fs, action(ctx, i, val), 1)
                   for k, es, fs, val in entries(omega) for i in range(ctx.dim))
     return combine(ctx.zdim, omega.degree + 1, (coboundary(ctx, omega), 1),
                    (scatter(ctx.zdim, omega.degree + 1, first_slot), -2))
@@ -214,12 +214,13 @@ def check_fixture_validity(ctx, fixture):
         if not report.ok:
             i, j, l, lhs, rhs = report.violations[0]
             return False, "Leibniz identity fails", {
-                "triple": [i, j, l], "lhs": [str(c) for c in lhs], "rhs": [str(c) for c in rhs]}
+                "triple": [i, j, l], "lhs": [rational_text(c) for c in lhs],
+                "rhs": [rational_text(c) for c in rhs]}
         expected = EXPECTED_CENTERS.get(fixture)
         zdim = ctx.zdim
         if expected is not None and zdim != expected:
             return False, f"left center has dimension {zdim}, expected {expected}", {
-                "z_basis": [[str(c) for c in v] for v in ctx.algebra.z_basis]}
+                "z_basis": [[rational_text(c) for c in v] for v in ctx.algebra.z_basis]}
         return True, f"dim={ctx.dim}, left center dim={zdim}", None
 
     return _timed("fixture_validity", fixture, run)
@@ -376,7 +377,7 @@ def check_poisson_axioms(ctx, fixture, rng, samples):
 
 def check_theta_bracket(ctx, fixture, rng, samples):
     def run():
-        candidates = [flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in range(ctx.dim)]
+        candidates = [basis_flat(ctx, i) for i in range(ctx.dim)]
         candidates += [random_representable(ctx, rng, rng.randint(0, 2)) for _ in range(samples)]
         for index, eta in enumerate(candidates):
             # a basis flat's left side is the cached value the derived bracket reuses
@@ -414,7 +415,7 @@ def check_derived_bracket(ctx, fixture):
                         return False, f"sharp does not recover the product at ({i},{j})", {
                             "pair": [i, j],
                             "lhs": [c.render() for c in lifted.coeffs],
-                            "rhs": [str(c) for c in expected_vec]}
+                            "rhs": [rational_text(c) for c in expected_vec]}
         scope = "flat level and sharp" if fat else "flat level (not fat)"
         return True, f"all {ctx.dim * ctx.dim} basis pairs, {scope}", None
 
@@ -426,7 +427,7 @@ def check_quotient(fixture="AFF_O1"):
         algebra = build_fixture(fixture)
         if algebra.two_sided_center():
             return False, "two-sided center is not trivial", {
-                "center": [[str(c) for c in v] for v in algebra.two_sided_center()]}
+                "center": [[rational_text(c) for c in v] for v in algebra.two_sided_center()]}
         quotient = quotient_by_kernel(algebra)
         if not quotient.is_fat():
             return False, "quotient is not fat", None
@@ -451,7 +452,7 @@ def check_oracle_pairing(ctx, fixture):
         for i in range(ctx.dim):
             for j in range(ctx.dim):
                 ei, ej = basis_vec(ctx.dim, i), basis_vec(ctx.dim, j)
-                result = poisson(ctx, flat_cochain(ctx, ei), flat_cochain(ctx, ej))
+                result = poisson(ctx, basis_flat(ctx, i), basis_flat(ctx, j))
                 direct = alg.z_coords(
                     tuple(a + b for a, b in zip(alg.bracket(ei, ej), alg.bracket(ej, ei))))
                 oracle = SymPoly(ctx.zdim, {(r,): c for r, c in enumerate(direct) if c != 0})

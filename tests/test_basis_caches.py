@@ -1,0 +1,160 @@
+"""The per-basis and per-operand caches of the bracket, checked two ways.
+
+Values: `derivation_extend` with a shared images dict against the plain
+monomial-by-monomial loop, the context's cached action of e_i against
+`LeibnizAlgebra.rho_basis`, and `basis_flat` against `flat_cochain`.
+Work: calls counted by monkeypatching (nothing is timed), so that a
+derived-bracket table builds each basis flat once, solves each section
+lift once and adds no work when it runs again on the same context.
+"""
+
+from fractions import Fraction
+from itertools import product
+from random import Random
+
+import pytest
+
+from leibniz_complex import brackets, duality
+from leibniz_complex.algebra import basis_vec, build_fixture
+from leibniz_complex.brackets import (basis_flat, derived_bracket, diamond, theta, theta_flat,
+                                      zeta)
+from leibniz_complex.cochains import Cochain, ComplexContext, action
+from leibniz_complex.duality import flat_cochain, stored_prefixes
+from leibniz_complex.sympoly import DimensionError, SymPoly, derivation_extend
+
+COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+FIXTURES = ("A3", "O1", "O2", "AFF_O1", "omni(2)", "omni(3)")
+CACHES = ("basis_flat", "theta_flat", "lifts", "action_images")
+
+
+def random_poly(rng, nvars, terms=4, max_degree=3):
+    """Seeded terms over few monomials, so monomials repeat within a poly
+    (the constructor sums them) and across polys; some polys keep a scalar
+    part, and some sum to zero."""
+    if rng.random() < 0.1:
+        return SymPoly.zero(nvars)
+    items = [(tuple(sorted(rng.randrange(nvars) for _ in range(rng.randint(0, max_degree)))),
+              rng.choice(COEFFS)) for _ in range(terms)]
+    if rng.random() < 0.2:
+        items += [(mono, -c) for mono, c in items]  # cancels to zero
+    return SymPoly(nvars, items)
+
+
+def plain_derivation(base, poly):
+    """The derivation summed monomial by monomial, position by position."""
+    out = SymPoly.zero(poly.nvars)
+    for mono, coeff in poly.items():
+        for pos, r in enumerate(mono):
+            rest = SymPoly.monomial(poly.nvars, mono[:pos] + mono[pos + 1:], coeff)
+            out = out + rest * base[r]
+    return out
+
+
+@pytest.mark.parametrize("seed, nvars", [(1, 1), (2, 2), (3, 3)])
+def test_derivation_images_match_the_plain_loop(seed, nvars):
+    rng = Random(seed)
+    base = [random_poly(rng, nvars, max_degree=2) for _ in range(nvars)]
+    images, seen = {}, set()
+    for _ in range(60):  # one dict reused across every poly
+        poly = random_poly(rng, nvars)
+        expected = plain_derivation(base, poly)
+        assert derivation_extend(base, poly) == expected, poly
+        assert derivation_extend(base, poly, images) == expected, poly
+        assert derivation_extend(base, poly, images) == expected, poly  # all images read
+        seen.update(mono for mono, _ in poly.items())
+    assert set(images) == seen
+
+
+def test_derivation_images_still_check_the_base():
+    images = {}
+    z = SymPoly.generator(2, 0)
+    derivation_extend([z, z], z * z, images)
+    with pytest.raises(DimensionError):
+        derivation_extend([z], z * z, images)
+    with pytest.raises(DimensionError):
+        derivation_extend([z, SymPoly.generator(3, 0)], z * z, images)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_cached_action_matches_rho_basis(name):
+    alg = build_fixture(name)
+    ctx = ComplexContext(alg)
+    rng = Random(name)
+    polys = [random_poly(rng, alg.zdim) for _ in range(12)] if alg.zdim else []
+    for _ in range(2):  # the second pass reads every image from the cache
+        for i, poly in product(range(alg.dim), polys):
+            assert action(ctx, i, poly) == alg.rho_basis(i, poly), (i, poly)
+    assert "action_images" not in ComplexContext(alg).cache
+
+
+def test_basis_flat_is_computed_once_per_basis_index():
+    ctx = ComplexContext(build_fixture("O2"))
+    for j in range(ctx.dim):
+        first = basis_flat(ctx, j)
+        assert basis_flat(ctx, j) is first
+        assert first == flat_cochain(ctx, basis_vec(ctx.dim, j))
+    for outside in (-1, ctx.dim):
+        with pytest.raises(IndexError):
+            basis_flat(ctx, outside)
+
+
+def test_a_new_context_starts_without_the_caches():
+    algebra = build_fixture("O2")
+    ctx = ComplexContext(algebra)
+    derived_bracket(ctx, basis_vec(algebra.dim, 0), basis_vec(algebra.dim, 1))
+    assert all(name in ctx.cache for name in CACHES[:3])
+    assert not any(name in ComplexContext(algebra).cache for name in CACHES)
+
+
+@pytest.mark.parametrize("name", ("O1", "O2", "AFF_O1"))
+def test_diamond_of_a_flat_is_zero(name):
+    ctx = ComplexContext(build_fixture(name))
+    flat = basis_flat(ctx, 0)
+    for eta in (Cochain.constant(SymPoly.constant(ctx.zdim, 1)), flat, zeta(ctx), theta(ctx),
+                theta_flat(ctx, 0)):
+        result = diamond(ctx, flat, eta)
+        assert result.is_zero() and result.degree == max(flat.degree + eta.degree - 2, 0)
+
+
+def count(monkeypatch, owner, name, record=lambda *args: None):
+    """Count the calls made through owner.name; `record` sees their arguments."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(record(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_derived_bracket_table_computes_each_piece_once(monkeypatch):
+    algebra = build_fixture("O2")
+    dim = algebra.dim
+    ctx = ComplexContext(algebra)
+    flats = count(monkeypatch, brackets, "flat_cochain")
+    solves = count(monkeypatch, duality.PhiSection, "solve")
+    lifts = count(monkeypatch, duality, "bar", lambda ctx, omega, *key: (omega, *key))
+    lookups = count(monkeypatch, brackets, "tilde_value")
+
+    def table():
+        for i, j in product(range(dim), repeat=2):
+            ei, ej = basis_vec(dim, i), basis_vec(dim, j)
+            assert derived_bracket(ctx, ei, ej) == algebra.bracket(ei, ej), (i, j)
+
+    table()
+    assert len(flats) == dim
+    # Theta, the basis flats and the {Theta, e_i-flat} are the bracketed
+    # operands; each stored prefix of each is lifted once
+    operands = [theta(ctx)] + [basis_flat(ctx, i) for i in range(dim)] + \
+        [theta_flat(ctx, i) for i in range(dim)]
+    expected = {(omega, *key) for omega in operands for key in stored_prefixes(omega)}
+    assert len(lifts) == len(set(lifts)) == len(expected)
+    assert set(lifts) == expected
+    assert len(solves) == len(lifts) + dim * dim  # plus one sharp per pair
+    assert len(lookups) == len(lifts)  # each operand's lifts are listed once
+    before = len(flats), len(lifts), len(lookups), len(solves)
+    table()  # again: only the sharp of each pair is solved anew
+    assert (len(flats), len(lifts), len(lookups), len(solves)) == \
+        before[:3] + (before[3] + dim * dim,)

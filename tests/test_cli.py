@@ -1,5 +1,8 @@
 import json
+import sys
 import time
+from itertools import product
+from random import Random
 
 import pytest
 
@@ -240,6 +243,26 @@ def test_coefficients_over_the_digit_budget_are_input_errors(tmp_path, capsys):
         (tmp_path / "ok.json").write_text(json.dumps(data))
         assert main(["check", "--algebra", str(tmp_path / "ok.json")]) == 0
         capsys.readouterr()
+
+
+def test_results_over_the_print_digit_limit_are_input_errors(tmp_path, capsys):
+    # e_i . e_j = c_ij e_11 for i < 6 <= j < 11, C a 6x5 block of
+    # 990-digit integers (within MAX_COEFF_DIGITS): the left center and the
+    # pairing kernel both hold C's left null vector, whose reduced echelon
+    # coordinates are ratios of 5x5 minors, about 4,950 digits each
+    rng = Random(5)
+    brackets = [{"i": i, "j": j, "coeffs": ["0"] * 11 + [str(rng.randrange(10**989, 10**990))]}
+                for i in range(6) for j in range(6, 11)]
+    path = tmp_path / "minors.json"
+    path.write_text(json.dumps({"dim": 12, "basis": [f"e{k}" for k in range(12)],
+                                "brackets": brackets}))
+    assert main(["check", "--algebra", str(path)]) == 0
+    capsys.readouterr()
+    for command, fmt in product(("center", "fat"), ("text", "json")):
+        assert main([command, "--algebra", str(path), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1, err
+        assert f"{sys.get_int_max_str_digits()} digits" in err, err
 
 
 def test_omni_zero_is_input_error(capsys):

@@ -1,11 +1,12 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from leibniz_complex.sympoly import (MAX_TERM_DEGREE, DimensionError, SymPoly,
-                                     SymPolyParseError, derivation_extend, exact,
-                                     parse_sympoly)
+from leibniz_complex.sympoly import (MAX_TERM_DEGREE, DigitBudgetError, DimensionError,
+                                     SymPoly, SymPolyParseError, derivation_extend, exact,
+                                     parse_sympoly, rational_text)
 
 B = SymPoly.generator(1, 0)  # single generator, think "b"
 ONE = SymPoly.constant(1, 1)
@@ -193,3 +194,11 @@ def test_arithmetic_keeps_coefficients_canonical(p, q, base, f):
 @given(sympolys())
 def test_render_parse_roundtrip(p):
     assert parse_sympoly(p.nvars, p.render()) == p
+
+
+def test_rendering_a_coefficient_over_the_print_limit_names_it():
+    big = 10 ** (sys.get_int_max_str_digits() + 5)
+    for poly in (SymPoly.constant(1, big), SymPoly(1, {(0,): Fraction(1, big)})):
+        with pytest.raises(DigitBudgetError, match=f"{sys.get_int_max_str_digits()} digits"):
+            poly.render()
+    assert rational_text(Fraction(-3, 4)) == "-3/4"
