@@ -147,14 +147,9 @@ class LeibnizAlgebra:
 
     def z_coords(self, v):
         """Coordinates of v over the echelon Z-basis; IntegrityError if v is not in Z."""
-        coords = [v[p] for p in self._z_pivots]
-        residual = list(v)
-        for c, zvec in zip(coords, self.z_basis):
-            if c != 0:
-                residual = [a - c * b for a, b in zip(residual, zvec)]
-        if any(a != 0 for a in residual):
+        if any(_echelon_residual(self.z_basis, self._z_pivots, v)):
             raise IntegrityError("vector outside the left center span")
-        return _vec(coords)
+        return _vec(v[p] for p in self._z_pivots)
 
     def _z_poly(self, v):
         """v as a degree-1 element of S(Z), or None when v lies outside span(Z)."""
@@ -220,22 +215,23 @@ def quotient_by_kernel(algebra):
         raise PreconditionError("the two-sided center must be trivial to quotient by the pairing kernel")
     kernel = algebra.kernel_basis
     dim = algebra.dim
+    pivots = [_leading_index(v) for v in kernel]
+    comp = [i for i in range(dim) if i not in pivots]
+
+    def complement_coords(w):
+        """w's coordinates over the non-pivot axes: w = k + c, k in span(kernel)."""
+        residual = _echelon_residual(kernel, pivots, w)
+        return tuple(residual[i] for i in comp)
+
     for kvec in kernel:
         for i in range(dim):
             e = basis_vec(dim, i)
             for w in (algebra.bracket(e, kvec), algebra.bracket(kvec, e)):
-                if any(c != 0 for c in _complement_coords(kernel, w, dim)):
+                if any(complement_coords(w)):
                     raise IntegrityError("pairing kernel is not a two-sided ideal")
-    pivots = [_leading_index(v) for v in kernel]
-    comp = [i for i in range(dim) if i not in pivots]
     labels = [algebra.labels[i] for i in comp]
-    table = []
-    for i in comp:
-        row = []
-        for j in comp:
-            w = algebra.bracket(basis_vec(dim, i), basis_vec(dim, j))
-            row.append(tuple(_complement_coords(kernel, w, dim)))
-        table.append(row)
+    table = [[complement_coords(algebra.bracket(basis_vec(dim, i), basis_vec(dim, j)))
+              for j in comp] for i in comp]
     quotient = LeibnizAlgebra(labels, table)
     report = check_leibniz(quotient)
     if not report.ok:
@@ -256,16 +252,15 @@ def _annihilator(*tables):
     return tuple(tuple(v.get(i, 0) for i in range(dim)) for v in kernel_basis(rows, range(dim)))
 
 
-def _complement_coords(kernel, v, dim):
-    """The coordinates of v over the non-pivot axes once the reduced echelon
-    rows of kernel are subtracted from it: v = k + c with k in span(kernel)."""
-    pivots = [_leading_index(k) for k in kernel]
+def _echelon_residual(basis, pivots, v):
+    """v minus v[p] times each reduced echelon row of `basis`, p its pivot:
+    zero exactly when v lies in the span of `basis`."""
     residual = list(v)
-    for p, kvec in zip(pivots, kernel):
+    for p, row in zip(pivots, basis):
         c = residual[p]
         if c != 0:
-            residual = [a - c * b for a, b in zip(residual, kvec)]
-    return [residual[i] for i in range(dim) if i not in pivots]
+            residual = [a - c * b for a, b in zip(residual, row)]
+    return residual
 
 
 # -- fixtures ----------------------------------------------------------------

@@ -463,43 +463,20 @@ def cochain_space_basis(ctx, degree):
     occurs (their count, sum_k C(dim, n-2k) C(zdim+k-1, k), is the
     dimension of the space), so the cochains with one unit free datum span
     it. Their reduced echelon form over the keys they touch, ordered by
-    (k, es, fs), is returned; it depends only on the space, so it is the
-    kernel basis of the full constraint matrix, entry for entry. Single-key
-    indicator tables are NOT valid cochains in general, which is why the
-    exhaustive d.d = 0 and product suites run over this basis instead.
+    (k, es, fs), is returned in pivot order from one `rref` call, whose
+    work stays inside each key-disjoint group of them. It depends only on
+    the space, so it is the kernel basis of the full constraint matrix,
+    entry for entry. Single-key indicator tables are NOT valid cochains in
+    general, which is why the exhaustive d.d = 0 and product suites run
+    over this basis instead.
     """
     vectors = [_free_datum_cochain(ctx, k, es, fs)
                for k in range(degree // 2 + 1)
                for es in combinations(range(ctx.dim), degree - 2 * k)
                for fs in combinations_with_replacement(range(ctx.zdim), k)]
-    rows = []
-    for block in _blocks(vectors):
-        rows.extend(rref(block))
     one = SymPoly.constant(ctx.zdim, 1)
     return [scatter(ctx.zdim, degree, ((k, es, fs, one, c) for (k, es, fs), c in row.items()))
-            for row in sorted(rows, key=min)]
-
-
-def _blocks(vectors):
-    """The vectors grouped so that no two groups share a key. The echelon
-    form of the span is the union of the groups' echelon forms, and each
-    group is reduced over its own keys only."""
-    parent = list(range(len(vectors)))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first = {}
-    for i, vec in enumerate(vectors):
-        for key in vec:
-            parent[root(i)] = root(first.setdefault(key, i))
-    groups = {}
-    for i, vec in enumerate(vectors):
-        groups.setdefault(root(i), []).append(vec)
-    return list(groups.values())
+            for row in rref(vectors)]
 
 
 def _free_datum_cochain(ctx, k0, es0, fs0):

@@ -11,6 +11,7 @@ order instead.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .sympoly import exact
 
@@ -19,27 +20,41 @@ def rref(rows):
     """The nonzero rows of the reduced row echelon form of `rows`, sorted by
     pivot, the least column each row holds.
 
-    Each row is reduced by the pivot rows found so far, which are kept
-    fully reduced, and its least column becomes the next pivot. The
-    reduced echelon form of a matrix is unique, so this is the form that
-    pivoting on the least usable column gives.
+    Two passes, each touching only the columns a row holds. Forward: each
+    row is reduced by the pivot rows found so far, always at the least
+    pivot column it still holds, until it holds none; its least column is
+    then a new pivot. Back-substitution: the pivot rows, taken in
+    decreasing pivot order, are reduced by the rows of the pivots they
+    hold. So rows that share no column, directly or through other rows,
+    never meet. The reduced echelon form of a matrix is unique, so this
+    is the form that pivoting on the least usable column gives.
     """
-    pivot_rows = {}  # pivot column -> row with a 1 there and 0 at every other pivot
+    pivot_rows = {}  # pivot column -> row with a 1 there and no lesser column
     for row in rows:
         vec = {c: exact(v) for c, v in row.items() if v != 0}
-        for p in [c for c in vec if c in pivot_rows]:
-            _subtract(vec, vec[p], pivot_rows[p])
+        held = [c for c in vec if c in pivot_rows]
+        heapify(held)
+        while held:
+            p = heappop(held)
+            if p in vec:  # a column may be queued twice or cancelled since
+                pivot = pivot_rows[p]
+                _subtract(vec, vec[p], pivot)
+                for c in pivot:
+                    if c != p and c in pivot_rows:
+                        heappush(held, c)
         if not vec:
             continue
         lead = min(vec)
         if vec[lead] != 1:
             inv = Fraction(1, vec[lead])
             vec = {c: exact(v * inv) for c, v in vec.items()}
-        for other in pivot_rows.values():
-            if lead in other:
-                _subtract(other, other[lead], vec)
         pivot_rows[lead] = vec
-    return [pivot_rows[p] for p in sorted(pivot_rows)]
+    order = sorted(pivot_rows)
+    for p in reversed(order):
+        vec = pivot_rows[p]
+        for c in [c for c in vec if c != p and c in pivot_rows]:
+            _subtract(vec, vec[c], pivot_rows[c])
+    return [pivot_rows[p] for p in order]
 
 
 def _subtract(vec, factor, row):

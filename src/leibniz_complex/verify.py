@@ -44,6 +44,12 @@ EXPECTED_CENTERS = {
 }
 
 
+# The largest --max-degree: degree 12 runs in seconds on the default
+# fixtures, and each two degrees beyond it multiply the d.d = 0 check on
+# AFF_O1 by about 2.6, so a larger value would run for hours.
+MAX_VERIFY_DEGREE = 12
+
+
 class VerifyConfigError(ValueError):
     """A verify setting outside its range."""
 
@@ -58,6 +64,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.max_degree < 1:
             raise VerifyConfigError("max_degree must be at least 1")
+        if self.max_degree > MAX_VERIFY_DEGREE:
+            raise VerifyConfigError(f"max_degree must be at most {MAX_VERIFY_DEGREE}")
         if self.samples < 1:
             raise VerifyConfigError("sample_count must be at least 1")
 
@@ -465,24 +473,24 @@ def check_oracle_pairing(ctx, fixture):
     return _timed("oracle_pairing", fixture, run)
 
 
-def check_choice_independence(algebra, fixture, rng, samples):
-    """Advisory: compare bracket values under the two pivot strategies.
+def check_choice_independence(ctx, fixture, rng, samples):
+    """Advisory: compare bracket values under the two pivot strategies,
+    `ctx` (the run's "first" context) against a new "last" one.
 
     Reported, never asserted: on algebras with a degenerate symmetric
     product the section is not unique and nothing guarantees agreement.
     """
 
     def run():
-        first = ComplexContext(algebra, pivot_strategy="first")
-        last = ComplexContext(algebra, pivot_strategy="last")
+        last = ComplexContext(ctx.algebra, pivot_strategy="last")
         disagreements = 0
         for _ in range(samples):
-            omega = random_representable(first, rng, rng.randint(0, 2))
-            eta = random_representable(first, rng, rng.randint(0, 2))
-            if first_difference(poisson(first, theta(first), omega),
+            omega = random_representable(ctx, rng, rng.randint(0, 2))
+            eta = random_representable(ctx, rng, rng.randint(0, 2))
+            if first_difference(poisson(ctx, theta(ctx), omega),
                                 poisson(last, theta(last), omega)):
                 disagreements += 1
-            if first_difference(poisson(first, omega, eta), poisson(last, omega, eta)):
+            if first_difference(poisson(ctx, omega, eta), poisson(last, omega, eta)):
                 disagreements += 1
         note = "identical under both pivot strategies" if not disagreements \
             else f"{disagreements} value differences between pivot strategies"
@@ -523,7 +531,7 @@ def run_verify(config, mutation=None):
                 ctx, fixture, Random(config.seed + 3), config.samples))
         else:
             report.results.append(check_choice_independence(
-                algebra, fixture, Random(config.seed + 4), max(1, config.samples // 5)))
+                ctx, fixture, Random(config.seed + 4), max(1, config.samples // 5)))
         report.results.append(check_derived_bracket(ctx, fixture))
         report.results.append(check_oracle_pairing(ctx, fixture))
         if fixture == "AFF_O1":

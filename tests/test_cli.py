@@ -13,6 +13,7 @@ from leibniz_complex.cli import main
 from leibniz_complex.cochains import ComplexContext, coboundary, cochain_from_dict, \
     cochain_to_dict, cup
 from leibniz_complex.duality import flat_cochain
+from leibniz_complex.verify import MAX_VERIFY_DEGREE
 
 
 @pytest.fixture()
@@ -198,6 +199,18 @@ def test_verify_settings_out_of_range_are_input_errors(capsys):
     assert "max_degree must be at least 1" in capsys.readouterr().err
     assert main(["verify", "--fixtures", "O1", "--samples", "0"]) == 2
     assert "sample_count must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_degree_over_the_budget_is_an_input_error(capsys):
+    """--max-degree above verify.MAX_VERIFY_DEGREE is refused at once with
+    one line (exit 2) instead of running for hours."""
+    start = time.perf_counter()
+    for value in (str(MAX_VERIFY_DEGREE + 1), "1000000"):
+        assert main(["verify", "--max-degree", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: max_degree must be at most {MAX_VERIFY_DEGREE}\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_non_integer_cochain_index_is_input_error(tmp_path):
