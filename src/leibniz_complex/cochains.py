@@ -42,7 +42,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
 
 from .algebra import _is_index
@@ -153,9 +153,14 @@ class Cochain:
         """One more than the largest stored algebra index and than the largest
         stored center index: the least dim and zdim a context must have."""
         if self._extent is None:
-            keys = [key for table in self.components.values() for key in table]
-            self._extent = (1 + max((max(es) for es, _ in keys if es), default=-1),
-                            1 + max((fs[-1] for _, fs in keys if fs), default=-1))
+            dim = zdim = 0
+            for table in self.components.values():
+                for es, fs in table:
+                    if es and max(es) >= dim:
+                        dim = max(es) + 1
+                    if fs and fs[-1] >= zdim:
+                        zdim = fs[-1] + 1
+            self._extent = (dim, zdim)
         return self._extent
 
     def scale(self, factor):
@@ -246,8 +251,9 @@ def merge_centers(fs1, fs2):
 def check_context(ctx, *cochains):
     """ContextMismatchError unless every cochain lives over ctx: its center
     basis has ctx's size, and its stored algebra and center indices lie
-    below ctx.dim and ctx.zdim. d, cup, bullet and diamond call it before
-    anything else."""
+    below ctx.dim and ctx.zdim. d (through `validate_cochain`), cup,
+    bullet, diamond and `duality.is_representable` call it before anything
+    else."""
     for omega in cochains:
         if omega.nvars != ctx.zdim:
             raise ContextMismatchError("cochains built over a different center basis")
@@ -361,29 +367,41 @@ def validate_cochain(ctx, omega):
     all zero holds, so only those touching a stored entry are tested: each
     adjacent pair of a stored es, at its own level, and each key one level
     down made by inserting a pair (x <= y) whose pairing has a
-    z_r-component, r in the stored fs. Violations are sorted by
-    (k, es, fs, pos), the order of a walk over every key.
+    z_r-component, r in the stored fs. Each stored entry adds itself,
+    coefficient by coefficient, into the residual lhs - rhs of every such
+    equation, a {monomial: coefficient} dict, so a valid cochain costs a
+    dict update per stored coefficient and builds no SymPoly. Only an
+    equation whose residual is nonzero has its lhs and rhs built for the
+    report. Violations are sorted by (k, es, fs, pos), the order of a walk
+    over every key. ContextMismatchError for a cochain from another
+    context.
     """
-    equations = set()
-    for k, es, fs, _ in entries(omega):
+    check_context(ctx, omega)
+    alg = ctx.algebra
+    residuals = {}
+    for k, es, fs, value in entries(omega):
         for pos in range(len(es) - 1):
             x, y = es[pos], es[pos + 1]
-            equations.add((k, es if x <= y else es[:pos] + (y, x) + es[pos + 2:], fs, pos))
+            key = es if x <= y else es[:pos] + (y, x) + es[pos + 2:]
+            # at x == y, es is its own swap and stands in lhs twice
+            accumulate(residuals.setdefault((k, key, fs, pos), {}), value, 2 if x == y else 1)
         for r in set(fs):
             rest = _remove_one(fs, r)
-            for x, y, _ in ctx.algebra.pairing_index[r]:
+            for x, y, c in alg.pairing_index[r]:
                 for pos in range(len(es) + 1):
-                    equations.add((k - 1, es[:pos] + (x, y) + es[pos:], rest, pos))
+                    key = (k - 1, es[:pos] + (x, y) + es[pos:], rest, pos)
+                    accumulate(residuals.setdefault(key, {}), value, c)
     violations = []
-    for k, es, fs, pos in sorted(equations):
-        swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
-        reduced = es[:pos] + es[pos + 2:]
-        lhs = omega.value(k, es, fs) + omega.value(k, swapped, fs)
-        rhs = SymPoly.zero(ctx.zdim)
-        for (r,), c in ctx.algebra.pairing_poly_basis(es[pos], es[pos + 1]).items():
-            rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
-        if lhs != rhs:
+    for (k, es, fs, pos), residual in residuals.items():
+        if residual:
+            swapped = es[:pos] + (es[pos + 1], es[pos]) + es[pos + 2:]
+            reduced = es[:pos] + es[pos + 2:]
+            lhs = omega.value(k, es, fs) + omega.value(k, swapped, fs)
+            rhs = SymPoly.zero(ctx.zdim)
+            for (r,), c in alg.pairing_poly_basis(es[pos], es[pos + 1]).items():
+                rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
             violations.append((k, pos, es, fs, lhs, rhs))
+    violations.sort(key=lambda v: (v[0], v[2], v[3], v[1]))
     return ValidationReport(ok=not violations, violations=violations)
 
 
@@ -401,7 +419,6 @@ def coboundary(ctx, omega):
 
     The input must be a valid cochain (InvalidCochainError otherwise).
     """
-    check_context(ctx, omega)
     report = validate_cochain(ctx, omega)
     if not report.ok:
         raise InvalidCochainError(report)
@@ -484,11 +501,13 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
     w_{k0}(es0; fs0) = 1, as {(k, es, fs): value}.
 
     w_{k0} is sign(sigma) at each permutation sigma(es0), with fs0, and zero
-    elsewhere. Below k0, w_k can be nonzero only at a key holding a stored
-    (es', fs') of w_{k+1} plus a pair (x, y) whose pairing has a
-    z_r-component, r in fs'; each such multiset of arguments is evaluated
-    at its distinct orderings, in lexicographic order, at the first
-    adjacent pair that is not strictly increasing:
+    elsewhere; es0 is strictly increasing, so these are read from the
+    cached `signed_permutations(len(es0))`. Below k0, w_k can be nonzero
+    only at a key holding a stored (es', fs') of w_{k+1} plus a pair (x, y)
+    whose pairing has a z_r-component, r in fs'; each such multiset of
+    arguments, which may repeat, is evaluated at its distinct orderings
+    (`_orderings`), in lexicographic order, at the first adjacent pair that
+    is not strictly increasing:
 
         w(..x,y..; fs) = -w(..y,x..; fs) - sum_r c_r w_{k+1}(..; fs + (r,))   x > y
         w(..x,x..; fs) = -1/2 sum_r c_r w_{k+1}(..; fs + (r,))
@@ -497,7 +516,8 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
     below k0 is a free datum, zero here.
     """
     alg = ctx.algebra
-    upper = {(es, fs0): _inversion_sign(es) for es in _orderings(es0)}
+    upper = {(tuple([es0[i] for i in perm]), fs0): sign
+             for perm, sign in signed_permutations(len(es0))}
     out = {(k0, es, fs): value for (es, fs), value in upper.items()}
     for k in range(k0 - 1, -1, -1):
         groups = {(tuple(sorted(es + (x, y))), _remove_one(fs, r))
@@ -545,6 +565,13 @@ def _orderings(args):
 
 def _inversion_sign(es):
     return -1 if sum(a > b for a, b in combinations(es, 2)) % 2 else 1
+
+
+@cache
+def signed_permutations(n):
+    """(sigma, sign(sigma)) for each permutation sigma of range(n), in
+    lexicographic order."""
+    return tuple((sigma, _inversion_sign(sigma)) for sigma in permutations(range(n)))
 
 
 # -- the JSON file format ---------------------------------------------------------

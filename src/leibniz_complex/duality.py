@@ -25,7 +25,7 @@ keeps the list of an operand's lifts per cochain on top of it.
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .cochains import entries, scatter
+from .cochains import check_context, entries, scatter
 from .linalg import LinearSolver
 from .sympoly import _canonical
 
@@ -191,8 +191,10 @@ def is_representable(ctx, omega):
 
     The zero covector is phi(0), so only the stored prefixes can fail;
     they are reported in key order. Components with no algebra arguments
-    have no bar map and are vacuously fine.
+    have no bar map and are vacuously fine. ContextMismatchError for a
+    cochain from another context.
     """
+    check_context(ctx, omega)
     section = phi_section(ctx)
     failures = [(k, prefix, fs) for k, prefix, fs in stored_prefixes(omega)
                 if section.solve(bar(ctx, omega, k, prefix, fs)) is None]

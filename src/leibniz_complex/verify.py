@@ -49,6 +49,11 @@ EXPECTED_CENTERS = {
 # AFF_O1 by about 2.6, so a larger value would run for hours.
 MAX_VERIFY_DEGREE = 12
 
+# The largest --samples: the run's time grows linearly with the count, by
+# about 8 ms a sample on the default fixtures: 1,000 samples take about
+# 8 s, and a million would run for over two hours.
+MAX_VERIFY_SAMPLES = 1000
+
 
 class VerifyConfigError(ValueError):
     """A verify setting outside its range."""
@@ -68,6 +73,8 @@ class VerifyConfig:
             raise VerifyConfigError(f"max_degree must be at most {MAX_VERIFY_DEGREE}")
         if self.samples < 1:
             raise VerifyConfigError("sample_count must be at least 1")
+        if self.samples > MAX_VERIFY_SAMPLES:
+            raise VerifyConfigError(f"sample_count must be at most {MAX_VERIFY_SAMPLES}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from leibniz_complex.cli import main
 from leibniz_complex.cochains import ComplexContext, coboundary, cochain_from_dict, \
     cochain_to_dict, cup
 from leibniz_complex.duality import flat_cochain
-from leibniz_complex.verify import MAX_VERIFY_DEGREE
+from leibniz_complex.verify import MAX_VERIFY_DEGREE, MAX_VERIFY_SAMPLES
 
 
 @pytest.fixture()
@@ -210,6 +210,18 @@ def test_verify_degree_over_the_budget_is_an_input_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: max_degree must be at most {MAX_VERIFY_DEGREE}\n"
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_samples_over_the_budget_is_an_input_error(capsys):
+    """--samples above verify.MAX_VERIFY_SAMPLES is refused at once with
+    one line (exit 2) instead of running for days."""
+    start = time.perf_counter()
+    for value in (str(MAX_VERIFY_SAMPLES + 1), "1000000000"):
+        assert main(["verify", "--samples", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: sample_count must be at most {MAX_VERIFY_SAMPLES}\n"
     assert time.perf_counter() - start < 5
 
 

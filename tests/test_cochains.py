@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 from random import Random
 
 import pytest
@@ -9,8 +10,8 @@ from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cochains import (Cochain, CochainFormatError, CochainShapeError,
                                       ContextMismatchError, InvalidCochainError, coboundary,
                                       cochain_from_dict, cochain_space_basis, cochain_to_dict,
-                                      cup, load_cochain, position_splits, split_sign,
-                                      validate_cochain)
+                                      _inversion_sign, cup, load_cochain, position_splits,
+                                      signed_permutations, split_sign, validate_cochain)
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.algebra import basis_vec
 from leibniz_complex.sympoly import SymPoly
@@ -115,6 +116,14 @@ def test_operators_reject_center_indices_outside_the_center(o1):
         cup(o1, zeta(o1), omega)
 
 
+def test_validation_rejects_cochains_from_another_context(o1, o2, aff_o1):
+    # Theta over O2 has two center generators, O1 one; the AFF_O1 flat has
+    # O1's center size but stores an algebra index O1 lacks
+    for omega in (theta(o2), flat_cochain(aff_o1, basis_vec(4, 2))):
+        with pytest.raises(ContextMismatchError):
+            validate_cochain(o1, omega)
+
+
 def test_d_squared_zero_reports(o1):
     assert coboundary(o1, coboundary(o1, zeta(o1))).is_zero()
     report = check_d_squared(o1, "O1", 3)
@@ -204,6 +213,20 @@ def test_split_sign_matches_permutation_parity():
             # splits enumerate each p-subset exactly once, in lexicographic order
             assert [s[0] for s in splits] == sorted(s[0] for s in splits)
             assert len(splits) == len({s[0] for s in splits})
+
+
+def test_signed_permutations_list_each_permutation_once_with_its_sign():
+    # degree-0 and k0-only free data read the n = 0 table
+    assert signed_permutations(0) == (((), 1),)
+    for n in range(7):
+        table = signed_permutations(n)
+        # every permutation of range(n) exactly once, in lexicographic order
+        assert [sigma for sigma, _ in table] == list(permutations(range(n)))
+        for sigma, sign in table:
+            assert sign == _inversion_sign(sigma) == brute_sign(sigma)
+            # sigma[i] passes the later arguments smaller than it
+            assert sign == prod(split_sign((sigma[i],), tuple(sorted(sigma[i + 1:])))
+                                for i in range(n))
 
 
 def test_shuffles_partition_all_permutations():

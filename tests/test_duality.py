@@ -7,7 +7,8 @@ import dense_reference as dense
 from dense_reference import phi
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import theta, zeta
-from leibniz_complex.cochains import Cochain, ComplexContext, cochain_space_basis
+from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
+                                      cochain_space_basis)
 from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError,
                                      bar, dual_from_cochain, flat, flat_cochain,
                                      is_representable, phi_section, sharp, tilde_value)
@@ -124,6 +125,14 @@ def test_constant_covector_not_representable(aff_o1):
     report = is_representable(aff_o1, omega)
     assert not report.ok
     assert report.failures[0][0] == 0
+
+
+def test_representability_rejects_cochains_from_another_context(o1, o2, aff_o1):
+    # Theta over O2 has two center generators, O1 one; the AFF_O1 flat has
+    # O1's center size but stores an algebra index O1 lacks
+    for omega in (theta(o2), flat_cochain(aff_o1, basis_vec(4, 2))):
+        with pytest.raises(ContextMismatchError):
+            is_representable(o1, omega)
 
 
 def test_degree_zero_cochains_vacuously_representable(o1):

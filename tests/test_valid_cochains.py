@@ -7,6 +7,7 @@ and walks every equation. Both are exact, so bases and reports must agree
 entry for entry.
 """
 
+from collections import Counter
 from math import comb
 from random import Random
 
@@ -17,6 +18,7 @@ from leibniz_complex.algebra import build_fixture
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, cochain_space_basis,
                                       cochain_to_dict, validate_cochain)
+from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import random_poly
 
 # fixture -> top degree, as in the space-basis benchmark workload
@@ -101,6 +103,21 @@ def test_reports_on_theta_and_zeta(ctxs, name):
     ctx = ctxs[name]
     for omega in (theta(ctx), zeta(ctx)):
         assert same_report(ctx, omega).ok
+
+
+def test_validating_valid_cochains_builds_no_polynomial(monkeypatch):
+    # each equation is a residual summed from stored coefficients; a valid
+    # cochain needs no value lookup and no SymPoly arithmetic to pass
+    ctx = ComplexContext(build_fixture("omni(4)"))
+    cochains = [theta(ctx), zeta(ctx)] + Random(29).sample(cochain_space_basis(ctx, 3), 40)
+    calls = Counter()
+    for owner, name in ((Cochain, "value"), (SymPoly, "__add__"), (SymPoly, "scale")):
+        def counting(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    assert all(validate_cochain(ctx, omega).ok for omega in cochains)
+    assert not calls, calls
 
 
 @pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1"))
