@@ -92,8 +92,8 @@ def basis_vec(dim, i):
 class LeibnizAlgebra:
     """Structure constants plus the facts every layer reads, each computed
     once here: the left center, the pairing kernel, the pairing and the
-    action on Z as SymPolys, and the indexes of nonzero pairing
-    coefficients and structure constants."""
+    action on Z as SymPolys, the basis elements that act on Z, and the
+    indexes of nonzero pairing coefficients and structure constants."""
 
     def __init__(self, labels, table):
         self.labels = tuple(str(s) for s in labels)
@@ -117,6 +117,10 @@ class LeibnizAlgebra:
         self._pairing = [[self._z_poly(sym[i][j]) for j in dims] for i in dims]
         rho = [[self._z_poly(self.bracket(basis_vec(self.dim, i), z)) for z in self.z_basis] for i in dims]
         self._rho_base = [None if None in base else base for base in rho]
+        # the basis indices i whose e_i acts on Z as nonzero (or outside Z,
+        # so that using the action raises); d's action terms come from these
+        self.acting = tuple(i for i, base in enumerate(self._rho_base)
+                            if base is None or any(base))
         # r -> [(x, y, c)]: x <= y and (e_x, e_y) has z_r-component c != 0
         self.pairing_index = [[] for _ in range(self.zdim)]
         for x, y in combinations_with_replacement(dims, 2):

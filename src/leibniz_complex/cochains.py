@@ -14,14 +14,20 @@ component evaluated on the symmetric product of the swapped pair,
 
 Storage does not canonicalize this (the structure is only weakly skew);
 `validate_cochain` checks it instead, on the equations stored entries
-touch, and `cochain_space_basis` builds valid cochains from their values
-at strictly increasing keys.
+touch. A valid cochain is fixed by its values at the free keys, the keys
+(k, es, fs) with es strictly increasing: `expand` fills in every other
+key from the free-datum cochains (`_free_datum_cochain`, one per free
+key, kept in the context's cache), and `cochain_space_basis` builds its
+basis from the same cochains.
 
 The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
 argument back in as the first algebra argument. The term moving center
 arguments along the bracket vanishes identically here because the left
-center kills everything on the left, so it is not implemented. The
+center kills everything on the left, so it is not implemented. d of a
+valid cochain is valid, so `coboundary` derives only the terms that land
+on free keys and expands their sum: its output is valid by construction,
+and `tests/dense_reference.py` evaluates d at every key instead. The
 action terms apply e_i to S(Z) through `action`, which keeps each
 monomial's image in the context's cache, one dict per basis index, so
 the algebra itself stays immutable.
@@ -29,16 +35,19 @@ the algebra itself stays immutable.
 Everything expands multilinearly over the chosen bases, and all shuffle
 enumerations are lexicographic so failure reports are reproducible.
 
-`scatter` is the one builder of computed cochains: d, the product, the
-bracket halves, sums and scalings (`combine`), flats, Theta, zeta and the
-basis cochains stream it terms (k, es, fs, poly, factor), and it stores
-their sum unchecked. `Cochain()` checks every key and value: it is the
-entry point for cochains from files, tests and library callers. No other
-module of the package reads or writes the `components` layout.
+`scatter` is the one builder of computed cochains: d (its free terms and
+their expansion), the product, the bracket halves, sums and scalings
+(`combine`), flats, Theta and zeta stream it terms (k, es, fs, poly,
+factor), and it stores their sum unchecked; `cochain_space_basis` stores
+its reduced rows, whose keys are distinct, as they are. `Cochain()`
+checks every key and value: it is the entry point for cochains from
+files, tests and library callers. No other module of the package reads
+or writes the `components` layout.
 """
 
 import json
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -205,11 +214,12 @@ class Cochain:
 # -- shuffles ------------------------------------------------------------------
 
 # The most shuffles one product may merge a pair of argument tuples with.
-# `pair_terms`, which derives the terms of `cup`, `bullet`, `diamond` and
-# d's action terms, checks C(p + q, p) for the longest argument tuples p
-# and q its operands store, once per call and before any shuffle table is
-# built: two entries with 20 algebra arguments each would otherwise need
-# C(40, 20) = 1.4e11 of them.
+# `pair_terms`, which derives the terms of `cup`, `bullet` and `diamond`,
+# checks C(p + q, p) for the longest argument tuples p and q its operands
+# store, once per call and before any shuffle table is built: two entries
+# with 20 algebra arguments each would otherwise need C(40, 20) = 1.4e11
+# of them. `coboundary` checks C(q + 1, 1), one argument merged into the
+# longest stored tuple, as its action terms do.
 MAX_SHUFFLES = 100_000
 
 
@@ -298,6 +308,11 @@ def scatter(nvars, degree, terms):
     for (k, es, fs), acc in sums.items():
         if acc:
             comps.setdefault(k, {})[(es, fs)] = _canonical(nvars, acc)
+    return _stored(degree, nvars, comps)
+
+
+def _stored(degree, nvars, comps):
+    """The cochain holding the components comps as they are, unchecked."""
     out = Cochain.__new__(Cochain)
     out.degree, out.nvars, out.components = degree, nvars, comps
     out._hash = out._extent = None
@@ -322,12 +337,8 @@ def pair_terms(left, right, combine):
     fs2, y), one from each side, put combine(x, y) at every signed shuffle
     of es1 and es2, on the merged center multiset."""
     left, right = list(left), list(right)
-    p = max((len(item[1]) for item in left), default=0)
-    q = max((len(item[1]) for item in right), default=0)
-    count = comb(p + q, p)
-    if count > MAX_SHUFFLES:
-        raise ShuffleBudgetError(f"merging argument tuples of lengths {p} and {q} takes "
-                                 f"{count} shuffles, above the limit of {MAX_SHUFFLES}")
+    _check_shuffles(max((len(item[1]) for item in left), default=0),
+                    max((len(item[1]) for item in right), default=0))
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             value = combine(x, y)
@@ -336,6 +347,15 @@ def pair_terms(left, right, combine):
                 merged = es1 + es2
                 for order, sign in shuffle_table(len(merged), len(es1)):
                     yield i + j, tuple([merged[o] for o in order]), fs, value, sign * mult
+
+
+def _check_shuffles(p, q):
+    """ShuffleBudgetError when merging argument tuples of lengths p and q
+    takes more than MAX_SHUFFLES shuffles."""
+    count = comb(p + q, p)
+    if count > MAX_SHUFFLES:
+        raise ShuffleBudgetError(f"merging argument tuples of lengths {p} and {q} takes "
+                                 f"{count} shuffles, above the limit of {MAX_SHUFFLES}")
 
 
 # -- validity ------------------------------------------------------------------
@@ -417,12 +437,19 @@ def _remove_one(fs, r):
 def coboundary(ctx, omega):
     """d(omega) = d0(omega) + delta(omega), one degree up.
 
-    The input must be a valid cochain (InvalidCochainError otherwise).
+    The input must be a valid cochain (InvalidCochainError otherwise). Its
+    image is valid too, so it is fixed by its values at the free keys (es
+    strictly increasing): `_free_coboundary_terms` derives only the terms
+    that land there, and `expand` fills in every other key. The output is
+    therefore valid by construction, whatever the terms; the every-key
+    evaluation of d is `coboundary` in `tests/dense_reference.py`.
     """
     report = validate_cochain(ctx, omega)
     if not report.ok:
         raise InvalidCochainError(report)
-    return scatter(ctx.zdim, omega.degree + 1, _coboundary_terms(ctx, omega))
+    _check_shuffles(1, max((len(es) for _, es, _, _ in entries(omega)), default=0))
+    degree = omega.degree + 1
+    return expand(ctx, degree, scatter(ctx.zdim, degree, _free_coboundary_terms(ctx, omega)))
 
 
 def action(ctx, i, poly):
@@ -432,25 +459,59 @@ def action(ctx, i, poly):
     return ctx.algebra.rho_basis(i, poly, images)
 
 
-def _coboundary_terms(ctx, omega):
-    """The terms of d, from each stored entry omega_k(es; fs): d0's action
-    terms, e_i acting on it from every position; d0's bracket terms, each
-    argument t replaced by every pair (x, y) whose product x.y has a
-    t-component c, x moved left; and delta, the first argument t traded
-    for each center generator z_r whose basis vector has a t-coordinate."""
+def _free_coboundary_terms(ctx, omega):
+    """The terms of d that land on free keys, from each stored entry
+    omega_k(es; fs).
+
+    d0's action terms put e_i acting on it at each position a; the key is
+    free only when es is strictly increasing, i is not in es and a is
+    bisect(es, i). The action kills scalars, and only the indices in
+    `LeibnizAlgebra.acting` act at all. d0's bracket terms replace the
+    argument t = es[b] by y and put x at a position a <= b, for each pair
+    (x, y) whose product x.y has a t-component c; the key is free only when
+    es less es[b] is strictly increasing, x < y, es[b-1] < y < es[b+1], x
+    is not in es and a = bisect_left(es, x, 0, b). delta trades the first
+    argument t for each center generator z_r whose basis vector has a
+    t-coordinate; the key is free only when es[1:] is strictly increasing.
+    """
     alg = ctx.algebra
-    basis = [(0, (i,), (), i) for i in range(ctx.dim)]
-    yield from pair_terms(basis, entries(omega), lambda i, poly: action(ctx, i, poly))
     for k, es, fs, val in entries(omega):
+        n = len(es)
+        descents = [j for j in range(n - 1) if es[j] >= es[j + 1]]
+        if not descents and val.degree() > 0:
+            for i in alg.acting:
+                a = bisect_left(es, i)
+                if a == n or es[a] != i:
+                    yield k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val), -1 if a % 2 else 1
         for b, t in enumerate(es):
+            # es less es[b] is strictly increasing if every descent touches
+            # position b and es[b-1] < es[b+1]; the window for y checks the latter
+            if any(j != b and j != b - 1 for j in descents):
+                continue
+            lo = es[b - 1] if b else -1
+            hi = es[b + 1] if b + 1 < n else ctx.dim
             for x, y, c in alg.product_index[t]:
-                for a in range(b + 1):
-                    yield (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs, val,
-                           c if a % 2 else -c)
-        for r, zvec in enumerate(alg.z_basis):
-            if es and zvec[es[0]] != 0:
-                out_fs, mult = merge_centers((r,), fs)
-                yield k + 1, es[1:], out_fs, val, zvec[es[0]] * mult
+                if x < y and lo < y < hi:
+                    a = bisect_left(es, x, 0, b)
+                    if a == b or es[a] != x:
+                        yield (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs, val,
+                               c if a % 2 else -c)
+        if es and all(j == 0 for j in descents):
+            for r, zvec in enumerate(alg.z_basis):
+                if zvec[es[0]] != 0:
+                    out_fs, mult = merge_centers((r,), fs)
+                    yield k + 1, es[1:], out_fs, val, zvec[es[0]] * mult
+
+
+def expand(ctx, degree, free):
+    """The valid degree-n cochain whose values at the free keys, the keys
+    with es strictly increasing, are those the cochain `free` stores: the
+    sum of v * F over its entries v at (k, es, fs), F the free-datum cochain
+    of that key. Every key `free` stores must be free; a valid cochain is
+    the expansion of its entries at free keys."""
+    return scatter(ctx.zdim, degree, (
+        (k, es, fs, value, c) for k0, es0, fs0, value in entries(free)
+        for (k, es, fs), c in _free_datum_cochain(ctx, k0, es0, fs0).items()))
 
 
 # -- the product ----------------------------------------------------------------
@@ -481,9 +542,10 @@ def cochain_space_basis(ctx, degree):
     dimension of the space), so the cochains with one unit free datum span
     it. Their reduced echelon form over the keys they touch, ordered by
     (k, es, fs), is returned in pivot order from one `rref` call, whose
-    work stays inside each key-disjoint group of them. It depends only on
-    the space, so it is the kernel basis of the full constraint matrix,
-    entry for entry. Single-key indicator tables are NOT valid cochains in
+    work stays inside each key-disjoint group of them; each row becomes a
+    cochain as it is, one constant per entry. It depends only on the
+    space, so it is the kernel basis of the full constraint matrix, entry
+    for entry. Single-key indicator tables are NOT valid cochains in
     general, which is why the exhaustive d.d = 0 and product suites run
     over this basis instead.
     """
@@ -491,14 +553,21 @@ def cochain_space_basis(ctx, degree):
                for k in range(degree // 2 + 1)
                for es in combinations(range(ctx.dim), degree - 2 * k)
                for fs in combinations_with_replacement(range(ctx.zdim), k)]
-    one = SymPoly.constant(ctx.zdim, 1)
-    return [scatter(ctx.zdim, degree, ((k, es, fs, one, c) for (k, es, fs), c in row.items()))
-            for row in rref(vectors)]
+    basis = []
+    for row in rref(vectors):
+        comps = {}
+        for (k, es, fs), c in row.items():
+            comps.setdefault(k, {})[(es, fs)] = _canonical(ctx.zdim, {(): c})
+        basis.append(_stored(degree, ctx.zdim, comps))
+    return basis
 
 
 def _free_datum_cochain(ctx, k0, es0, fs0):
     """The valid scalar cochain whose one nonzero free datum is
-    w_{k0}(es0; fs0) = 1, as {(k, es, fs): value}.
+    w_{k0}(es0; fs0) = 1, as {(k, es, fs): value}; es0 must be strictly
+    increasing. It is kept in ctx.cache["free_datum"], one per free key
+    asked for, which `cochain_space_basis` and `expand` share; callers
+    must not change it.
 
     w_{k0} is sign(sigma) at each permutation sigma(es0), with fs0, and zero
     elsewhere; es0 is strictly increasing, so these are read from the
@@ -515,6 +584,12 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
     (..y,x.. comes earlier in that order), and a strictly increasing key
     below k0 is a free datum, zero here.
     """
+    store = ctx.cache.setdefault("free_datum", {})
+    out = store.get((k0, es0, fs0))
+    if out is not None:
+        return out
+    if any(x >= y for x, y in zip(es0, es0[1:])):
+        raise ValueError(f"({k0}, {es0}, {fs0}) is not a free key: es is not strictly increasing")
     alg = ctx.algebra
     upper = {(tuple([es0[i] for i in perm]), fs0): sign
              for perm, sign in signed_permutations(len(es0))}
@@ -543,6 +618,7 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
                     lower[(es, fs)] = value
         out.update(((k, es, fs), value) for (es, fs), value in lower.items())
         upper = lower
+    store[(k0, es0, fs0)] = out
     return out
 
 

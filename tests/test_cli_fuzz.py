@@ -5,8 +5,10 @@ no traceback and no `internal error` (exit 3). The inputs are `--algebra`
 values, as omni(n) fixture names with up to 6,000 digits and as arbitrary
 text (read as a file path), the contents of an algebra file (its `dim`,
 `basis` labels and bracket entries, coefficients as JSON numbers,
-numeric strings and other JSON values) and the "value" strings of a
-cochain file.
+numeric strings and other JSON values), the "value" strings of a cochain
+file, and the structure of cochain files for `leibcx d` (degree,
+component index k, es and fs lengths, indices out of range or not
+integers, repeated keys).
 """
 
 import contextlib
@@ -57,6 +59,32 @@ algebra_data = st.integers(1, 3).flatmap(
     | algebra_files(dim, json_values | st.integers(-1, dim))) | json_values
 
 
+def cochain_files(degree, other):
+    """Contents of a degree-n cochain file over O1 and A3 (algebra indices
+    0 and 1 exist in both, center index 0), each field sometimes drawn from
+    `other` instead; st.nothing() gives well-shaped files. Each component
+    ends with a repeat of its first entry, so keys repeat."""
+    value = st.sampled_from(["1", "z1", "2*z1^2 - 1/2", "0"]) | other
+
+    def block(k):
+        nl = degree - 2 * k
+        entry = st.fixed_dictionaries({
+            "es": st.lists(st.integers(0, 1) | other, min_size=nl, max_size=nl) | other,
+            "fs": st.lists(st.just(0) | other, min_size=k, max_size=k) | other,
+            "value": value}) | other
+        entries = st.lists(entry, max_size=3).map(lambda xs: xs + xs[:1])
+        return st.fixed_dictionaries({"k": st.just(k) | other, "entries": entries | other}) | other
+
+    return st.fixed_dictionaries({
+        "degree": st.just(degree) | other,
+        "components": st.lists(st.integers(0, degree // 2).flatmap(block), max_size=3) | other})
+
+
+cochain_data = st.integers(0, 5).flatmap(
+    lambda n: cochain_files(n, st.nothing())
+    | cochain_files(n, json_values | st.integers(-1, 3) | st.integers(10, 40))) | json_values
+
+
 def one_bracket(coeff):
     return {"dim": 1, "basis": ["a"], "brackets": [{"i": 0, "j": 0, "coeffs": [coeff]}]}
 
@@ -105,6 +133,27 @@ def test_cochain_value_string_keeps_the_exit_contract(value):
             json.dump(data, fh)
         code, _, err = run_cli(["d", "--algebra", "O1", "--cochain", path])
     assert_contract(code, err)
+
+
+@FUZZ
+@given(cochain_data)
+@example({"degree": 1, "components": [{"k": 0, "entries": [
+    {"es": [0], "fs": [], "value": "z1"}, {"es": [0], "fs": [], "value": "-z1"}]}]})
+@example({"degree": 40, "components": [{"k": 20, "entries": [
+    {"es": [], "fs": [0] * 20, "value": "1"}]}]})
+@example({"degree": 2, "components": [{"k": 0, "entries": [
+    {"es": [0, 1], "fs": [], "value": "1"}, {"es": [1, 0], "fs": [], "value": "-1"}]}]})
+@example({"degree": 3, "components": [{"k": 2, "entries": []}]})
+@example({"degree": 2, "components": [{"k": 0, "entries": [
+    {"es": [0, True], "fs": [], "value": "1"}]}]})
+def test_cochain_file_structure_keeps_the_exit_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "omega.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for algebra in ("O1", "A3"):
+            code, _, err = run_cli(["d", "--algebra", algebra, "--cochain", path])
+            assert_contract(code, err)
 
 
 @FUZZ

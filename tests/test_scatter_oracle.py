@@ -246,3 +246,66 @@ def test_work_follows_stored_entries_not_output_keys(monkeypatch):
     # each pair of entries reaches one key per (2, 1) shuffle
     bound = stored(ze) * stored(flat) * comb(3, 1)
     assert 0 < work["accumulate"] + work["value"] <= bound < dim ** 3 // 2
+
+
+def is_free(es):
+    return all(x < y for x, y in zip(es, es[1:]))
+
+
+@pytest.mark.parametrize("name", ("O2", "omni(3)"))
+def test_d_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
+    """d sends scatter only terms at strictly increasing es, and `expand`
+    fills in the other keys; an every-key d sends most of its terms to
+    the permuted copies of the free keys."""
+    ctx = omni3 if name == "omni(3)" else contexts[name]
+    top = 2 if name == "omni(3)" else 3
+    inputs = [theta(ctx), zeta(ctx)] + flats(ctx)
+    inputs += [with_center_values(ctx, omega)
+               for n in range(top + 1) for omega in cochain_space_basis(ctx, n)]
+    scatter, expand = cochains.scatter, cochains.expand
+    expanding, keys = [], []
+
+    def recording_scatter(nvars, degree, terms):
+        terms = list(terms)
+        if not expanding:
+            keys.extend(es for _, es, _, _, _ in terms)
+        return scatter(nvars, degree, terms)
+
+    def marked_expand(ctx, degree, free):
+        expanding.append(degree)
+        try:
+            return expand(ctx, degree, free)
+        finally:
+            expanding.pop()
+
+    monkeypatch.setattr(cochains, "scatter", recording_scatter)
+    monkeypatch.setattr(cochains, "expand", marked_expand)
+    for omega in inputs:
+        coboundary(ctx, omega)
+    assert keys and all(is_free(es) for es in keys)
+
+
+def test_action_runs_only_on_values_it_can_move(contexts, omni3, monkeypatch):
+    """The action kills scalars, and on A3 every e_i acts as zero, so d
+    calls `action` on neither; center-valued cochains on O2 do reach it."""
+    calls = []
+    action = cochains.action
+
+    def counted_action(ctx, i, poly):
+        calls.append(i)
+        return action(ctx, i, poly)
+
+    monkeypatch.setattr(cochains, "action", counted_action)
+    for name, ctx in (*contexts.items(), ("omni(3)", omni3)):
+        for n in range(3 if name == "omni(3)" else 4):
+            for omega in cochain_space_basis(ctx, n):
+                coboundary(ctx, omega)
+    a3, o2 = contexts["A3"], contexts["O2"]
+    assert a3.algebra.acting == ()
+    center_valued = [with_center_values(a3, omega)
+                     for n in range(4) for omega in cochain_space_basis(a3, n)]
+    for omega in [theta(a3), zeta(a3)] + flats(a3) + center_valued:
+        coboundary(a3, omega)
+    assert not calls
+    coboundary(o2, with_center_values(o2, flats(o2)[0]))
+    assert calls

@@ -4,7 +4,8 @@
 `validate_cochain` tests only the weak skew-symmetry equations that
 stored entries touch; `dense_reference` builds the full constraint matrix
 and walks every equation. Both are exact, so bases and reports must agree
-entry for entry.
+entry for entry. `expand` rebuilds a valid cochain from its values at the
+free keys, and only a valid one.
 """
 
 from collections import Counter
@@ -14,12 +15,13 @@ from random import Random
 import pytest
 
 import dense_reference as dense
-from leibniz_complex.algebra import build_fixture
+from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, cochain_space_basis,
-                                      cochain_to_dict, validate_cochain)
+                                      cochain_to_dict, cup, expand, validate_cochain)
+from leibniz_complex.duality import flat_cochain
 from leibniz_complex.sympoly import SymPoly
-from leibniz_complex.verify import random_poly
+from leibniz_complex.verify import random_poly, random_representable
 
 # fixture -> top degree, as in the space-basis benchmark workload
 DEGREES = {"A3": 5, "O1": 6, "AFF_O1": 4, "O2": 3, "omni(3)": 2}
@@ -46,6 +48,14 @@ def same_report(ctx, omega):
     got, expected = validate_cochain(ctx, omega), dense.validate_cochain(ctx, omega)
     assert (got.ok, got.violations) == (expected.ok, expected.violations), omega
     return got
+
+
+def free_part(omega):
+    """omega's entries at the free keys, those with es strictly increasing."""
+    return Cochain(omega.degree, omega.nvars, {
+        k: {(es, fs): value for (es, fs), value in table.items()
+            if all(x < y for x, y in zip(es, es[1:]))}
+        for k, table in omega.components.items()})
 
 
 def random_key(rng, ctx, degree):
@@ -157,3 +167,41 @@ def test_reports_on_perturbed_cochains(ctxs, name):
             bump = Cochain(n, ctx.zdim, {k: {(es, fs): random_poly(rng, ctx.zdim)}})
             outcomes.add(same_report(ctx, valid + bump).ok)
     assert False in outcomes
+
+
+# -- expansion from free keys ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(DEGREES))
+def test_valid_cochains_are_the_expansion_of_their_free_part(ctxs, name):
+    ctx = ctxs[name]
+    rng = Random(31)
+    # times 1 + z_1 + ... + z_N: still valid, and no longer scalar-valued
+    factor = Cochain.constant(sum((SymPoly.generator(ctx.zdim, r) for r in range(ctx.zdim)),
+                                  SymPoly.constant(ctx.zdim, 1)))
+    cochains = [theta(ctx), zeta(ctx)]
+    cochains += [flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in range(ctx.dim)]
+    cochains += [random_representable(ctx, rng, rng.randint(0, 2)) for _ in range(6)]
+    for n in range(min(DEGREES[name], 3) + 1):
+        for omega in cochain_space_basis(ctx, n):
+            cochains += [omega, cup(ctx, factor, omega)]
+    for omega in cochains:
+        assert expand(ctx, omega.degree, free_part(omega)) == omega, omega
+
+
+@pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1"))
+def test_only_valid_single_entry_cochains_expand_back(ctxs, name):
+    # an expansion is valid, so an invalid cochain is never one
+    ctx = ctxs[name]
+    rng = Random(37)
+    outcomes = set()
+    for _ in range(40):
+        degree = rng.randint(1, 4)
+        k, es, fs = random_key(rng, ctx, degree)
+        omega = Cochain(degree, ctx.zdim, {k: {(es, fs): random_poly(rng, ctx.zdim)}})
+        valid = same_report(ctx, omega).ok
+        assert (expand(ctx, degree, free_part(omega)) == omega) == valid, omega
+        outcomes.add(valid)
+    assert False in outcomes
+    with pytest.raises(ValueError, match="not a free key"):
+        expand(ctx, 2, Cochain(2, ctx.zdim, {0: {((1, 0), ()): SymPoly.constant(ctx.zdim, 1)}}))
