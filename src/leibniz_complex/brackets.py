@@ -3,14 +3,21 @@
 The bracket has two halves, each a sum over signed shuffles of the
 algebra arguments. `bullet` pairs the section lifts of both operands'
 partial evaluations; `diamond` feeds one operand's value into the first
-center slot of the other, extended as a derivation. Both scatter that
-sum from the operands' stored entries (the paper's defining formulas,
-pair_bracket and circ_compose, are the test oracle in
-tests/dense_reference.py), and
+center slot of the other, extended as a derivation, and
 
-    {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w),
+    {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
 
-one signed sum (`cochains.combine`) of the three halves.
+The bracket of valid representable cochains is valid, so it is fixed by
+its values at the free keys, the keys whose es is strictly increasing
+(`cochains.expand`). A shuffle lands on a free key only when both
+argument tuples it merges are strictly increasing and disjoint, so each
+half derives only those terms (`cochains.free_pair_terms`) from the
+operands' stored entries and returns its free part: the values of the
+half at the free keys, zero elsewhere. `poisson` expands one signed sum
+(`cochains.combine`) of the three free parts, and its result is valid by
+construction. The paper's defining formulas, pair_bracket and
+circ_compose, evaluate each half at every key in the test oracle
+tests/dense_reference.py.
 
 The canonical cochains live here too, each a stream of terms into
 `cochains.scatter` read off the stored basis pairings: the degree-2 `zeta`
@@ -28,8 +35,9 @@ outer bracket is computed per pair.
 Every piece that depends on a basis index or on one operand alone is
 computed once per context and found by identity afterwards: `theta`,
 `zeta`, `basis_flat` (e_j-flat) and `theta_flat` (at most dim values
-each), and the section lifts of each bracketed cochain (`_lifts`, one
-list per cochain, solved and stored by `duality.tilde_value`). `diamond`
+each), and the section lifts of each bracketed cochain at its strictly
+increasing stored prefixes (`_lifts`, one list per cochain, solved and
+stored by `duality.tilde_value`). `diamond`
 keeps the image of each monomial under each of its derivation bases for
 the length of one call (`sympoly.derivation_extend`'s `images`).
 """
@@ -37,50 +45,63 @@ the length of one call (`sympoly.derivation_extend`'s `images`).
 from itertools import chain
 
 from .algebra import basis_vec
-from .cochains import check_context, combine, entries, pair_terms, scatter
+from .cochains import (_increasing, check_context, combine, entries, expand, free_pair_terms,
+                       require_valid, scatter)
 from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
                       sharp, stored_prefixes, tilde_value)
 from .sympoly import SymPoly, derivation_extend
 
 
 def _lifts(ctx, omega):
-    """(k, prefix, fs, lift) for each distinct stored prefix of omega: the
-    section lift of its bar covector, nonzero because the covector is.
+    """(k, prefix, fs, lift) for each distinct strictly increasing stored
+    prefix of omega: the section lift of its bar covector, nonzero because
+    the covector is. These are the only lifts `bullet` reads at free keys.
 
-    The list is kept per cochain in the context's cache, so an operand
-    bracketed again (Theta, a cached `theta_flat` or `basis_flat`) costs
-    one lookup; `tilde_value` still solves and stores each lift.
+    omega must be valid (`cochains.require_valid`, InvalidCochainError
+    otherwise). Weak skew-symmetry then writes every bar covector as a
+    rational combination of those at strictly increasing prefixes, so
+    omega is representable exactly when these lifts exist
+    (NotRepresentableError otherwise). The list is kept per cochain in the
+    context's cache, so an operand bracketed again (Theta, a cached
+    `theta_flat` or `basis_flat`) is validated once and then costs one
+    lookup; `tilde_value` still solves and stores each lift.
     """
     cache = ctx.cache.setdefault("lifts", {})
     lifts = cache.get(omega)
     if lifts is None:
+        require_valid(ctx, omega)
         lifts = [(k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
-                 for k, prefix, fs in stored_prefixes(omega)]
+                 for k, prefix, fs in stored_prefixes(omega) if _increasing(prefix)]
         cache[omega] = lifts
     return lifts
 
 
 def bullet(ctx, omega, eta):
-    """Pairing half of the bracket: the lifts of both operands paired.
+    """Pairing half of the bracket at the free keys: the lifts of both
+    operands paired.
 
     A lift x of omega's bar covector at (prefix, fs) has phi(x) =
     omega(prefix, -; fs), so pairing x with a lift y of eta's is the sum of
     omega's entries omega(prefix, e; fs) times y's e-coefficient, signed
-    by (-1)^(m-1).
-    Raises NotRepresentableError when either operand is not representable.
+    by (-1)^(m-1). Only the pairs of strictly increasing, disjoint
+    prefixes reach a free key, so only those lifts are solved.
+    Raises InvalidCochainError when either operand is not weakly
+    skew-symmetric, NotRepresentableError when it is not representable.
     """
     check_context(ctx, omega, eta)
-    _lifts(ctx, omega)  # only to raise when omega is not representable
+    _lifts(ctx, omega)  # only to raise when omega is invalid or not representable
     left = [(k, es[:-1], fs, (es[-1], v)) for k, es, fs, v in entries(omega) if es]
-    terms = pair_terms(left, _lifts(ctx, eta), lambda ev, y: ev[1] * y.coeffs[ev[0]])
+    terms = free_pair_terms(left, _lifts(ctx, eta), lambda ev, y: ev[1] * y.coeffs[ev[0]])
     sign = -1 if eta.degree % 2 == 0 else 1
     return scatter(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
                    ((k, es, fs, value, sign * factor) for k, es, fs, value, factor in terms))
 
 
 def diamond(ctx, omega, eta):
-    """Composition half of the bracket: each eta entry fed, as a
-    derivation, into the first center argument of omega's components."""
+    """Composition half of the bracket at the free keys: each eta entry
+    fed, as a derivation, into the first center argument of omega's
+    components, wherever the two argument tuples are strictly increasing
+    and disjoint."""
     check_context(ctx, omega, eta)
     degree = max(omega.degree + eta.degree - 2, 0)
     if omega.extent()[1] == 0:  # no stored center argument: nothing to feed into
@@ -92,16 +113,23 @@ def diamond(ctx, omega, eta):
             bases.setdefault(key, [SymPoly.zero(ctx.zdim)] * ctx.zdim)[r] = value
     # each base with the images of the monomials it has met during this call
     left = [(i, es, rest, (base, {})) for (i, es, rest), base in bases.items()]
-    terms = pair_terms(left, entries(eta), lambda b, y: derivation_extend(b[0], y, b[1]))
+    terms = free_pair_terms(left, entries(eta), lambda b, y: derivation_extend(b[0], y, b[1]))
     return scatter(ctx.zdim, degree, terms)
 
 
 def poisson(ctx, omega, eta):
-    """{omega, eta} = bullet + diamond - (-1)^(nm) diamond flipped, one signed sum."""
+    """{omega, eta} = bullet + diamond - (-1)^(nm) diamond flipped.
+
+    The operands must be valid and representable (InvalidCochainError,
+    NotRepresentableError otherwise, raised by `bullet`). Their bracket is
+    valid, so it is the expansion of one signed sum of the three halves'
+    free parts, and valid by construction."""
     n, m = omega.degree, eta.degree
     sign = -1 if (n * m) % 2 else 1
-    return combine(ctx.zdim, max(n + m - 2, 0), (bullet(ctx, omega, eta), 1),
+    degree = max(n + m - 2, 0)
+    free = combine(ctx.zdim, degree, (bullet(ctx, omega, eta), 1),
                    (diamond(ctx, omega, eta), 1), (diamond(ctx, eta, omega), -sign))
+    return expand(ctx, degree, free)
 
 
 def zeta(ctx):

@@ -18,7 +18,10 @@ touch. A valid cochain is fixed by its values at the free keys, the keys
 (k, es, fs) with es strictly increasing: `expand` fills in every other
 key from the free-datum cochains (`_free_datum_cochain`, one per free
 key, kept in the context's cache), and `cochain_space_basis` builds its
-basis from the same cochains.
+basis from the same cochains. An `expand` output, and a cochain that
+passes `validate_cochain`, is marked valid over the context's algebra;
+`require_valid`, which d and the bracket call on their inputs, validates
+only a cochain not so marked.
 
 The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
@@ -110,7 +113,9 @@ _zero = cache(SymPoly.zero)  # one shared zero per generator count; SymPoly is i
 class Cochain:
     """Immutable sparse cochain; missing keys are zero."""
 
-    __slots__ = ("degree", "nvars", "components", "_hash", "_extent")
+    # _valid_over: the algebra the cochain is known to be weakly
+    # skew-symmetric over (set by `expand` and a passing `validate_cochain`)
+    __slots__ = ("degree", "nvars", "components", "_hash", "_extent", "_valid_over")
 
     def __init__(self, degree, nvars, components=None):
         if degree < 0:
@@ -138,8 +143,7 @@ class Cochain:
             if out:
                 clean[k] = out
         self.components = clean
-        self._hash = None
-        self._extent = None
+        self._hash = self._extent = self._valid_over = None
 
     @classmethod
     def zero(cls, degree, nvars):
@@ -214,9 +218,10 @@ class Cochain:
 # -- shuffles ------------------------------------------------------------------
 
 # The most shuffles one product may merge a pair of argument tuples with.
-# `pair_terms`, which derives the terms of `cup`, `bullet` and `diamond`,
-# checks C(p + q, p) for the longest argument tuples p and q its operands
-# store, once per call and before any shuffle table is built: two entries
+# `pair_terms`, which derives the terms of `cup`, and `free_pair_terms`,
+# which derives those of `bullet` and `diamond`, check C(p + q, p) for the
+# longest argument tuples p and q their operands store, once per call and
+# before any shuffle table is built: two entries
 # with 20 algebra arguments each would otherwise need C(40, 20) = 1.4e11
 # of them. `coboundary` checks C(q + 1, 1), one argument merged into the
 # longest stored tuple, as its action terms do.
@@ -261,7 +266,7 @@ def merge_centers(fs1, fs2):
 def check_context(ctx, *cochains):
     """ContextMismatchError unless every cochain lives over ctx: its center
     basis has ctx's size, and its stored algebra and center indices lie
-    below ctx.dim and ctx.zdim. d (through `validate_cochain`), cup,
+    below ctx.dim and ctx.zdim. d (through `require_valid`), cup,
     bullet, diamond and `duality.is_representable` call it before anything
     else."""
     for omega in cochains:
@@ -303,7 +308,19 @@ def scatter(nvars, degree, terms):
     each factor exact."""
     sums = {}
     for k, es, fs, poly, factor in terms:
-        accumulate(sums.setdefault((k, es, fs), {}), poly, factor)
+        key = (k, es, fs)
+        acc = sums.get(key)
+        # most keys get one term (each permuted key of an expansion does),
+        # and a first term with factor 1 or -1 is copied as it is: the
+        # coefficients of a SymPoly are canonical, and so are their negatives
+        if acc is not None:
+            accumulate(acc, poly, factor)
+        elif factor == 1:
+            sums[key] = dict(poly.items())
+        elif factor == -1:
+            sums[key] = {mono: -coeff for mono, coeff in poly.items()}
+        else:
+            accumulate(sums.setdefault(key, {}), poly, factor)
     comps = {}
     for (k, es, fs), acc in sums.items():
         if acc:
@@ -315,7 +332,7 @@ def _stored(degree, nvars, comps):
     """The cochain holding the components comps as they are, unchecked."""
     out = Cochain.__new__(Cochain)
     out.degree, out.nvars, out.components = degree, nvars, comps
-    out._hash = out._extent = None
+    out._hash = out._extent = out._valid_over = None
     return out
 
 
@@ -347,6 +364,47 @@ def pair_terms(left, right, combine):
                 merged = es1 + es2
                 for order, sign in shuffle_table(len(merged), len(es1)):
                     yield i + j, tuple([merged[o] for o in order]), fs, value, sign * mult
+
+
+def free_pair_terms(left, right, combine):
+    """The terms of `pair_terms` that land on free keys, the keys with es
+    strictly increasing: such a shuffle of es1 and es2 exists only when
+    both are strictly increasing and share no index, and then it is the
+    one sorting es1 + es2. Each such pair of items is merged once, with
+    the sign of that shuffle, and no shuffle table is built; the shuffle
+    budget is still checked on every item."""
+    left, right = list(left), list(right)
+    _check_shuffles(max((len(item[1]) for item in left), default=0),
+                    max((len(item[1]) for item in right), default=0))
+    left = [item for item in left if len(item[1]) < 2 or _increasing(item[1])]
+    right = [item for item in right if len(item[1]) < 2 or _increasing(item[1])]
+    for i, es1, fs1, x in left:
+        for j, es2, fs2, y in right:
+            if es1 and es2:
+                merged = _sorted_merge(es1, es2)
+                if merged is None:
+                    continue
+                es, sign = merged
+            else:
+                es, sign = es1 or es2, 1
+            value = combine(x, y)
+            if not value.is_zero():
+                fs, mult = merge_centers(fs1, fs2)
+                yield i + j, es, fs, value, sign * mult
+
+
+def _increasing(es):
+    return all(x < y for x, y in zip(es, es[1:]))
+
+
+@cache
+def _sorted_merge(es1, es2):
+    """(sorted es1 + es2, the sign of that shuffle) for strictly increasing
+    es1 and es2 with no common index, else None."""
+    if not set(es1).isdisjoint(es2):
+        return None
+    inversions = sum(bisect_left(es2, x) for x in es1)
+    return tuple(sorted(es1 + es2)), -1 if inversions % 2 else 1
 
 
 def _check_shuffles(p, q):
@@ -393,8 +451,9 @@ def validate_cochain(ctx, omega):
     dict update per stored coefficient and builds no SymPoly. Only an
     equation whose residual is nonzero has its lhs and rhs built for the
     report. Violations are sorted by (k, es, fs, pos), the order of a walk
-    over every key. ContextMismatchError for a cochain from another
-    context.
+    over every key. A cochain that passes is marked valid over ctx's
+    algebra (see `require_valid`); the check itself always runs in full.
+    ContextMismatchError for a cochain from another context.
     """
     check_context(ctx, omega)
     alg = ctx.algebra
@@ -422,7 +481,21 @@ def validate_cochain(ctx, omega):
                 rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
             violations.append((k, pos, es, fs, lhs, rhs))
     violations.sort(key=lambda v: (v[0], v[2], v[3], v[1]))
+    if not violations:
+        omega._valid_over = alg
     return ValidationReport(ok=not violations, violations=violations)
+
+
+def require_valid(ctx, omega):
+    """InvalidCochainError unless omega is weakly skew-symmetric. A cochain
+    already known valid over ctx's algebra, built by `expand` or passed by
+    `validate_cochain`, is only checked against the context."""
+    if omega._valid_over is ctx.algebra:
+        check_context(ctx, omega)
+        return
+    report = validate_cochain(ctx, omega)
+    if not report.ok:
+        raise InvalidCochainError(report)
 
 
 def _remove_one(fs, r):
@@ -437,16 +510,15 @@ def _remove_one(fs, r):
 def coboundary(ctx, omega):
     """d(omega) = d0(omega) + delta(omega), one degree up.
 
-    The input must be a valid cochain (InvalidCochainError otherwise). Its
-    image is valid too, so it is fixed by its values at the free keys (es
-    strictly increasing): `_free_coboundary_terms` derives only the terms
-    that land there, and `expand` fills in every other key. The output is
-    therefore valid by construction, whatever the terms; the every-key
-    evaluation of d is `coboundary` in `tests/dense_reference.py`.
+    The input must be a valid cochain (InvalidCochainError otherwise,
+    through `require_valid`). Its image is valid too, so it is fixed by its
+    values at the free keys (es strictly increasing):
+    `_free_coboundary_terms` derives only the terms that land there, and
+    `expand` fills in every other key. The output is therefore valid by
+    construction, whatever the terms; the every-key evaluation of d is
+    `coboundary` in `tests/dense_reference.py`.
     """
-    report = validate_cochain(ctx, omega)
-    if not report.ok:
-        raise InvalidCochainError(report)
+    require_valid(ctx, omega)
     _check_shuffles(1, max((len(es) for _, es, _, _ in entries(omega)), default=0))
     degree = omega.degree + 1
     return expand(ctx, degree, scatter(ctx.zdim, degree, _free_coboundary_terms(ctx, omega)))
@@ -505,13 +577,19 @@ def _free_coboundary_terms(ctx, omega):
 
 def expand(ctx, degree, free):
     """The valid degree-n cochain whose values at the free keys, the keys
-    with es strictly increasing, are those the cochain `free` stores: the
-    sum of v * F over its entries v at (k, es, fs), F the free-datum cochain
-    of that key. Every key `free` stores must be free; a valid cochain is
-    the expansion of its entries at free keys."""
-    return scatter(ctx.zdim, degree, (
-        (k, es, fs, value, c) for k0, es0, fs0, value in entries(free)
-        for (k, es, fs), c in _free_datum_cochain(ctx, k0, es0, fs0).items()))
+    with es strictly increasing, are those the degree-n cochain `free`
+    stores: the sum of v * F over its entries v at (k, es, fs), F the
+    free-datum cochain of that key. Every key `free` stores must be free;
+    a valid cochain is the expansion of its entries at free keys. Below
+    degree 2 every key is free and is its own free-datum cochain, so
+    `free` itself is returned. The result is marked valid over ctx's
+    algebra."""
+    if degree >= 2:
+        free = scatter(ctx.zdim, degree, (
+            (k, es, fs, value, c) for k0, es0, fs0, value in entries(free)
+            for (k, es, fs), c in _free_datum_cochain(ctx, k0, es0, fs0).items()))
+    free._valid_over = ctx.algebra
+    return free
 
 
 # -- the product ----------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Dense reference implementations of d, the product, the two bracket
-halves, the vector-level pairing, flats, the representability test, weak skew-symmetry, the basis
-of the valid cochains and exact elimination, and the paper's defining formulas
-behind the bracket: phi, the pairing on S(Z) (x) L, and the two
-ingredient operations pair_bracket and circ_compose.
+halves and their signed sum, the vector-level pairing, flats, the
+representability test, weak skew-symmetry, the basis of the valid
+cochains and exact elimination, and the paper's defining formulas behind
+the bracket: phi, the pairing on S(Z) (x) L, and the two ingredient
+operations pair_bracket and circ_compose.
 
 These enumerate every output key (es, fs) of the result's degree (for the
 representability test, every bar prefix; for validity and the basis,
@@ -12,7 +13,9 @@ stored entries; elimination runs on dense rows. They cost dim^degree per
 call, so the tests run them only on small inputs, as an oracle that the
 sparse code must match by exact equality. The flat pairs v with a fresh
 basis vector per slot, as the package did before it summed the stored
-basis pairings over v's nonzero coordinates.
+basis pairings over v's nonzero coordinates. The package's bracket halves
+return only their values at the free keys; `free_part` cuts a dense half
+down to those.
 """
 
 from dataclasses import dataclass
@@ -401,6 +404,22 @@ def diamond(ctx, omega, eta):
                 accumulate(acc, circ_compose(ctx, gamma, delta)(fs), sign)
 
     return assemble(ctx, max(n + m - 2, 0), fill)
+
+
+def poisson(ctx, omega, eta):
+    """{omega, eta} at every key: the dense bullet plus the dense diamond
+    minus (-1)^(nm) the dense diamond flipped."""
+    sign = -1 if (omega.degree * eta.degree) % 2 else 1
+    return bullet(ctx, omega, eta) + diamond(ctx, omega, eta) - \
+        diamond(ctx, eta, omega).scale(sign)
+
+
+def free_part(omega):
+    """omega's entries at the free keys, those with es strictly increasing."""
+    return Cochain(omega.degree, omega.nvars, {
+        k: {(es, fs): value for (es, fs), value in table.items()
+            if all(x < y for x, y in zip(es, es[1:]))}
+        for k, table in omega.components.items()})
 
 
 def first_slot_action(ctx, omega):

@@ -146,10 +146,14 @@ def test_derived_bracket_table_computes_each_piece_once(monkeypatch):
     table()
     assert len(flats) == dim
     # Theta, the basis flats and the {Theta, e_i-flat} are the bracketed
-    # operands; each stored prefix of each is lifted once
+    # operands; each strictly increasing stored prefix of each is lifted
+    # once, and no other prefix is: only those reach a free key
     operands = [theta(ctx)] + [basis_flat(ctx, i) for i in range(dim)] + \
         [theta_flat(ctx, i) for i in range(dim)]
-    expected = {(omega, *key) for omega in operands for key in stored_prefixes(omega)}
+    expected = {(omega, k, prefix, fs) for omega in operands
+                for k, prefix, fs in stored_prefixes(omega)
+                if all(x < y for x, y in zip(prefix, prefix[1:]))}
+    assert len(expected) < sum(len(stored_prefixes(omega)) for omega in operands)
     assert len(lifts) == len(set(lifts)) == len(expected)
     assert set(lifts) == expected
     assert len(solves) == len(lifts) + dim * dim  # plus one sharp per pair

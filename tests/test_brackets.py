@@ -8,13 +8,13 @@ import pytest
 from dense_reference import ArityError, HomSym, circ_compose, pair_bracket, pairing_poly
 from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import (bullet, derived_bracket, derived_bracket_dual, diamond,
-                                      poisson, theta, zeta)
+from leibniz_complex.brackets import (basis_flat, bullet, derived_bracket, derived_bracket_dual,
+                                      diamond, poisson, theta, zeta)
 from leibniz_complex.cochains import (MAX_SHUFFLES, Cochain, ComplexContext,
-                                      ContextMismatchError, ShuffleBudgetError, coboundary, cup,
-                                      validate_cochain)
-from leibniz_complex.duality import (DualElement, ExtendedElement, flat, flat_cochain,
-                                     is_representable)
+                                      ContextMismatchError, InvalidCochainError,
+                                      ShuffleBudgetError, coboundary, cup, validate_cochain)
+from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError, flat,
+                                     flat_cochain, is_representable)
 from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import random_representable
 
@@ -137,9 +137,10 @@ def test_theta_bracket_bullet_half(o1):
 
 def test_theta_bracket_diamond_half(o1):
     # theta_1(e2) composed into a-flat(e3), antisymmetrized:
-    # -(e2, (a, e3)) + (e3, (a, e2))
+    # -(e2, (a, e3)) + (e3, (a, e2)); the half keeps its free part, the
+    # value -z1 at (a, b), and drops the value z1 at (b, a)
     dm = diamond(o1, theta(o1), flat_cochain(o1, basis_vec(2, 0)))
-    assert dm.components[0] == {((0, 1), ()): -Z1, ((1, 0), ()): Z1}
+    assert dm.components[0] == {((0, 1), ()): -Z1}
     assert 1 not in dm.components
 
 
@@ -291,6 +292,35 @@ def test_shuffle_budget_counts_argument_tuples_not_degrees(o1):
     wide = Cochain(20, o1.zdim, {0: {((0, 1) * 10, ()): SymPoly.constant(o1.zdim, 1)}})
     with pytest.raises(ShuffleBudgetError, match=str(MAX_SHUFFLES)):
         cup(o1, wide, wide)
+
+
+# -- operands that are not valid or not representable --------------------------------
+
+
+def product_less_one_entry(ctx):
+    """a-flat cup b-flat less its value at the non-free key (b, a): still
+    representable, no longer weakly skew-symmetric."""
+    product = cup(ctx, flat_cochain(ctx, basis_vec(2, 0)), flat_cochain(ctx, basis_vec(2, 1)))
+    table = dict(product.components[0])
+    del table[((1, 0), ())]
+    return Cochain(2, ctx.zdim, {0: table})
+
+
+def test_poisson_rejects_invalid_operands(o1):
+    bad = product_less_one_entry(o1)
+    assert is_representable(o1, bad).ok and not validate_cochain(o1, bad).ok
+    for omega, eta in ((bad, basis_flat(o1, 0)), (theta(o1), bad), (bad, bad)):
+        with pytest.raises(InvalidCochainError):
+            poisson(o1, omega, eta)
+
+
+def test_poisson_rejects_non_representable_operands(aff_o1):
+    # valid (degree 1), but a scalar covector is not in the image of phi
+    bad = Cochain(1, 1, {0: {((0,), ()): SymPoly.constant(1, 1)}})
+    assert validate_cochain(aff_o1, bad).ok and not is_representable(aff_o1, bad).ok
+    for omega, eta in ((bad, basis_flat(aff_o1, 2)), (theta(aff_o1), bad)):
+        with pytest.raises(NotRepresentableError):
+            poisson(aff_o1, omega, eta)
 
 
 # -- operands over another center ---------------------------------------------------

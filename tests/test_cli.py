@@ -10,7 +10,7 @@ from leibniz_complex import algebra, cli
 from leibniz_complex.algebra import MAX_DIM, algebra_to_dict, basis_vec, build_fixture
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cli import main
-from leibniz_complex.cochains import ComplexContext, coboundary, cochain_from_dict, \
+from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, cochain_from_dict, \
     cochain_to_dict, cup
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.verify import MAX_VERIFY_DEGREE, MAX_VERIFY_SAMPLES
@@ -104,6 +104,26 @@ def test_bracket_command(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     expected = coboundary(ctx, flat_cochain(ctx, basis_vec(2, 0))).scale(-1)
     assert cochain_from_dict(ctx, data) == expected
+
+
+def test_bracket_of_an_invalid_cochain_is_a_check_failure(tmp_path, capsys):
+    # a-flat cup b-flat less its value at (b, a): representable, not weakly
+    # skew-symmetric, so the bracket refuses it in either slot
+    ctx = ComplexContext(build_fixture("O1"))
+    product = cup(ctx, flat_cochain(ctx, basis_vec(2, 0)), flat_cochain(ctx, basis_vec(2, 1)))
+    table = dict(product.components[0])
+    del table[((1, 0), ())]
+    bad = write_cochain(tmp_path, ctx, Cochain(2, ctx.zdim, {0: table}), "bad.json")
+    fa = write_cochain(tmp_path, ctx, flat_cochain(ctx, basis_vec(2, 0)), "fa.json")
+    assert main(["representable", "--algebra", "O1", "--cochain", bad]) == 0
+    capsys.readouterr()
+    for pair in ((bad, fa), (fa, bad)):
+        assert main(["bracket", "--algebra", "O1", "--cochain", pair[0],
+                     "--cochain", pair[1]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("check failed:") and captured.err.count("\n") == 1
+        assert "not weakly skew-symmetric" in captured.err
 
 
 def test_representable_command(tmp_path, capsys):

@@ -3,7 +3,11 @@
 `d`, `cup`, `bullet` and `diamond` derive their terms from the stored
 entries of their operands; `dense_reference` evaluates the same sums by
 visiting every output key. Exact rational sums do not depend on the
-order of summation, so the two must agree exactly on every input.
+order of summation, so the two must agree exactly on every input. The
+bracket halves derive only the terms at free keys (es strictly
+increasing), so each is matched with the free part of its dense half;
+`poisson` expands their signed sum, and is matched at every key with the
+signed sum of the dense halves, on representable operands.
 """
 
 from collections import Counter
@@ -18,13 +22,15 @@ from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import bullet, diamond, poisson, theta, zeta
 from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, cochain_space_basis, cup
-from leibniz_complex.duality import NotRepresentableError, flat_cochain
+from leibniz_complex.duality import NotRepresentableError, flat_cochain, is_representable
 from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import d0_sign_mutant, random_representable
 
 FIXTURES = ("A3", "O1", "O2", "AFF_O1")
 OPERATORS = {"coboundary": (coboundary, dense.coboundary), "cup": (cup, dense.cup),
-             "bullet": (bullet, dense.bullet), "diamond": (diamond, dense.diamond)}
+             "bullet": (bullet, lambda *args: dense.free_part(dense.bullet(*args))),
+             "diamond": (diamond, lambda *args: dense.free_part(dense.diamond(*args))),
+             "poisson": (poisson, dense.poisson)}
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +70,18 @@ def flats(ctx):
     return [flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in range(ctx.dim)]
 
 
-def with_center_values(ctx, omega):
-    """omega with every value times 1 + z_1 + ... + z_N: still valid, since
-    validity is linear over S(Z), and unlike a scalar-valued cochain it has
-    nonzero action terms."""
-    factor = sum((SymPoly.generator(ctx.zdim, r) for r in range(ctx.zdim)),
-                 SymPoly.constant(ctx.zdim, 1))
+def scaled(ctx, omega, factor):
+    """omega with every value times factor in S(Z): still valid, since
+    validity is linear over S(Z)."""
     return Cochain(omega.degree, ctx.zdim, {k: {key: v * factor for key, v in table.items()}
                                             for k, table in omega.components.items()})
+
+
+def with_center_values(ctx, omega):
+    """omega with every value times 1 + z_1 + ... + z_N: unlike a
+    scalar-valued cochain it has nonzero action terms."""
+    return scaled(ctx, omega, sum((SymPoly.generator(ctx.zdim, r) for r in range(ctx.zdim)),
+                                  SymPoly.constant(ctx.zdim, 1)))
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("omni(3)",))
@@ -90,6 +100,29 @@ def test_basis_cochains(contexts, omni3, name):
                     same(ctx, "diamond", omega, eta)
 
 
+@pytest.mark.parametrize("name", FIXTURES + ("omni(3)",))
+def test_poisson_of_basis_cochains(contexts, omni3, name):
+    """The bracket at every key, on the representable basis cochains and
+    center-valued copies (a scalar-valued cochain of positive degree is
+    never representable: phi raises the symmetric degree) of degree up to
+    that of the basis test, for outputs of degree up to it too."""
+    ctx = omni3 if name == "omni(3)" else contexts[name]
+    top = 2 if name == "omni(3)" else 3
+    pool = {}
+    for n in range(top + 1):
+        basis = cochain_space_basis(ctx, n)
+        copies = [scaled(ctx, omega, SymPoly.generator(ctx.zdim, r))
+                  for omega in basis for r in range(ctx.zdim)]
+        copies += [with_center_values(ctx, omega) for omega in basis]
+        pool[n] = [omega for omega in basis + copies if is_representable(ctx, omega).ok]
+    assert any(pool[n] for n in range(1, top + 1))
+    for n in range(top + 1):
+        for m in range(top + 3 - n):
+            for omega in pool[n]:
+                for eta in pool.get(m, ()):
+                    same(ctx, "poisson", omega, eta)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_canonical_cochains(contexts, name):
     ctx = contexts[name]
@@ -102,6 +135,7 @@ def test_canonical_cochains(contexts, name):
             same(ctx, "cup", omega, eta)
             same(ctx, "bullet", omega, eta)
             same(ctx, "diamond", omega, eta)
+            same(ctx, "poisson", omega, eta)
 
 
 def test_canonical_cochains_on_omni3(omni3):
@@ -114,6 +148,7 @@ def test_canonical_cochains_on_omni3(omni3):
         for omega, eta in ((th, flat), (flat, th), (ze, flat), (flat, ze)):
             same(omni3, "bullet", omega, eta)
             same(omni3, "diamond", omega, eta)
+            same(omni3, "poisson", omega, eta)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -128,6 +163,7 @@ def test_random_representable_samples(contexts, name):
             same(ctx, "cup", a, b)
             same(ctx, "bullet", a, b)
             same(ctx, "diamond", a, b)
+            same(ctx, "poisson", a, b)
 
 
 def test_repeated_center_indices(contexts, o1, o2):
@@ -143,9 +179,11 @@ def test_repeated_center_indices(contexts, o1, o2):
         assert any(fs[0] == fs[1] for _, fs in zz.components[2])
         same(ctx, "diamond", zz, zeta(ctx))
         same(ctx, "cup", zz, flats(ctx)[0])
+        same(ctx, "poisson", zz, flats(ctx)[0])
     zz = cup(o1, zeta(o1), zeta(o1))
     same(o1, "bullet", zz, zz)
     same(o1, "diamond", zz, zz)
+    same(o1, "poisson", zz, zeta(o1))
 
 
 def test_degree_zero_and_zero_operands(o1, o2):
@@ -157,7 +195,7 @@ def test_degree_zero_and_zero_operands(o1, o2):
             same(ctx, "coboundary", omega)
             for eta in small if omega.degree < 3 else (const, zero0):
                 for a, b in ((omega, eta), (eta, omega)):
-                    for op in ("cup", "bullet", "diamond"):
+                    for op in ("cup", "bullet", "diamond", "poisson"):
                         same(ctx, op, a, b)
 
 
@@ -166,7 +204,7 @@ def test_brackets_with_clamped_degree(o1):
     const = Cochain.constant(SymPoly.generator(1, 0))
     flat = flats(o1)[0]
     for omega, eta in ((const, flat), (flat, const), (const, const)):
-        for op in ("bullet", "diamond"):
+        for op in ("bullet", "diamond", "poisson"):
             result = same(o1, op, omega, eta)
             assert result.degree == 0 and result.is_zero()
 

@@ -15,9 +15,11 @@ from random import Random
 import pytest
 
 import dense_reference as dense
+from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import theta, zeta
-from leibniz_complex.cochains import (Cochain, ComplexContext, cochain_space_basis,
+from leibniz_complex.brackets import poisson, theta, zeta
+from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
+                                      InvalidCochainError, coboundary, cochain_space_basis,
                                       cochain_to_dict, cup, expand, validate_cochain)
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.sympoly import SymPoly
@@ -48,14 +50,6 @@ def same_report(ctx, omega):
     got, expected = validate_cochain(ctx, omega), dense.validate_cochain(ctx, omega)
     assert (got.ok, got.violations) == (expected.ok, expected.violations), omega
     return got
-
-
-def free_part(omega):
-    """omega's entries at the free keys, those with es strictly increasing."""
-    return Cochain(omega.degree, omega.nvars, {
-        k: {(es, fs): value for (es, fs), value in table.items()
-            if all(x < y for x, y in zip(es, es[1:]))}
-        for k, table in omega.components.items()})
 
 
 def random_key(rng, ctx, degree):
@@ -186,7 +180,7 @@ def test_valid_cochains_are_the_expansion_of_their_free_part(ctxs, name):
         for omega in cochain_space_basis(ctx, n):
             cochains += [omega, cup(ctx, factor, omega)]
     for omega in cochains:
-        assert expand(ctx, omega.degree, free_part(omega)) == omega, omega
+        assert expand(ctx, omega.degree, dense.free_part(omega)) == omega, omega
 
 
 @pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1"))
@@ -200,8 +194,50 @@ def test_only_valid_single_entry_cochains_expand_back(ctxs, name):
         k, es, fs = random_key(rng, ctx, degree)
         omega = Cochain(degree, ctx.zdim, {k: {(es, fs): random_poly(rng, ctx.zdim)}})
         valid = same_report(ctx, omega).ok
-        assert (expand(ctx, degree, free_part(omega)) == omega) == valid, omega
+        assert (expand(ctx, degree, dense.free_part(omega)) == omega) == valid, omega
         outcomes.add(valid)
     assert False in outcomes
     with pytest.raises(ValueError, match="not a free key"):
         expand(ctx, 2, Cochain(2, ctx.zdim, {0: {((1, 0), ()): SymPoly.constant(ctx.zdim, 1)}}))
+
+
+# -- cochains known to be valid ----------------------------------------------------
+
+
+def test_known_valid_cochains_are_not_validated_again(ctxs, monkeypatch):
+    """A cochain built by `expand`, or one that passed `validate_cochain`,
+    is known valid over its context's algebra: `coboundary` and the
+    bracket's lifts skip its validation, but still check its context.
+    `validate_cochain` itself always runs in full."""
+    ctx = ComplexContext(build_fixture("O2"))
+    calls = []
+    validate = cochains.validate_cochain
+
+    def counted(ctx, omega):
+        calls.append(omega)
+        return validate(ctx, omega)
+
+    monkeypatch.setattr(cochains, "validate_cochain", counted)
+    built = Cochain(2, ctx.zdim, zeta(ctx).components)  # equal to zeta, not yet known valid
+    d_built = coboundary(ctx, built)
+    assert calls == [built]
+    coboundary(ctx, built)
+    coboundary(ctx, d_built)  # an expansion
+    poisson(ctx, theta(ctx), expand(ctx, 1, flat_cochain(ctx, basis_vec(ctx.dim, 0))))
+    assert calls == [built, theta(ctx)]
+    assert cochains.validate_cochain(ctx, built).ok and len(calls) == 3
+    with pytest.raises(ContextMismatchError):
+        coboundary(ctxs["omni(3)"], d_built)
+
+
+def test_validity_is_known_per_algebra(ctxs):
+    # a second build of O2 is another algebra: its context validates afresh
+    ctx, other = ctxs["O2"], ComplexContext(build_fixture("O2"))
+    omega = coboundary(ctx, zeta(ctx))
+    assert omega._valid_over is ctx.algebra
+    assert omega._valid_over is not other.algebra
+    assert validate_cochain(other, omega).ok and omega._valid_over is other.algebra
+    bad = Cochain(2, ctx.zdim, {0: {((0, 1), ()): SymPoly.generator(ctx.zdim, 0)}})
+    assert not validate_cochain(ctx, bad).ok and bad._valid_over is None
+    with pytest.raises(InvalidCochainError):
+        coboundary(ctx, bad)
