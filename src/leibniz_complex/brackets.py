@@ -2,8 +2,11 @@
 
 The bracket has two halves, each a sum over signed shuffles of the
 algebra arguments. `bullet` pairs the section lifts of both operands'
-partial evaluations; `diamond` feeds one operand's value into the first
-center slot of the other, extended as a derivation, and
+partial evaluations; since phi of the left operand's lift is its bar
+covector, only the right operand is lifted, and the left one is paired
+with those lifts entry by entry after a membership test in Im(phi)
+(`duality.require_representable`); `diamond` feeds one operand's value
+into the first center slot of the other, extended as a derivation, and
 
     {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
 
@@ -35,9 +38,10 @@ outer bracket is computed per pair.
 Every piece that depends on a basis index or on one operand alone is
 computed once per context and found by identity afterwards: `theta`,
 `zeta`, `basis_flat` (e_j-flat) and `theta_flat` (at most dim values
-each), and the section lifts of each bracketed cochain at its strictly
-increasing stored prefixes (`_lifts`, one list per cochain, solved and
-stored by `duality.tilde_value`). `diamond`
+each), and the section lifts of each right operand of `bullet` at its
+strictly increasing stored prefixes (`_lifts`, one list per cochain,
+solved and stored by `duality.tilde_value`). A left operand found
+representable is remembered on the cochain itself. `diamond`
 keeps the image of each monomial under each of its derivation bases for
 the length of one call (`sympoly.derivation_extend`'s `images`).
 """
@@ -48,23 +52,24 @@ from .algebra import basis_vec
 from .cochains import (_increasing, check_context, combine, entries, expand, free_pair_terms,
                        require_valid, scatter)
 from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
-                      sharp, stored_prefixes, tilde_value)
-from .sympoly import SymPoly, derivation_extend
+                      require_representable, sharp, stored_bars, stored_prefixes, tilde_value)
+from .sympoly import SymPoly, derivation_extend, dot
 
 
 def _lifts(ctx, omega):
     """(k, prefix, fs, lift) for each distinct strictly increasing stored
     prefix of omega: the section lift of its bar covector, nonzero because
-    the covector is. These are the only lifts `bullet` reads at free keys.
+    the covector is. These are the only lifts `bullet` reads at free keys,
+    and only of its right operand.
 
     omega must be valid (`cochains.require_valid`, InvalidCochainError
     otherwise). Weak skew-symmetry then writes every bar covector as a
     rational combination of those at strictly increasing prefixes, so
     omega is representable exactly when these lifts exist
     (NotRepresentableError otherwise). The list is kept per cochain in the
-    context's cache, so an operand bracketed again (Theta, a cached
-    `theta_flat` or `basis_flat`) is validated once and then costs one
-    lookup; `tilde_value` still solves and stores each lift.
+    context's cache, so a right operand bracketed again (a cached
+    `basis_flat`) is validated once and then costs one lookup;
+    `tilde_value` still solves and stores each lift.
     """
     cache = ctx.cache.setdefault("lifts", {})
     lifts = cache.get(omega)
@@ -81,17 +86,22 @@ def bullet(ctx, omega, eta):
     operands paired.
 
     A lift x of omega's bar covector at (prefix, fs) has phi(x) =
-    omega(prefix, -; fs), so pairing x with a lift y of eta's is the sum of
-    omega's entries omega(prefix, e; fs) times y's e-coefficient, signed
-    by (-1)^(m-1). Only the pairs of strictly increasing, disjoint
-    prefixes reach a free key, so only those lifts are solved.
+    omega(prefix, -; fs), so pairing x with a lift y of eta's is the dot
+    product of omega's entries omega(prefix, e; fs) with y's
+    e-coefficients, signed by (-1)^(m-1): omega is never lifted, only
+    checked to be representable (`duality.require_representable`), and
+    each of its bar covectors (`duality.stored_bars`) is paired with each
+    lift by one dot product. Only the pairs of strictly increasing, disjoint
+    prefixes reach a free key, so only those lifts of eta are solved.
     Raises InvalidCochainError when either operand is not weakly
-    skew-symmetric, NotRepresentableError when it is not representable.
+    skew-symmetric, NotRepresentableError when it is not representable,
+    omega checked first.
     """
     check_context(ctx, omega, eta)
-    _lifts(ctx, omega)  # only to raise when omega is invalid or not representable
-    left = [(k, es[:-1], fs, (es[-1], v)) for k, es, fs, v in entries(omega) if es]
-    terms = free_pair_terms(left, _lifts(ctx, eta), lambda ev, y: ev[1] * y.coeffs[ev[0]])
+    require_representable(ctx, omega)
+    left = [(k, prefix, fs, bar) for (k, prefix, fs), bar in stored_bars(omega).items()]
+    terms = free_pair_terms(left, _lifts(ctx, eta), lambda bar, y: dot(
+        ctx.zdim, ((v, y.coeffs[e]) for e, v in bar.items())))
     sign = -1 if eta.degree % 2 == 0 else 1
     return scatter(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
                    ((k, es, fs, value, sign * factor) for k, es, fs, value, factor in terms))

@@ -18,10 +18,10 @@ touch. A valid cochain is fixed by its values at the free keys, the keys
 (k, es, fs) with es strictly increasing: `expand` fills in every other
 key from the free-datum cochains (`_free_datum_cochain`, one per free
 key, kept in the context's cache), and `cochain_space_basis` builds its
-basis from the same cochains. An `expand` output, and a cochain that
-passes `validate_cochain`, is marked valid over the context's algebra;
-`require_valid`, which d and the bracket call on their inputs, validates
-only a cochain not so marked.
+basis from the same cochains. An `expand` output, a basis cochain and a
+cochain that passes `validate_cochain` are marked valid over the
+context's algebra; `require_valid`, which d and the bracket call on
+their inputs, validates only a cochain not so marked.
 
 The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
@@ -114,8 +114,11 @@ class Cochain:
     """Immutable sparse cochain; missing keys are zero."""
 
     # _valid_over: the algebra the cochain is known to be weakly
-    # skew-symmetric over (set by `expand` and a passing `validate_cochain`)
-    __slots__ = ("degree", "nvars", "components", "_hash", "_extent", "_valid_over")
+    # skew-symmetric over (set by `expand`, `cochain_space_basis` and a
+    # passing `validate_cochain`); _representable_over: the algebra it is
+    # known representable over (set by `duality.require_representable`)
+    __slots__ = ("degree", "nvars", "components", "_hash", "_extent", "_valid_over",
+                 "_representable_over")
 
     def __init__(self, degree, nvars, components=None):
         if degree < 0:
@@ -143,7 +146,7 @@ class Cochain:
             if out:
                 clean[k] = out
         self.components = clean
-        self._hash = self._extent = self._valid_over = None
+        self._hash = self._extent = self._valid_over = self._representable_over = None
 
     @classmethod
     def zero(cls, degree, nvars):
@@ -332,7 +335,7 @@ def _stored(degree, nvars, comps):
     """The cochain holding the components comps as they are, unchecked."""
     out = Cochain.__new__(Cochain)
     out.degree, out.nvars, out.components = degree, nvars, comps
-    out._hash = out._extent = out._valid_over = None
+    out._hash = out._extent = out._valid_over = out._representable_over = None
     return out
 
 
@@ -488,8 +491,9 @@ def validate_cochain(ctx, omega):
 
 def require_valid(ctx, omega):
     """InvalidCochainError unless omega is weakly skew-symmetric. A cochain
-    already known valid over ctx's algebra, built by `expand` or passed by
-    `validate_cochain`, is only checked against the context."""
+    already known valid over ctx's algebra, built by `expand` or
+    `cochain_space_basis` or passed by `validate_cochain`, is only checked
+    against the context."""
     if omega._valid_over is ctx.algebra:
         check_context(ctx, omega)
         return
@@ -623,9 +627,10 @@ def cochain_space_basis(ctx, degree):
     work stays inside each key-disjoint group of them; each row becomes a
     cochain as it is, one constant per entry. It depends only on the
     space, so it is the kernel basis of the full constraint matrix, entry
-    for entry. Single-key indicator tables are NOT valid cochains in
-    general, which is why the exhaustive d.d = 0 and product suites run
-    over this basis instead.
+    for entry. Each is valid by construction and marked valid over ctx's
+    algebra, so d does not validate it again. Single-key indicator tables
+    are NOT valid cochains in general, which is why the exhaustive d.d = 0
+    and product suites run over this basis instead.
     """
     vectors = [_free_datum_cochain(ctx, k, es, fs)
                for k in range(degree // 2 + 1)
@@ -636,7 +641,9 @@ def cochain_space_basis(ctx, degree):
         comps = {}
         for (k, es, fs), c in row.items():
             comps.setdefault(k, {})[(es, fs)] = _canonical(ctx.zdim, {(): c})
-        basis.append(_stored(degree, ctx.zdim, comps))
+        omega = _stored(degree, ctx.zdim, comps)
+        omega._valid_over = ctx.algebra
+        basis.append(omega)
     return basis
 
 

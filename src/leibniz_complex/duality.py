@@ -8,24 +8,31 @@ induces
 phi raises symmetric degree by one, so membership in its image and
 preimage choices decompose degree by degree into finite exact linear
 systems. PhiSection factors each of those systems once (reduced row
-echelon, first-usable-pivot order by default) and answers membership
-and section queries afterwards; the section is linear on the image, so
-lifts extend consistently to linear combinations.
+echelon, first-usable-pivot order by default) and answers two kinds of
+query afterwards. Membership (`PhiSection.contains`) evaluates only the
+cokernel functionals of phi in each degree, the check rows of the
+factorization, and builds no preimage. The section (`PhiSection.solve`)
+returns a preimage; it is linear on the image, so lifts extend
+consistently to linear combinations.
 
 A cochain is *representable* when all of its partial evaluations with
-one algebra slot left open (the "bar" covectors) land in Im(phi). For
-such cochains the section provides the lifted maps used by the graded
-bracket; when the symmetric product is non-degenerate the degree-0 part
-of the lift is unique and independent of the pivot strategy.
-`tilde_value` is the one place such a lift is solved; it keeps each in
-the context's cache under (cochain, k, prefix, fs), and the bracket
-keeps the list of an operand's lifts per cochain on top of it.
+one algebra slot left open (the "bar" covectors) land in Im(phi).
+`is_representable` and `require_representable` decide that by
+membership alone. For representable cochains the section provides the
+lifted maps used by the graded bracket; when the symmetric product is
+non-degenerate the degree-0 part of the lift is unique and independent
+of the pivot strategy. `tilde_value` is the one place such a lift is
+solved, for the right operand of `brackets.bullet`, the only operand
+whose lifts it reads; it keeps each in the context's cache under
+(cochain, k, prefix, fs), and the bracket keeps the list of an
+operand's lifts per cochain on top of it. `sharp` solves the one lift
+the derived bracket reads back.
 """
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .cochains import check_context, entries, scatter
+from .cochains import _increasing, check_context, entries, require_valid, scatter
 from .linalg import LinearSolver
 from .sympoly import _canonical
 
@@ -130,12 +137,9 @@ class PhiSection:
         cannot arise from phi, so any nonzero scalar part means failure.
         """
         ctx = self.ctx
-        by_degree = {}
-        for j, poly in enumerate(psi.values):
-            for mono, coeff in poly.items():
-                if not mono:
-                    return None
-                by_degree.setdefault(len(mono), {})[(j, mono)] = coeff
+        by_degree = _by_degree(enumerate(psi.values))
+        if by_degree is None:
+            return None
         terms = [{} for _ in range(ctx.dim)]
         for d, b in sorted(by_degree.items()):
             x = self._solver(d - 1).solve(b)
@@ -144,6 +148,27 @@ class PhiSection:
             for (mono, i), c in sorted(x.items()):
                 terms[i][mono] = c
         return ExtendedElement(tuple(_canonical(ctx.zdim, t) for t in terms))
+
+    def contains(self, values):
+        """Is the covector e_j -> values[j] in Im(phi)? `values` is a dict
+        {j: SymPoly}; a j it leaves out is zero. Each homogeneous output
+        degree is tested against that degree's cokernel functionals
+        (`LinearSolver.contains`); no preimage is built."""
+        by_degree = _by_degree(values.items())
+        return by_degree is not None and all(
+            self._solver(d - 1).contains(b) for d, b in sorted(by_degree.items()))
+
+
+def _by_degree(values):
+    """{output degree: {(j, mono): coeff}} of the covector with values
+    (j, poly), or None when one has a scalar part, which phi never makes."""
+    by_degree = {}
+    for j, poly in values:
+        for mono, coeff in poly.items():
+            if not mono:
+                return None
+            by_degree.setdefault(len(mono), {})[(j, mono)] = coeff
+    return by_degree
 
 
 def phi_section(ctx):
@@ -180,10 +205,22 @@ class RepresentabilityReport:
     failures: list  # (k, prefix, fs)
 
 
+def stored_bars(omega, increasing_only=False):
+    """{(k, prefix, fs): {e: omega_k(prefix, e; fs)}}: the bar covectors at
+    omega's stored prefixes, or only at its strictly increasing ones, each
+    as its nonzero values, grouped in one pass over the entries. Every
+    other bar covector is zero."""
+    bars = {}
+    for k, es, fs, value in entries(omega):
+        if es and (not increasing_only or _increasing(es[:-1])):
+            bars.setdefault((k, es[:-1], fs), {})[es[-1]] = value
+    return bars
+
+
 def stored_prefixes(omega):
     """The distinct (k, prefix, fs) of omega's stored entries with an
     algebra argument, sorted: the only bar covectors that can be nonzero."""
-    return sorted({(k, es[:-1], fs) for k, es, fs, _ in entries(omega) if es})
+    return sorted(stored_bars(omega))
 
 
 def is_representable(ctx, omega):
@@ -191,14 +228,50 @@ def is_representable(ctx, omega):
 
     The zero covector is phi(0), so only the stored prefixes can fail;
     they are reported in key order. Components with no algebra arguments
-    have no bar map and are vacuously fine. ContextMismatchError for a
-    cochain from another context.
+    have no bar map and are vacuously fine. Each covector is tested by
+    membership (`PhiSection.contains`); no preimage is built. On a
+    cochain known valid over ctx's algebra only the strictly increasing
+    prefixes are tested: weak skew-symmetry writes every other bar
+    covector as a rational combination of those, so they all pass
+    exactly when these do, and every prefix is tested again only to
+    report the failures. ContextMismatchError for a cochain from another
+    context.
     """
     check_context(ctx, omega)
-    section = phi_section(ctx)
-    failures = [(k, prefix, fs) for k, prefix, fs in stored_prefixes(omega)
-                if section.solve(bar(ctx, omega, k, prefix, fs)) is None]
+    known_valid = omega._valid_over is ctx.algebra
+    failures = _outside_image(ctx, omega, known_valid)
+    if failures and known_valid:
+        failures = _outside_image(ctx, omega, False)
     return RepresentabilityReport(ok=not failures, failures=failures)
+
+
+def require_representable(ctx, omega):
+    """InvalidCochainError unless omega is weakly skew-symmetric
+    (`cochains.require_valid`), NotRepresentableError unless it is
+    representable, raised at its first strictly increasing stored prefix
+    whose bar covector is outside Im(phi), the one `tilde_value` would
+    fail on first. Only those prefixes are tested, by membership; a
+    cochain that passes is remembered as representable over ctx's
+    algebra, on the cochain itself, and is not tested again."""
+    require_valid(ctx, omega)
+    if omega._representable_over is not ctx.algebra:
+        failures = _outside_image(ctx, omega, True)
+        if failures:
+            raise _not_representable(*failures[0])
+        omega._representable_over = ctx.algebra
+
+
+def _outside_image(ctx, omega, increasing_only):
+    """The (k, prefix, fs), in key order, whose bar covectors are outside
+    Im(phi), among `stored_bars(omega, increasing_only)`."""
+    bars = stored_bars(omega, increasing_only)
+    section = phi_section(ctx)
+    return [key for key in sorted(bars) if not section.contains(bars[key])]
+
+
+def _not_representable(k, prefix, fs):
+    return NotRepresentableError(f"component {k} at prefix {tuple(prefix)} with centers "
+                                 f"{tuple(fs)} is not representable")
 
 
 def tilde_value(ctx, omega, k, prefix, fs):
@@ -210,8 +283,6 @@ def tilde_value(ctx, omega, k, prefix, fs):
         psi = bar(ctx, omega, k, prefix, fs)
         hit = phi_section(ctx).solve(psi)
         if hit is None:
-            raise NotRepresentableError(
-                f"component {k} at prefix {tuple(prefix)} with centers {tuple(fs)} "
-                "is not representable")
+            raise _not_representable(k, prefix, fs)
         cache[key] = hit
     return hit

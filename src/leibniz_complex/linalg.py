@@ -7,7 +7,10 @@ makes it: an int when it is whole, a Fraction only when it is not.
 Everything here is deterministic: a row's pivot is always the least
 column it holds, so echelon bases and solutions are reproducible across
 runs. `LinearSolver` takes its pivot preference as an explicit column
-order instead.
+order instead; it indexes its transform by row key once, so a solve or a
+membership test (`contains`) touches only the entries in the right-hand
+side's columns, and a membership test evaluates only the cokernel
+functionals.
 """
 
 from fractions import Fraction
@@ -87,10 +90,14 @@ class LinearSolver:
     `columns` lists A's columns in pivot-preference order. Gauss-Jordan
     is run once on [A | I], A's columns relabelled (0, position) and the
     identity's (1, row key), so the reduced rows carry the transform E
-    with E @ A = rref(A), each row of E kept as its nonzero entries.
-    solve() then costs one sparse matrix-vector product plus a
-    consistency check. Free variables are set to zero, which makes the
-    solution map linear on the column space (a genuine section of A).
+    with E @ A = rref(A). The rows of E whose pivot lies in A's columns
+    give x; the others, the check rows, are the cokernel functionals,
+    which vanish on b exactly when b is in the image. E is indexed once,
+    by row key: each key lists the (pivot, t) and (check, t) entries of
+    its column of E, so `contains(b)` evaluates only the check rows, and
+    `solve(b)` only the entries in b's columns. Free variables are set to
+    zero, which makes the solution map linear on the column space (a
+    genuine section of A).
     """
 
     def __init__(self, rows, columns):
@@ -102,27 +109,42 @@ class LinearSolver:
             vec[(1, key)] = 1
             augmented.append(vec)
         self._keys = set(rows)
-        self._pivots = []  # (column, E row) for each pivot in A's columns
-        self._checks = []  # E rows that must vanish on b
+        self._pivots = []  # A's column at each pivot row of E, in pivot order
+        self._pivot_index = {}  # row key -> [(pivot number, t)]
+        self._check_index = {}  # row key -> [(check number, t)]
+        checks = 0
         for row in rref(augmented):
             side, lead = min(row)
-            transform = [(key, t) for (s, key), t in row.items() if s == 1]
             if side == 0:
-                self._pivots.append((columns[lead], transform))
+                index, slot = self._pivot_index, len(self._pivots)
+                self._pivots.append(columns[lead])
             else:
-                self._checks.append(transform)
+                index, slot = self._check_index, checks
+                checks += 1
+            for (s, key), t in row.items():
+                if s == 1:
+                    index.setdefault(key, []).append((slot, t))
+
+    def contains(self, b):
+        """Is b, given as {row key: value}, in the image of A? b must vanish
+        at keys that are not A's rows and on every check row of E."""
+        sums = {}
+        for key, v in b.items():
+            if v != 0:
+                if key not in self._keys:
+                    return False
+                for slot, t in self._check_index.get(key, ()):
+                    sums[slot] = sums.get(slot, 0) + t * v
+        return not any(sums.values())
 
     def solve(self, b):
         """One solution {column: value} of A @ x = b, for b given as
         {row key: value}, or None if b is outside the image."""
-        if any(v != 0 and key not in self._keys for key, v in b.items()):
+        if not self.contains(b):
             return None
-        for transform in self._checks:
-            if sum(t * b[key] for key, t in transform if key in b) != 0:
-                return None
-        x = {}
-        for column, transform in self._pivots:
-            value = exact(sum(t * b[key] for key, t in transform if key in b))
-            if value != 0:
-                x[column] = value
-        return x
+        sums = {}
+        for key, v in b.items():
+            for slot, t in self._pivot_index.get(key, ()):
+                sums[slot] = sums.get(slot, 0) + t * v
+        return {self._pivots[slot]: exact(value) for slot, value in sorted(sums.items())
+                if value != 0}

@@ -224,6 +224,19 @@ def _canonical(nvars, terms):
     return out
 
 
+def dot(nvars, pairs):
+    """sum x * y over the (x, y) pairs of SymPolys on nvars generators,
+    summed into one dict and made canonical once; a pair with a zero
+    factor costs nothing."""
+    terms = {}
+    for x, y in pairs:
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                mono = m1 if not m2 else m2 if not m1 else tuple(sorted(m1 + m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+    return _canonical(nvars, {m: exact(c) for m, c in terms.items() if c != 0})
+
+
 def _render_monomial(mono):
     factors = []
     for idx in sorted(set(mono)):

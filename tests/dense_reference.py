@@ -1,7 +1,8 @@
 """Dense reference implementations of d, the product, the two bracket
 halves and their signed sum, the vector-level pairing, flats, the
 representability test, weak skew-symmetry, the basis of the valid
-cochains and exact elimination, and the paper's defining formulas behind
+cochains and exact elimination (with the row-by-row solve of a
+`LinearSolver` factorization), and the paper's defining formulas behind
 the bracket: phi, the pairing on S(Z) (x) L, and the two ingredient
 operations pair_bracket and circ_compose.
 
@@ -27,6 +28,7 @@ from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationRe
                                       split_sign)
 from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, phi_section,
                                      tilde_value)
+from leibniz_complex.linalg import rref as sparse_rref
 from leibniz_complex.sympoly import SymPoly, derivation_extend
 
 ZERO = Fraction(0)
@@ -97,6 +99,46 @@ def solve(matrix, ncols, b, column_order=None):
         elif c != 0:
             return None
     return x
+
+
+class RowSolver:
+    """`linalg.LinearSolver`'s factorization of A, solved row by row: each
+    row of the transform E is summed over the entries of b it holds, and
+    the check rows are tested before the pivot rows are summed. The
+    package indexes E by row key instead; both must give the same answer
+    for every b. Rows and columns as LinearSolver takes them."""
+
+    def __init__(self, rows, columns):
+        columns = list(columns)
+        position = {c: (0, p) for p, c in enumerate(columns)}
+        augmented = []
+        for key, row in rows.items():
+            vec = {position[c]: v for c, v in row.items()}
+            vec[(1, key)] = 1
+            augmented.append(vec)
+        self.keys = set(rows)
+        self.pivots = []  # (column, E row) for each pivot in A's columns
+        self.checks = []  # E rows that must vanish on b
+        for row in sparse_rref(augmented):
+            side, lead = min(row)
+            transform = [(key, t) for (s, key), t in row.items() if s == 1]
+            if side == 0:
+                self.pivots.append((columns[lead], transform))
+            else:
+                self.checks.append(transform)
+
+    def solve(self, b):
+        if any(v != 0 and key not in self.keys for key, v in b.items()):
+            return None
+        for transform in self.checks:
+            if sum(t * b[key] for key, t in transform if key in b) != 0:
+                return None
+        x = {}
+        for column, transform in self.pivots:
+            value = sum(t * b[key] for key, t in transform if key in b)
+            if value != 0:
+                x[column] = value
+        return x
 
 
 # -- weak skew-symmetry and the basis of the valid cochains ------------------------

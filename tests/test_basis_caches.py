@@ -5,7 +5,8 @@ monomial-by-monomial loop, the context's cached action of e_i against
 `LeibnizAlgebra.rho_basis`, and `basis_flat` against `flat_cochain`.
 Work: calls counted by monkeypatching (nothing is timed), so that a
 derived-bracket table builds each basis flat once, solves each section
-lift once and adds no work when it runs again on the same context.
+lift once and adds no work when it runs again on the same context, and
+`bullet` lifts only its right operand.
 """
 
 from fractions import Fraction
@@ -16,11 +17,12 @@ import pytest
 
 from leibniz_complex import brackets, duality
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import (basis_flat, derived_bracket, diamond, theta, theta_flat,
-                                      zeta)
+from leibniz_complex.brackets import (basis_flat, bullet, derived_bracket, diamond, theta,
+                                      theta_flat, zeta)
 from leibniz_complex.cochains import Cochain, ComplexContext, action
 from leibniz_complex.duality import flat_cochain, stored_prefixes
 from leibniz_complex.sympoly import DimensionError, SymPoly, derivation_extend
+from leibniz_complex.verify import random_representable
 
 COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
 FIXTURES = ("A3", "O1", "O2", "AFF_O1", "omni(2)", "omni(3)")
@@ -145,15 +147,15 @@ def test_derived_bracket_table_computes_each_piece_once(monkeypatch):
 
     table()
     assert len(flats) == dim
-    # Theta, the basis flats and the {Theta, e_i-flat} are the bracketed
-    # operands; each strictly increasing stored prefix of each is lifted
-    # once, and no other prefix is: only those reach a free key
-    operands = [theta(ctx)] + [basis_flat(ctx, i) for i in range(dim)] + \
-        [theta_flat(ctx, i) for i in range(dim)]
+    # the basis flats are the only right operands of `bullet`; each strictly
+    # increasing stored prefix of each is lifted once, and no other prefix
+    # is: only those reach a free key. Theta and the {Theta, e_i-flat} are
+    # left operands only, tested by membership in Im(phi) and never lifted
+    operands = [basis_flat(ctx, i) for i in range(dim)]
     expected = {(omega, k, prefix, fs) for omega in operands
                 for k, prefix, fs in stored_prefixes(omega)
                 if all(x < y for x, y in zip(prefix, prefix[1:]))}
-    assert len(expected) < sum(len(stored_prefixes(omega)) for omega in operands)
+    assert expected
     assert len(lifts) == len(set(lifts)) == len(expected)
     assert set(lifts) == expected
     assert len(solves) == len(lifts) + dim * dim  # plus one sharp per pair
@@ -162,3 +164,30 @@ def test_derived_bracket_table_computes_each_piece_once(monkeypatch):
     table()  # again: only the sharp of each pair is solved anew
     assert (len(flats), len(lifts), len(lookups), len(solves)) == \
         before[:3] + (before[3] + dim * dim,)
+
+
+def increasing_prefixes(omega):
+    return [key for key in stored_prefixes(omega)
+            if all(x < y for x, y in zip(key[1], key[1][1:]))]
+
+
+def test_bullet_lifts_only_its_right_operand(monkeypatch):
+    """The left operand is checked by membership in Im(phi), once per
+    cochain and remembered on the cochain; section lifts are solved for
+    the right operand only, once per strictly increasing stored prefix."""
+    ctx = ComplexContext(build_fixture("O2"))
+    rng = Random(7)
+    lefts = [theta(ctx), zeta(ctx)] + [random_representable(ctx, rng, n) for n in (1, 2, 3)]
+    rights = [basis_flat(ctx, 0), basis_flat(ctx, 3)] + \
+        [random_representable(ctx, rng, n) for n in (0, 1, 2)]
+    lifted = count(monkeypatch, duality, "bar", lambda ctx, omega, *key: (omega, *key))
+    solves = count(monkeypatch, duality.PhiSection, "solve")
+    members = count(monkeypatch, duality.PhiSection, "contains")
+    for _ in range(2):
+        for omega, eta in product(lefts, rights):
+            bullet(ctx, omega, eta)
+    expected = {(eta, *key) for eta in rights for key in increasing_prefixes(eta)}
+    assert len(lifted) == len(set(lifted)) == len(solves) and set(lifted) == expected
+    assert len(members) == sum(len(increasing_prefixes(omega)) for omega in lefts)
+    assert all(omega._representable_over is ctx.algebra for omega in lefts)
+    assert not any(omega in ctx.cache.get("lifts", {}) for omega in lefts)

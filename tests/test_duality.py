@@ -6,12 +6,15 @@ import pytest
 import dense_reference as dense
 from dense_reference import phi
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import theta, zeta
+from leibniz_complex.brackets import basis_flat, theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
-                                      cochain_space_basis)
+                                      cochain_from_dict, cochain_space_basis, cochain_to_dict,
+                                      cup, entries, validate_cochain)
 from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError,
-                                     bar, dual_from_cochain, flat, flat_cochain,
-                                     is_representable, phi_section, sharp, tilde_value)
+                                     PhiSection, bar, dual_from_cochain, flat, flat_cochain,
+                                     is_representable, phi_section, sharp, stored_prefixes,
+                                     tilde_value)
+from leibniz_complex.linalg import LinearSolver
 from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import random_poly, random_representable
 
@@ -249,3 +252,156 @@ def test_non_representable_on_aff_o1(aff_o1):
                   Cochain(2, 1, {0: {((1, 0), ()): one, ((3, 2), ()): Z1}, 1: {((), (0,)): one}}),
                   theta(aff_o1) + Cochain(3, 1, {1: {((0,), (0,)): Z1}})):
         assert not same_report(aff_o1, omega).ok
+
+
+# -- membership in Im(phi) by the cokernel functionals --------------------------------
+
+MEMBERSHIP_FIXTURES = FIXTURES + ("omni(3)",)
+
+
+def as_values(psi):
+    """A DualElement as the {j: value} map `PhiSection.contains` reads."""
+    return {j: v for j, v in enumerate(psi.values) if not v.is_zero()}
+
+
+def random_covectors(ctx, rng):
+    """Seeded covectors: phi of random extended elements (members), the same
+    plus a scalar part at one slot, random values (mostly non-members), and
+    the bars of Theta."""
+    out = []
+    for _ in range(6):
+        x = ExtendedElement(tuple(random_poly(rng, ctx.zdim, max_degree=2)
+                                  for _ in range(ctx.dim)))
+        member = phi(ctx, x)
+        out.append(member)
+        values = list(member.values)
+        values[rng.randrange(ctx.dim)] += SymPoly.constant(ctx.zdim, rng.choice((1, -2)))
+        out.append(DualElement(values))
+        out.append(DualElement(random_poly(rng, ctx.zdim, max_degree=3) for _ in range(ctx.dim)))
+    t = theta(ctx)
+    out += [bar(ctx, t, k, prefix, fs) for k, prefix, fs in stored_prefixes(t)][:20]
+    return out
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_FIXTURES)
+@pytest.mark.parametrize("strategy", ("first", "last"))
+def test_phi_membership_agrees_with_the_section(algebras, name, strategy):
+    alg = algebras[name] if name in algebras else build_fixture(name)
+    ctx = ComplexContext(alg, pivot_strategy=strategy)
+    section = phi_section(ctx)
+    rng = Random(f"{name}-{strategy}")
+    seen = set()
+    for psi in random_covectors(ctx, rng):
+        x = section.solve(psi)
+        assert section.contains(as_values(psi)) == (x is not None), psi
+        if x is not None:
+            assert phi(ctx, x) == psi
+        seen.add(x is not None)
+    assert seen == {True, False}
+
+
+def test_membership_of_the_zero_covector_and_of_scalars(o1):
+    section = phi_section(o1)
+    assert section.contains({})
+    assert not section.contains({0: SymPoly.constant(1, 1)})
+    assert not section.contains({1: Z1 + SymPoly.constant(1, 3)})
+    assert section.contains({1: Z1})  # the flat of a
+
+
+# -- is_representable against the all-prefix walk, and its work -----------------------
+
+
+def marked(ctx, omega):
+    """omega, known valid over ctx's algebra (it must be valid)."""
+    assert validate_cochain(ctx, omega).ok and omega._valid_over is ctx.algebra
+    return omega
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_representable_on_known_valid_cochains(contexts, name):
+    """Valid representable cochains (Theta, flats, samples), valid
+    non-representable ones (basis cochains of degree 2 and 3), each known
+    valid, and the same cochains rebuilt unmarked, as if loaded from a
+    file: the report equals the walk over every prefix."""
+    ctx = contexts[name]
+    rng = Random(23)
+    pool = [theta(ctx)] + [flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in range(ctx.dim)]
+    pool += [random_representable(ctx, rng, rng.randint(1, 3)) for _ in range(6)]
+    pool += [omega for n in (2, 3) for omega in cochain_space_basis(ctx, n)]
+    oks = set()
+    for omega in pool:
+        unmarked = cochain_from_dict(ctx, cochain_to_dict(omega))
+        assert unmarked._valid_over is None
+        oks.add(same_report(ctx, unmarked).ok)
+        same_report(ctx, marked(ctx, omega))
+    assert oks == {True, False}
+
+
+@pytest.mark.parametrize("name", ("O1", "O2", "AFF_O1"))
+def test_representable_on_invalid_cochains(contexts, name):
+    ctx = contexts[name]
+    rng = Random(31)
+    invalid = 0
+    for _ in range(20):
+        omega = random_representable(ctx, rng, rng.randint(2, 3))
+        k = rng.randint(0, omega.degree // 2)
+        es = tuple(rng.randrange(ctx.dim) for _ in range(omega.degree - 2 * k))
+        fs = tuple(sorted(rng.randrange(ctx.zdim) for _ in range(k)))
+        bad = omega + Cochain(omega.degree, ctx.zdim,
+                              {k: {(es, fs): random_poly(rng, ctx.zdim)}})
+        if not validate_cochain(ctx, bad).ok:
+            invalid += 1
+            same_report(ctx, bad)
+    assert invalid >= 10
+
+
+def counted(monkeypatch, owner, name, record=lambda *args: args[1:]):
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(record(*args))
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_is_representable_builds_no_preimage(contexts, monkeypatch):
+    solves = counted(monkeypatch, PhiSection, "solve")
+    row_solves = counted(monkeypatch, LinearSolver, "solve")
+    for name in FIXTURES:
+        ctx = contexts[name]
+        for omega in [theta(ctx), zeta(ctx)] + cochain_space_basis(ctx, 2):
+            is_representable(ctx, omega)
+            is_representable(ctx, cochain_from_dict(ctx, cochain_to_dict(omega)))
+    assert solves == [] and row_solves == []
+
+
+def test_known_valid_cochains_are_tested_at_increasing_prefixes_only(monkeypatch):
+    """On a cochain known valid, the membership test sees the bar covector of
+    each strictly increasing stored prefix once, in key order, and no other;
+    an unmarked copy has every stored prefix tested."""
+    ctx = ComplexContext(build_fixture("O2"))
+    members = counted(monkeypatch, PhiSection, "contains", lambda self, values: dict(values))
+    rng = Random(3)
+    pool = [theta(ctx), zeta(ctx), cup(ctx, theta(ctx), basis_flat(ctx, 1))]
+    pool += [random_representable(ctx, rng, 3) for _ in range(3)]
+    skipped = 0
+    for omega in pool:
+        omega = marked(ctx, omega)
+
+        def bars(prefixes):
+            return [{es[-1]: v for k, es, fs, v in entries(omega)
+                     if es and (k, es[:-1], fs) == key} for key in prefixes]
+
+        increasing = [key for key in stored_prefixes(omega)
+                      if all(x < y for x, y in zip(key[1], key[1][1:]))]
+        skipped += len(stored_prefixes(omega)) - len(increasing)
+        del members[:]
+        assert is_representable(ctx, omega).ok
+        assert members == bars(increasing)
+        del members[:]
+        assert is_representable(ctx, cochain_from_dict(ctx, cochain_to_dict(omega))).ok
+        assert members == bars(stored_prefixes(omega))
+    assert skipped > 0

@@ -81,6 +81,35 @@ def test_kernel_vectors_annihilate():
             assert all(v == 0 for v in matvec(matrix, vec))
 
 
+def right_hand_sides(rng, matrix, ncols, row_keys, outside):
+    """Seeded right-hand sides {row key: value} for A = matrix, rows keyed by
+    row_keys: members A @ x, vectors drawn anywhere (mostly non-members),
+    members with a nonzero value at a zero row of A, and members with the
+    key `outside`, which is not a row of A, at zero and at a nonzero value."""
+    def keyed(values):
+        return {key: v for key, v in zip(row_keys, values) if v != 0}
+
+    zero_rows = [key for key, row in zip(row_keys, matrix) if not any(row)]
+    cases = [{}]
+    for _ in range(3):
+        member = keyed(matvec(matrix, [F(rng.randint(-3, 3), rng.randint(1, 2))
+                                       for _ in range(ncols)]))
+        cases += [member, keyed(random_matrix(rng, 1, len(row_keys))[0]),
+                  {**member, outside: 0}, {**member, outside: F(rng.choice((-2, 1, 3)), 2)}]
+        cases += [{**member, key: rng.choice((-1, 2))} for key in zero_rows]
+    return cases
+
+
+def check_solve_and_membership(solver, reference, rows, b):
+    """The indexed solve equals the row-by-row one, `contains` agrees with
+    it, and a solution reproduces b."""
+    x = solver.solve(b)
+    assert x == reference.solve(b), b
+    assert solver.contains(b) == (x is not None), b
+    if x is not None:
+        assert sparse_matvec(rows, x) == {key: v for key, v in b.items() if v != 0}
+
+
 def test_solver_roundtrip_and_membership():
     rng = Random(5)
     for _ in range(25):
@@ -92,6 +121,13 @@ def test_solver_roundtrip_and_membership():
         got = solve_dense(solver, b, ncols)
         assert got is not None
         assert matvec(matrix, got) == b
+        if rng.random() < 0.5:  # a zero row, given empty
+            matrix.append([F(0)] * ncols)
+        rows = dict(enumerate(sparse(matrix)))
+        for order in (range(ncols), range(ncols - 1, -1, -1)):
+            solver, reference = LinearSolver(rows, order), dense.RowSolver(rows, order)
+            for b in right_hand_sides(rng, matrix, ncols, range(len(matrix)), len(matrix)):
+                check_solve_and_membership(solver, reference, rows, b)
 
 
 def test_solver_rejects_outside_image():
@@ -254,6 +290,9 @@ def test_tuple_keyed_solver_matches_the_dense_oracle():
                     x = solver.solve({key: v for key, v in zip(row_keys, b) if v != 0})
                     got = None if x is None else [x.get(c, 0) for c in cols]
                     assert got == dense.solve(matrix, ncols, b, order)
+            reference = dense.RowSolver(rows, columns)
+            for b in right_hand_sides(rng, matrix, ncols, row_keys, (nrows, (9, 9))):
+                check_solve_and_membership(solver, reference, rows, b)
 
 
 def test_reversed_columns_equal_the_reversed_column_order():

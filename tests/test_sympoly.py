@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leibniz_complex.sympoly import (MAX_TERM_DEGREE, DigitBudgetError, DimensionError,
-                                     SymPoly, SymPolyParseError, derivation_extend, exact,
+                                     SymPoly, SymPolyParseError, derivation_extend, dot, exact,
                                      parse_sympoly, rational_text)
 
 B = SymPoly.generator(1, 0)  # single generator, think "b"
@@ -162,7 +162,7 @@ def sympolys(draw, nvars=2, max_degree=3):
 @given(sympolys(), sympolys(), sympolys())
 def test_mul_associative_and_distributive(p, q, r):
     assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
+    assert p * (q + r) == p * q + p * r == dot(2, [(p, q), (r, p)])
 
 
 @given(sympolys(), sympolys())
@@ -187,7 +187,8 @@ def test_derivation_is_a_derivation(p, q, base):
 
 @given(sympolys(), sympolys(), st.lists(sympolys(), min_size=2, max_size=2), fractions)
 def test_arithmetic_keeps_coefficients_canonical(p, q, base, f):
-    for result in (p, p + q, p - q, -p, p * q, p.scale(f), derivation_extend(base, p)):
+    for result in (p, p + q, p - q, -p, p * q, p.scale(f), derivation_extend(base, p),
+                   dot(2, [(p, q), (q.scale(f), p)])):
         assert all(canonical(c) for _, c in result.items())
 
 

@@ -241,3 +241,22 @@ def test_validity_is_known_per_algebra(ctxs):
     assert not validate_cochain(ctx, bad).ok and bad._valid_over is None
     with pytest.raises(InvalidCochainError):
         coboundary(ctx, bad)
+
+
+def test_basis_cochains_are_not_validated_again(monkeypatch):
+    """`cochain_space_basis` returns its rows known valid: taking d of each
+    makes no `validate_cochain` call."""
+    ctx = ComplexContext(build_fixture("O2"))
+    calls = []
+    validate = cochains.validate_cochain
+
+    def counted(ctx, omega):
+        calls.append(omega)
+        return validate(ctx, omega)
+
+    monkeypatch.setattr(cochains, "validate_cochain", counted)
+    for n in range(4):
+        for omega in cochain_space_basis(ctx, n):
+            assert omega._valid_over is ctx.algebra
+            coboundary(ctx, omega)
+    assert calls == []
