@@ -362,8 +362,10 @@ def algebra_from_dict(data):
         basis = data["basis"]
     except (KeyError, TypeError) as exc:
         raise AlgebraFormatError(f"missing algebra field: {exc}") from exc
-    if not _is_index(dim) or dim <= 0:
-        raise AlgebraFormatError("'dim' must be a positive integer")
+    # dim 0 is allowed: `quotient_by_kernel` of an algebra whose pairing
+    # vanishes (a Lie algebra with trivial center) is the zero algebra
+    if not _is_index(dim) or dim < 0:
+        raise AlgebraFormatError("'dim' must be a non-negative integer")
     if dim > MAX_DIM:
         raise AlgebraFormatError(f"'dim' {dim} exceeds MAX_DIM = {MAX_DIM}")
     if not isinstance(basis, list) or len(basis) != dim:

@@ -20,8 +20,8 @@ key from the free-datum cochains (`_free_datum_cochain`, one per free
 key, kept in the context's cache), and `cochain_space_basis` builds its
 basis from the same cochains. An `expand` output, a basis cochain and a
 cochain that passes `validate_cochain` are marked valid over the
-context's algebra; `require_valid`, which d and the bracket call on
-their inputs, validates only a cochain not so marked.
+context's algebra; `require_valid`, which d, the product and the bracket
+call on their inputs, validates only a cochain not so marked.
 
 The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
@@ -35,13 +35,16 @@ action terms apply e_i to S(Z) through `action`, which keeps each
 monomial's image in the context's cache, one dict per basis index, so
 the algebra itself stays immutable.
 
-Everything expands multilinearly over the chosen bases, and all shuffle
-enumerations are lexicographic so failure reports are reproducible.
+The product `cup` has the same shape: only the shuffle sorting two
+disjoint, strictly increasing argument tuples lands on a free key, so
+`free_pair_terms`, the one kernel pairing two operands' entries (for the
+bracket halves too), derives those terms and `expand` fills in the rest.
+Every output of d, the product and the bracket is an `expand` output.
 
-`scatter` is the one builder of computed cochains: d (its free terms and
-their expansion), the product, the bracket halves, sums and scalings
-(`combine`), flats, Theta and zeta stream it terms (k, es, fs, poly,
-factor), and it stores their sum unchecked; `cochain_space_basis` stores
+`scatter` is the one builder of computed cochains: d and the product
+(their free terms and their expansion), the bracket halves, sums and
+scalings (`combine`), flats, Theta and zeta stream it terms (k, es, fs,
+poly, factor), and it stores their sum unchecked; `cochain_space_basis` stores
 its reduced rows, whose keys are distinct, as they are. `Cochain()`
 checks every key and value: it is the entry point for cochains from
 files, tests and library callers. No other module of the package reads
@@ -221,38 +224,13 @@ class Cochain:
 # -- shuffles ------------------------------------------------------------------
 
 # The most shuffles one product may merge a pair of argument tuples with.
-# `pair_terms`, which derives the terms of `cup`, and `free_pair_terms`,
-# which derives those of `bullet` and `diamond`, check C(p + q, p) for the
-# longest argument tuples p and q their operands store, once per call and
-# before any shuffle table is built: two entries
-# with 20 algebra arguments each would otherwise need C(40, 20) = 1.4e11
-# of them. `coboundary` checks C(q + 1, 1), one argument merged into the
-# longest stored tuple, as its action terms do.
+# `free_pair_terms` (the terms of `cup`, `bullet` and `diamond`) checks
+# C(p + q, p) for the longest argument tuples p and q its operands store
+# when it is called, so `cup` refuses two entries with 20 algebra
+# arguments each (C(40, 20) = 1.4e11) before it validates them.
+# `coboundary` checks C(q + 1, 1), one argument merged into the longest
+# stored tuple, as its action terms do.
 MAX_SHUFFLES = 100_000
-
-
-def position_splits(n, p):
-    """All splits of positions 0..n-1 into an ordered p-subset and its
-    complement, lexicographically; these enumerate the (p, n-p) shuffles."""
-    universe = range(n)
-    for left in combinations(universe, p):
-        chosen = set(left)
-        right = tuple(i for i in universe if i not in chosen)
-        yield left, right
-
-
-def split_sign(left, right):
-    """Sign of the permutation (left + right) of 0..n-1, both halves ascending."""
-    inversions = sum(1 for s in left for t in right if s > t)
-    return -1 if inversions % 2 else 1
-
-
-@cache
-def shuffle_table(n, p):
-    """(order, sign) for each (p, n-p) shuffle: merging a p-tuple a with an
-    (n-p)-tuple b puts (a + b)[order[x]] at position x."""
-    return tuple((tuple(map((left + right).index, range(n))), split_sign(left, right))
-                 for left, right in position_splits(n, p))
 
 
 @cache
@@ -352,35 +330,30 @@ def combine(nvars, degree, *scaled):
                                    for k, es, fs, value in entries(omega)))
 
 
-def pair_terms(left, right, combine):
-    """Terms of a product-like operator: items (i, es1, fs1, x) and (j, es2,
-    fs2, y), one from each side, put combine(x, y) at every signed shuffle
-    of es1 and es2, on the merged center multiset."""
-    left, right = list(left), list(right)
-    _check_shuffles(max((len(item[1]) for item in left), default=0),
-                    max((len(item[1]) for item in right), default=0))
-    for i, es1, fs1, x in left:
-        for j, es2, fs2, y in right:
-            value = combine(x, y)
-            if not value.is_zero():
-                fs, mult = merge_centers(fs1, fs2)
-                merged = es1 + es2
-                for order, sign in shuffle_table(len(merged), len(es1)):
-                    yield i + j, tuple([merged[o] for o in order]), fs, value, sign * mult
-
-
 def free_pair_terms(left, right, combine):
-    """The terms of `pair_terms` that land on free keys, the keys with es
-    strictly increasing: such a shuffle of es1 and es2 exists only when
-    both are strictly increasing and share no index, and then it is the
-    one sorting es1 + es2. Each such pair of items is merged once, with
-    the sign of that shuffle, and no shuffle table is built; the shuffle
-    budget is still checked on every item."""
+    """The terms a product-like operator puts at the free keys, the keys
+    with es strictly increasing.
+
+    Items (i, es1, fs1, x) and (j, es2, fs2, y), one from each side, put
+    combine(x, y) at every signed shuffle of es1 and es2, on the merged
+    center multiset. A shuffle lands on a free key only when es1 and es2
+    are strictly increasing and share no index, and then it is the one
+    that sorts es1 + es2. So only those pairs are kept, each merged once
+    with the sign of that shuffle. The shuffle budget is checked on every
+    item when this is called, before any term is drawn
+    (ShuffleBudgetError). `cup`, `bullet` and `diamond` derive their terms
+    here.
+    """
     left, right = list(left), list(right)
     _check_shuffles(max((len(item[1]) for item in left), default=0),
                     max((len(item[1]) for item in right), default=0))
     left = [item for item in left if len(item[1]) < 2 or _increasing(item[1])]
     right = [item for item in right if len(item[1]) < 2 or _increasing(item[1])]
+    return _free_pairs(left, right, combine)
+
+
+def _free_pairs(left, right, combine):
+    """The terms of `free_pair_terms` from its filtered items."""
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             if es1 and es2:
@@ -603,11 +576,18 @@ def cup(ctx, omega, eta):
     """Graded product: double shuffle sum over argument splittings.
 
     The algebra arguments contribute the shuffle sign; the symmetric
-    center arguments shuffle without sign.
+    center arguments shuffle without sign. The operands must be valid
+    (InvalidCochainError otherwise, checked after the shuffle budget), and
+    so is their product: `free_pair_terms` derives its values at the free
+    keys and `expand` fills in the rest. The every-key shuffle sum is `cup`
+    in `tests/dense_reference.py`.
     """
     check_context(ctx, omega, eta)
-    terms = pair_terms(entries(omega), entries(eta), operator.mul)
-    return scatter(ctx.zdim, omega.degree + eta.degree, terms)
+    terms = free_pair_terms(entries(omega), entries(eta), operator.mul)
+    require_valid(ctx, omega)
+    require_valid(ctx, eta)
+    degree = omega.degree + eta.degree
+    return expand(ctx, degree, scatter(ctx.zdim, degree, terms))
 
 
 # -- a basis of the space of valid cochains --------------------------------------

@@ -241,24 +241,24 @@ def check_fixture_validity(ctx, fixture):
     return _timed("fixture_validity", fixture, run)
 
 
-def _generator_variants(ctx, omega):
-    """The basis cochain itself plus copies with all values scaled by one
-    generator of S(Z); validity is linear over S(Z), so these stay valid,
-    and the scaled copies actually exercise the action terms."""
+def _generator_variants(ctx, omega, generators):
+    """The basis cochain itself plus its products with each degree-0
+    cochain z_r in generators; products of valid cochains are `expand`
+    outputs, valid by construction, and the scaled copies actually
+    exercise the action terms."""
     yield omega
-    for r in range(ctx.zdim):
-        z = SymPoly.generator(ctx.zdim, r)
-        yield scatter(ctx.zdim, omega.degree,
-                      ((k, es, fs, value * z, 1) for k, es, fs, value in entries(omega)))
+    for z in generators:
+        yield cup(ctx, z, omega)
 
 
 def check_d_squared(ctx, fixture, max_degree, mutation=None):
     def run():
         d = _differential(mutation)
+        generators = [Cochain.constant(SymPoly.generator(ctx.zdim, r)) for r in range(ctx.zdim)]
         checked = 0
         for degree in range(max_degree + 1):
             for seed in cochain_space_basis(ctx, degree):
-                for omega in _generator_variants(ctx, seed):
+                for omega in _generator_variants(ctx, seed, generators):
                     once = d(ctx, omega)
                     twice = d(ctx, once)
                     checked += 1
@@ -333,6 +333,11 @@ def check_theta_is_dzeta(ctx, fixture, mutation=None):
 
 
 def check_representability_closure(ctx, fixture, rng, samples, max_degree=3):
+    """d, cup and poisson of sampled representable cochains are valid and
+    representable. All three return `expand` outputs, so the validity half
+    compares `expand`'s free-datum walk with `validate_cochain`'s residual
+    walk, two readings of weak skew-symmetry."""
+
     def run():
         for index in range(samples):
             degree = rng.randint(0, min(2, max_degree))

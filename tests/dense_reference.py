@@ -21,11 +21,11 @@ down to those.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from leibniz_complex.algebra import basis_vec
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
-                                      accumulate, component_keys, position_splits,
-                                      split_sign)
+                                      accumulate, component_keys)
 from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, phi_section,
                                      tilde_value)
 from leibniz_complex.linalg import rref as sparse_rref
@@ -266,6 +266,25 @@ def pair_extended(ctx, x, y):
                 continue
             acc = acc + ci * cj * alg.pairing_poly_basis(i, j)
     return acc
+
+
+# -- shuffles ----------------------------------------------------------------------
+
+
+def position_splits(n, p):
+    """All splits of positions 0..n-1 into an ordered p-subset and its
+    complement, lexicographically; these enumerate the (p, n-p) shuffles."""
+    universe = range(n)
+    for left in combinations(universe, p):
+        chosen = set(left)
+        right = tuple(i for i in universe if i not in chosen)
+        yield left, right
+
+
+def split_sign(left, right):
+    """Sign of the permutation (left + right) of 0..n-1, both halves ascending."""
+    inversions = sum(1 for s in left for t in right if s > t)
+    return -1 if inversions % 2 else 1
 
 
 class ArityError(ValueError):

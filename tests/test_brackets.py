@@ -285,10 +285,11 @@ def test_products_check_the_shuffle_budget_of_stored_arguments(o1, monkeypatch):
             over()
 
 
-def test_shuffle_budget_counts_argument_tuples_not_degrees(o1):
-    # degree 20 stored only at k = 10: no algebra arguments, one shuffle
-    deep = Cochain(20, o1.zdim, {10: {((), (0,) * 10): SymPoly.constant(o1.zdim, 1)}})
-    assert cup(o1, deep, deep).value(20, (), (0,) * 20) == SymPoly.constant(o1.zdim, comb(20, 10))
+def test_shuffle_budget_counts_argument_tuples_not_degrees(o1, a3):
+    # degree 20 stored only at k = 10: no algebra arguments, one shuffle; a
+    # cochain on A3, where every pairing is zero, but not on O1 (k = 9 fails)
+    deep = Cochain(20, a3.zdim, {10: {((), (0,) * 10): SymPoly.constant(a3.zdim, 1)}})
+    assert cup(a3, deep, deep).value(20, (), (0,) * 20) == SymPoly.constant(a3.zdim, comb(20, 10))
     wide = Cochain(20, o1.zdim, {0: {((0, 1) * 10, ()): SymPoly.constant(o1.zdim, 1)}})
     with pytest.raises(ShuffleBudgetError, match=str(MAX_SHUFFLES)):
         cup(o1, wide, wide)
@@ -310,8 +311,9 @@ def test_poisson_rejects_invalid_operands(o1):
     bad = product_less_one_entry(o1)
     assert is_representable(o1, bad).ok and not validate_cochain(o1, bad).ok
     for omega, eta in ((bad, basis_flat(o1, 0)), (theta(o1), bad), (bad, bad)):
-        with pytest.raises(InvalidCochainError):
-            poisson(o1, omega, eta)
+        for op in (poisson, cup):
+            with pytest.raises(InvalidCochainError):
+                op(o1, omega, eta)
 
 
 def test_poisson_rejects_non_representable_operands(aff_o1):

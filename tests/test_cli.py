@@ -70,6 +70,27 @@ def test_quotient_command(capsys):
     assert data["dim"] == 2 and data["basis"] == ["a", "b"]
 
 
+def test_a_zero_dimensional_quotient_round_trips(tmp_path, capsys):
+    # sl2 (h, e, f) is a Lie algebra with trivial center: its symmetric
+    # product vanishes, so its pairing kernel is all of it and the quotient
+    # has dimension 0, a file every command that takes an algebra must load
+    sl2 = {"dim": 3, "basis": ["h", "e", "f"], "brackets": [
+        {"i": 0, "j": 1, "coeffs": [0, 2, 0]}, {"i": 1, "j": 0, "coeffs": [0, -2, 0]},
+        {"i": 0, "j": 2, "coeffs": [0, 0, -2]}, {"i": 2, "j": 0, "coeffs": [0, 0, 2]},
+        {"i": 1, "j": 2, "coeffs": [1, 0, 0]}, {"i": 2, "j": 1, "coeffs": [-1, 0, 0]}]}
+    source, quotient = tmp_path / "sl2.json", tmp_path / "quotient.json"
+    source.write_text(json.dumps(sl2))
+    assert main(["check", "--algebra", str(source)]) == 0
+    assert main(["quotient", "--algebra", str(source), "--out", str(quotient)]) == 0
+    assert json.loads(quotient.read_text()) == {"dim": 0, "basis": [], "brackets": []}
+    for command in ("check", "center", "fat", "quotient"):
+        assert main([command, "--algebra", str(quotient)]) == 0
+    capsys.readouterr()
+    assert main(["derived-bracket", "0", "0", "--algebra", str(quotient)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_quotient_precondition_failure():
     assert main(["quotient", "--algebra", "A3"]) == 1
 
@@ -108,7 +129,7 @@ def test_bracket_command(tmp_path, capsys):
 
 def test_bracket_of_an_invalid_cochain_is_a_check_failure(tmp_path, capsys):
     # a-flat cup b-flat less its value at (b, a): representable, not weakly
-    # skew-symmetric, so the bracket refuses it in either slot
+    # skew-symmetric, so the bracket and the product refuse it in either slot
     ctx = ComplexContext(build_fixture("O1"))
     product = cup(ctx, flat_cochain(ctx, basis_vec(2, 0)), flat_cochain(ctx, basis_vec(2, 1)))
     table = dict(product.components[0])
@@ -117,13 +138,14 @@ def test_bracket_of_an_invalid_cochain_is_a_check_failure(tmp_path, capsys):
     fa = write_cochain(tmp_path, ctx, flat_cochain(ctx, basis_vec(2, 0)), "fa.json")
     assert main(["representable", "--algebra", "O1", "--cochain", bad]) == 0
     capsys.readouterr()
-    for pair in ((bad, fa), (fa, bad)):
-        assert main(["bracket", "--algebra", "O1", "--cochain", pair[0],
-                     "--cochain", pair[1]]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("check failed:") and captured.err.count("\n") == 1
-        assert "not weakly skew-symmetric" in captured.err
+    for command in ("bracket", "cup"):
+        for pair in ((bad, fa), (fa, bad)):
+            assert main([command, "--algebra", "O1", "--cochain", pair[0],
+                         "--cochain", pair[1]]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("check failed:") and captured.err.count("\n") == 1
+            assert "not weakly skew-symmetric" in captured.err
 
 
 def test_representable_command(tmp_path, capsys):

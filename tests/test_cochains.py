@@ -6,12 +6,13 @@ from random import Random
 
 import pytest
 
+from dense_reference import position_splits, split_sign
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cochains import (Cochain, CochainFormatError, CochainShapeError,
                                       ContextMismatchError, InvalidCochainError, coboundary,
                                       cochain_from_dict, cochain_space_basis, cochain_to_dict,
-                                      _inversion_sign, cup, load_cochain, position_splits,
-                                      signed_permutations, split_sign, validate_cochain)
+                                      _inversion_sign, cup, load_cochain,
+                                      signed_permutations, validate_cochain)
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.algebra import basis_vec
 from leibniz_complex.sympoly import SymPoly

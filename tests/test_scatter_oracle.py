@@ -143,8 +143,11 @@ def test_canonical_cochains_on_omni3(omni3):
     for omega in (th, ze):
         same(omni3, "coboundary", omega)
     for flat in flats(omni3)[::3]:
-        same(omni3, "coboundary", flat)
+        d_flat = same(omni3, "coboundary", flat)
         same(omni3, "cup", ze, flat)
+        # degree-4 products, the ones whose free values expand the furthest
+        same(omni3, "cup", th, flat)
+        same(omni3, "cup", ze, d_flat)
         for omega, eta in ((th, flat), (flat, th), (ze, flat), (flat, ze)):
             same(omni3, "bullet", omega, eta)
             same(omni3, "diamond", omega, eta)
@@ -281,7 +284,10 @@ def test_work_follows_stored_entries_not_output_keys(monkeypatch):
 
     work.clear()
     cup(ctx, ze, flat)
-    # each pair of entries reaches one key per (2, 1) shuffle
+    # an every-key product derives one term per pair of entries and (2, 1)
+    # shuffle; this one derives at most one per pair, the one at a free key,
+    # and its work on top (validating zeta, expanding the free values) stays
+    # within that count
     bound = stored(ze) * stored(flat) * comb(3, 1)
     assert 0 < work["accumulate"] + work["value"] <= bound < dim ** 3 // 2
 
@@ -290,16 +296,8 @@ def is_free(es):
     return all(x < y for x, y in zip(es, es[1:]))
 
 
-@pytest.mark.parametrize("name", ("O2", "omni(3)"))
-def test_d_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
-    """d sends scatter only terms at strictly increasing es, and `expand`
-    fills in the other keys; an every-key d sends most of its terms to
-    the permuted copies of the free keys."""
-    ctx = omni3 if name == "omni(3)" else contexts[name]
-    top = 2 if name == "omni(3)" else 3
-    inputs = [theta(ctx), zeta(ctx)] + flats(ctx)
-    inputs += [with_center_values(ctx, omega)
-               for n in range(top + 1) for omega in cochain_space_basis(ctx, n)]
+def record_terms_outside_expand(monkeypatch):
+    """The es of every term sent to `scatter` other than by `expand`."""
     scatter, expand = cochains.scatter, cochains.expand
     expanding, keys = [], []
 
@@ -318,8 +316,41 @@ def test_d_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
 
     monkeypatch.setattr(cochains, "scatter", recording_scatter)
     monkeypatch.setattr(cochains, "expand", marked_expand)
+    return keys
+
+
+def free_key_inputs(ctx, name):
+    top = 2 if name == "omni(3)" else 3
+    return [theta(ctx), zeta(ctx)] + flats(ctx) + [
+        with_center_values(ctx, omega) for n in range(top + 1)
+        for omega in cochain_space_basis(ctx, n)]
+
+
+@pytest.mark.parametrize("name", ("O2", "omni(3)"))
+def test_d_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
+    """d sends scatter only terms at strictly increasing es, and `expand`
+    fills in the other keys; an every-key d sends most of its terms to
+    the permuted copies of the free keys."""
+    ctx = omni3 if name == "omni(3)" else contexts[name]
+    inputs = free_key_inputs(ctx, name)
+    keys = record_terms_outside_expand(monkeypatch)
     for omega in inputs:
         coboundary(ctx, omega)
+    assert keys and all(is_free(es) for es in keys)
+
+
+@pytest.mark.parametrize("name", ("O2", "omni(3)"))
+def test_cup_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
+    """The product too sends scatter only terms at strictly increasing es
+    before `expand`: one per pair of disjoint strictly increasing argument
+    tuples, where an every-key product sends one per shuffle."""
+    ctx = omni3 if name == "omni(3)" else contexts[name]
+    inputs = free_key_inputs(ctx, name)
+    keys = record_terms_outside_expand(monkeypatch)
+    for omega in inputs:
+        for eta in (zeta(ctx), flats(ctx)[-1], inputs[-1]):
+            if omega.degree + eta.degree <= 4:
+                cup(ctx, omega, eta)
     assert keys and all(is_free(es) for es in keys)
 
 

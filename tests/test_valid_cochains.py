@@ -23,7 +23,7 @@ from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchEr
                                       cochain_to_dict, cup, expand, validate_cochain)
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.sympoly import SymPoly
-from leibniz_complex.verify import random_poly, random_representable
+from leibniz_complex.verify import check_d_squared, random_poly, random_representable
 
 # fixture -> top degree, as in the space-basis benchmark workload
 DEGREES = {"A3": 5, "O1": 6, "AFF_O1": 4, "O2": 3, "omni(3)": 2}
@@ -260,3 +260,20 @@ def test_basis_cochains_are_not_validated_again(monkeypatch):
             assert omega._valid_over is ctx.algebra
             coboundary(ctx, omega)
     assert calls == []
+
+
+def test_d_squared_validates_no_cochain_of_positive_degree(monkeypatch):
+    """`check_d_squared` builds the z_r-scaled copies of each basis cochain
+    with `cup`, so they come out known valid: the only cochains it
+    validates are the degree-0 generators z_r, once each."""
+    ctx = ComplexContext(build_fixture("O2"))
+    calls = []
+    validate = cochains.validate_cochain
+
+    def counted(ctx, omega):
+        calls.append(omega)
+        return validate(ctx, omega)
+
+    monkeypatch.setattr(cochains, "validate_cochain", counted)
+    assert check_d_squared(ctx, "O2", 3).passed
+    assert [omega.degree for omega in calls] == [0] * ctx.zdim
