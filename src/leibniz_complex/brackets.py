@@ -16,11 +16,11 @@ its values at the free keys, the keys whose es is strictly increasing
 argument tuples it merges are strictly increasing and disjoint, so each
 half derives only those terms (`cochains.free_pair_terms`) from the
 operands' stored entries and returns its free part: the values of the
-half at the free keys, zero elsewhere. `poisson` expands one signed sum
-(`cochains.combine`) of the three free parts, and its result is valid by
-construction. The paper's defining formulas, pair_bracket and
-circ_compose, evaluate each half at every key in the test oracle
-tests/dense_reference.py.
+half at the free keys, zero elsewhere. `free_poisson` is one signed sum
+(`cochains.combine`) of the three free parts, and `poisson` expands it,
+so its result is valid by construction. The paper's defining formulas,
+pair_bracket and circ_compose, evaluate each half at every key in the
+test oracle tests/dense_reference.py.
 
 The canonical cochains live here too, each a stream of terms into
 `cochains.scatter` read off the stored basis pairings: the degree-2 `zeta`
@@ -132,14 +132,24 @@ def poisson(ctx, omega, eta):
 
     The operands must be valid and representable (InvalidCochainError,
     NotRepresentableError otherwise, raised by `bullet`). Their bracket is
-    valid, so it is the expansion of one signed sum of the three halves'
-    free parts, and valid by construction."""
+    valid, so it is the expansion of `free_poisson`, and valid by
+    construction."""
+    free = free_poisson(ctx, omega, eta)
+    return expand(ctx, free.degree, free)
+
+
+def free_poisson(ctx, omega, eta):
+    """The free part of {omega, eta}: one signed sum of the three halves'
+    free parts, its values at the free keys.
+
+    `bullet` reads whole bar covectors of both operands, the values at
+    every last argument after a strictly increasing prefix, so both
+    operands must be whole valid cochains, not free parts (it validates
+    them, see `cochains.free_part`)."""
     n, m = omega.degree, eta.degree
     sign = -1 if (n * m) % 2 else 1
-    degree = max(n + m - 2, 0)
-    free = combine(ctx.zdim, degree, (bullet(ctx, omega, eta), 1),
+    return combine(ctx.zdim, max(n + m - 2, 0), (bullet(ctx, omega, eta), 1),
                    (diamond(ctx, omega, eta), 1), (diamond(ctx, eta, omega), -sign))
-    return expand(ctx, degree, free)
 
 
 def zeta(ctx):

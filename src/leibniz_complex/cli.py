@@ -132,6 +132,8 @@ def cmd_representable(args):
 def cmd_derived_bracket(args):
     algebra = _load_algebra_arg(args.algebra)
     ctx = ComplexContext(algebra)
+    if algebra.dim == 0:
+        raise AlgebraFormatError("the algebra has no basis elements, so no basis index is valid")
     if not (0 <= args.i < algebra.dim and 0 <= args.j < algebra.dim):
         raise AlgebraFormatError(f"basis indices must lie in 0..{algebra.dim - 1}")
     ei, ej = basis_vec(algebra.dim, args.i), basis_vec(algebra.dim, args.j)

@@ -28,18 +28,21 @@ style sum of action terms and bracket insertions; delta feeds each center
 argument back in as the first algebra argument. The term moving center
 arguments along the bracket vanishes identically here because the left
 center kills everything on the left, so it is not implemented. d of a
-valid cochain is valid, so `coboundary` derives only the terms that land
-on free keys and expands their sum: its output is valid by construction,
-and `tests/dense_reference.py` evaluates d at every key instead. The
-action terms apply e_i to S(Z) through `action`, which keeps each
-monomial's image in the context's cache, one dict per basis index, so
-the algebra itself stays immutable.
+valid cochain is valid, so `free_coboundary` derives only the terms that
+land on free keys and `coboundary` expands their sum: its output is valid
+by construction, and `tests/dense_reference.py` evaluates d at every key
+instead. The action terms apply e_i to S(Z) through `action`, which
+keeps each monomial's image in the context's cache, one dict per basis
+index, so the algebra itself stays immutable.
 
 The product `cup` has the same shape: only the shuffle sorting two
 disjoint, strictly increasing argument tuples lands on a free key, so
 `free_pair_terms`, the one kernel pairing two operands' entries (for the
-bracket halves too), derives those terms and `expand` fills in the rest.
-Every output of d, the product and the bracket is an `expand` output.
+bracket halves too), derives those terms (`free_cup`) and `expand` fills
+in the rest. Every output of d, the product and the bracket is the
+`expand` of the operator's free part (`free_coboundary`, `free_cup`,
+`brackets.free_poisson`), so identities between such outputs can be
+decided on free parts (`free_part` cuts a whole cochain down to one).
 
 `scatter` is the one builder of computed cochains: d and the product
 (their free terms and their expansion), the bracket halves, sums and
@@ -488,17 +491,26 @@ def coboundary(ctx, omega):
     """d(omega) = d0(omega) + delta(omega), one degree up.
 
     The input must be a valid cochain (InvalidCochainError otherwise,
-    through `require_valid`). Its image is valid too, so it is fixed by its
-    values at the free keys (es strictly increasing):
-    `_free_coboundary_terms` derives only the terms that land there, and
-    `expand` fills in every other key. The output is therefore valid by
-    construction, whatever the terms; the every-key evaluation of d is
-    `coboundary` in `tests/dense_reference.py`.
+    through `require_valid`). Its image is valid too, so it is the
+    expansion of its values at the free keys, `free_coboundary`, and valid
+    by construction whatever those values; the every-key evaluation of d
+    is `coboundary` in `tests/dense_reference.py`.
+    """
+    return expand(ctx, omega.degree + 1, free_coboundary(ctx, omega))
+
+
+def free_coboundary(ctx, omega):
+    """The free part of d(omega): its values at the free keys (es strictly
+    increasing), from `_free_coboundary_terms`, and zero elsewhere.
+
+    d reads the entries of omega whose es has up to one descent, not only
+    its free entries, so omega must be a whole valid cochain, not a free
+    part: `require_valid` checks it (InvalidCochainError otherwise, see
+    `free_part`), then the shuffle budget is checked.
     """
     require_valid(ctx, omega)
     _check_shuffles(1, max((len(es) for _, es, _, _ in entries(omega)), default=0))
-    degree = omega.degree + 1
-    return expand(ctx, degree, scatter(ctx.zdim, degree, _free_coboundary_terms(ctx, omega)))
+    return scatter(ctx.zdim, omega.degree + 1, _free_coboundary_terms(ctx, omega))
 
 
 def action(ctx, i, poly):
@@ -577,17 +589,46 @@ def cup(ctx, omega, eta):
 
     The algebra arguments contribute the shuffle sign; the symmetric
     center arguments shuffle without sign. The operands must be valid
-    (InvalidCochainError otherwise, checked after the shuffle budget), and
-    so is their product: `free_pair_terms` derives its values at the free
-    keys and `expand` fills in the rest. The every-key shuffle sum is `cup`
-    in `tests/dense_reference.py`.
+    (InvalidCochainError otherwise, checked after the context and the
+    shuffle budget), and so is their product: it is the expansion of
+    `free_cup`, its values at the free keys. The every-key shuffle sum is
+    `cup` in `tests/dense_reference.py`.
     """
-    check_context(ctx, omega, eta)
-    terms = free_pair_terms(entries(omega), entries(eta), operator.mul)
+    free = free_cup(ctx, omega, eta)
     require_valid(ctx, omega)
     require_valid(ctx, eta)
-    degree = omega.degree + eta.degree
-    return expand(ctx, degree, scatter(ctx.zdim, degree, terms))
+    return expand(ctx, free.degree, free)
+
+
+def free_cup(ctx, omega, eta):
+    """The free part of omega . eta: its values at the free keys, derived
+    by `free_pair_terms`, and zero elsewhere.
+
+    A shuffle lands on a free key only when it merges two strictly
+    increasing argument tuples, so the product reads only the free entries
+    of its operands: either may be a free part (`free_part`), with the same
+    result. It checks the context and the shuffle budget, not validity.
+    """
+    check_context(ctx, omega, eta)
+    return scatter(ctx.zdim, omega.degree + eta.degree,
+                   free_pair_terms(entries(omega), entries(eta), operator.mul))
+
+
+def free_part(omega):
+    """omega's entries at the free keys, those with es strictly increasing.
+
+    A valid cochain is the `expand` of its free part, so two valid
+    cochains are equal exactly when their free parts are. The result is
+    never marked valid, and it is valid only when it is the whole cochain,
+    so an operator that validates its operands either gets the whole
+    cochain or raises InvalidCochainError; it never reads the missing keys
+    as zero."""
+    comps = {}
+    for k, table in omega.components.items():
+        free = {(es, fs): value for (es, fs), value in table.items() if _increasing(es)}
+        if free:
+            comps[k] = free
+    return _stored(omega.degree, omega.nvars, comps)
 
 
 # -- a basis of the space of valid cochains --------------------------------------

@@ -21,6 +21,17 @@ carries no hook.
 Random cochains are generated constructively as sums of products of
 flats and degree-0 cochains, which stay inside the representable
 subalgebra by construction; no rejection sampling.
+
+The DGA, Poisson, {theta, -} = -d and choice-independence checks compare
+and sum free parts, the values at the keys whose es is strictly
+increasing. That is sound because both sides of each identity are
+outputs of d, the product or the bracket on valid operands, hence valid,
+and two valid cochains are equal exactly when their free parts are
+(`cochains.free_part`). The product reads only free entries
+(`cochains.free_cup`); an operand of d or of the bracket is expanded
+first. d.d = 0 and theta = d(zeta) stay on whole cochains, since the
+d0-sign mutant is not an expansion, and `representability_closure`
+checks validity itself on whole outputs.
 """
 
 import json
@@ -30,9 +41,11 @@ from fractions import Fraction
 from random import Random
 
 from .algebra import basis_vec, build_fixture, check_leibniz, quotient_by_kernel
-from .brackets import basis_flat, derived_bracket_dual, poisson, theta, theta_flat, zeta
+from .brackets import (basis_flat, derived_bracket_dual, free_poisson, poisson, theta,
+                       theta_flat, zeta)
 from .cochains import (Cochain, ComplexContext, InvalidCochainError, action, coboundary,
-                       cochain_space_basis, combine, cup, entries, scatter, validate_cochain)
+                       cochain_space_basis, combine, cup, entries, expand, free_coboundary,
+                       free_cup, free_part, scatter, validate_cochain)
 from .duality import NotRepresentableError, flat, flat_cochain, is_representable, sharp
 from .sympoly import SymPoly, rational_text
 
@@ -50,8 +63,9 @@ EXPECTED_CENTERS = {
 MAX_VERIFY_DEGREE = 12
 
 # The largest --samples: the run's time grows linearly with the count, by
-# about 8 ms a sample on the default fixtures: 1,000 samples take about
-# 8 s, and a million would run for over two hours.
+# about 4.2 ms a sample on the default fixtures (2-vCPU Intel Xeon VM,
+# Python 3.11.7): 1,000 samples take about 4.5 s, and a million would run
+# for over an hour.
 MAX_VERIFY_SAMPLES = 1000
 
 
@@ -191,18 +205,20 @@ def random_element(rng, dim):
 
 def random_representable(ctx, rng, degree):
     """Sum of <=2 cup products of flats, each optionally scaled by a
-    degree-0 cochain; lands in the representable subalgebra by construction."""
+    degree-0 cochain; lands in the representable subalgebra by construction.
+    The products and their sum are taken at the free keys (`free_cup` reads
+    only free entries) and expanded once, into a cochain marked valid."""
     if degree == 0:
         return Cochain.constant(random_poly(rng, ctx.zdim))
-    total = Cochain.zero(degree, ctx.zdim)
+    terms = []
     for _ in range(rng.randint(1, 2)):
         term = flat_cochain(ctx, random_element(rng, ctx.dim))
         for _ in range(degree - 1):
-            term = cup(ctx, term, flat_cochain(ctx, random_element(rng, ctx.dim)))
+            term = free_cup(ctx, term, flat_cochain(ctx, random_element(rng, ctx.dim)))
         if rng.random() < 0.5:
-            term = cup(ctx, Cochain.constant(random_poly(rng, ctx.zdim, max_degree=1)), term)
-        total = total + term
-    return total
+            term = free_cup(ctx, Cochain.constant(random_poly(rng, ctx.zdim, max_degree=1)), term)
+        terms.append((term, 1))
+    return expand(ctx, degree, combine(ctx.zdim, degree, *terms))
 
 
 # -- the d0-sign mutation --------------------------------------------------------
@@ -272,9 +288,14 @@ def check_d_squared(ctx, fixture, max_degree, mutation=None):
 
 
 def check_dga_axioms(ctx, fixture, rng, samples, total_degree=4):
+    """Graded commutativity and the graded Leibniz rule on every pair of
+    basis cochains, associativity on sampled triples, compared at the free
+    keys: every side is a product or a d output on valid cochains. Only
+    the product that d reads is expanded."""
+
     def run():
         bases = {n: cochain_space_basis(ctx, n) for n in range(total_degree + 1)}
-        differentials = {n: [coboundary(ctx, omega) for omega in basis]
+        differentials = {n: [free_coboundary(ctx, omega) for omega in basis]
                          for n, basis in bases.items()}
         pairs = 0
         for n in range(total_degree + 1):
@@ -282,15 +303,15 @@ def check_dga_axioms(ctx, fixture, rng, samples, total_degree=4):
                 for omega, d_omega in zip(bases[n], differentials[n]):
                     for eta, d_eta in zip(bases[m], differentials[m]):
                         pairs += 1
-                        prod = cup(ctx, omega, eta)
-                        flipped = cup(ctx, eta, omega).scale(-1 if (n * m) % 2 else 1)
+                        prod = free_cup(ctx, omega, eta)
+                        flipped = free_cup(ctx, eta, omega).scale(-1 if (n * m) % 2 else 1)
                         diff = first_difference(prod, flipped)
                         if diff:
                             return False, f"graded commutativity fails at degrees ({n},{m})", \
                                 _difference_payload(diff)
-                        lhs = coboundary(ctx, prod)
-                        rhs = cup(ctx, d_omega, eta) + \
-                            cup(ctx, omega, d_eta).scale(-1 if n % 2 else 1)
+                        lhs = free_coboundary(ctx, expand(ctx, n + m, prod))
+                        rhs = combine(ctx.zdim, n + m + 1, (free_cup(ctx, d_omega, eta), 1),
+                                      (free_cup(ctx, omega, d_eta), -1 if n % 2 else 1))
                         diff = first_difference(lhs, rhs)
                         if diff:
                             return False, f"graded Leibniz rule fails at degrees ({n},{m})", \
@@ -302,8 +323,8 @@ def check_dga_axioms(ctx, fixture, rng, samples, total_degree=4):
                 if sum(p[0] for p in picks) <= total_degree:
                     break
             (na, a), (nb, b), (nc, c) = picks
-            left = cup(ctx, cup(ctx, a, b), c)
-            right = cup(ctx, a, cup(ctx, b, c))
+            left = free_cup(ctx, free_cup(ctx, a, b), c)
+            right = free_cup(ctx, a, free_cup(ctx, b, c))
             diff = first_difference(left, right)
             if diff:
                 return False, f"associativity fails at degrees ({na},{nb},{nc})", \
@@ -334,9 +355,13 @@ def check_theta_is_dzeta(ctx, fixture, mutation=None):
 
 def check_representability_closure(ctx, fixture, rng, samples, max_degree=3):
     """d, cup and poisson of sampled representable cochains are valid and
-    representable. All three return `expand` outputs, so the validity half
-    compares `expand`'s free-datum walk with `validate_cochain`'s residual
-    walk, two readings of weak skew-symmetry."""
+    representable, checked on the whole outputs.
+
+    All three return `expand` outputs, so the validity half compares
+    `expand`'s free-datum walk with `validate_cochain`'s residual walk, two
+    readings of weak skew-symmetry. It is kept on purpose: the other
+    suites compare free parts, which is sound only because those outputs
+    are valid, and this is where the report checks that they are."""
 
     def run():
         for index in range(samples):
@@ -364,6 +389,11 @@ def check_representability_closure(ctx, fixture, rng, samples, max_degree=3):
 
 
 def check_poisson_axioms(ctx, fixture, rng, samples):
+    """Graded antisymmetry, the derivation rule and the graded Jacobi
+    identity on sampled representable triples, compared at the free keys:
+    every side is a bracket or a product of valid cochains. Only the
+    operands of a bracket are expanded."""
+
     def run():
         for index in range(samples):
             n, m, l = (rng.randint(0, 2) for _ in range(3))
@@ -371,21 +401,23 @@ def check_poisson_axioms(ctx, fixture, rng, samples):
             eta = random_representable(ctx, rng, m)
             lam = random_representable(ctx, rng, l)
             sign_nm = -1 if (n * m) % 2 else 1
-            anti = first_difference(poisson(ctx, omega, eta),
-                                    poisson(ctx, eta, omega).scale(-sign_nm))
+            omega_eta = poisson(ctx, omega, eta)
+            omega_lam = poisson(ctx, omega, lam)
+            anti = first_difference(free_part(omega_eta),
+                                    free_poisson(ctx, eta, omega).scale(-sign_nm))
             if anti:
                 return False, f"graded antisymmetry fails at degrees ({n},{m})", \
                     _difference_payload(anti, sample=index)
-            lhs = poisson(ctx, omega, cup(ctx, eta, lam))
-            rhs = cup(ctx, poisson(ctx, omega, eta), lam) + \
-                cup(ctx, eta, poisson(ctx, omega, lam)).scale(sign_nm)
+            lhs = free_poisson(ctx, omega, cup(ctx, eta, lam))
+            rhs = combine(ctx.zdim, lhs.degree, (free_cup(ctx, omega_eta, lam), 1),
+                          (free_cup(ctx, eta, omega_lam), sign_nm))
             diff = first_difference(lhs, rhs)
             if diff:
                 return False, f"graded derivation fails at degrees ({n},{m},{l})", \
                     _difference_payload(diff, sample=index)
-            lhs = poisson(ctx, omega, poisson(ctx, eta, lam))
-            rhs = poisson(ctx, poisson(ctx, omega, eta), lam) + \
-                poisson(ctx, eta, poisson(ctx, omega, lam)).scale(sign_nm)
+            lhs = free_poisson(ctx, omega, poisson(ctx, eta, lam))
+            rhs = combine(ctx.zdim, lhs.degree, (free_poisson(ctx, omega_eta, lam), 1),
+                          (free_poisson(ctx, eta, omega_lam), sign_nm))
             diff = first_difference(lhs, rhs)
             if diff:
                 return False, f"graded Jacobi fails at degrees ({n},{m},{l})", \
@@ -396,13 +428,18 @@ def check_poisson_axioms(ctx, fixture, rng, samples):
 
 
 def check_theta_bracket(ctx, fixture, rng, samples):
+    """{theta, eta} = -d(eta) on every basis flat and on sampled
+    representable cochains, compared at the free keys: both sides are
+    outputs of the bracket and of d on valid cochains."""
+
     def run():
         candidates = [basis_flat(ctx, i) for i in range(ctx.dim)]
         candidates += [random_representable(ctx, rng, rng.randint(0, 2)) for _ in range(samples)]
         for index, eta in enumerate(candidates):
             # a basis flat's left side is the cached value the derived bracket reuses
-            lhs = theta_flat(ctx, index) if index < ctx.dim else poisson(ctx, theta(ctx), eta)
-            rhs = coboundary(ctx, eta).scale(-1)
+            lhs = free_part(theta_flat(ctx, index)) if index < ctx.dim \
+                else free_poisson(ctx, theta(ctx), eta)
+            rhs = free_coboundary(ctx, eta).scale(-1)
             diff = first_difference(lhs, rhs)
             if diff:
                 return False, f"{{theta, eta}} != -d(eta) (candidate {index})", \
@@ -491,6 +528,8 @@ def check_choice_independence(ctx, fixture, rng, samples):
 
     Reported, never asserted: on algebras with a degenerate symmetric
     product the section is not unique and nothing guarantees agreement.
+    Brackets are compared at the free keys: both are brackets of valid
+    cochains, so they differ exactly when their free parts do.
     """
 
     def run():
@@ -499,10 +538,10 @@ def check_choice_independence(ctx, fixture, rng, samples):
         for _ in range(samples):
             omega = random_representable(ctx, rng, rng.randint(0, 2))
             eta = random_representable(ctx, rng, rng.randint(0, 2))
-            if first_difference(poisson(ctx, theta(ctx), omega),
-                                poisson(last, theta(last), omega)):
+            if first_difference(free_poisson(ctx, theta(ctx), omega),
+                                free_poisson(last, theta(last), omega)):
                 disagreements += 1
-            if first_difference(poisson(ctx, omega, eta), poisson(last, omega, eta)):
+            if first_difference(free_poisson(ctx, omega, eta), free_poisson(last, omega, eta)):
                 disagreements += 1
         note = "identical under both pivot strategies" if not disagreements \
             else f"{disagreements} value differences between pivot strategies"

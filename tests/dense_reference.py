@@ -15,8 +15,8 @@ call, so the tests run them only on small inputs, as an oracle that the
 sparse code must match by exact equality. The flat pairs v with a fresh
 basis vector per slot, as the package did before it summed the stored
 basis pairings over v's nonzero coordinates. The package's bracket halves
-return only their values at the free keys; `free_part` cuts a dense half
-down to those.
+return only their values at the free keys; the tests cut a dense half
+down to those with `cochains.free_part`.
 """
 
 from dataclasses import dataclass
@@ -473,14 +473,6 @@ def poisson(ctx, omega, eta):
     sign = -1 if (omega.degree * eta.degree) % 2 else 1
     return bullet(ctx, omega, eta) + diamond(ctx, omega, eta) - \
         diamond(ctx, eta, omega).scale(sign)
-
-
-def free_part(omega):
-    """omega's entries at the free keys, those with es strictly increasing."""
-    return Cochain(omega.degree, omega.nvars, {
-        k: {(es, fs): value for (es, fs), value in table.items()
-            if all(x < y for x, y in zip(es, es[1:]))}
-        for k, table in omega.components.items()})
 
 
 def first_slot_action(ctx, omega):

@@ -89,6 +89,7 @@ def test_a_zero_dimensional_quotient_round_trips(tmp_path, capsys):
     assert main(["derived-bracket", "0", "0", "--algebra", str(quotient)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+    assert "has no basis elements" in err and "0..-1" not in err
 
 
 def test_quotient_precondition_failure():

@@ -7,7 +7,10 @@ order of summation, so the two must agree exactly on every input. The
 bracket halves derive only the terms at free keys (es strictly
 increasing), so each is matched with the free part of its dense half;
 `poisson` expands their signed sum, and is matched at every key with the
-signed sum of the dense halves, on representable operands.
+signed sum of the dense halves, on representable operands. Each public
+operator is the expansion of its free part (`free_coboundary`, `free_cup`,
+`free_poisson`), which the verify suites compare directly; those free
+parts are matched with the free parts of the public outputs.
 """
 
 from collections import Counter
@@ -18,18 +21,21 @@ from random import Random
 import pytest
 
 import dense_reference as dense
-from leibniz_complex import cochains
+from leibniz_complex import brackets, cochains, verify
 from leibniz_complex.algebra import basis_vec, build_fixture
-from leibniz_complex.brackets import bullet, diamond, poisson, theta, zeta
-from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, cochain_space_basis, cup
+from leibniz_complex.brackets import bullet, diamond, free_poisson, poisson, theta, zeta
+from leibniz_complex.cochains import (Cochain, ComplexContext, InvalidCochainError, coboundary,
+                                      cochain_space_basis, cup, entries, free_coboundary,
+                                      free_cup, free_part, scatter)
 from leibniz_complex.duality import NotRepresentableError, flat_cochain, is_representable
 from leibniz_complex.sympoly import SymPoly
-from leibniz_complex.verify import d0_sign_mutant, random_representable
+from leibniz_complex.verify import (check_dga_axioms, check_poisson_axioms, check_theta_bracket,
+                                    d0_sign_mutant, random_representable)
 
 FIXTURES = ("A3", "O1", "O2", "AFF_O1")
 OPERATORS = {"coboundary": (coboundary, dense.coboundary), "cup": (cup, dense.cup),
-             "bullet": (bullet, lambda *args: dense.free_part(dense.bullet(*args))),
-             "diamond": (diamond, lambda *args: dense.free_part(dense.diamond(*args))),
+             "bullet": (bullet, lambda *args: free_part(dense.bullet(*args))),
+             "diamond": (diamond, lambda *args: free_part(dense.diamond(*args))),
              "poisson": (poisson, dense.poisson)}
 
 
@@ -378,3 +384,107 @@ def test_action_runs_only_on_values_it_can_move(contexts, omni3, monkeypatch):
     assert not calls
     coboundary(o2, with_center_values(o2, flats(o2)[0]))
     assert calls
+
+
+# -- the free parts the verify suites compare ---------------------------------------
+
+FREE_OPERATORS = {"coboundary": (free_coboundary, coboundary), "cup": (free_cup, cup),
+                  "poisson": (free_poisson, poisson)}
+
+
+def same_free(ctx, op, *operands):
+    """The free operator gives the free part of the public one, or both
+    raise NotRepresentableError; returns the free part (None on a raise)."""
+    free, whole = FREE_OPERATORS[op]
+    try:
+        expected = free_part(whole(ctx, *operands))
+    except NotRepresentableError:
+        with pytest.raises(NotRepresentableError):
+            free(ctx, *operands)
+        return None
+    got = free(ctx, *operands)
+    assert got == expected and got.degree == expected.degree, (op, operands)
+    assert_canonical(got)
+    assert all(is_free(es) for _, es, _, _ in entries(got))
+    return got
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_free_operators_are_the_free_parts_of_the_operators(contexts, name):
+    ctx = contexts[name]
+    rng = Random(17)
+    pool = [theta(ctx), zeta(ctx)] + flats(ctx)
+    pool += [random_representable(ctx, rng, rng.randint(0, 2)) for _ in range(4)]
+    for omega in pool:
+        same_free(ctx, "coboundary", omega)
+        same_free(ctx, "coboundary", with_center_values(ctx, omega))
+        for eta in pool:
+            if omega.degree + eta.degree <= 4:
+                product = same_free(ctx, "cup", omega, eta)
+                # the product reads only free entries: free parts are operands too
+                assert free_cup(ctx, free_part(omega), free_part(eta)) == product
+                assert free_cup(ctx, free_part(omega), eta) == product
+            same_free(ctx, "poisson", omega, eta)
+
+
+def test_free_operators_on_omni3(omni3):
+    th, ze = theta(omni3), zeta(omni3)
+    for omega in (th, ze):
+        same_free(omni3, "coboundary", omega)
+    for flat in flats(omni3)[::4]:
+        d_flat = coboundary(omni3, flat)
+        same_free(omni3, "coboundary", flat)
+        for omega, eta in ((th, flat), (ze, d_flat)):
+            product = same_free(omni3, "cup", omega, eta)
+            assert free_cup(omni3, free_part(omega), free_part(eta)) == product
+            assert same_free(omni3, "poisson", omega, eta) is not None
+
+
+@pytest.mark.parametrize("name", ("O1", "O2", "AFF_O1"))
+def test_free_parts_are_refused_by_the_public_operators(contexts, name):
+    """A free part is never marked valid: unless it is the whole cochain,
+    an operator that validates its operands refuses it instead of reading
+    its missing keys as zero. One of degree below 2 is the whole cochain."""
+    ctx = contexts[name]
+    flat = flats(ctx)[-1]
+    for omega in (theta(ctx), zeta(ctx)):
+        cut = free_part(omega)
+        assert cut != omega and cut._valid_over is None
+        for call in (lambda: cup(ctx, cut, flat), lambda: cup(ctx, flat, cut),
+                     lambda: coboundary(ctx, cut), lambda: free_coboundary(ctx, cut),
+                     lambda: poisson(ctx, flat, cut), lambda: free_poisson(ctx, cut, flat)):
+            with pytest.raises(InvalidCochainError):
+                call()
+    assert free_part(flat) == flat and free_part(flat)._valid_over is None
+    assert cup(ctx, free_part(flat), flat) == cup(ctx, flat, flat)
+
+
+def flip_one_value(fn):
+    """fn with the value at the least key of each nonzero result negated:
+    one wrong sign among the free values of an operator."""
+
+    def mutant(ctx, *operands):
+        result = fn(ctx, *operands)
+        keys = sorted((k, es, fs) for k, es, fs, _ in entries(result))
+        return scatter(result.nvars, result.degree, (
+            (k, es, fs, value, -1 if keys and (k, es, fs) == keys[0] else 1)
+            for k, es, fs, value in entries(result)))
+
+    return mutant
+
+
+def test_a_wrong_sign_in_the_free_product_fails_the_dga_axioms(monkeypatch):
+    ctx = ComplexContext(build_fixture("O1"))
+    monkeypatch.setattr(verify, "free_cup", flip_one_value(free_cup))
+    result = check_dga_axioms(ctx, "O1", Random(0), 5)
+    assert not result.passed and "fails at degrees" in result.details, result
+    assert result.counterexample["lhs"] != result.counterexample["rhs"]
+
+
+@pytest.mark.parametrize("check", (check_poisson_axioms, check_theta_bracket))
+def test_a_wrong_sign_in_bullet_fails_the_bracket_checks(monkeypatch, check):
+    ctx = ComplexContext(build_fixture("O1"))  # a new context: no cached bracket
+    monkeypatch.setattr(brackets, "bullet", flip_one_value(bullet))
+    result = check(ctx, "O1", Random(2), 10)
+    assert not result.passed and not result.details.startswith("raised"), result
+    assert result.counterexample["lhs"] != result.counterexample["rhs"]
