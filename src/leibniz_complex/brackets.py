@@ -35,49 +35,57 @@ on v alone, so it is summed as sum_i v_i {theta, e_i-flat} from the
 per-basis values `theta_flat` keeps in the context's cache; only the
 outer bracket is computed per pair.
 
-Every piece that depends on a basis index or on one operand alone is
-computed once per context and found by identity afterwards: `theta`,
-`zeta`, `basis_flat` (e_j-flat) and `theta_flat` (at most dim values
-each), and the section lifts of each right operand of `bullet` at its
-strictly increasing stored prefixes (`_lifts`, one list per cochain,
-solved and stored by `duality.tilde_value`). A left operand found
-representable is remembered on the cochain itself. `diamond`
-keeps the image of each monomial under each of its derivation bases for
-the length of one call (`sympoly.derivation_extend`'s `images`).
+Every piece that depends on a basis index, or on one operand and the
+context's section, is computed once per context and kept in its cache:
+`theta`, `zeta`, `basis_flat` (e_j-flat) and `theta_flat` (at most dim
+values each), and the section lifts of each right operand of `bullet` at
+its strictly increasing stored prefixes (`_lifts`, one list per cochain,
+solved and stored by `duality.tilde_value`). What depends on one
+operand's entries alone is kept on the cochain (`cochains.operand_view`)
+and shared by every context: its bar covectors at strictly increasing
+prefixes (`duality.increasing_bars`), which `bullet` pairs with those
+lifts, its free entries (`cochains.free_view`), and `diamond`'s
+derivation bases, each with the image of every monomial it has met
+(`sympoly.derivation_extend`'s `images`). A left operand found
+representable is remembered on the cochain itself.
 """
 
 from itertools import chain
 
 from .algebra import basis_vec
 from .cochains import (_increasing, check_context, combine, entries, expand, free_pair_terms,
-                       require_valid, scatter)
-from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain,
-                      require_representable, sharp, stored_bars, stored_prefixes, tilde_value)
+                       free_view, operand_view, require_valid, scatter)
+from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain, increasing_bars,
+                      require_representable, sharp, tilde_value)
 from .sympoly import SymPoly, derivation_extend, dot
 
 
 def _lifts(ctx, omega):
-    """(k, prefix, fs, lift) for each distinct strictly increasing stored
-    prefix of omega: the section lift of its bar covector, nonzero because
-    the covector is. These are the only lifts `bullet` reads at free keys,
-    and only of its right operand.
+    """(longest, lifts): the length of the longest lifted prefix, and (k,
+    prefix, fs, lift) at each strictly increasing stored prefix of omega
+    (`duality.increasing_bars`), in key order: the section lift of its bar
+    covector, nonzero because the covector is. These are the only lifts
+    `bullet` reads at free keys, and only of its right operand.
 
     omega must be valid (`cochains.require_valid`, InvalidCochainError
     otherwise). Weak skew-symmetry then writes every bar covector as a
     rational combination of those at strictly increasing prefixes, so
     omega is representable exactly when these lifts exist
-    (NotRepresentableError otherwise). The list is kept per cochain in the
-    context's cache, so a right operand bracketed again (a cached
-    `basis_flat`) is validated once and then costs one lookup;
-    `tilde_value` still solves and stores each lift.
+    (NotRepresentableError otherwise). A lift depends on the context's
+    section, so the list is kept per cochain in the context's cache, and a
+    right operand bracketed again (a cached `basis_flat`) is validated
+    once and then costs one lookup; `tilde_value` still solves and stores
+    each lift.
     """
     cache = ctx.cache.setdefault("lifts", {})
     lifts = cache.get(omega)
     if lifts is None:
         require_valid(ctx, omega)
-        lifts = [(k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
-                 for k, prefix, fs in stored_prefixes(omega) if _increasing(prefix)]
-        cache[omega] = lifts
+        bars = increasing_bars(omega)[1]
+        lifts = cache[omega] = (
+            max((len(prefix) for _, prefix, _, _ in bars), default=0),
+            tuple((k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
+                  for k, prefix, fs, _ in bars))
     return lifts
 
 
@@ -90,17 +98,17 @@ def bullet(ctx, omega, eta):
     product of omega's entries omega(prefix, e; fs) with y's
     e-coefficients, signed by (-1)^(m-1): omega is never lifted, only
     checked to be representable (`duality.require_representable`), and
-    each of its bar covectors (`duality.stored_bars`) is paired with each
-    lift by one dot product. Only the pairs of strictly increasing, disjoint
-    prefixes reach a free key, so only those lifts of eta are solved.
-    Raises InvalidCochainError when either operand is not weakly
-    skew-symmetric, NotRepresentableError when it is not representable,
-    omega checked first.
+    each of its bar covectors at a strictly increasing prefix, read from
+    the view kept on the cochain (`duality.increasing_bars`), is paired
+    with each lift by one dot product. Only the pairs of strictly
+    increasing, disjoint prefixes reach a free key, so only those lifts of
+    eta are solved. Raises InvalidCochainError when either operand is not
+    weakly skew-symmetric, NotRepresentableError when it is not
+    representable, omega checked first.
     """
     check_context(ctx, omega, eta)
     require_representable(ctx, omega)
-    left = [(k, prefix, fs, bar) for (k, prefix, fs), bar in stored_bars(omega).items()]
-    terms = free_pair_terms(left, _lifts(ctx, eta), lambda bar, y: dot(
+    terms = free_pair_terms(increasing_bars(omega), _lifts(ctx, eta), lambda bar, y: dot(
         ctx.zdim, ((v, y.coeffs[e]) for e, v in bar.items())))
     sign = -1 if eta.degree % 2 == 0 else 1
     return scatter(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
@@ -111,20 +119,35 @@ def diamond(ctx, omega, eta):
     """Composition half of the bracket at the free keys: each eta entry
     fed, as a derivation, into the first center argument of omega's
     components, wherever the two argument tuples are strictly increasing
-    and disjoint."""
+    and disjoint. omega's derivation bases (`_derivation_bases`) and
+    eta's free entries (`cochains.free_view`) are read from the views
+    kept on the cochains."""
     check_context(ctx, omega, eta)
     degree = max(omega.degree + eta.degree - 2, 0)
     if omega.extent()[1] == 0:  # no stored center argument: nothing to feed into
         return scatter(ctx.zdim, degree, ())
-    bases = {}  # (k, es, other centers) -> [omega_{k+1}(es; r, others) for each r]
-    for k, es, fs, value in entries(omega):
-        for pos, r in enumerate(fs):
-            key = (k - 1, es, fs[:pos] + fs[pos + 1:])
-            bases.setdefault(key, [SymPoly.zero(ctx.zdim)] * ctx.zdim)[r] = value
-    # each base with the images of the monomials it has met during this call
-    left = [(i, es, rest, (base, {})) for (i, es, rest), base in bases.items()]
-    terms = free_pair_terms(left, entries(eta), lambda b, y: derivation_extend(b[0], y, b[1]))
+    terms = free_pair_terms(operand_view(omega, "bases", _derivation_bases), free_view(eta),
+                            lambda b, y: derivation_extend(b[0], y, b[1]))
     return scatter(ctx.zdim, degree, terms)
+
+
+def _derivation_bases(omega):
+    """(longest, bases): the length of omega's longest stored argument tuple
+    with a center argument, and (k, es, others, (base, images)) for each
+    strictly increasing es: base lists omega_{k+1}(es; r, others) for each
+    center generator r, and images is the dict of the monomial images
+    `sympoly.derivation_extend` fills for that base, kept with it for as
+    long as the cochain lives."""
+    longest, bases = 0, {}
+    for k, es, fs, value in entries(omega):
+        if fs:
+            longest = max(longest, len(es))
+            if _increasing(es):
+                for pos, r in enumerate(fs):
+                    base = bases.setdefault((k - 1, es, fs[:pos] + fs[pos + 1:]),
+                                            [SymPoly.zero(omega.nvars)] * omega.nvars)
+                    base[r] = value
+    return longest, tuple((i, es, rest, (base, {})) for (i, es, rest), base in bases.items())
 
 
 def poisson(ctx, omega, eta):

@@ -44,6 +44,14 @@ in the rest. Every output of d, the product and the bracket is the
 `brackets.free_poisson`), so identities between such outputs can be
 decided on free parts (`free_part` cuts a whole cochain down to one).
 
+What those operators read of an operand depends on its entries alone,
+so it is kept per cochain, built on first use (`operand_view`): its
+free entries (`free_view`), its bar covectors at strictly increasing
+prefixes (`duality.increasing_bars`) and `diamond`'s derivation bases
+with their monomial images. What depends on a context is kept per
+context, in ctx.cache: the free-datum cochains, the action images and
+the section lifts.
+
 `scatter` is the one builder of computed cochains: d and the product
 (their free terms and their expansion), the bracket halves, sums and
 scalings (`combine`), flats, Theta and zeta stream it terms (k, es, fs,
@@ -122,9 +130,12 @@ class Cochain:
     # _valid_over: the algebra the cochain is known to be weakly
     # skew-symmetric over (set by `expand`, `cochain_space_basis` and a
     # passing `validate_cochain`); _representable_over: the algebra it is
-    # known representable over (set by `duality.require_representable`)
+    # known representable over (set by `duality.require_representable`);
+    # _views: what the operators read of it as an operand, by name, built
+    # from its entries alone on first use (`operand_view`), so every
+    # context shares them; what depends on a context stays in ctx.cache
     __slots__ = ("degree", "nvars", "components", "_hash", "_extent", "_valid_over",
-                 "_representable_over")
+                 "_representable_over", "_views")
 
     def __init__(self, degree, nvars, components=None):
         if degree < 0:
@@ -153,6 +164,7 @@ class Cochain:
                 clean[k] = out
         self.components = clean
         self._hash = self._extent = self._valid_over = self._representable_over = None
+        self._views = None
 
     @classmethod
     def zero(cls, degree, nvars):
@@ -270,6 +282,34 @@ def entries(omega):
             yield k, es, fs, value
 
 
+def operand_view(omega, name, build):
+    """omega's view `name`, build(omega) on first use: what an operator
+    reads of omega as an operand, built from its `entries` alone. It
+    depends on no context, so it is kept on the cochain for as long as the
+    cochain lives and every context shares it; callers must not change
+    it."""
+    views = omega._views
+    if views is None:
+        views = omega._views = {}
+    view = views.get(name)
+    if view is None:
+        view = views[name] = build(omega)
+    return view
+
+
+def free_view(omega):
+    """(longest, free): the length of omega's longest stored argument tuple,
+    and its entries (k, es, fs, value) at the free keys, es strictly
+    increasing, in storage order. Kept on the cochain (`operand_view`)."""
+    return operand_view(omega, "free", _free_view)
+
+
+def _free_view(omega):
+    items = tuple(entries(omega))
+    return (max((len(es) for _, es, _, _ in items), default=0),
+            tuple(item for item in items if _increasing(item[1])))
+
+
 def accumulate(acc, poly, factor=1):
     """Add factor * poly into the monomial -> coefficient dict acc."""
     if poly.is_zero() or factor == 0:
@@ -317,6 +357,7 @@ def _stored(degree, nvars, comps):
     out = Cochain.__new__(Cochain)
     out.degree, out.nvars, out.components = degree, nvars, comps
     out._hash = out._extent = out._valid_over = out._representable_over = None
+    out._views = None
     return out
 
 
@@ -337,26 +378,27 @@ def free_pair_terms(left, right, combine):
     """The terms a product-like operator puts at the free keys, the keys
     with es strictly increasing.
 
-    Items (i, es1, fs1, x) and (j, es2, fs2, y), one from each side, put
-    combine(x, y) at every signed shuffle of es1 and es2, on the merged
-    center multiset. A shuffle lands on a free key only when es1 and es2
-    are strictly increasing and share no index, and then it is the one
-    that sorts es1 + es2. So only those pairs are kept, each merged once
-    with the sign of that shuffle. The shuffle budget is checked on every
-    item when this is called, before any term is drawn
-    (ShuffleBudgetError). `cup`, `bullet` and `diamond` derive their terms
-    here.
+    Each side is a view (longest, items) of one operand. Items (i, es1,
+    fs1, x) and (j, es2, fs2, y), one from each side, put combine(x, y) at
+    every signed shuffle of es1 and es2, on the merged center multiset. A
+    shuffle lands on a free key only when es1 and es2 are strictly
+    increasing and share no index, and then it is the one that sorts es1 +
+    es2. So a view lists only the items whose es is strictly increasing
+    (`free_view`), and each disjoint pair is merged once with the sign of
+    that shuffle. `longest` is the argument-tuple length the shuffle
+    budget counts for the operand (for `free_view`, its longest stored
+    tuple, listed or not): the budget is checked on those lengths, against
+    MAX_SHUFFLES as it is when this is called, before any term is drawn
+    (ShuffleBudgetError), so a view kept on a cochain never skips it.
+    `cup`, `bullet` and `diamond` derive their terms here.
     """
-    left, right = list(left), list(right)
-    _check_shuffles(max((len(item[1]) for item in left), default=0),
-                    max((len(item[1]) for item in right), default=0))
-    left = [item for item in left if len(item[1]) < 2 or _increasing(item[1])]
-    right = [item for item in right if len(item[1]) < 2 or _increasing(item[1])]
+    (p, left), (q, right) = left, right
+    _check_shuffles(p, q)
     return _free_pairs(left, right, combine)
 
 
 def _free_pairs(left, right, combine):
-    """The terms of `free_pair_terms` from its filtered items."""
+    """The terms of `free_pair_terms` from its views' items."""
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             if es1 and es2:
@@ -611,7 +653,7 @@ def free_cup(ctx, omega, eta):
     """
     check_context(ctx, omega, eta)
     return scatter(ctx.zdim, omega.degree + eta.degree,
-                   free_pair_terms(entries(omega), entries(eta), operator.mul))
+                   free_pair_terms(free_view(omega), free_view(eta), operator.mul))
 
 
 def free_part(omega):

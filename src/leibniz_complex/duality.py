@@ -18,21 +18,26 @@ consistently to linear combinations.
 A cochain is *representable* when all of its partial evaluations with
 one algebra slot left open (the "bar" covectors) land in Im(phi).
 `is_representable` and `require_representable` decide that by
-membership alone. For representable cochains the section provides the
-lifted maps used by the graded bracket; when the symmetric product is
-non-degenerate the degree-0 part of the lift is unique and independent
-of the pivot strategy. `tilde_value` is the one place such a lift is
-solved, for the right operand of `brackets.bullet`, the only operand
-whose lifts it reads; it keeps each in the context's cache under
-(cochain, k, prefix, fs), and the bracket keeps the list of an
-operand's lifts per cochain on top of it. `sharp` solves the one lift
-the derived bracket reads back.
+membership alone. On a cochain known valid they read its bar covectors
+at strictly increasing prefixes from `increasing_bars`, a view that
+depends on no context, so it is built once per cochain and kept on it;
+`brackets.bullet` pairs the same view with its right operand's lifts.
+For representable cochains the section provides the lifted maps used
+by the graded bracket; when the symmetric product is non-degenerate the
+degree-0 part of the lift is unique and independent of the pivot
+strategy. `tilde_value` is the one place such a lift is solved, for the
+right operand of `brackets.bullet`, the only operand whose lifts it
+reads. A lift depends on the context's section, so it is kept in the
+context's cache under (cochain, k, prefix, fs), and the bracket keeps
+the list of an operand's lifts per cochain in the same cache. `sharp`
+solves the one lift the derived bracket reads back.
 """
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .cochains import _increasing, check_context, entries, require_valid, scatter
+from .cochains import (_increasing, check_context, entries, operand_view, require_valid,
+                       scatter)
 from .linalg import LinearSolver
 from .sympoly import _canonical
 
@@ -217,10 +222,20 @@ def stored_bars(omega, increasing_only=False):
     return bars
 
 
-def stored_prefixes(omega):
-    """The distinct (k, prefix, fs) of omega's stored entries with an
-    algebra argument, sorted: the only bar covectors that can be nonzero."""
-    return sorted(stored_bars(omega))
+def increasing_bars(omega):
+    """(longest, bars): the length of omega's longest stored prefix, and
+    (k, prefix, fs, {e: omega_k(prefix, e; fs)}) at each strictly
+    increasing stored prefix, in key order. Built once per cochain and
+    kept on it (`cochains.operand_view`): membership reads it on a
+    cochain known valid, `bullet` pairs it with its right operand's
+    lifts, and those lifts are solved at its prefixes."""
+    return operand_view(omega, "bars", _increasing_bars)
+
+
+def _increasing_bars(omega):
+    bars = stored_bars(omega, increasing_only=True)
+    return (max((len(es) - 1 for _, es, _, _ in entries(omega) if es), default=0),
+            tuple((k, prefix, fs, bars[k, prefix, fs]) for k, prefix, fs in sorted(bars)))
 
 
 def is_representable(ctx, omega):
@@ -231,17 +246,16 @@ def is_representable(ctx, omega):
     have no bar map and are vacuously fine. Each covector is tested by
     membership (`PhiSection.contains`); no preimage is built. On a
     cochain known valid over ctx's algebra only the strictly increasing
-    prefixes are tested: weak skew-symmetry writes every other bar
-    covector as a rational combination of those, so they all pass
-    exactly when these do, and every prefix is tested again only to
-    report the failures. ContextMismatchError for a cochain from another
-    context.
+    prefixes are tested, read from `increasing_bars`: weak skew-symmetry
+    writes every other bar covector as a rational combination of those,
+    so they all pass exactly when these do, and every prefix is tested
+    again only to report the failures. ContextMismatchError for a
+    cochain from another context.
     """
     check_context(ctx, omega)
-    known_valid = omega._valid_over is ctx.algebra
-    failures = _outside_image(ctx, omega, known_valid)
-    if failures and known_valid:
-        failures = _outside_image(ctx, omega, False)
+    if omega._valid_over is ctx.algebra and _bars_in_image(ctx, omega):
+        return RepresentabilityReport(ok=True, failures=[])
+    failures = _outside_image(ctx, omega, False)
     return RepresentabilityReport(ok=not failures, failures=failures)
 
 
@@ -250,20 +264,28 @@ def require_representable(ctx, omega):
     (`cochains.require_valid`), NotRepresentableError unless it is
     representable, raised at its first strictly increasing stored prefix
     whose bar covector is outside Im(phi), the one `tilde_value` would
-    fail on first. Only those prefixes are tested, by membership; a
-    cochain that passes is remembered as representable over ctx's
-    algebra, on the cochain itself, and is not tested again."""
+    fail on first. Only those prefixes are tested, by membership, read
+    from `increasing_bars`; a cochain that passes is remembered as
+    representable over ctx's algebra, on the cochain itself, and is not
+    tested again."""
     require_valid(ctx, omega)
     if omega._representable_over is not ctx.algebra:
-        failures = _outside_image(ctx, omega, True)
-        if failures:
-            raise _not_representable(*failures[0])
+        if not _bars_in_image(ctx, omega):
+            raise _not_representable(*_outside_image(ctx, omega, True)[0])
         omega._representable_over = ctx.algebra
+
+
+def _bars_in_image(ctx, omega):
+    """Do the bar covectors of `increasing_bars(omega)` all lie in Im(phi)?
+    Tested in key order up to the first that does not."""
+    section = phi_section(ctx)
+    return all(section.contains(bar) for _, _, _, bar in increasing_bars(omega)[1])
 
 
 def _outside_image(ctx, omega, increasing_only):
     """The (k, prefix, fs), in key order, whose bar covectors are outside
-    Im(phi), among `stored_bars(omega, increasing_only)`."""
+    Im(phi), among `stored_bars(omega, increasing_only)`, regrouped from
+    the entries: only a failure report reads them."""
     bars = stored_bars(omega, increasing_only)
     section = phi_section(ctx)
     return [key for key in sorted(bars) if not section.contains(bars[key])]

@@ -169,7 +169,10 @@ def _key_payload(k, es, fs, lhs, rhs, **extra):
 
 
 def first_difference(a, b):
-    """First (k, es, fs) key where two same-degree cochains disagree."""
+    """First (k, es, fs) key where two same-degree cochains disagree. Equal
+    cochains, what almost every check compares, return None at once."""
+    if a == b:
+        return None
     keys = {(k, es, fs) for cochain in (a, b) for k, es, fs, _ in entries(cochain)}
     for k, es, fs in sorted(keys):
         va, vb = a.value(k, es, fs), b.value(k, es, fs)

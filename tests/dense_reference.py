@@ -16,7 +16,10 @@ sparse code must match by exact equality. The flat pairs v with a fresh
 basis vector per slot, as the package did before it summed the stored
 basis pairings over v's nonzero coordinates. The package's bracket halves
 return only their values at the free keys; the tests cut a dense half
-down to those with `cochains.free_part`.
+down to those with `cochains.free_part`. `stored_prefixes` lists every
+stored prefix of a cochain, the prefixes a representability walk over
+all of them visits, where the package reads only its strictly
+increasing ones (`duality.increasing_bars`).
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from leibniz_complex.algebra import basis_vec
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
                                       accumulate, component_keys)
 from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, phi_section,
-                                     tilde_value)
+                                     stored_bars, tilde_value)
 from leibniz_complex.linalg import rref as sparse_rref
 from leibniz_complex.sympoly import SymPoly, derivation_extend
 
@@ -486,6 +489,12 @@ def first_slot_action(ctx, omega):
                 accumulate(acc, ctx.algebra.rho_basis(es[0], val))
 
     return assemble(ctx, n + 1, fill)
+
+
+def stored_prefixes(omega):
+    """The distinct (k, prefix, fs) of omega's stored entries with an
+    algebra argument, sorted: the only bar covectors that can be nonzero."""
+    return sorted(stored_bars(omega))
 
 
 def is_representable(ctx, omega):

@@ -4,9 +4,11 @@ Values: `derivation_extend` with a shared images dict against the plain
 monomial-by-monomial loop, the context's cached action of e_i against
 `LeibnizAlgebra.rho_basis`, and `basis_flat` against `flat_cochain`.
 Work: calls counted by monkeypatching (nothing is timed), so that a
-derived-bracket table builds each basis flat once, solves each section
-lift once and adds no work when it runs again on the same context, and
-`bullet` lifts only its right operand.
+derived-bracket table, on O2 and on omni(3), builds each basis flat once,
+solves each section lift once, builds each operand's bar covectors and
+derivation bases once (kept on the cochain) and adds no work when it
+runs again on the same context, and `bullet` lifts only its right
+operand.
 """
 
 from fractions import Fraction
@@ -15,12 +17,13 @@ from random import Random
 
 import pytest
 
+from dense_reference import stored_prefixes
 from leibniz_complex import brackets, duality
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import (basis_flat, bullet, derived_bracket, diamond, theta,
                                       theta_flat, zeta)
 from leibniz_complex.cochains import Cochain, ComplexContext, action
-from leibniz_complex.duality import flat_cochain, stored_prefixes
+from leibniz_complex.duality import flat_cochain
 from leibniz_complex.sympoly import DimensionError, SymPoly, derivation_extend
 from leibniz_complex.verify import random_representable
 
@@ -132,13 +135,21 @@ def count(monkeypatch, owner, name, record=lambda *args: None):
 
 
 def test_derived_bracket_table_computes_each_piece_once(monkeypatch):
-    algebra = build_fixture("O2")
+    for name in ("O2", "omni(3)"):
+        with monkeypatch.context() as patch:
+            check_table_computes_each_piece_once(patch, name)
+
+
+def check_table_computes_each_piece_once(monkeypatch, name):
+    algebra = build_fixture(name)
     dim = algebra.dim
     ctx = ComplexContext(algebra)
     flats = count(monkeypatch, brackets, "flat_cochain")
     solves = count(monkeypatch, duality.PhiSection, "solve")
     lifts = count(monkeypatch, duality, "bar", lambda ctx, omega, *key: (omega, *key))
     lookups = count(monkeypatch, brackets, "tilde_value")
+    bar_views = count(monkeypatch, duality, "_increasing_bars", id)
+    base_views = count(monkeypatch, brackets, "_derivation_bases", id)
 
     def table():
         for i, j in product(range(dim), repeat=2):
@@ -160,10 +171,20 @@ def test_derived_bracket_table_computes_each_piece_once(monkeypatch):
     assert set(lifts) == expected
     assert len(solves) == len(lifts) + dim * dim  # plus one sharp per pair
     assert len(lookups) == len(lifts)  # each operand's lifts are listed once
-    before = len(flats), len(lifts), len(lookups), len(solves)
+    # each operand's views are built once, kept on the cochain: the bar
+    # covectors of theta, of every {Theta, e_i-flat} (left operands) and of
+    # every flat (right operands, lifted at those prefixes), and the
+    # derivation bases of theta and of every {Theta, e_i-flat} that stores a
+    # center argument (`diamond` of a flat returns at once)
+    inner = [theta_flat(ctx, i) for i in range(dim)]
+    assert sorted(bar_views) == sorted(map(id, [theta(ctx)] + inner + operands))
+    centered = [omega for omega in inner if omega.extent()[1]]
+    assert centered
+    assert sorted(base_views) == sorted(map(id, [theta(ctx)] + centered))
+    before = len(flats), len(lifts), len(lookups), len(bar_views), len(base_views), len(solves)
     table()  # again: only the sharp of each pair is solved anew
-    assert (len(flats), len(lifts), len(lookups), len(solves)) == \
-        before[:3] + (before[3] + dim * dim,)
+    assert (len(flats), len(lifts), len(lookups), len(bar_views), len(base_views),
+            len(solves)) == before[:5] + (before[5] + dim * dim,)
 
 
 def increasing_prefixes(omega):

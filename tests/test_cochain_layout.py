@@ -4,7 +4,9 @@ The nested `components` layout {k: {(es, fs): SymPoly}} is read and
 written in `cochains.py` alone: other modules read entries through
 `cochains.entries` and `Cochain.value`, and build computed cochains as
 streams of terms into `cochains.scatter`. `Cochain(degree, nvars,
-components)` checks its input and is left to cochains from outside.
+components)` checks its input and is left to cochains from outside. The
+`_views` slot, what the operators read of a cochain as an operand, is
+filled in `cochains.py` alone too, through `cochains.operand_view`.
 """
 
 import ast
@@ -14,12 +16,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibniz_complex"
 
 
 def layout_uses(tree):
-    """(line, what) for each read or write of `.components` and each
-    `Cochain(...)` call given components, in one module's syntax tree."""
+    """(line, what) for each read or write of `.components` or `._views`
+    and each `Cochain(...)` call given components, in one module's syntax
+    tree."""
     uses = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "components":
-            uses.append((node.lineno, ".components"))
+        if isinstance(node, ast.Attribute) and node.attr in ("components", "_views"):
+            uses.append((node.lineno, "." + node.attr))
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -44,5 +47,6 @@ def test_the_scan_sees_each_kind_of_use():
               "cochains.Cochain(1, 2, components=comps)\n"
               "Cochain(1, 2, **kwargs)\n"
               "Cochain.zero(1, 2)\n"
-              "Cochain(1, 2)\n")
-    assert [line for line, _ in layout_uses(ast.parse(source))] == [1, 2, 3, 4, 5]
+              "Cochain(1, 2)\n"
+              "omega._views\n")
+    assert [line for line, _ in layout_uses(ast.parse(source))] == [1, 2, 3, 4, 5, 8]

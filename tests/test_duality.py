@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 import dense_reference as dense
-from dense_reference import phi
+from dense_reference import phi, stored_prefixes
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import basis_flat, theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
@@ -12,8 +12,7 @@ from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchEr
                                       cup, entries, validate_cochain)
 from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError,
                                      PhiSection, bar, dual_from_cochain, flat, flat_cochain,
-                                     is_representable, phi_section, sharp, stored_prefixes,
-                                     tilde_value)
+                                     is_representable, phi_section, sharp, tilde_value)
 from leibniz_complex.linalg import LinearSolver
 from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import random_poly, random_representable
