@@ -33,7 +33,11 @@ which on a fat algebra recovers e1 . e2 itself through the section.
 The bracket is bilinear and the inner bracket {theta, v-flat} depends
 on v alone, so it is summed as sum_i v_i {theta, e_i-flat} from the
 per-basis values `theta_flat` keeps in the context's cache; only the
-outer bracket is computed per pair.
+outer bracket is computed per pair, by the one helper both derived
+brackets share. On a fat algebra it is read back in one pass: its
+stored entries as a covector (`duality.covector`), one section lift
+(`duality.lift`) of it, not of its negative, and one negation of the
+scalar coordinate vector, exact since the section is linear on Im(phi).
 
 Every piece that depends on a basis index, or on one operand and the
 context's section, is computed once per context and kept in its cache:
@@ -55,8 +59,8 @@ from itertools import chain
 from .algebra import basis_vec
 from .cochains import (_increasing, check_context, combine, entries, expand, free_pair_terms,
                        free_view, operand_view, require_valid, scatter)
-from .duality import (NotRepresentableError, dual_from_cochain, flat_cochain, increasing_bars,
-                      require_representable, sharp, tilde_value)
+from .duality import (NotRepresentableError, covector, dual_from_cochain, flat_cochain,
+                      increasing_bars, lift, require_representable, tilde_value)
 from .sympoly import SymPoly, derivation_extend, dot
 
 
@@ -232,8 +236,9 @@ def _unit_index(v):
     return support[0] if len(support) == 1 and v[support[0]] == 1 else None
 
 
-def derived_bracket_dual(ctx, v, w):
-    """-{{theta, v-flat}, w-flat} as a covector (defined for any algebra).
+def _outer_bracket(ctx, v, w):
+    """{{theta, v-flat}, w-flat}, the degree-1 cochain both derived
+    brackets read.
 
     The inner bracket is sum_i v_i {theta, e_i-flat}; for a basis vector v
     it is the cached cochain itself, and for a basis vector w the flat is
@@ -247,8 +252,12 @@ def derived_bracket_dual(ctx, v, w):
         inner = combine(ctx.zdim, 2, *((theta_flat(ctx, t), vt)
                                        for t, vt in enumerate(v) if vt != 0))
     j = _unit_index(w)
-    outer = poisson(ctx, inner, flat_cochain(ctx, w) if j is None else basis_flat(ctx, j))
-    return -dual_from_cochain(ctx, outer)
+    return poisson(ctx, inner, flat_cochain(ctx, w) if j is None else basis_flat(ctx, j))
+
+
+def derived_bracket_dual(ctx, v, w):
+    """-{{theta, v-flat}, w-flat} as a covector (defined for any algebra)."""
+    return -dual_from_cochain(ctx, _outer_bracket(ctx, v, w))
 
 
 def derived_bracket(ctx, v, w):
@@ -256,13 +265,18 @@ def derived_bracket(ctx, v, w):
 
     Returns the algebra element when the symmetric product is
     non-degenerate; otherwise the covector level is all there is and the
-    DualElement is returned.
+    DualElement `derived_bracket_dual` is returned.
+
+    On a fat algebra the outer bracket is read back in one solve (see the
+    module docstring), with no DualElement or ExtendedElement built.
+    NotRepresentableError when its covector is outside Im(phi) or its
+    lift has a coefficient of positive degree.
     """
-    dual = derived_bracket_dual(ctx, v, w)
     if not ctx.algebra.is_fat():
-        return dual
-    lift = sharp(ctx, dual)
-    vec = lift.as_vector()
-    if vec is None:
-        raise NotRepresentableError("derived bracket lift has non-scalar coefficients")
-    return vec
+        return derived_bracket_dual(ctx, v, w)
+    vec = [0] * ctx.dim
+    for (mono, i), c in lift(ctx, covector(_outer_bracket(ctx, v, w))).items():
+        if mono:
+            raise NotRepresentableError("derived bracket lift has non-scalar coefficients")
+        vec[i] = -c
+    return tuple(vec)

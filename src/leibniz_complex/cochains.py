@@ -18,10 +18,11 @@ touch. A valid cochain is fixed by its values at the free keys, the keys
 (k, es, fs) with es strictly increasing: `expand` fills in every other
 key from the free-datum cochains (`_free_datum_cochain`, one per free
 key, kept in the context's cache), and `cochain_space_basis` builds its
-basis from the same cochains. An `expand` output, a basis cochain and a
-cochain that passes `validate_cochain` are marked valid over the
-context's algebra; `require_valid`, which d, the product and the bracket
-call on their inputs, validates only a cochain not so marked.
+basis from the same cochains. An `expand` output, a basis cochain, a
+cochain that passes `validate_cochain` and a sum or scaling (`combine`)
+of cochains all marked valid over one algebra are marked valid over
+it; `require_valid`, which d, the product and the bracket call on their
+inputs, validates only a cochain not so marked.
 
 The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
@@ -128,8 +129,9 @@ class Cochain:
     """Immutable sparse cochain; missing keys are zero."""
 
     # _valid_over: the algebra the cochain is known to be weakly
-    # skew-symmetric over (set by `expand`, `cochain_space_basis` and a
-    # passing `validate_cochain`); _representable_over: the algebra it is
+    # skew-symmetric over (set by `expand`, `cochain_space_basis`, a
+    # passing `validate_cochain` and `combine` of cochains known valid
+    # over it); _representable_over: the algebra it is
     # known representable over (set by `duality.require_representable`);
     # _views: what the operators read of it as an operand, by name, built
     # from its entries alone on first use (`operand_view`), so every
@@ -363,15 +365,26 @@ def _stored(degree, nvars, comps):
 
 def combine(nvars, degree, *scaled):
     """sum factor * omega over the (omega, factor) pairs, a degree-n
-    cochain; a zero omega may have any degree."""
+    cochain; a zero omega may have any degree.
+
+    Weak skew-symmetry is linear, so when every nonzero omega is marked
+    valid over one algebra, the sum is marked valid over it too; any
+    other sum (an unmarked operand, a `free_part`, operands valid over
+    different algebras, only zero operands) is left unmarked."""
     scaled = [(omega, exact(factor)) for omega, factor in scaled]
+    valid_over = set()
     for omega, _ in scaled:
         if omega.nvars != nvars:
             raise CochainShapeError("cannot add cochains over different centers")
-        if omega.degree != degree and not omega.is_zero():
-            raise CochainShapeError("cannot add nonzero cochains of different degree")
-    return scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
-                                   for k, es, fs, value in entries(omega)))
+        if not omega.is_zero():
+            if omega.degree != degree:
+                raise CochainShapeError("cannot add nonzero cochains of different degree")
+            valid_over.add(omega._valid_over)
+    out = scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
+                                  for k, es, fs, value in entries(omega)))
+    if len(valid_over) == 1:
+        out._valid_over = valid_over.pop()
+    return out
 
 
 def free_pair_terms(left, right, combine):
@@ -509,9 +522,9 @@ def validate_cochain(ctx, omega):
 
 def require_valid(ctx, omega):
     """InvalidCochainError unless omega is weakly skew-symmetric. A cochain
-    already known valid over ctx's algebra, built by `expand` or
-    `cochain_space_basis` or passed by `validate_cochain`, is only checked
-    against the context."""
+    already known valid over ctx's algebra, built by `expand`,
+    `cochain_space_basis` or `combine` of such cochains, or passed by
+    `validate_cochain`, is only checked against the context."""
     if omega._valid_over is ctx.algebra:
         check_context(ctx, omega)
         return

@@ -9,11 +9,14 @@ phi raises symmetric degree by one, so membership in its image and
 preimage choices decompose degree by degree into finite exact linear
 systems. PhiSection factors each of those systems once (reduced row
 echelon, first-usable-pivot order by default) and answers two kinds of
-query afterwards. Membership (`PhiSection.contains`) evaluates only the
-cokernel functionals of phi in each degree, the check rows of the
-factorization, and builds no preimage. The section (`PhiSection.solve`)
-returns a preimage; it is linear on the image, so lifts extend
-consistently to linear combinations.
+query afterwards about a covector given as {j: SymPoly}. Membership
+(`PhiSection.contains`) evaluates only the cokernel functionals of phi in
+each degree, the check rows of the factorization, and builds no
+preimage. The section (`PhiSection.solve`) returns a sparse preimage
+{(mono, i): coeff}; it is linear on the image, so lifts extend
+consistently to linear combinations, and the lift of -psi is the lift
+of psi negated. `lift` is its raising form; `sharp` and `tilde_value`
+wrap a preimage into an ExtendedElement.
 
 A cochain is *representable* when all of its partial evaluations with
 one algebra slot left open (the "bar" covectors) land in Im(phi).
@@ -29,8 +32,10 @@ strategy. `tilde_value` is the one place such a lift is solved, for the
 right operand of `brackets.bullet`, the only operand whose lifts it
 reads. A lift depends on the context's section, so it is kept in the
 context's cache under (cochain, k, prefix, fs), and the bracket keeps
-the list of an operand's lifts per cochain in the same cache. `sharp`
-solves the one lift the derived bracket reads back.
+the list of an operand's lifts per cochain in the same cache. The
+derived bracket reads its result back in one pass: `covector` reads the
+outer bracket's stored entries as {j: SymPoly} and `lift` solves it
+once, with no DualElement or ExtendedElement built.
 """
 
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from itertools import combinations_with_replacement
 from .cochains import (_increasing, check_context, entries, operand_view, require_valid,
                        scatter)
 from .linalg import LinearSolver
-from .sympoly import _canonical
+from .sympoly import SymPoly, _canonical
 
 
 class NotRepresentableError(ValueError):
@@ -98,10 +103,25 @@ def flat_cochain(ctx, v):
                                  for i, vi in enumerate(v) if vi != 0 for j in range(ctx.dim)))
 
 
-def dual_from_cochain(ctx, omega):
+def covector(omega):
+    """{j: omega(e_j)}: the nonzero values of a degree-1 cochain, read in
+    one pass over its stored entries, the shape `PhiSection.solve` and
+    `PhiSection.contains` take."""
     if omega.degree != 1:
         raise ValueError("only degree-1 cochains are covectors")
-    return DualElement(tuple(omega.value(0, (j,), ()) for j in range(ctx.dim)))
+    return {es[0]: value for _, es, _, value in entries(omega)}
+
+
+def dual_from_cochain(ctx, omega):
+    """The `covector` of a degree-1 cochain as a DualElement."""
+    values = covector(omega)
+    zero = SymPoly.zero(ctx.zdim)
+    return DualElement(tuple(values.get(j, zero) for j in range(ctx.dim)))
+
+
+def nonzero_values(psi):
+    """The covector psi as {j: psi(e_j)} over its nonzero values."""
+    return {j: v for j, v in enumerate(psi.values) if not v.is_zero()}
 
 
 class PhiSection:
@@ -135,24 +155,27 @@ class PhiSection:
         self._solvers[degree] = solver
         return solver
 
-    def solve(self, psi):
-        """A preimage of psi under phi, or None when psi is not in the image.
+    def solve(self, values):
+        """A preimage of the covector e_j -> values[j] under phi, or None
+        when it is not in the image. `values` is a dict {j: SymPoly}, as
+        `contains` takes it; the preimage is sparse, {(mono, i): coeff}
+        for the input mono (x) e_i.
 
         Solves one system per homogeneous output degree; degree-0 values
         cannot arise from phi, so any nonzero scalar part means failure.
+        Free variables are set to zero, so the map is linear on Im(phi):
+        the preimage of -psi is the preimage of psi negated.
         """
-        ctx = self.ctx
-        by_degree = _by_degree(enumerate(psi.values))
+        by_degree = _by_degree(values.items())
         if by_degree is None:
             return None
-        terms = [{} for _ in range(ctx.dim)]
+        preimage = {}
         for d, b in sorted(by_degree.items()):
             x = self._solver(d - 1).solve(b)
             if x is None:
                 return None
-            for (mono, i), c in sorted(x.items()):
-                terms[i][mono] = c
-        return ExtendedElement(tuple(_canonical(ctx.zdim, t) for t in terms))
+            preimage.update(x)
+        return preimage
 
     def contains(self, values):
         """Is the covector e_j -> values[j] in Im(phi)? `values` is a dict
@@ -184,12 +207,33 @@ def phi_section(ctx):
     return section
 
 
-def sharp(ctx, psi):
-    """The chosen preimage of psi under phi (NotRepresentableError outside Im)."""
-    x = phi_section(ctx).solve(psi)
+def lift(ctx, values):
+    """The section's sparse preimage {(mono, i): coeff} of the covector
+    e_j -> values[j] (`PhiSection.solve`), NotRepresentableError outside
+    Im(phi)."""
+    x = phi_section(ctx).solve(values)
     if x is None:
         raise NotRepresentableError("covector is not in the image of phi")
     return x
+
+
+def sharp(ctx, psi):
+    """The chosen preimage of the DualElement psi under phi, as an
+    ExtendedElement (NotRepresentableError outside Im).
+
+    It wraps `lift`, one solve of psi's nonzero values. The derived
+    bracket reads its result back through `lift` directly, from the
+    outer bracket's stored entries (`covector`), and negates the scalar
+    coordinates once: the section is linear on Im(phi)."""
+    return _extended(ctx, lift(ctx, nonzero_values(psi)))
+
+
+def _extended(ctx, preimage):
+    """The ExtendedElement of a sparse preimage {(mono, i): coeff}."""
+    terms = [{} for _ in range(ctx.dim)]
+    for (mono, i), c in preimage.items():
+        terms[i][mono] = c
+    return ExtendedElement(tuple(_canonical(ctx.zdim, t) for t in terms))
 
 
 def bar(ctx, omega, k, prefix, fs):
@@ -302,9 +346,8 @@ def tilde_value(ctx, omega, k, prefix, fs):
     key = (omega, k, tuple(prefix), tuple(sorted(fs)))
     hit = cache.get(key)
     if hit is None:
-        psi = bar(ctx, omega, k, prefix, fs)
-        hit = phi_section(ctx).solve(psi)
-        if hit is None:
+        x = phi_section(ctx).solve(nonzero_values(bar(ctx, omega, k, prefix, fs)))
+        if x is None:
             raise _not_representable(k, prefix, fs)
-        cache[key] = hit
+        hit = cache[key] = _extended(ctx, x)
     return hit

@@ -29,8 +29,8 @@ from itertools import combinations
 from leibniz_complex.algebra import basis_vec
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
                                       accumulate, component_keys)
-from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, phi_section,
-                                     stored_bars, tilde_value)
+from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, nonzero_values,
+                                     phi_section, stored_bars, tilde_value)
 from leibniz_complex.linalg import rref as sparse_rref
 from leibniz_complex.sympoly import SymPoly, derivation_extend
 
@@ -506,6 +506,6 @@ def is_representable(ctx, omega):
         if n - 2 * k < 1:
             break
         for es, fs in component_keys(ctx, n - 1, k):
-            if section.solve(bar(ctx, omega, k, es, fs)) is None:
+            if section.solve(nonzero_values(bar(ctx, omega, k, es, fs))) is None:
                 failures.append((k, es, fs))
     return RepresentabilityReport(ok=not failures, failures=failures)

@@ -15,16 +15,17 @@ from random import Random
 import pytest
 
 import dense_reference as dense
-from leibniz_complex import cochains
+from leibniz_complex import cochains, verify
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import poisson, theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
                                       InvalidCochainError, coboundary, cochain_space_basis,
                                       cochain_to_dict, cup, expand, free_part,
                                       validate_cochain)
-from leibniz_complex.duality import flat_cochain
+from leibniz_complex.duality import flat_cochain, is_representable
 from leibniz_complex.sympoly import SymPoly
-from leibniz_complex.verify import check_d_squared, random_poly, random_representable
+from leibniz_complex.verify import (check_d_squared, d0_sign_mutant, random_poly,
+                                    random_representable)
 
 # fixture -> top degree, as in the space-basis benchmark workload
 DEGREES = {"A3": 5, "O1": 6, "AFF_O1": 4, "O2": 3, "omni(3)": 2}
@@ -278,3 +279,103 @@ def test_d_squared_validates_no_cochain_of_positive_degree(monkeypatch):
     monkeypatch.setattr(cochains, "validate_cochain", counted)
     assert check_d_squared(ctx, "O2", 3).passed
     assert [omega.degree for omega in calls] == [0] * ctx.zdim
+
+
+# -- validity through linear combinations ------------------------------------------
+
+
+def test_sums_and_scalings_of_expansions_are_known_valid(ctxs):
+    """Weak skew-symmetry is linear, so `combine`, and through it +, -,
+    `scale` and negation, marks its result valid when every nonzero
+    operand is known valid over the same algebra; each such result does
+    pass `validate_cochain`."""
+    ctx = ctxs["O2"]
+    a, b = (flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in (0, 4))
+    a, b = expand(ctx, 1, a), expand(ctx, 1, b)
+    ab, ba, da = cup(ctx, a, b), cup(ctx, b, a), coboundary(ctx, a)
+    zero = Cochain.zero(2, ctx.zdim)  # unmarked, but zero: it does not count
+    for omega in (ab + da, ba - da, ab + ba, ba.scale(3), -da, ab + zero, zero + ba,
+                  cochains.combine(ctx.zdim, 2, (ab, 1), (ba, -2), (da, 5))):
+        assert omega._valid_over is ctx.algebra, omega
+        assert validate_cochain(ctx, omega).ok  # the check itself always runs in full
+
+
+def test_mixed_combinations_stay_unmarked(ctxs):
+    """One unmarked nonzero operand, a free part, or operands known valid
+    over different algebras leave the combination unmarked; so does a
+    combination of zero cochains only."""
+    ctx, other = ctxs["O2"], ComplexContext(build_fixture("O2"))
+    a, b = (flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in (0, 4))
+    valid = cup(ctx, expand(ctx, 1, a), expand(ctx, 1, b))
+    unmarked = Cochain(2, ctx.zdim, valid.components)  # equal and valid, not known to be
+    elsewhere = cup(other, expand(other, 1, a), expand(other, 1, b))
+    assert not valid.is_zero() and elsewhere._valid_over is other.algebra
+    zero = Cochain.zero(2, ctx.zdim)
+    for omega in (valid + unmarked, unmarked - valid, valid + free_part(valid),
+                  free_part(valid).scale(2), valid + elsewhere, unmarked.scale(3), -unmarked,
+                  zero + zero, zero.scale(5)):
+        assert omega._valid_over is None, omega
+
+
+def test_eta_of_the_omni3_workload_skips_validation(monkeypatch):
+    """A sum of products, the shape of the representable samples of the
+    omni(3) benchmark, is known valid: d, the bracket's lifts and
+    `is_representable` do not validate it, while Theta and the flats are
+    still validated once each."""
+    ctx = ComplexContext(build_fixture("omni(3)"))
+    rng = Random(3)
+    calls = []
+    validate = cochains.validate_cochain
+
+    def counted(ctx, omega):
+        calls.append(omega)
+        return validate(ctx, omega)
+
+    monkeypatch.setattr(cochains, "validate_cochain", counted)
+
+    def flat():
+        return flat_cochain(ctx, tuple(rng.randint(-2, 2) for _ in range(ctx.dim)))
+
+    p = Cochain.constant(SymPoly(ctx.zdim, {(): 2, (1,): -1}))
+    eta = cup(ctx, p, cup(ctx, flat(), flat())) + cup(ctx, flat(), flat())
+    assert eta._valid_over is ctx.algebra
+    validated = list(calls)  # the operands of the products
+    assert all(omega.degree <= 1 for omega in validated)
+    assert is_representable(ctx, eta).ok
+    assert poisson(ctx, theta(ctx), eta) == -coboundary(ctx, eta)
+    assert calls[len(validated):] == [theta(ctx)]
+
+
+def test_the_d0_sign_mutant_stays_unmarked(ctxs):
+    """The d0-sign mutant is d plus an unmarked scatter, so where the two
+    differ the sum stays unmarked and d validates it: the mutation is
+    still caught (`tests/test_verify.py`, and the golden mutation
+    reports)."""
+    ctx = ctxs["O1"]
+    z = Cochain.constant(SymPoly.generator(ctx.zdim, 0))  # scalars have no action terms
+    differing = 0
+    for n in range(3):
+        for omega in cochain_space_basis(ctx, n):
+            scaled = cup(ctx, z, omega)
+            mutant = d0_sign_mutant(ctx, scaled)
+            if mutant != coboundary(ctx, scaled):
+                differing += 1
+                assert mutant._valid_over is None
+    assert differing
+
+
+def test_representability_closure_validates_every_output(monkeypatch):
+    """`check_representability_closure` validates each of its three outputs
+    per sample itself, although each is known valid."""
+    ctx = ComplexContext(build_fixture("O2"))
+    calls = []
+    validate = verify.validate_cochain
+
+    def counted(ctx, omega):
+        calls.append(omega._valid_over)
+        return validate(ctx, omega)
+
+    monkeypatch.setattr(verify, "validate_cochain", counted)
+    samples = 6
+    assert verify.check_representability_closure(ctx, "O2", Random(1), samples).passed
+    assert calls == [ctx.algebra] * (3 * samples)
