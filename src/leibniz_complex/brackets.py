@@ -65,11 +65,10 @@ from .sympoly import SymPoly, derivation_extend, dot
 
 
 def _lifts(ctx, omega):
-    """(longest, lifts): the length of the longest lifted prefix, and (k,
-    prefix, fs, lift) at each strictly increasing stored prefix of omega
-    (`duality.increasing_bars`), in key order: the section lift of its bar
-    covector, nonzero because the covector is. These are the only lifts
-    `bullet` reads at free keys, and only of its right operand.
+    """(k, prefix, fs, lift) at each strictly increasing stored prefix of
+    omega (`duality.increasing_bars`), in key order: the section lift of
+    its bar covector, nonzero because the covector is. These are the only
+    lifts `bullet` reads at free keys, and only of its right operand.
 
     omega must be valid (`cochains.require_valid`, InvalidCochainError
     otherwise). Weak skew-symmetry then writes every bar covector as a
@@ -85,11 +84,8 @@ def _lifts(ctx, omega):
     lifts = cache.get(omega)
     if lifts is None:
         require_valid(ctx, omega)
-        bars = increasing_bars(omega)[1]
-        lifts = cache[omega] = (
-            max((len(prefix) for _, prefix, _, _ in bars), default=0),
-            tuple((k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
-                  for k, prefix, fs, _ in bars))
+        lifts = cache[omega] = tuple((k, prefix, fs, tilde_value(ctx, omega, k, prefix, fs))
+                                     for k, prefix, fs, _ in increasing_bars(omega))
     return lifts
 
 
@@ -136,22 +132,19 @@ def diamond(ctx, omega, eta):
 
 
 def _derivation_bases(omega):
-    """(longest, bases): the length of omega's longest stored argument tuple
-    with a center argument, and (k, es, others, (base, images)) for each
-    strictly increasing es: base lists omega_{k+1}(es; r, others) for each
-    center generator r, and images is the dict of the monomial images
-    `sympoly.derivation_extend` fills for that base, kept with it for as
-    long as the cochain lives."""
-    longest, bases = 0, {}
+    """(k, es, others, (base, images)) for each strictly increasing es of
+    omega stored with a center argument: base lists omega_{k+1}(es; r,
+    others) for each center generator r, and images is the dict of the
+    monomial images `sympoly.derivation_extend` fills for that base, kept
+    with it for as long as the cochain lives."""
+    bases = {}
     for k, es, fs, value in entries(omega):
-        if fs:
-            longest = max(longest, len(es))
-            if _increasing(es):
-                for pos, r in enumerate(fs):
-                    base = bases.setdefault((k - 1, es, fs[:pos] + fs[pos + 1:]),
-                                            [SymPoly.zero(omega.nvars)] * omega.nvars)
-                    base[r] = value
-    return longest, tuple((i, es, rest, (base, {})) for (i, es, rest), base in bases.items())
+        if fs and _increasing(es):
+            for pos, r in enumerate(fs):
+                base = bases.setdefault((k - 1, es, fs[:pos] + fs[pos + 1:]),
+                                        [SymPoly.zero(omega.nvars)] * omega.nvars)
+                base[r] = value
+    return tuple((i, es, rest, (base, {})) for (i, es, rest), base in bases.items())
 
 
 def poisson(ctx, omega, eta):

@@ -2,11 +2,11 @@
 
 Exit codes are a stable contract: 0 all checks passed, 1 an identity or
 validity check failed, 2 unusable input (bad file, bad syntax, unknown
-fixture, a product over the shuffle budget, a result with a coefficient
-too long to print), 3 an internal error (any other exception, reported
-on one line without a traceback). `--algebra` accepts either a JSON
-file path or the name of a bundled fixture (A3, O1, O2, AFF_O1,
-omni(n)).
+fixture, an algebra over MAX_DIM, an input whose free-datum walk or
+system of phi is over the table budget, a result with a coefficient too
+long to print), 3 an internal error (any other exception, reported on
+one line without a traceback). `--algebra` accepts either a JSON file
+path or the name of a bundled fixture (A3, O1, O2, AFF_O1, omni(n)).
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .algebra import (AlgebraFormatError, InvalidAlgebraError, IntegrityError,
                       quotient_by_kernel)
 from .brackets import derived_bracket_dual, poisson
 from .cochains import (CochainFormatError, ComplexContext, InvalidCochainError,
-                       ShuffleBudgetError, coboundary, cochain_to_dict, cup, load_cochain)
+                       TableBudgetError, coboundary, cochain_to_dict, cup, load_cochain)
 from .duality import NotRepresentableError, flat, is_representable, sharp
 from .sympoly import DigitBudgetError, SymPolyParseError, rational_text
 from .verify import VerifyConfig, VerifyConfigError, run_verify
@@ -31,7 +31,7 @@ EXIT_INTERNAL_ERROR = 3
 
 _INPUT_ERRORS = (OSError, json.JSONDecodeError, AlgebraFormatError, CochainFormatError,
                  SymPolyParseError, UnicodeDecodeError, VerifyConfigError,
-                 ShuffleBudgetError, DigitBudgetError)
+                 TableBudgetError, DigitBudgetError)
 _CHECK_ERRORS = (InvalidAlgebraError, InvalidCochainError, NotRepresentableError,
                  IntegrityError, PreconditionError)
 

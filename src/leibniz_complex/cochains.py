@@ -17,12 +17,13 @@ Storage does not canonicalize this (the structure is only weakly skew);
 touch. A valid cochain is fixed by its values at the free keys, the keys
 (k, es, fs) with es strictly increasing: `expand` fills in every other
 key from the free-datum cochains (`_free_datum_cochain`, one per free
-key, kept in the context's cache), and `cochain_space_basis` builds its
-basis from the same cochains. An `expand` output, a basis cochain, a
-cochain that passes `validate_cochain` and a sum or scaling (`combine`)
-of cochains all marked valid over one algebra are marked valid over
-it; `require_valid`, which d, the product and the bracket call on their
-inputs, validates only a cochain not so marked.
+key, kept in the context's cache, each walk bounded by MAX_TABLE), and
+`cochain_space_basis` builds its basis from the same cochains. An
+`expand` output, a basis cochain, a cochain that passes
+`validate_cochain` and a sum or scaling (`combine`) of cochains all
+marked valid over one algebra are marked valid over it; `require_valid`,
+which d, the product and the bracket call on their inputs, validates
+only a cochain not so marked.
 
 The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
 style sum of action terms and bracket insertions; delta feeds each center
@@ -70,7 +71,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 from .algebra import _is_index
 from .linalg import rref
@@ -98,8 +99,8 @@ class CochainFormatError(ValueError):
     """Malformed cochain file."""
 
 
-class ShuffleBudgetError(ValueError):
-    """A product whose operands' argument tuples need more than MAX_SHUFFLES shuffles."""
+class TableBudgetError(ValueError):
+    """A table the input does not bound would hold more than MAX_TABLE entries."""
 
 
 class ComplexContext:
@@ -238,16 +239,23 @@ class Cochain:
         return f"Cochain(degree={self.degree}, entries={entries})"
 
 
-# -- shuffles ------------------------------------------------------------------
+# -- the table budget ------------------------------------------------------------
 
-# The most shuffles one product may merge a pair of argument tuples with.
-# `free_pair_terms` (the terms of `cup`, `bullet` and `diamond`) checks
-# C(p + q, p) for the longest argument tuples p and q its operands store
-# when it is called, so `cup` refuses two entries with 20 algebra
-# arguments each (C(40, 20) = 1.4e11) before it validates them.
-# `coboundary` checks C(q + 1, 1), one argument merged into the longest
-# stored tuple, as its action terms do.
-MAX_SHUFFLES = 100_000
+# The most entries of a table whose size the input does not bound: the
+# keys a free-datum walk visits (`_free_datum_cochain`) and the columns of
+# a system of phi (`duality.PhiSection`), each counted before it is built.
+MAX_TABLE = 100_000
+
+
+def check_table(count, what):
+    """TableBudgetError when `what`, a table of `count` entries, is over
+    MAX_TABLE as it is when this is called."""
+    if count > MAX_TABLE:
+        raise TableBudgetError(f"{what} needs {count} table entries, above the limit "
+                               f"of {MAX_TABLE}")
+
+
+# -- shuffles ------------------------------------------------------------------
 
 
 @cache
@@ -300,16 +308,13 @@ def operand_view(omega, name, build):
 
 
 def free_view(omega):
-    """(longest, free): the length of omega's longest stored argument tuple,
-    and its entries (k, es, fs, value) at the free keys, es strictly
+    """omega's entries (k, es, fs, value) at the free keys, es strictly
     increasing, in storage order. Kept on the cochain (`operand_view`)."""
     return operand_view(omega, "free", _free_view)
 
 
 def _free_view(omega):
-    items = tuple(entries(omega))
-    return (max((len(es) for _, es, _, _ in items), default=0),
-            tuple(item for item in items if _increasing(item[1])))
+    return tuple(item for item in entries(omega) if _increasing(item[1]))
 
 
 def accumulate(acc, poly, factor=1):
@@ -391,27 +396,15 @@ def free_pair_terms(left, right, combine):
     """The terms a product-like operator puts at the free keys, the keys
     with es strictly increasing.
 
-    Each side is a view (longest, items) of one operand. Items (i, es1,
-    fs1, x) and (j, es2, fs2, y), one from each side, put combine(x, y) at
-    every signed shuffle of es1 and es2, on the merged center multiset. A
-    shuffle lands on a free key only when es1 and es2 are strictly
-    increasing and share no index, and then it is the one that sorts es1 +
-    es2. So a view lists only the items whose es is strictly increasing
-    (`free_view`), and each disjoint pair is merged once with the sign of
-    that shuffle. `longest` is the argument-tuple length the shuffle
-    budget counts for the operand (for `free_view`, its longest stored
-    tuple, listed or not): the budget is checked on those lengths, against
-    MAX_SHUFFLES as it is when this is called, before any term is drawn
-    (ShuffleBudgetError), so a view kept on a cochain never skips it.
-    `cup`, `bullet` and `diamond` derive their terms here.
+    Items (i, es1, fs1, x) of the view `left` and (j, es2, fs2, y) of
+    `right`, one from each operand, put combine(x, y) at every signed
+    shuffle of es1 and es2, on the merged center multiset. A shuffle lands
+    on a free key only when es1 and es2 are strictly increasing and share
+    no index, and then it is the one that sorts es1 + es2. So a view lists
+    only the items whose es is strictly increasing (`free_view`), and each
+    disjoint pair is merged once with the sign of that shuffle. `cup`,
+    `bullet` and `diamond` derive their terms here.
     """
-    (p, left), (q, right) = left, right
-    _check_shuffles(p, q)
-    return _free_pairs(left, right, combine)
-
-
-def _free_pairs(left, right, combine):
-    """The terms of `free_pair_terms` from its views' items."""
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             if es1 and es2:
@@ -439,15 +432,6 @@ def _sorted_merge(es1, es2):
         return None
     inversions = sum(bisect_left(es2, x) for x in es1)
     return tuple(sorted(es1 + es2)), -1 if inversions % 2 else 1
-
-
-def _check_shuffles(p, q):
-    """ShuffleBudgetError when merging argument tuples of lengths p and q
-    takes more than MAX_SHUFFLES shuffles."""
-    count = comb(p + q, p)
-    if count > MAX_SHUFFLES:
-        raise ShuffleBudgetError(f"merging argument tuples of lengths {p} and {q} takes "
-                                 f"{count} shuffles, above the limit of {MAX_SHUFFLES}")
 
 
 # -- validity ------------------------------------------------------------------
@@ -561,10 +545,9 @@ def free_coboundary(ctx, omega):
     d reads the entries of omega whose es has up to one descent, not only
     its free entries, so omega must be a whole valid cochain, not a free
     part: `require_valid` checks it (InvalidCochainError otherwise, see
-    `free_part`), then the shuffle budget is checked.
+    `free_part`).
     """
     require_valid(ctx, omega)
-    _check_shuffles(1, max((len(es) for _, es, _, _ in entries(omega)), default=0))
     return scatter(ctx.zdim, omega.degree + 1, _free_coboundary_terms(ctx, omega))
 
 
@@ -644,8 +627,8 @@ def cup(ctx, omega, eta):
 
     The algebra arguments contribute the shuffle sign; the symmetric
     center arguments shuffle without sign. The operands must be valid
-    (InvalidCochainError otherwise, checked after the context and the
-    shuffle budget), and so is their product: it is the expansion of
+    (InvalidCochainError otherwise, checked after the context), and so is
+    their product: it is the expansion of
     `free_cup`, its values at the free keys. The every-key shuffle sum is
     `cup` in `tests/dense_reference.py`.
     """
@@ -662,7 +645,7 @@ def free_cup(ctx, omega, eta):
     A shuffle lands on a free key only when it merges two strictly
     increasing argument tuples, so the product reads only the free entries
     of its operands: either may be a free part (`free_part`), with the same
-    result. It checks the context and the shuffle budget, not validity.
+    result. It checks the context, not validity.
     """
     check_context(ctx, omega, eta)
     return scatter(ctx.zdim, omega.degree + eta.degree,
@@ -727,8 +710,8 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
     """The valid scalar cochain whose one nonzero free datum is
     w_{k0}(es0; fs0) = 1, as {(k, es, fs): value}; es0 must be strictly
     increasing. It is kept in ctx.cache["free_datum"], one per free key
-    asked for, which `cochain_space_basis` and `expand` share; callers
-    must not change it.
+    asked for, with the count of keys its walk visited (see below), which
+    `cochain_space_basis` and `expand` share; callers must not change it.
 
     w_{k0} is sign(sigma) at each permutation sigma(es0), with fs0, and zero
     elsewhere; es0 is strictly increasing, so these are read from the
@@ -744,14 +727,22 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
 
     (..y,x.. comes earlier in that order), and a strictly increasing key
     below k0 is a free datum, zero here.
+
+    The walk counts the keys it visits, len(es0)! at k0 and the distinct
+    orderings of each group below, and checks the count against the table
+    budget (`check_table`) before each is walked; the count is kept with
+    the table and checked on every call, so a lowered budget holds too.
     """
     store = ctx.cache.setdefault("free_datum", {})
-    out = store.get((k0, es0, fs0))
-    if out is not None:
-        return out
+    walked = store.get((k0, es0, fs0))
+    if walked is not None:
+        check_table(walked[0], _WALK)
+        return walked[1]
     if any(x >= y for x, y in zip(es0, es0[1:])):
         raise ValueError(f"({k0}, {es0}, {fs0}) is not a free key: es is not strictly increasing")
     alg = ctx.algebra
+    count = factorial(len(es0))
+    check_table(count, _WALK)
     upper = {(tuple([es0[i] for i in perm]), fs0): sign
              for perm, sign in signed_permutations(len(es0))}
     out = {(k0, es, fs): value for (es, fs), value in upper.items()}
@@ -760,6 +751,10 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
                   for es, fs in upper for r in set(fs) for x, y, _ in alg.pairing_index[r]}
         lower = {}
         for args, fs in groups:
+            # the group has at most len(args)! orderings: count them exactly
+            # only when that bound would cross the budget
+            if count + factorial(len(args)) > MAX_TABLE:
+                check_table(count + _ordering_count(args), _WALK)
             known = {}
             for es in _orderings(args):
                 pos = next((i for i in range(len(es) - 1) if es[i] >= es[i + 1]), None)
@@ -777,10 +772,24 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
                 known[es] = value
                 if value != 0:
                     lower[(es, fs)] = value
+            count += len(known)
         out.update(((k, es, fs), value) for (es, fs), value in lower.items())
         upper = lower
-    store[(k0, es0, fs0)] = out
+    store[(k0, es0, fs0)] = count, out
     return out
+
+
+_WALK = "a free-datum walk"
+
+
+def _ordering_count(args):
+    """The number of distinct orderings of the sorted tuple args: len(args)!
+    divided by r! for each run of r equal entries, one factor at a time."""
+    count, run = factorial(len(args)), 1
+    for x, y in zip(args, args[1:]):
+        run = run + 1 if x == y else 1
+        count //= run
+    return count
 
 
 def _orderings(args):

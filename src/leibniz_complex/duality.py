@@ -40,9 +40,10 @@ once, with no DualElement or ExtendedElement built.
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 
-from .cochains import (_increasing, check_context, entries, operand_view, require_valid,
-                       scatter)
+from .cochains import (_increasing, check_context, check_table, entries, operand_view,
+                       require_valid, scatter)
 from .linalg import LinearSolver
 from .sympoly import SymPoly, _canonical
 
@@ -137,11 +138,15 @@ class PhiSection:
         self._solvers = {}
 
     def _solver(self, degree):
-        """LinearSolver for phi restricted to degree-`degree` inputs."""
+        """LinearSolver for phi restricted to degree-`degree` inputs. Its
+        C(zdim + degree - 1, degree) * dim columns are counted against the
+        table budget (`cochains.check_table`) on every call, before any row
+        is built, so a cached system never skips a lowered budget."""
+        ctx = self.ctx
+        check_table(comb(ctx.zdim + degree - 1, degree) * ctx.dim, "a system of phi")
         solver = self._solvers.get(degree)
         if solver is not None:
             return solver
-        ctx = self.ctx
         columns = [(mono, i) for mono in combinations_with_replacement(range(ctx.zdim), degree)
                    for i in range(ctx.dim)]
         rows = {}
@@ -254,32 +259,30 @@ class RepresentabilityReport:
     failures: list  # (k, prefix, fs)
 
 
-def stored_bars(omega, increasing_only=False):
+def stored_bars(omega):
     """{(k, prefix, fs): {e: omega_k(prefix, e; fs)}}: the bar covectors at
-    omega's stored prefixes, or only at its strictly increasing ones, each
-    as its nonzero values, grouped in one pass over the entries. Every
-    other bar covector is zero."""
+    omega's stored prefixes, each as its nonzero values, grouped in one
+    pass over the entries. Every other bar covector is zero."""
     bars = {}
     for k, es, fs, value in entries(omega):
-        if es and (not increasing_only or _increasing(es[:-1])):
+        if es:
             bars.setdefault((k, es[:-1], fs), {})[es[-1]] = value
     return bars
 
 
 def increasing_bars(omega):
-    """(longest, bars): the length of omega's longest stored prefix, and
-    (k, prefix, fs, {e: omega_k(prefix, e; fs)}) at each strictly
-    increasing stored prefix, in key order. Built once per cochain and
-    kept on it (`cochains.operand_view`): membership reads it on a
-    cochain known valid, `bullet` pairs it with its right operand's
+    """(k, prefix, fs, {e: omega_k(prefix, e; fs)}) at each strictly
+    increasing stored prefix of omega, in key order. Built once per
+    cochain and kept on it (`cochains.operand_view`): membership reads it
+    on a cochain known valid, `bullet` pairs it with its right operand's
     lifts, and those lifts are solved at its prefixes."""
     return operand_view(omega, "bars", _increasing_bars)
 
 
 def _increasing_bars(omega):
-    bars = stored_bars(omega, increasing_only=True)
-    return (max((len(es) - 1 for _, es, _, _ in entries(omega) if es), default=0),
-            tuple((k, prefix, fs, bars[k, prefix, fs]) for k, prefix, fs in sorted(bars)))
+    bars = stored_bars(omega)
+    return tuple((k, prefix, fs, bars[k, prefix, fs]) for k, prefix, fs in sorted(bars)
+                 if _increasing(prefix))
 
 
 def is_representable(ctx, omega):
@@ -297,9 +300,11 @@ def is_representable(ctx, omega):
     cochain from another context.
     """
     check_context(ctx, omega)
-    if omega._valid_over is ctx.algebra and _bars_in_image(ctx, omega):
+    if omega._valid_over is ctx.algebra and next(
+            _outside_image(ctx, increasing_bars(omega)), None) is None:
         return RepresentabilityReport(ok=True, failures=[])
-    failures = _outside_image(ctx, omega, False)
+    bars = stored_bars(omega)
+    failures = list(_outside_image(ctx, ((*key, bars[key]) for key in sorted(bars))))
     return RepresentabilityReport(ok=not failures, failures=failures)
 
 
@@ -314,25 +319,18 @@ def require_representable(ctx, omega):
     tested again."""
     require_valid(ctx, omega)
     if omega._representable_over is not ctx.algebra:
-        if not _bars_in_image(ctx, omega):
-            raise _not_representable(*_outside_image(ctx, omega, True)[0])
+        failure = next(_outside_image(ctx, increasing_bars(omega)), None)
+        if failure is not None:
+            raise _not_representable(*failure)
         omega._representable_over = ctx.algebra
 
 
-def _bars_in_image(ctx, omega):
-    """Do the bar covectors of `increasing_bars(omega)` all lie in Im(phi)?
-    Tested in key order up to the first that does not."""
+def _outside_image(ctx, bars):
+    """The (k, prefix, fs) of the items (k, prefix, fs, bar) of `bars`
+    whose bar covector is outside Im(phi), in their order, each tested
+    by membership when it is asked for."""
     section = phi_section(ctx)
-    return all(section.contains(bar) for _, _, _, bar in increasing_bars(omega)[1])
-
-
-def _outside_image(ctx, omega, increasing_only):
-    """The (k, prefix, fs), in key order, whose bar covectors are outside
-    Im(phi), among `stored_bars(omega, increasing_only)`, regrouped from
-    the entries: only a failure report reads them."""
-    bars = stored_bars(omega, increasing_only)
-    section = phi_section(ctx)
-    return [key for key in sorted(bars) if not section.contains(bars[key])]
+    return ((k, prefix, fs) for k, prefix, fs, bar in bars if not section.contains(bar))
 
 
 def _not_representable(k, prefix, fs):

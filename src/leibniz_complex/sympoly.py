@@ -163,16 +163,7 @@ class SymPoly:
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._check_dim(other)
-        terms = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = tuple(sorted(m1 + m2))
-                total = exact(terms.get(mono, 0) + c1 * c2)
-                if total == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = total
-        return _canonical(self.nvars, terms)
+        return dot(self.nvars, ((self, other),))
 
     def scale(self, factor):
         factor = exact(factor)

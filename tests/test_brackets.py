@@ -10,9 +10,9 @@ from leibniz_complex import cochains
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import (basis_flat, bullet, derived_bracket, derived_bracket_dual,
                                       diamond, poisson, theta, zeta)
-from leibniz_complex.cochains import (MAX_SHUFFLES, Cochain, ComplexContext,
-                                      ContextMismatchError, InvalidCochainError,
-                                      ShuffleBudgetError, coboundary, cup, validate_cochain)
+from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
+                                      InvalidCochainError, TableBudgetError, coboundary, cup,
+                                      expand, validate_cochain)
 from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError, flat,
                                      flat_cochain, is_representable)
 from leibniz_complex.sympoly import SymPoly
@@ -275,24 +275,42 @@ def test_bracket_choice_independence_on_fat(algebras):
     assert poisson(first, omega, eta) == poisson(last, omega, eta)
 
 
-def test_products_check_the_shuffle_budget_of_stored_arguments(o1, monkeypatch):
+def test_products_check_the_table_budget_of_their_output_walk(o1, monkeypatch):
+    """On O1, d(zeta) = Theta, zeta . e_0-flat and {Theta, zeta} expand free
+    data at k = 1, es = (i,), whose walks visit 4 keys each: the key itself
+    and the 3 orderings of its one group at k = 0. zeta . zeta walks more.
+    The bracket halves expand nothing, and phi's systems on O1 have 2
+    columns, so they run under a budget the three others exceed."""
     z, t, f = zeta(o1), theta(o1), flat_cochain(o1, basis_vec(2, 0))
-    monkeypatch.setattr(cochains, "MAX_SHUFFLES", 3)
-    cup(o1, z, f)  # argument tuples of lengths 2 and 1: C(3, 1) = 3 shuffles
-    for over in (lambda: cup(o1, z, z), lambda: bullet(o1, t, t), lambda: diamond(o1, t, t),
-                 lambda: poisson(o1, t, t), lambda: coboundary(o1, t)):
-        with pytest.raises(ShuffleBudgetError, match="above the limit of 3"):
-            over()
+    expanded = (lambda: coboundary(o1, z), lambda: cup(o1, z, f), lambda: poisson(o1, t, z))
+    halves = (lambda: bullet(o1, t, z), lambda: diamond(o1, t, z), lambda: diamond(o1, z, t))
+    monkeypatch.setattr(cochains, "MAX_TABLE", 4)
+    for op in expanded + halves:
+        op()
+    with pytest.raises(TableBudgetError, match="above the limit of 4"):
+        cup(o1, z, z)
+    monkeypatch.setattr(cochains, "MAX_TABLE", 3)
+    for op in expanded:
+        with pytest.raises(TableBudgetError, match="free-datum walk .* above the limit of 3"):
+            op()
+    for op in halves:
+        op()
 
 
-def test_shuffle_budget_counts_argument_tuples_not_degrees(o1, a3):
-    # degree 20 stored only at k = 10: no algebra arguments, one shuffle; a
-    # cochain on A3, where every pairing is zero, but not on O1 (k = 9 fails)
+def test_table_budget_counts_walked_keys_not_degrees(a3):
+    # degree 20 stored only at k = 10: no algebra arguments, a walk of one
+    # key; a cochain on A3, where every pairing is zero, but not on O1
+    # (k = 9 fails)
     deep = Cochain(20, a3.zdim, {10: {((), (0,) * 10): SymPoly.constant(a3.zdim, 1)}})
     assert cup(a3, deep, deep).value(20, (), (0,) * 20) == SymPoly.constant(a3.zdim, comb(20, 10))
-    wide = Cochain(20, o1.zdim, {0: {((0, 1) * 10, ()): SymPoly.constant(o1.zdim, 1)}})
-    with pytest.raises(ShuffleBudgetError, match=str(MAX_SHUFFLES)):
-        cup(o1, wide, wide)
+    # valid omni(3) cochains of degrees 4 and 5 with disjoint supports, 24
+    # and 120 entries: their product's free datum walks 9! = 362,880 keys
+    ctx = ComplexContext(build_fixture("omni(3)"))
+    one = SymPoly.constant(ctx.zdim, 1)
+    left = expand(ctx, 4, Cochain(4, ctx.zdim, {0: {((0, 1, 2, 3), ()): one}}))
+    right = expand(ctx, 5, Cochain(5, ctx.zdim, {0: {((4, 5, 6, 7, 8), ()): one}}))
+    with pytest.raises(TableBudgetError, match="362880 table entries, above the limit of 100000"):
+        cup(ctx, left, right)
 
 
 # -- operands that are not valid or not representable --------------------------------

@@ -11,8 +11,9 @@ from leibniz_complex.algebra import MAX_DIM, algebra_to_dict, basis_vec, build_f
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cli import main
 from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, cochain_from_dict, \
-    cochain_to_dict, cup
+    cochain_to_dict, cup, expand
 from leibniz_complex.duality import flat_cochain
+from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import MAX_VERIFY_DEGREE, MAX_VERIFY_SAMPLES
 
 
@@ -387,17 +388,46 @@ def test_unknown_fixture_is_input_error():
     assert main(["center", "--algebra", "Q99"]) == 2
 
 
-def test_products_over_the_shuffle_budget_are_input_errors(tmp_path, capsys):
-    # two one-entry degree-20 cochains: C(40, 20) = 1.4e11 shuffles of their
-    # arguments, which no table could hold
+def test_products_over_the_table_budget_are_input_errors(tmp_path, capsys):
+    # valid omni(3) cochains of degrees 4 and 5, each the expansion of one
+    # free datum (24 and 120 entries), with disjoint supports: the free
+    # datum of their product walks 9! = 362,880 keys
+    ctx = ComplexContext(build_fixture("omni(3)"))
+    one = SymPoly.constant(ctx.zdim, 1)
+    paths = [write_cochain(tmp_path, ctx, expand(ctx, len(es), Cochain(
+        len(es), ctx.zdim, {0: {(es, ()): one}})), f"deg{len(es)}.json")
+        for es in ((0, 1, 2, 3), (4, 5, 6, 7, 8))]
+    start = time.perf_counter()
+    assert main(["cup", "--algebra", "omni(3)", "--cochain", paths[0], "--cochain", paths[1]]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "above the limit of 100000" in err \
+        and err.count("\n") == 1, err
+
+
+def test_products_of_long_invalid_tuples_are_check_failures(tmp_path, capsys):
+    # a one-entry degree-20 cochain on O1 is not weakly skew-symmetric: the
+    # product reports that, and builds no table
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({"degree": 20, "components": [
         {"k": 0, "entries": [{"es": [0, 1] * 10, "fs": [], "value": "1"}]}]}))
+    assert main(["cup", "--algebra", "O1", "--cochain", str(path), "--cochain", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and "not weakly skew-symmetric" in err
+
+
+def test_representability_over_the_table_budget_is_an_input_error(tmp_path, capsys):
+    # z1^200 lands in phi's degree-199 system on omni(3), C(201, 199) * 12
+    # = 241,200 columns
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"degree": 1, "components": [
+        {"k": 0, "entries": [{"es": [0], "fs": [], "value": "z1^200"}]}]}))
     start = time.perf_counter()
-    assert main(["cup", "--algebra", "O1", "--cochain", str(path), "--cochain", str(path)]) == 2
+    assert main(["representable", "--algebra", "omni(3)", "--cochain", str(path)]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert err.startswith("input error:") and "shuffles" in err and err.count("\n") == 1
+    assert err.startswith("input error:") and "241200 table entries" in err \
+        and err.count("\n") == 1, err
 
 
 def test_unexpected_exceptions_exit_3_with_one_line(monkeypatch, capsys):

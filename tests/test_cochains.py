@@ -11,8 +11,8 @@ from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cochains import (Cochain, CochainFormatError, CochainShapeError,
                                       ContextMismatchError, InvalidCochainError, coboundary,
                                       cochain_from_dict, cochain_space_basis, cochain_to_dict,
-                                      _inversion_sign, cup, load_cochain,
-                                      signed_permutations, validate_cochain)
+                                      _inversion_sign, _ordering_count, _orderings, cup,
+                                      load_cochain, signed_permutations, validate_cochain)
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.algebra import basis_vec
 from leibniz_complex.sympoly import SymPoly
@@ -214,6 +214,14 @@ def test_split_sign_matches_permutation_parity():
             # splits enumerate each p-subset exactly once, in lexicographic order
             assert [s[0] for s in splits] == sorted(s[0] for s in splits)
             assert len(splits) == len({s[0] for s in splits})
+
+
+def test_ordering_count_is_the_number_of_distinct_orderings():
+    # the table budget counts a free-datum group's keys as its orderings
+    for args in ((), (0,), (0, 0), (0, 1, 1), (0, 0, 1, 1, 2), (1, 1, 1, 2, 3, 3, 3)):
+        orderings = list(_orderings(args))
+        assert orderings == sorted(set(permutations(args)))
+        assert _ordering_count(args) == len(orderings)
 
 
 def test_signed_permutations_list_each_permutation_once_with_its_sign():

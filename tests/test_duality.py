@@ -7,9 +7,10 @@ import dense_reference as dense
 from dense_reference import phi, stored_prefixes
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import basis_flat, theta, zeta
+from leibniz_complex import cochains
 from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
-                                      cochain_from_dict, cochain_space_basis, cochain_to_dict,
-                                      cup, entries, validate_cochain)
+                                      TableBudgetError, cochain_from_dict, cochain_space_basis,
+                                      cochain_to_dict, cup, entries, validate_cochain)
 from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError,
                                      PhiSection, bar, dual_from_cochain, flat, flat_cochain,
                                      is_representable, nonzero_values, phi_section, sharp,
@@ -399,3 +400,24 @@ def test_known_valid_cochains_are_tested_at_increasing_prefixes_only(monkeypatch
         assert is_representable(ctx, cochain_from_dict(ctx, cochain_to_dict(omega))).ok
         assert members == bars(stored_prefixes(omega))
     assert skipped > 0
+
+
+def test_phi_systems_are_built_within_the_table_budget(monkeypatch):
+    """On omni(3), dim 12 and zdim 3, the value z1^d lands in phi's
+    degree-(d - 1) system, C(d + 1, d - 1) * 12 columns: 12 for z1, 36
+    for z1^2 and 241,200 for z1^200, which is refused before any row is
+    built. A lowered budget holds for the systems built and kept before."""
+    ctx = ComplexContext(build_fixture("omni(3)"))
+
+    def power(d):
+        return Cochain(1, ctx.zdim, {0: {((0,), ()): SymPoly.monomial(ctx.zdim, (0,) * d)}})
+
+    with pytest.raises(TableBudgetError, match="241200 table entries, above the limit of 100000"):
+        is_representable(ctx, power(200))
+    for d in (1, 2):
+        is_representable(ctx, power(d))
+    monkeypatch.setattr(cochains, "MAX_TABLE", 12)
+    is_representable(ctx, power(1))
+    for d in (2, 3):
+        with pytest.raises(TableBudgetError, match="above the limit of 12"):
+            is_representable(ctx, power(d))

@@ -7,8 +7,8 @@ and `diamond`'s derivation bases with their monomial images. An operator
 gives on an operand it has read before, views kept, what it gives on a
 fresh equal copy, views built anew: the same cochain or the same error.
 That holds in a "first" and a "last" pivot-strategy context alike, with
-views built in one and read in the other, and no kept view skips the
-shuffle budget.
+views built in one and read in the other, and no table kept in a context
+skips a lowered table budget.
 """
 
 from itertools import product
@@ -19,8 +19,9 @@ import pytest
 from leibniz_complex import cochains
 from leibniz_complex.algebra import build_fixture
 from leibniz_complex.brackets import basis_flat, bullet, diamond, poisson, theta, theta_flat, zeta
-from leibniz_complex.cochains import (Cochain, ComplexContext, ShuffleBudgetError,
+from leibniz_complex.cochains import (Cochain, ComplexContext, TableBudgetError, coboundary,
                                       cochain_from_dict, cochain_space_basis, cochain_to_dict, cup)
+from leibniz_complex.duality import is_representable
 from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import VerifyConfig, random_representable
 
@@ -92,17 +93,20 @@ def test_views_built_in_one_pivot_context_serve_the_other(name):
                 (op.__name__, strategy, omega, eta)
 
 
-def test_kept_views_never_skip_the_shuffle_budget(monkeypatch):
-    """theta's longest argument tuple has 3 entries, its longest prefix 2 and
-    its longest tuple beside a center argument 1; zeta's longest tuple has
-    2 and its longest prefix 1. Two shuffles are then too few for the
-    product (C(5, 3) = 10), for `bullet` (C(3, 2) = 3) and for `diamond`
-    (C(3, 1) = 3), although each ran on the same objects before."""
+def test_cached_tables_never_skip_a_lowered_budget(monkeypatch):
+    """cup, d and the bracket of theta and zeta on O2 expand free data
+    whose walks are kept in the context's cache, and is_representable
+    tests theta on phi's degree-0 system (6 columns), kept in the section.
+    With the budget lowered to one entry, every walk of more than one key
+    and every system of more than one column is over it, so each call
+    raises again, although each ran on the same objects before."""
     ctx = ComplexContext(build_fixture("O2"))
     omega, eta = theta(ctx), zeta(ctx)
-    for op in (cup, bullet, diamond):
-        op(ctx, omega, eta)
-    monkeypatch.setattr(cochains, "MAX_SHUFFLES", 2)
-    for op in (cup, bullet, diamond):
-        with pytest.raises(ShuffleBudgetError):
-            op(ctx, omega, eta)
+    calls = (lambda: cup(ctx, omega, eta), lambda: coboundary(ctx, eta),
+             lambda: poisson(ctx, omega, eta), lambda: is_representable(ctx, omega))
+    for call in calls:
+        call()
+    monkeypatch.setattr(cochains, "MAX_TABLE", 1)
+    for call in calls:
+        with pytest.raises(TableBudgetError, match="above the limit of 1"):
+            call()
