@@ -12,56 +12,32 @@ component evaluated on the symmetric product of the swapped pair,
 
     w_k(..e,e'..; fs) + w_k(..e',e..; fs) = -w_{k+1}(.. ; (e,e'), fs).
 
-Storage does not canonicalize this (the structure is only weakly skew);
-`validate_cochain` checks it instead, on the equations stored entries
-touch. A valid cochain is fixed by its values at the free keys, the keys
-(k, es, fs) with es strictly increasing: `expand` fills in every other
-key from the free-datum cochains (`_free_datum_cochain`, one per free
-key, kept in the context's cache, each walk bounded by MAX_TABLE), and
-`cochain_space_basis` builds its basis from the same cochains. An
-`expand` output, a basis cochain, a cochain that passes
-`validate_cochain` and a sum or scaling (`combine`) of cochains all
-marked valid over one algebra are marked valid over it; `require_valid`,
-which d, the product and the bracket call on their inputs, validates
-only a cochain not so marked.
+Storage does not canonicalize this; `validate_cochain` checks it. A valid
+cochain is fixed by its values at the free keys, the keys (k, es, fs)
+with es strictly increasing (`free_part`): `expand` fills in every other
+key from one free-datum cochain per free key (`_free_datum_cochain`),
+and `cochain_space_basis` is built from the same cochains. d, the product
+and the bracket map valid cochains to valid ones, so each derives only
+its free part (`free_coboundary`, `free_cup`, `brackets.free_poisson`)
+and returns its `expand`, and identities between their outputs can be
+decided on free parts. `Cochain` says which cochains are known valid, so
+that `require_valid` does not check them again.
 
-The differential splits as d = d0 + delta. d0 is the Chevalley-Eilenberg
-style sum of action terms and bracket insertions; delta feeds each center
-argument back in as the first algebra argument. The term moving center
-arguments along the bracket vanishes identically here because the left
-center kills everything on the left, so it is not implemented. d of a
-valid cochain is valid, so `free_coboundary` derives only the terms that
-land on free keys and `coboundary` expands their sum: its output is valid
-by construction, and `tests/dense_reference.py` evaluates d at every key
-instead. The action terms apply e_i to S(Z) through `action`, which
-keeps each monomial's image in the context's cache, one dict per basis
-index, so the algebra itself stays immutable.
+d = d0 + delta. d0 is the Chevalley-Eilenberg style sum of action terms
+and bracket insertions; delta feeds each center argument back in as the
+first algebra argument. The term moving center arguments along the
+bracket vanishes identically here because the left center kills
+everything on the left, so it is not implemented.
 
-The product `cup` has the same shape: only the shuffle sorting two
-disjoint, strictly increasing argument tuples lands on a free key, so
-`free_pair_terms`, the one kernel pairing two operands' entries (for the
-bracket halves too), derives those terms (`free_cup`) and `expand` fills
-in the rest. Every output of d, the product and the bracket is the
-`expand` of the operator's free part (`free_coboundary`, `free_cup`,
-`brackets.free_poisson`), so identities between such outputs can be
-decided on free parts (`free_part` cuts a whole cochain down to one).
-
-What those operators read of an operand depends on its entries alone,
-so it is kept per cochain, built on first use (`operand_view`): its
-free entries (`free_view`), its bar covectors at strictly increasing
-prefixes (`duality.increasing_bars`) and `diamond`'s derivation bases
-with their monomial images. What depends on a context is kept per
-context, in ctx.cache: the free-datum cochains, the action images and
-the section lifts.
-
-`scatter` is the one builder of computed cochains: d and the product
-(their free terms and their expansion), the bracket halves, sums and
-scalings (`combine`), flats, Theta and zeta stream it terms (k, es, fs,
-poly, factor), and it stores their sum unchecked; `cochain_space_basis` stores
-its reduced rows, whose keys are distinct, as they are. `Cochain()`
-checks every key and value: it is the entry point for cochains from
-files, tests and library callers. No other module of the package reads
-or writes the `components` layout.
+`scatter` is the one builder of computed cochains: the operators, sums
+and scalings (`combine`), flats, Theta and zeta stream it terms and it
+stores their sum unchecked. `Cochain()` checks every key and value: it is
+the entry point for cochains from files, tests and library callers. No
+other module of the package reads or writes the `components` layout.
+What an operator reads of an operand is kept on the cochain
+(`operand_view`), what depends on a context in ctx.cache, and a table
+whose size the input's own size does not bound is checked against
+MAX_TABLE first (`check_table`).
 """
 
 import json
@@ -241,9 +217,11 @@ class Cochain:
 
 # -- the table budget ------------------------------------------------------------
 
-# The most entries of a table whose size the input does not bound: the
-# keys a free-datum walk visits (`_free_datum_cochain`) and the columns of
-# a system of phi (`duality.PhiSection`), each counted before it is built.
+# The most entries of a table whose size the input's own size does not
+# bound: the keys a free-datum walk visits (`_free_datum_cochain`), the
+# entries of an `expand` output, the operand pairs of `free_pair_terms`
+# and the columns of a system of phi (`duality.PhiSection`), each counted
+# before it is built.
 MAX_TABLE = 100_000
 
 
@@ -403,8 +381,10 @@ def free_pair_terms(left, right, combine):
     no index, and then it is the one that sorts es1 + es2. So a view lists
     only the items whose es is strictly increasing (`free_view`), and each
     disjoint pair is merged once with the sign of that shuffle. `cup`,
-    `bullet` and `diamond` derive their terms here.
+    `bullet` and `diamond` derive their terms here. The |left| * |right|
+    pairs are checked against the table budget before the first merge.
     """
+    check_table(len(left) * len(right), "a pairing of two operands")
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             if es1 and es2:
@@ -572,11 +552,16 @@ def _free_coboundary_terms(ctx, omega):
     is not in es and a = bisect_left(es, x, 0, b). delta trades the first
     argument t for each center generator z_r whose basis vector has a
     t-coordinate; the key is free only when es[1:] is strictly increasing.
+    So an entry whose es has two descents or more reaches no free key (two
+    adjacent ones, at b-1 and b, leave no room for y) and is skipped at
+    once.
     """
     alg = ctx.algebra
     for k, es, fs, val in entries(omega):
         n = len(es)
         descents = [j for j in range(n - 1) if es[j] >= es[j + 1]]
+        if len(descents) > 1:
+            continue
         if not descents and val.degree() > 0:
             for i in alg.acting:
                 a = bisect_left(es, i)
@@ -610,11 +595,15 @@ def expand(ctx, degree, free):
     a valid cochain is the expansion of its entries at free keys. Below
     degree 2 every key is free and is its own free-datum cochain, so
     `free` itself is returned. The result is marked valid over ctx's
-    algebra."""
+    algebra. The entries of the free-datum cochains it sums are checked
+    against the table budget before any is scattered."""
     if degree >= 2:
+        tables = [(value, _free_datum_cochain(ctx, k0, es0, fs0))
+                  for k0, es0, fs0, value in entries(free)]
+        check_table(sum(len(table) for _, table in tables), "an expansion")
         free = scatter(ctx.zdim, degree, (
-            (k, es, fs, value, c) for k0, es0, fs0, value in entries(free)
-            for (k, es, fs), c in _free_datum_cochain(ctx, k0, es0, fs0).items()))
+            (k, es, fs, value, c) for value, table in tables
+            for (k, es, fs), c in table.items()))
     free._valid_over = ctx.algebra
     return free
 
@@ -709,36 +698,32 @@ def cochain_space_basis(ctx, degree):
 def _free_datum_cochain(ctx, k0, es0, fs0):
     """The valid scalar cochain whose one nonzero free datum is
     w_{k0}(es0; fs0) = 1, as {(k, es, fs): value}; es0 must be strictly
-    increasing. It is kept in ctx.cache["free_datum"], one per free key
-    asked for, with the count of keys its walk visited (see below), which
-    `cochain_space_basis` and `expand` share; callers must not change it.
+    increasing. It is kept in ctx.cache["free_datum"] with the number of
+    keys its walk visited; callers must not change it.
 
-    w_{k0} is sign(sigma) at each permutation sigma(es0), with fs0, and zero
-    elsewhere; es0 is strictly increasing, so these are read from the
-    cached `signed_permutations(len(es0))`. Below k0, w_k can be nonzero
-    only at a key holding a stored (es', fs') of w_{k+1} plus a pair (x, y)
-    whose pairing has a z_r-component, r in fs'; each such multiset of
-    arguments, which may repeat, is evaluated at its distinct orderings
-    (`_orderings`), in lexicographic order, at the first adjacent pair that
-    is not strictly increasing:
+    w_{k0} is sign(sigma) at each permutation sigma(es0), read from the
+    cached `signed_permutations`. Each level below follows from the one
+    above by weak skew-symmetry at the first descent pos of es,
+    x = es[pos] >= y = es[pos+1], with (x, y) = sum_r c_r z_r:
 
         w(..x,y..; fs) = -w(..y,x..; fs) - sum_r c_r w_{k+1}(..; fs + (r,))   x > y
         w(..x,x..; fs) = -1/2 sum_r c_r w_{k+1}(..; fs + (r,))
 
-    (..y,x.. comes earlier in that order), and a strictly increasing key
-    below k0 is a free datum, zero here.
+    (..y,x.. is lexicographically smaller, so keys are evaluated in
+    lexicographic order), and a strictly increasing key below k0 is a
+    free datum, zero here. Only the keys `_reachable_keys` finds are
+    evaluated; every other key is zero.
 
-    The walk counts the keys it visits, len(es0)! at k0 and the distinct
-    orderings of each group below, and checks the count against the table
-    budget (`check_table`) before each is walked; the count is kept with
-    the table and checked on every call, so a lowered budget holds too.
+    The number of keys visited, len(es0)! at k0 and the reachable keys
+    below, is checked against the table budget as it grows, and again
+    on every call for a cached table, so a lowered budget holds too.
     """
     store = ctx.cache.setdefault("free_datum", {})
     walked = store.get((k0, es0, fs0))
     if walked is not None:
         check_table(walked[0], _WALK)
         return walked[1]
-    if any(x >= y for x, y in zip(es0, es0[1:])):
+    if not _increasing(es0):
         raise ValueError(f"({k0}, {es0}, {fs0}) is not a free key: es is not strictly increasing")
     alg = ctx.algebra
     count = factorial(len(es0))
@@ -747,32 +732,20 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
              for perm, sign in signed_permutations(len(es0))}
     out = {(k0, es, fs): value for (es, fs), value in upper.items()}
     for k in range(k0 - 1, -1, -1):
-        groups = {(tuple(sorted(es + (x, y))), _remove_one(fs, r))
-                  for es, fs in upper for r in set(fs) for x, y, _ in alg.pairing_index[r]}
+        reachable = _reachable_keys(alg, upper, count)
+        count += len(reachable)
         lower = {}
-        for args, fs in groups:
-            # the group has at most len(args)! orderings: count them exactly
-            # only when that bound would cross the budget
-            if count + factorial(len(args)) > MAX_TABLE:
-                check_table(count + _ordering_count(args), _WALK)
-            known = {}
-            for es in _orderings(args):
-                pos = next((i for i in range(len(es) - 1) if es[i] >= es[i + 1]), None)
-                if pos is None:
-                    known[es] = 0
-                    continue
-                x, y = es[pos], es[pos + 1]
-                reduced = es[:pos] + es[pos + 2:]
-                correction = sum(c * upper.get((reduced, tuple(sorted(fs + (r,)))), 0)
-                                 for (r,), c in alg.pairing_poly_basis(x, y).items())
-                if x == y:
-                    value = exact(Fraction(-correction, 2))
-                else:
-                    value = exact(-known[es[:pos] + (y, x) + es[pos + 2:]] - correction)
-                known[es] = value
-                if value != 0:
-                    lower[(es, fs)] = value
-            count += len(known)
+        for (es, fs), pos in sorted(reachable.items()):
+            x, y = es[pos], es[pos + 1]
+            reduced = es[:pos] + es[pos + 2:]
+            correction = sum(c * upper.get((reduced, tuple(sorted(fs + (r,)))), 0)
+                             for (r,), c in alg.pairing_poly_basis(x, y).items())
+            if x == y:
+                value = exact(Fraction(-correction, 2))
+            else:
+                value = exact(-lower.get((es[:pos] + (y, x) + es[pos + 2:], fs), 0) - correction)
+            if value != 0:
+                lower[es, fs] = value
         out.update(((k, es, fs), value) for (es, fs), value in lower.items())
         upper = lower
     store[(k0, es0, fs0)] = count, out
@@ -782,31 +755,43 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
 _WALK = "a free-datum walk"
 
 
-def _ordering_count(args):
-    """The number of distinct orderings of the sorted tuple args: len(args)!
-    divided by r! for each run of r equal entries, one factor at a time."""
-    count, run = factorial(len(args)), 1
-    for x, y in zip(args, args[1:]):
-        run = run + 1 if x == y else 1
-        count //= run
-    return count
+def _reachable_keys(alg, upper, count):
+    """{(es, fs): the first descent of es} for the keys one level below
+    the stored keys `upper` whose value can be nonzero: those whose
+    correction reads a stored key, and those whose swap at the first
+    descent is a key found.
 
-
-def _orderings(args):
-    """The distinct orderings of the sorted tuple args, in lexicographic order."""
-    seq = list(args)
-    while True:
-        yield tuple(seq)
-        i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(seq) - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = reversed(seq[i + 1:])
+    The first are each stored (reduced, fs') with a pair x <= y whose
+    pairing has a z_r-component, r in fs', inserted as (y, x) at a
+    position q with reduced[:q] + (y,) strictly increasing, so that q is
+    the first descent; the key carries fs' less r. The others come from a
+    found key by swapping a strict ascent es[p] < es[p+1] where es[:p] is
+    strictly increasing and es[p-1] < es[p+1], which makes p the first
+    descent: each p before the first descent pos, and pos + 1. count is
+    the number of keys the walk visited above; TableBudgetError as soon
+    as it and the keys found pass MAX_TABLE.
+    """
+    found = {}
+    stack = []
+    for reduced, fs in upper:
+        rise = next((i + 1 for i in range(len(reduced) - 1) if reduced[i] >= reduced[i + 1]),
+                    len(reduced))
+        for r in set(fs):
+            rest = _remove_one(fs, r)
+            for x, y, _ in alg.pairing_index[r]:
+                for q in range(bisect_left(reduced, y, 0, rise) + 1):
+                    stack.append((reduced[:q] + (y, x) + reduced[q:], rest, q))
+    while stack:
+        es, fs, pos = stack.pop()
+        if (es, fs) in found:
+            continue
+        found[es, fs] = pos
+        if count + len(found) > MAX_TABLE:
+            check_table(count + len(found), _WALK)
+        for p in range(min(pos + 2, len(es) - 1)):
+            if es[p] < es[p + 1] and (p == 0 or es[p - 1] < es[p + 1]):
+                stack.append((es[:p] + (es[p + 1], es[p]) + es[p + 2:], fs, p))
+    return found
 
 
 def _inversion_sign(es):

@@ -1,7 +1,7 @@
 """Dense reference implementations of d, the product, the two bracket
 halves and their signed sum, the vector-level pairing, flats, the
 representability test, weak skew-symmetry, the basis of the valid
-cochains and exact elimination (with the row-by-row solve of a
+cochains, the free-datum walk over every ordering, and exact elimination (with the row-by-row solve of a
 `LinearSolver` factorization), and the paper's defining formulas behind
 the bracket: phi, the pairing on S(Z) (x) L, and the two ingredient
 operations pair_bracket and circ_compose.
@@ -19,7 +19,9 @@ return only their values at the free keys; the tests cut a dense half
 down to those with `cochains.free_part`. `stored_prefixes` lists every
 stored prefix of a cochain, the prefixes a representability walk over
 all of them visits, where the package reads only its strictly
-increasing ones (`duality.increasing_bars`).
+increasing ones (`duality.increasing_bars`). `free_datum_cochain`
+evaluates each lower group of a free-datum walk at every distinct
+ordering, where the package visits only the keys that can be nonzero.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from itertools import combinations
 
 from leibniz_complex.algebra import basis_vec
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
-                                      accumulate, component_keys)
+                                      accumulate, component_keys, signed_permutations)
 from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, nonzero_values,
                                      phi_section, stored_bars, tilde_value)
 from leibniz_complex.linalg import rref as sparse_rref
@@ -208,6 +210,70 @@ def cochain_space_basis(ctx, degree):
                 comps.setdefault(k, {})[(es, fs)] = SymPoly.constant(ctx.zdim, c)
         basis.append(Cochain(degree, ctx.zdim, comps))
     return basis
+
+
+def free_datum_cochain(ctx, k0, es0, fs0):
+    """(the number of keys walked, the valid scalar cochain whose one
+    nonzero free datum is w_{k0}(es0; fs0) = 1 as {(k, es, fs): value}),
+    by the walk over every ordering: below k0, every key holding a stored
+    (es', fs') of w_{k+1} plus a pair whose pairing has a z_r-component,
+    r in fs', is evaluated at each of its distinct orderings
+    (`orderings`), in lexicographic order, from the weak skew-symmetry
+    equation at its first descent. `cochains._free_datum_cochain` must
+    give the same table."""
+    alg = ctx.algebra
+    upper = {(tuple([es0[i] for i in perm]), fs0): sign
+             for perm, sign in signed_permutations(len(es0))}
+    count = len(upper)
+    out = {(k0, es, fs): value for (es, fs), value in upper.items()}
+    for k in range(k0 - 1, -1, -1):
+        groups = {(tuple(sorted(es + (x, y))), _remove_one(fs, r))
+                  for es, fs in upper for r in set(fs) for x, y, _ in alg.pairing_index[r]}
+        lower = {}
+        for args, fs in groups:
+            known = {}
+            for es in orderings(args):
+                pos = next((i for i in range(len(es) - 1) if es[i] >= es[i + 1]), None)
+                if pos is None:
+                    known[es] = 0
+                    continue
+                x, y = es[pos], es[pos + 1]
+                reduced = es[:pos] + es[pos + 2:]
+                correction = sum(c * upper.get((reduced, tuple(sorted(fs + (r,)))), 0)
+                                 for (r,), c in alg.pairing_poly_basis(x, y).items())
+                if x == y:
+                    value = Fraction(-correction, 2)
+                else:
+                    value = -known[es[:pos] + (y, x) + es[pos + 2:]] - correction
+                known[es] = value
+                if value != 0:
+                    lower[(es, fs)] = value
+            count += len(known)
+        out.update(((k, es, fs), value) for (es, fs), value in lower.items())
+        upper = lower
+    return count, out
+
+
+def _remove_one(fs, r):
+    i = fs.index(r)
+    return fs[:i] + fs[i + 1:]
+
+
+def orderings(args):
+    """The distinct orderings of the sorted tuple args, in lexicographic order."""
+    seq = list(args)
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
 
 
 # -- the pairing and flats ---------------------------------------------------------

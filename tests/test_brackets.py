@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from random import Random
 
@@ -12,7 +12,7 @@ from leibniz_complex.brackets import (basis_flat, bullet, derived_bracket, deriv
                                       diamond, poisson, theta, zeta)
 from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
                                       InvalidCochainError, TableBudgetError, coboundary, cup,
-                                      expand, validate_cochain)
+                                      expand, free_part, validate_cochain)
 from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError, flat,
                                      flat_cochain, is_representable)
 from leibniz_complex.sympoly import SymPoly
@@ -275,26 +275,43 @@ def test_bracket_choice_independence_on_fat(algebras):
     assert poisson(first, omega, eta) == poisson(last, omega, eta)
 
 
-def test_products_check_the_table_budget_of_their_output_walk(o1, monkeypatch):
-    """On O1, d(zeta) = Theta, zeta . e_0-flat and {Theta, zeta} expand free
-    data at k = 1, es = (i,), whose walks visit 4 keys each: the key itself
-    and the 3 orderings of its one group at k = 0. zeta . zeta walks more.
-    The bracket halves expand nothing, and phi's systems on O1 have 2
-    columns, so they run under a budget the three others exceed."""
+def test_products_check_the_table_budget_of_their_sparse_walks(monkeypatch):
+    """On O1, d(zeta) = Theta and {Theta, zeta} expand the free datum
+    (1, (0,), (0,)), whose walk visits 3 keys: the key itself and the 2
+    keys at k = 0 that can be nonzero. zeta . e_0-flat expands
+    (1, (1,), (0,)), a walk of 2 keys, and zeta . zeta walks 5. The
+    bracket halves expand nothing; they pair 4, 2 and 1 operand entries,
+    and phi's systems on O1 have 2 columns. So each op runs at the largest
+    table it builds and raises one below it, and each expansion raises at
+    its walk."""
+    o1 = ComplexContext(build_fixture("O1"))
     z, t, f = zeta(o1), theta(o1), flat_cochain(o1, basis_vec(2, 0))
-    expanded = (lambda: coboundary(o1, z), lambda: cup(o1, z, f), lambda: poisson(o1, t, z))
-    halves = (lambda: bullet(o1, t, z), lambda: diamond(o1, t, z), lambda: diamond(o1, z, t))
+    # (op, its operands, its largest walk, its largest table)
+    ops = ((coboundary, (z,), 3, 3), (cup, (z, f), 2, 2), (poisson, (t, z), 3, 4),
+           (bullet, (t, z), None, 4), (diamond, (t, z), None, 2), (diamond, (z, t), None, 1))
+    outs = []
+    for op, args, walk, _ in ops:
+        fresh = ComplexContext(o1.algebra)
+        outs.append(op(fresh, *args))
+        assert {count for count, _ in fresh.cache.get("free_datum", {}).values()} == (
+            {walk} if walk else set())
+    for (op, args, walk, largest), out in zip(ops, outs):
+        monkeypatch.setattr(cochains, "MAX_TABLE", largest)
+        assert op(o1, *args) == out
+        monkeypatch.setattr(cochains, "MAX_TABLE", largest - 1)
+        with pytest.raises(TableBudgetError, match=f"above the limit of {largest - 1}"):
+            op(o1, *args)
+        if walk:
+            free = free_part(out)
+            monkeypatch.setattr(cochains, "MAX_TABLE", walk - 1)
+            with pytest.raises(TableBudgetError,
+                               match=f"free-datum walk .* above the limit of {walk - 1}"):
+                expand(o1, out.degree, free)
+            monkeypatch.setattr(cochains, "MAX_TABLE", walk)
+            assert expand(o1, out.degree, free) == out
     monkeypatch.setattr(cochains, "MAX_TABLE", 4)
-    for op in expanded + halves:
-        op()
-    with pytest.raises(TableBudgetError, match="above the limit of 4"):
+    with pytest.raises(TableBudgetError, match="free-datum walk .* above the limit of 4"):
         cup(o1, z, z)
-    monkeypatch.setattr(cochains, "MAX_TABLE", 3)
-    for op in expanded:
-        with pytest.raises(TableBudgetError, match="free-datum walk .* above the limit of 3"):
-            op()
-    for op in halves:
-        op()
 
 
 def test_table_budget_counts_walked_keys_not_degrees(a3):
@@ -311,6 +328,31 @@ def test_table_budget_counts_walked_keys_not_degrees(a3):
     right = expand(ctx, 5, Cochain(5, ctx.zdim, {0: {((4, 5, 6, 7, 8), ()): one}}))
     with pytest.raises(TableBudgetError, match="362880 table entries, above the limit of 100000"):
         cup(ctx, left, right)
+
+
+def all_ones(ctx, degree):
+    """The valid scalar cochain with value 1 at every free key of degree n."""
+    one = SymPoly.constant(ctx.zdim, 1)
+    free = {}
+    for k in range(degree // 2 + 1):
+        for es in combinations(range(ctx.dim), degree - 2 * k):
+            for fs in combinations_with_replacement(range(ctx.zdim), k):
+                free.setdefault(k, {})[(es, fs)] = one
+    return expand(ctx, degree, Cochain(degree, ctx.zdim, free))
+
+
+def test_table_budget_bounds_the_size_of_a_product():
+    """The degree-2 all-ones cochain times itself: on omni(4) (194 free
+    entries, 384 stored) its free part has 37,636 pairs, and its expansion
+    sums 150,226 entries of free-datum cochains into 111,138; on omni(5)
+    (440 free entries) the 193,600 pairs are refused before any merge."""
+    for name, what in (("omni(4)", "an expansion needs 150226"),
+                       ("omni(5)", "a pairing of two operands needs 193600")):
+        ctx = ComplexContext(build_fixture(name))
+        omega = all_ones(ctx, 2)
+        with pytest.raises(TableBudgetError, match=f"{what} table entries, above the limit "
+                                                   "of 100000"):
+            cup(ctx, omega, omega)
 
 
 # -- operands that are not valid or not representable --------------------------------

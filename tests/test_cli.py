@@ -1,7 +1,7 @@
 import json
 import sys
 import time
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -402,6 +402,22 @@ def test_products_over_the_table_budget_are_input_errors(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "above the limit of 100000" in err \
+        and err.count("\n") == 1, err
+
+
+def test_products_over_the_pair_budget_are_input_errors(tmp_path, capsys):
+    # the degree-2 cochain with value 1 at each of omni(5)'s 440 free keys,
+    # times itself: 193,600 pairs of free entries, 657,720 output entries
+    ctx = ComplexContext(build_fixture("omni(5)"))
+    one = SymPoly.constant(ctx.zdim, 1)
+    free = {0: {(es, ()): one for es in combinations(range(ctx.dim), 2)},
+            1: {((), (r,)): one for r in range(ctx.zdim)}}
+    path = write_cochain(tmp_path, ctx, expand(ctx, 2, Cochain(2, ctx.zdim, free)), "ones.json")
+    start = time.perf_counter()
+    assert main(["cup", "--algebra", "omni(5)", "--cochain", path, "--cochain", path]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "193600 table entries" in err \
         and err.count("\n") == 1, err
 
 

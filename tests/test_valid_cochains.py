@@ -9,7 +9,8 @@ free keys, and only a valid one.
 """
 
 from collections import Counter
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -201,6 +202,59 @@ def test_only_valid_single_entry_cochains_expand_back(ctxs, name):
     assert False in outcomes
     with pytest.raises(ValueError, match="not a free key"):
         expand(ctx, 2, Cochain(2, ctx.zdim, {0: {((1, 0), ()): SymPoly.constant(ctx.zdim, 1)}}))
+
+
+# -- the free-datum walk ----------------------------------------------------------
+
+# fixture -> top degree of the free keys whose tables the walk over every
+# ordering must match
+WALK_DEGREES = {"A3": 7, "O1": 12, "AFF_O1": 12, "O2": 7, "omni(3)": 4}
+
+
+def free_keys(ctx, degree):
+    """Every free key (k, es, fs) of degree n: es strictly increasing."""
+    for k in range(degree // 2 + 1):
+        for es in combinations(range(ctx.dim), degree - 2 * k):
+            for fs in combinations_with_replacement(range(ctx.zdim), k):
+                yield k, es, fs
+
+
+@pytest.mark.parametrize("name", list(WALK_DEGREES))
+def test_free_datum_tables_equal_the_walk_over_every_ordering(name):
+    ctx = ComplexContext(build_fixture(name))
+    for n in range(WALK_DEGREES[name] + 1):
+        for key in free_keys(ctx, n):
+            assert cochains._free_datum_cochain(ctx, *key) == dense.free_datum_cochain(ctx, *key)[1]
+
+
+def test_the_walk_visits_only_keys_that_can_be_nonzero():
+    """AFF_O1 at degree 13: the walk over every ordering visits 88,938
+    keys to keep 406 nonzero values; the walk visits 806, the 6
+    permutations of es0 included in both counts."""
+    ctx = ComplexContext(build_fixture("AFF_O1"))
+    key = (5, (0, 1, 2), (0,) * 5)
+    table = cochains._free_datum_cochain(ctx, *key)
+    count, expected = dense.free_datum_cochain(ctx, *key)
+    assert table == expected and len(table) == 406
+    assert (ctx.cache["free_datum"][key][0], count) == (806, 88_938)
+
+
+def test_verify_walks_stay_small(monkeypatch):
+    """`leibcx verify --max-degree 12` on the default fixtures: below k0,
+    no walk visits more than 1,000 keys (the largest visits 924, on AFF_O1;
+    a walk over every ordering visits up to 88,932 there)."""
+    made = []
+
+    class Recorded(ComplexContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "ComplexContext", Recorded)
+    assert verify.run_verify(verify.VerifyConfig(max_degree=12)).passed
+    below = [count - factorial(len(es0)) for ctx in made
+             for (_, es0, _), (count, _) in ctx.cache.get("free_datum", {}).items()]
+    assert below and max(below) <= 1000
 
 
 # -- cochains known to be valid ----------------------------------------------------
