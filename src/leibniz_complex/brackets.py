@@ -1,57 +1,24 @@
 """The graded bracket on representable cochains and the derived bracket.
 
 The bracket has two halves, each a sum over signed shuffles of the
-algebra arguments. `bullet` pairs the section lifts of both operands'
-partial evaluations; since phi of the left operand's lift is its bar
-covector, only the right operand is lifted, and the left one is paired
-with those lifts entry by entry after a membership test in Im(phi)
-(`duality.require_representable`); `diamond` feeds one operand's value
-into the first center slot of the other, extended as a derivation, and
+algebra arguments: `bullet` pairs the section lifts of both operands'
+partial evaluations, and `diamond` feeds one operand's value into the
+first center slot of the other, extended as a derivation:
 
     {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
 
-The bracket of valid representable cochains is valid, so it is fixed by
-its values at the free keys, the keys whose es is strictly increasing
-(`cochains.expand`). A shuffle lands on a free key only when both
-argument tuples it merges are strictly increasing and disjoint, so each
-half derives only those terms (`cochains.free_pair_terms`) from the
-operands' stored entries and returns its free part: the values of the
-half at the free keys, zero elsewhere. `free_poisson` is one signed sum
-(`cochains.combine`) of the three free parts, and `poisson` expands it,
-so its result is valid by construction. The paper's defining formulas,
+Each half returns its free part, its values at the free keys, and
+`poisson` expands their signed sum. The paper's defining formulas,
 pair_bracket and circ_compose, evaluate each half at every key in the
 test oracle tests/dense_reference.py.
 
-The canonical cochains live here too, each a stream of terms into
-`cochains.scatter` read off the stored basis pairings: the degree-2 `zeta`
-(symmetric product plus the -2f tail) whose coboundary is the degree-3
-`theta`, and the derived-bracket reconstruction
+The canonical cochains live here too: the degree-2 `zeta` (symmetric
+product plus the -2f tail) whose coboundary is the degree-3 `theta`, and
+the derived-bracket reconstruction
 
     (e1 . e2)-flat = -{{theta, e1-flat}, e2-flat},
 
 which on a fat algebra recovers e1 . e2 itself through the section.
-The bracket is bilinear and the inner bracket {theta, v-flat} depends
-on v alone, so it is summed as sum_i v_i {theta, e_i-flat} from the
-per-basis values `theta_flat` keeps in the context's cache; only the
-outer bracket is computed per pair, by the one helper both derived
-brackets share. On a fat algebra it is read back in one pass: its
-stored entries as a covector (`duality.covector`), one section lift
-(`duality.lift`) of it, not of its negative, and one negation of the
-scalar coordinate vector, exact since the section is linear on Im(phi).
-
-Every piece that depends on a basis index, or on one operand and the
-context's section, is computed once per context and kept in its cache:
-`theta`, `zeta`, `basis_flat` (e_j-flat) and `theta_flat` (at most dim
-values each), and the section lifts of each right operand of `bullet` at
-its strictly increasing stored prefixes (`_lifts`, one list per cochain,
-solved and stored by `duality.tilde_value`). What depends on one
-operand's entries alone is kept on the cochain (`cochains.operand_view`)
-and shared by every context: its bar covectors at strictly increasing
-prefixes (`duality.increasing_bars`), which `bullet` pairs with those
-lifts, its free entries (`cochains.free_view`), and `diamond`'s
-derivation bases, each with the image of every monomial it has met
-(`sympoly.derivation_extend`'s `images`). A left operand found
-representable is remembered on the cochain itself.
 """
 
 from itertools import chain
@@ -260,10 +227,13 @@ def derived_bracket(ctx, v, w):
     non-degenerate; otherwise the covector level is all there is and the
     DualElement `derived_bracket_dual` is returned.
 
-    On a fat algebra the outer bracket is read back in one solve (see the
-    module docstring), with no DualElement or ExtendedElement built.
-    NotRepresentableError when its covector is outside Im(phi) or its
-    lift has a coefficient of positive degree.
+    On a fat algebra the outer bracket is read back in one pass: its
+    stored entries as a covector (`duality.covector`), one section lift
+    (`duality.lift`) of it, not of its negative, and one negation of the
+    scalar coordinates, exact since the section is linear on Im(phi); no
+    DualElement or ExtendedElement is built. NotRepresentableError when
+    the covector is outside Im(phi) or its lift has a coefficient of
+    positive degree.
     """
     if not ctx.algebra.is_fat():
         return derived_bracket_dual(ctx, v, w)

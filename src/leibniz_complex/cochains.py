@@ -13,31 +13,19 @@ component evaluated on the symmetric product of the swapped pair,
     w_k(..e,e'..; fs) + w_k(..e',e..; fs) = -w_{k+1}(.. ; (e,e'), fs).
 
 Storage does not canonicalize this; `validate_cochain` checks it. A valid
-cochain is fixed by its values at the free keys, the keys (k, es, fs)
-with es strictly increasing (`free_part`): `expand` fills in every other
-key from one free-datum cochain per free key (`_free_datum_cochain`),
-and `cochain_space_basis` is built from the same cochains. d, the product
-and the bracket map valid cochains to valid ones, so each derives only
-its free part (`free_coboundary`, `free_cup`, `brackets.free_poisson`)
-and returns its `expand`, and identities between their outputs can be
-decided on free parts. `Cochain` says which cochains are known valid, so
-that `require_valid` does not check them again.
+cochain is fixed by its values at the free keys, the keys with es
+strictly increasing, so d, the product and the bracket each derive only
+those (`free_coboundary`, `free_cup`, `brackets.free_poisson`) and
+return their `expand`.
 
-d = d0 + delta. d0 is the Chevalley-Eilenberg style sum of action terms
-and bracket insertions; delta feeds each center argument back in as the
-first algebra argument. The term moving center arguments along the
-bracket vanishes identically here because the left center kills
-everything on the left, so it is not implemented.
+d = d0 + delta: d0 sums action terms and bracket insertions, and delta
+feeds each center argument back in as the first algebra argument. The
+term moving center arguments along the bracket vanishes, because the
+left center kills everything on the left, so it is not implemented.
 
-`scatter` is the one builder of computed cochains: the operators, sums
-and scalings (`combine`), flats, Theta and zeta stream it terms and it
-stores their sum unchecked. `Cochain()` checks every key and value: it is
-the entry point for cochains from files, tests and library callers. No
-other module of the package reads or writes the `components` layout.
-What an operator reads of an operand is kept on the cochain
-(`operand_view`), what depends on a context in ctx.cache, and a table
-whose size the input's own size does not bound is checked against
-MAX_TABLE first (`check_table`).
+`scatter` is the one builder of computed cochains, and `Cochain()`, which
+checks every key and value, the entry point for cochains from outside.
+No other module reads or writes the `components` layout.
 """
 
 import json
@@ -51,7 +39,7 @@ from math import comb, factorial, prod
 
 from .algebra import _is_index
 from .linalg import rref
-from .sympoly import SymPoly, SymPolyParseError, _canonical, exact, parse_sympoly
+from .sympoly import SymPoly, SymPolyParseError, _canonical, accumulate, exact, parse_sympoly
 
 
 class CochainShapeError(ValueError):
@@ -233,7 +221,7 @@ def check_table(count, what):
                                f"of {MAX_TABLE}")
 
 
-# -- shuffles ------------------------------------------------------------------
+# -- center multisets -----------------------------------------------------------
 
 
 @cache
@@ -293,18 +281,6 @@ def free_view(omega):
 
 def _free_view(omega):
     return tuple(item for item in entries(omega) if _increasing(item[1]))
-
-
-def accumulate(acc, poly, factor=1):
-    """Add factor * poly into the monomial -> coefficient dict acc."""
-    if poly.is_zero() or factor == 0:
-        return
-    for mono, coeff in poly.items():
-        total = acc.get(mono, 0) + coeff * factor
-        if total == 0:
-            acc.pop(mono, None)
-        else:
-            acc[mono] = exact(total)
 
 
 def scatter(nvars, degree, terms):
@@ -370,12 +346,12 @@ def combine(nvars, degree, *scaled):
     return out
 
 
-def free_pair_terms(left, right, combine):
+def free_pair_terms(left, right, pair):
     """The terms a product-like operator puts at the free keys, the keys
     with es strictly increasing.
 
     Items (i, es1, fs1, x) of the view `left` and (j, es2, fs2, y) of
-    `right`, one from each operand, put combine(x, y) at every signed
+    `right`, one from each operand, put pair(x, y) at every signed
     shuffle of es1 and es2, on the merged center multiset. A shuffle lands
     on a free key only when es1 and es2 are strictly increasing and share
     no index, and then it is the one that sorts es1 + es2. So a view lists
@@ -394,7 +370,7 @@ def free_pair_terms(left, right, combine):
                 es, sign = merged
             else:
                 es, sign = es1 or es2, 1
-            value = combine(x, y)
+            value = pair(x, y)
             if not value.is_zero():
                 fs, mult = merge_centers(fs1, fs2)
                 yield i + j, es, fs, value, sign * mult
@@ -414,9 +390,12 @@ def _sorted_merge(es1, es2):
     return tuple(sorted(es1 + es2)), -1 if inversions % 2 else 1
 
 
-# -- validity ------------------------------------------------------------------
+# -- every key of a component ----------------------------------------------------
 
 
+# Nothing in the package walks every key any more; this stays in src/
+# because the benchmark's own tests (perfbench/test_perfbench.py) read it
+# from the package, as do the dense oracles in tests/dense_reference.py.
 def component_keys(ctx, degree, k):
     """Every basis key (es, fs) of component k of a degree-n cochain, es in
     lexicographic order, then fs."""
@@ -424,6 +403,9 @@ def component_keys(ctx, degree, k):
     for es in product(range(ctx.dim), repeat=nl):
         for fs in combinations_with_replacement(range(ctx.zdim), k):
             yield es, fs
+
+
+# -- validity ------------------------------------------------------------------
 
 
 @dataclass
@@ -552,26 +534,32 @@ def _free_coboundary_terms(ctx, omega):
     is not in es and a = bisect_left(es, x, 0, b). delta trades the first
     argument t for each center generator z_r whose basis vector has a
     t-coordinate; the key is free only when es[1:] is strictly increasing.
-    So an entry whose es has two descents or more reaches no free key (two
-    adjacent ones, at b-1 and b, leave no room for y) and is skipped at
-    once.
+    So an entry with no descent gives terms of all three kinds at every
+    position; one with a single descent at j gives bracket terms only at
+    b = j and b = j + 1 (the window for y checks es[b-1] < es[b+1]) and a
+    delta term only when j = 0; one with two descents or more reaches no
+    free key (two adjacent ones, at b-1 and b, leave no room for y) and is
+    skipped at once.
     """
     alg = ctx.algebra
     for k, es, fs, val in entries(omega):
         n = len(es)
         descents = [j for j in range(n - 1) if es[j] >= es[j + 1]]
-        if len(descents) > 1:
+        if not descents:
+            positions, delta = range(n), n > 0
+            if val.degree() > 0:
+                for i in alg.acting:
+                    a = bisect_left(es, i)
+                    if a == n or es[a] != i:
+                        yield (k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val),
+                               -1 if a % 2 else 1)
+        elif len(descents) == 1:
+            j = descents[0]
+            positions, delta = (j, j + 1), j == 0
+        else:
             continue
-        if not descents and val.degree() > 0:
-            for i in alg.acting:
-                a = bisect_left(es, i)
-                if a == n or es[a] != i:
-                    yield k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val), -1 if a % 2 else 1
-        for b, t in enumerate(es):
-            # es less es[b] is strictly increasing if every descent touches
-            # position b and es[b-1] < es[b+1]; the window for y checks the latter
-            if any(j != b and j != b - 1 for j in descents):
-                continue
+        for b in positions:
+            t = es[b]
             lo = es[b - 1] if b else -1
             hi = es[b + 1] if b + 1 < n else ctx.dim
             for x, y, c in alg.product_index[t]:
@@ -580,7 +568,7 @@ def _free_coboundary_terms(ctx, omega):
                     if a == b or es[a] != x:
                         yield (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs, val,
                                c if a % 2 else -c)
-        if es and all(j == 0 for j in descents):
+        if delta:
             for r, zvec in enumerate(alg.z_basis):
                 if zvec[es[0]] != 0:
                     out_fs, mult = merge_centers((r,), fs)

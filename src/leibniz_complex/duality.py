@@ -5,37 +5,14 @@ induces
 
     phi : S(Z) (x) L  ->  Hom(L, S(Z)),   phi(p (x) e') = p * (e', -).
 
-phi raises symmetric degree by one, so membership in its image and
-preimage choices decompose degree by degree into finite exact linear
-systems. PhiSection factors each of those systems once (reduced row
-echelon, first-usable-pivot order by default) and answers two kinds of
-query afterwards about a covector given as {j: SymPoly}. Membership
-(`PhiSection.contains`) evaluates only the cokernel functionals of phi in
-each degree, the check rows of the factorization, and builds no
-preimage. The section (`PhiSection.solve`) returns a sparse preimage
-{(mono, i): coeff}; it is linear on the image, so lifts extend
-consistently to linear combinations, and the lift of -psi is the lift
-of psi negated. `lift` is its raising form; `sharp` and `tilde_value`
-wrap a preimage into an ExtendedElement.
-
-A cochain is *representable* when all of its partial evaluations with
-one algebra slot left open (the "bar" covectors) land in Im(phi).
-`is_representable` and `require_representable` decide that by
-membership alone. On a cochain known valid they read its bar covectors
-at strictly increasing prefixes from `increasing_bars`, a view that
-depends on no context, so it is built once per cochain and kept on it;
-`brackets.bullet` pairs the same view with its right operand's lifts.
-For representable cochains the section provides the lifted maps used
-by the graded bracket; when the symmetric product is non-degenerate the
-degree-0 part of the lift is unique and independent of the pivot
-strategy. `tilde_value` is the one place such a lift is solved, for the
-right operand of `brackets.bullet`, the only operand whose lifts it
-reads. A lift depends on the context's section, so it is kept in the
-context's cache under (cochain, k, prefix, fs), and the bracket keeps
-the list of an operand's lifts per cochain in the same cache. The
-derived bracket reads its result back in one pass: `covector` reads the
-outer bracket's stored entries as {j: SymPoly} and `lift` solves it
-once, with no DualElement or ExtendedElement built.
+phi raises symmetric degree by one, so membership in its image and the
+choice of preimages split degree by degree into finite exact linear
+systems, each factored once per context (`PhiSection`). A cochain is
+*representable* when all of its partial evaluations with one algebra
+slot left open (the "bar" covectors) land in Im(phi). For representable
+cochains the section supplies the lifts the graded bracket pairs; when
+the symmetric product is non-degenerate, the degree-0 part of a lift is
+unique and independent of the pivot strategy.
 """
 
 from dataclasses import dataclass
@@ -339,7 +316,10 @@ def _not_representable(k, prefix, fs):
 
 
 def tilde_value(ctx, omega, k, prefix, fs):
-    """Section lift of one bar covector; cached per context."""
+    """Section lift of one bar covector, as an ExtendedElement. It is the
+    one place a lift is solved, for the right operand of
+    `brackets.bullet`, and a lift depends on the context's section, so it
+    is kept in ctx.cache["tilde"] under (cochain, k, prefix, fs)."""
     cache = ctx.cache.setdefault("tilde", {})
     key = (omega, k, tuple(prefix), tuple(sorted(fs)))
     hit = cache.get(key)

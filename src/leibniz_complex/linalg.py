@@ -16,7 +16,7 @@ functionals.
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .sympoly import exact
+from .sympoly import accumulate, exact
 
 
 def rref(rows):
@@ -41,7 +41,7 @@ def rref(rows):
             p = heappop(held)
             if p in vec:  # a column may be queued twice or cancelled since
                 pivot = pivot_rows[p]
-                _subtract(vec, vec[p], pivot)
+                accumulate(vec, pivot, -vec[p])
                 for c in pivot:
                     if c != p and c in pivot_rows:
                         heappush(held, c)
@@ -56,18 +56,8 @@ def rref(rows):
     for p in reversed(order):
         vec = pivot_rows[p]
         for c in [c for c in vec if c != p and c in pivot_rows]:
-            _subtract(vec, vec[c], pivot_rows[c])
+            accumulate(vec, pivot_rows[c], -vec[c])
     return [pivot_rows[p] for p in order]
-
-
-def _subtract(vec, factor, row):
-    """vec -= factor * row, on sparse rows."""
-    for c, v in row.items():
-        total = exact(vec.get(c, 0) - factor * v)
-        if total:
-            vec[c] = total
-        else:
-            del vec[c]
 
 
 def kernel_basis(rows, columns):

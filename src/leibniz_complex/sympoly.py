@@ -137,22 +137,18 @@ class SymPoly:
             raise DimensionError(f"mixed generator counts: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
         if not isinstance(other, SymPoly):
             return NotImplemented
         self._check_dim(other)
         terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            total = exact(terms.get(mono, 0) + coeff)
-            if total == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = total
+        accumulate(terms, other._terms, sign)
         return _canonical(self.nvars, terms)
-
-    def __sub__(self, other):
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
         return _canonical(self.nvars, {m: -c for m, c in self._terms.items()})
@@ -204,6 +200,19 @@ class SymPoly:
         for sign, text in pieces[1:]:
             out += f" {sign} {text}"
         return out
+
+
+def accumulate(acc, terms, factor=1):
+    """Add factor times the {key: exact} mapping `terms` (or a SymPoly)
+    into the dict acc, each sum made canonical by `exact`, zeros dropped."""
+    if factor == 0:
+        return
+    for key, value in terms.items():
+        total = acc.get(key, 0) + value * factor
+        if total == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = exact(total)
 
 
 def _canonical(nvars, terms):

@@ -1,42 +1,25 @@
 """Named identity suites over the bundled fixtures, with reporting.
 
-Each check returns a CheckResult whose counterexample payload (when a
-check fails) pins down one offending key with both sides rendered, so a
-broken sign is locatable from the report alone. The suites are exactly
-the ones the package promises:
+The suites are the ones the package promises: validity, d.d = 0, the
+graded-algebra axioms, theta = d(zeta), representability closure, the
+graded Poisson axioms, {theta, -} = -d, the derived bracket, the quotient
+proposition and the structure-constant cross-check of {flat, flat}.
+`run_verify` aggregates them over a fixture list. A check passes by
+returning its details line and fails only by raising, `CheckFailed` with
+a payload that pins down one offending key with both sides rendered, or
+an operator's own error; `_timed` turns either into a `CheckResult`.
 
-  validity, d.d = 0, the graded-algebra axioms, theta = d(zeta),
-  representability closure, the graded Poisson axioms,
-  {theta, -} = -d, the derived bracket, the quotient proposition,
-  and the structure-constant cross-check of {flat, flat}.
-
-`run_verify` aggregates them over a fixture list. The `mutation`
-argument deliberately injects a wrong sign so tests can confirm the
-suites actually catch it; production runs leave it None. "zeta-sign"
-flips zeta's tail inside `check_theta_is_dzeta`; "d0-sign" swaps the
-differential for `d0_sign_mutant`, built here as d minus twice the
-action term at the first argument slot, so the production `coboundary`
-carries no hook.
-
-Random cochains are generated constructively as sums of products of
-flats and degree-0 cochains, which stay inside the representable
-subalgebra by construction; no rejection sampling.
-
-The DGA, Poisson, {theta, -} = -d and choice-independence checks compare
-and sum free parts, the values at the keys whose es is strictly
-increasing. That is sound because both sides of each identity are
-outputs of d, the product or the bracket on valid operands, hence valid,
-and two valid cochains are equal exactly when their free parts are
-(`cochains.free_part`). The product reads only free entries
-(`cochains.free_cup`); an operand of d or of the bracket is expanded
-first. d.d = 0 and theta = d(zeta) stay on whole cochains, since the
-d0-sign mutant is not an expansion, and `representability_closure`
-checks validity itself on whole outputs.
+Identities between outputs of d, the product or the bracket on valid
+operands are compared at the free keys (`cochains.free_part`): both
+sides are valid, and two valid cochains are equal exactly when their free
+parts are. d.d = 0 and theta = d(zeta) stay on whole cochains, since the
+d0-sign mutant is not an expansion. The `mutation` argument injects a
+wrong sign so tests can confirm the suites catch it.
 """
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from random import Random
 
@@ -114,22 +97,8 @@ class Report:
         return all(r.passed for r in self.results if not r.advisory)
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "config": self.config,
-            "checks": [
-                {
-                    "name": r.name,
-                    "fixture": r.fixture,
-                    "passed": r.passed,
-                    "seconds": round(r.seconds, 6),
-                    "details": r.details,
-                    "counterexample": r.counterexample,
-                    "advisory": r.advisory,
-                }
-                for r in self.results
-            ],
-        }
+        return {"passed": self.passed, "config": self.config,
+                "checks": [asdict(r) for r in self.results]}
 
     def render_text(self):
         lines = []
@@ -145,22 +114,35 @@ class Report:
         return "\n".join(lines)
 
 
-def _timed(name, fixture, fn):
+class CheckFailed(Exception):
+    """A check's identity fails: its details line and counterexample payload."""
+
+    def __init__(self, details, counterexample=None):
+        super().__init__(details)
+        self.details, self.counterexample = details, counterexample
+
+
+def _timed(name, fixture, run, advisory=False):
+    """The CheckResult of run(), which returns its details line when the
+    check passes and raises CheckFailed, InvalidCochainError or
+    NotRepresentableError when it fails."""
     start = time.perf_counter()
     try:
-        passed, details, counter = fn()
+        passed, details, counter = True, run(), None
+    except CheckFailed as exc:
+        passed, details, counter = False, exc.details, exc.counterexample
     except (InvalidCochainError, NotRepresentableError) as exc:
-        passed, details, counter = False, f"raised {type(exc).__name__}", _exc_payload(exc)
-    return CheckResult(name, fixture, passed, time.perf_counter() - start, details, counter)
+        passed, details, counter = False, f"raised {type(exc).__name__}", {"error": str(exc)}
+        if isinstance(exc, InvalidCochainError):
+            counter["violation"] = _violation(exc.report)
+    seconds = round(time.perf_counter() - start, 6)
+    return CheckResult(name, fixture, passed, seconds, details, counter, advisory)
 
 
-def _exc_payload(exc):
-    payload = {"error": str(exc)}
-    report = getattr(exc, "report", None)
-    if report is not None and getattr(report, "violations", None):
-        k, pos, es, fs, lhs, rhs = report.violations[0]
-        payload["violation"] = _key_payload(k, es, fs, lhs, rhs, position=pos)
-    return payload
+def _violation(report):
+    """The payload of a validation report's first violation."""
+    k, pos, es, fs, lhs, rhs = report.violations[0]
+    return _key_payload(k, es, fs, lhs, rhs, position=pos)
 
 
 def _key_payload(k, es, fs, lhs, rhs, **extra):
@@ -183,9 +165,12 @@ def first_difference(a, b):
     return None
 
 
-def _difference_payload(diff, **extra):
-    k, es, fs, lhs, rhs = diff
-    return _key_payload(k, es, fs, lhs, rhs, **extra)
+def require_equal(a, b, details, **extra):
+    """CheckFailed(details) located at the first key where the cochains a
+    and b differ; `extra` is added to its payload."""
+    diff = first_difference(a, b)
+    if diff:
+        raise CheckFailed(details, _key_payload(*diff, **extra))
 
 
 # -- random generation ---------------------------------------------------------
@@ -249,15 +234,15 @@ def check_fixture_validity(ctx, fixture):
         report = check_leibniz(ctx.algebra)
         if not report.ok:
             i, j, l, lhs, rhs = report.violations[0]
-            return False, "Leibniz identity fails", {
+            raise CheckFailed("Leibniz identity fails", {
                 "triple": [i, j, l], "lhs": [rational_text(c) for c in lhs],
-                "rhs": [rational_text(c) for c in rhs]}
+                "rhs": [rational_text(c) for c in rhs]})
         expected = EXPECTED_CENTERS.get(fixture)
         zdim = ctx.zdim
         if expected is not None and zdim != expected:
-            return False, f"left center has dimension {zdim}, expected {expected}", {
-                "z_basis": [[rational_text(c) for c in v] for v in ctx.algebra.z_basis]}
-        return True, f"dim={ctx.dim}, left center dim={zdim}", None
+            raise CheckFailed(f"left center has dimension {zdim}, expected {expected}", {
+                "z_basis": [[rational_text(c) for c in v] for v in ctx.algebra.z_basis]})
+        return f"dim={ctx.dim}, left center dim={zdim}"
 
     return _timed("fixture_validity", fixture, run)
 
@@ -283,11 +268,10 @@ def check_d_squared(ctx, fixture, max_degree, mutation=None):
                     once = d(ctx, omega)
                     twice = d(ctx, once)
                     checked += 1
-                    if not twice.is_zero():
-                        diff = first_difference(twice, Cochain.zero(twice.degree, ctx.zdim))
-                        return False, f"d.d != 0 on a degree-{degree} basis cochain", \
-                            _difference_payload(diff, source_degree=degree)
-        return True, f"{checked} basis cochains up to degree {max_degree}", None
+                    require_equal(twice, Cochain.zero(twice.degree, ctx.zdim),
+                                  f"d.d != 0 on a degree-{degree} basis cochain",
+                                  source_degree=degree)
+        return f"{checked} basis cochains up to degree {max_degree}"
 
     return _timed("d_squared", fixture, run)
 
@@ -310,17 +294,12 @@ def check_dga_axioms(ctx, fixture, rng, samples, total_degree=4):
                         pairs += 1
                         prod = free_cup(ctx, omega, eta)
                         flipped = free_cup(ctx, eta, omega).scale(-1 if (n * m) % 2 else 1)
-                        diff = first_difference(prod, flipped)
-                        if diff:
-                            return False, f"graded commutativity fails at degrees ({n},{m})", \
-                                _difference_payload(diff)
+                        require_equal(prod, flipped,
+                                      f"graded commutativity fails at degrees ({n},{m})")
                         lhs = free_coboundary(ctx, expand(ctx, n + m, prod))
                         rhs = combine(ctx.zdim, n + m + 1, (free_cup(ctx, d_omega, eta), 1),
                                       (free_cup(ctx, omega, d_eta), -1 if n % 2 else 1))
-                        diff = first_difference(lhs, rhs)
-                        if diff:
-                            return False, f"graded Leibniz rule fails at degrees ({n},{m})", \
-                                _difference_payload(diff)
+                        require_equal(lhs, rhs, f"graded Leibniz rule fails at degrees ({n},{m})")
         flat_pool = [(n, omega) for n in range(total_degree + 1) for omega in bases[n]]
         for _ in range(samples):
             while True:
@@ -330,11 +309,8 @@ def check_dga_axioms(ctx, fixture, rng, samples, total_degree=4):
             (na, a), (nb, b), (nc, c) = picks
             left = free_cup(ctx, free_cup(ctx, a, b), c)
             right = free_cup(ctx, a, free_cup(ctx, b, c))
-            diff = first_difference(left, right)
-            if diff:
-                return False, f"associativity fails at degrees ({na},{nb},{nc})", \
-                    _difference_payload(diff)
-        return True, f"{pairs} pairs, {samples} associativity triples", None
+            require_equal(left, right, f"associativity fails at degrees ({na},{nb},{nc})")
+        return f"{pairs} pairs, {samples} associativity triples"
 
     return _timed("dga_axioms", fixture, run)
 
@@ -345,15 +321,9 @@ def check_theta_is_dzeta(ctx, fixture, mutation=None):
         if mutation == "zeta-sign":  # the tail -2f flipped to 2f
             zeta_cochain = scatter(ctx.zdim, 2, ((k, es, fs, value, -1 if k else 1)
                                                  for k, es, fs, value in entries(zeta_cochain)))
-        d_zeta = _differential(mutation)(ctx, zeta_cochain)
-        diff = first_difference(theta(ctx), d_zeta)
-        if diff:
-            return False, "theta != d(zeta)", _difference_payload(diff)
-        d_theta = coboundary(ctx, theta(ctx))
-        if not d_theta.is_zero():
-            diff = first_difference(d_theta, Cochain.zero(4, ctx.zdim))
-            return False, "d(theta) != 0", _difference_payload(diff)
-        return True, "theta = d(zeta) and d(theta) = 0", None
+        require_equal(theta(ctx), _differential(mutation)(ctx, zeta_cochain), "theta != d(zeta)")
+        require_equal(coboundary(ctx, theta(ctx)), Cochain.zero(4, ctx.zdim), "d(theta) != 0")
+        return "theta = d(zeta) and d(theta) = 0"
 
     return _timed("theta_is_dzeta", fixture, run)
 
@@ -380,15 +350,14 @@ def check_representability_closure(ctx, fixture, rng, samples, max_degree=3):
             for op, result in produced:
                 validity = validate_cochain(ctx, result)
                 if not validity.ok:
-                    k, pos, es, fs, lhs, rhs = validity.violations[0]
-                    return False, f"{op} output is not a cochain (sample {index})", \
-                        _key_payload(k, es, fs, lhs, rhs, position=pos)
+                    raise CheckFailed(f"{op} output is not a cochain (sample {index})",
+                                      _violation(validity))
                 rep = is_representable(ctx, result)
                 if not rep.ok:
                     k, prefix, fs = rep.failures[0]
-                    return False, f"{op} output is not representable (sample {index})", \
-                        {"component": k, "prefix": list(prefix), "fs": list(fs)}
-        return True, f"{samples} samples closed under d, cup, poisson", None
+                    raise CheckFailed(f"{op} output is not representable (sample {index})",
+                                      {"component": k, "prefix": list(prefix), "fs": list(fs)})
+        return f"{samples} samples closed under d, cup, poisson"
 
     return _timed("representability_closure", fixture, run)
 
@@ -408,26 +377,19 @@ def check_poisson_axioms(ctx, fixture, rng, samples):
             sign_nm = -1 if (n * m) % 2 else 1
             omega_eta = poisson(ctx, omega, eta)
             omega_lam = poisson(ctx, omega, lam)
-            anti = first_difference(free_part(omega_eta),
-                                    free_poisson(ctx, eta, omega).scale(-sign_nm))
-            if anti:
-                return False, f"graded antisymmetry fails at degrees ({n},{m})", \
-                    _difference_payload(anti, sample=index)
+            require_equal(free_part(omega_eta), free_poisson(ctx, eta, omega).scale(-sign_nm),
+                          f"graded antisymmetry fails at degrees ({n},{m})", sample=index)
             lhs = free_poisson(ctx, omega, cup(ctx, eta, lam))
             rhs = combine(ctx.zdim, lhs.degree, (free_cup(ctx, omega_eta, lam), 1),
                           (free_cup(ctx, eta, omega_lam), sign_nm))
-            diff = first_difference(lhs, rhs)
-            if diff:
-                return False, f"graded derivation fails at degrees ({n},{m},{l})", \
-                    _difference_payload(diff, sample=index)
+            require_equal(lhs, rhs, f"graded derivation fails at degrees ({n},{m},{l})",
+                          sample=index)
             lhs = free_poisson(ctx, omega, poisson(ctx, eta, lam))
             rhs = combine(ctx.zdim, lhs.degree, (free_poisson(ctx, omega_eta, lam), 1),
                           (free_poisson(ctx, eta, omega_lam), sign_nm))
-            diff = first_difference(lhs, rhs)
-            if diff:
-                return False, f"graded Jacobi fails at degrees ({n},{m},{l})", \
-                    _difference_payload(diff, sample=index)
-        return True, f"{samples} sampled triples", None
+            require_equal(lhs, rhs, f"graded Jacobi fails at degrees ({n},{m},{l})",
+                          sample=index)
+        return f"{samples} sampled triples"
 
     return _timed("poisson_axioms", fixture, run)
 
@@ -444,12 +406,9 @@ def check_theta_bracket(ctx, fixture, rng, samples):
             # a basis flat's left side is the cached value the derived bracket reuses
             lhs = free_part(theta_flat(ctx, index)) if index < ctx.dim \
                 else free_poisson(ctx, theta(ctx), eta)
-            rhs = free_coboundary(ctx, eta).scale(-1)
-            diff = first_difference(lhs, rhs)
-            if diff:
-                return False, f"{{theta, eta}} != -d(eta) (candidate {index})", \
-                    _difference_payload(diff)
-        return True, f"{len(candidates)} cochains (all flats + samples)", None
+            require_equal(lhs, free_coboundary(ctx, eta).scale(-1),
+                          f"{{theta, eta}} != -d(eta) (candidate {index})")
+        return f"{len(candidates)} cochains (all flats + samples)"
 
     return _timed("theta_bracket", fixture, run)
 
@@ -466,20 +425,20 @@ def check_derived_bracket(ctx, fixture):
                 expected_values = flat(ctx, expected_vec).values
                 for t in range(ctx.dim):
                     if dual.values[t] != expected_values[t]:
-                        return False, f"flat-level identity fails at pair ({i},{j})", {
+                        raise CheckFailed(f"flat-level identity fails at pair ({i},{j})", {
                             "pair": [i, j], "slot": t,
                             "lhs": dual.values[t].render(),
-                            "rhs": expected_values[t].render()}
+                            "rhs": expected_values[t].render()})
                 if fat:
                     lifted = sharp(ctx, dual)
                     vec = lifted.as_vector()
                     if vec is None or vec != expected_vec:
-                        return False, f"sharp does not recover the product at ({i},{j})", {
+                        raise CheckFailed(f"sharp does not recover the product at ({i},{j})", {
                             "pair": [i, j],
                             "lhs": [c.render() for c in lifted.coeffs],
-                            "rhs": [rational_text(c) for c in expected_vec]}
+                            "rhs": [rational_text(c) for c in expected_vec]})
         scope = "flat level and sharp" if fat else "flat level (not fat)"
-        return True, f"all {ctx.dim * ctx.dim} basis pairs, {scope}", None
+        return f"all {ctx.dim * ctx.dim} basis pairs, {scope}"
 
     return _timed("derived_bracket", fixture, run)
 
@@ -488,16 +447,16 @@ def check_quotient(fixture="AFF_O1"):
     def run():
         algebra = build_fixture(fixture)
         if algebra.two_sided_center():
-            return False, "two-sided center is not trivial", {
-                "center": [[rational_text(c) for c in v] for v in algebra.two_sided_center()]}
+            raise CheckFailed("two-sided center is not trivial", {
+                "center": [[rational_text(c) for c in v] for v in algebra.two_sided_center()]})
         quotient = quotient_by_kernel(algebra)
         if not quotient.is_fat():
-            return False, "quotient is not fat", None
+            raise CheckFailed("quotient is not fat")
         reference = build_fixture("O1")
         if quotient.dim != reference.dim or quotient.table != reference.table:
-            return False, "quotient table differs from the expected block", {
-                "labels": list(quotient.labels)}
-        return True, f"kernel dim {len(algebra.kernel_basis)}, quotient matches O1", None
+            raise CheckFailed("quotient table differs from the expected block", {
+                "labels": list(quotient.labels)})
+        return f"kernel dim {len(algebra.kernel_basis)}, quotient matches O1"
 
     return _timed("quotient_proposition", fixture, run)
 
@@ -520,9 +479,9 @@ def check_oracle_pairing(ctx, fixture):
                 oracle = SymPoly(ctx.zdim, {(r,): c for r, c in enumerate(direct) if c != 0})
                 got = result.value(0, (), ())
                 if got != oracle or result != Cochain.constant(oracle):
-                    return False, f"{{flat,flat}} mismatch at ({i},{j})", {
-                        "pair": [i, j], "lhs": got.render(), "rhs": oracle.render()}
-        return True, f"all {ctx.dim * ctx.dim} basis pairs match the structure oracle", None
+                    raise CheckFailed(f"{{flat,flat}} mismatch at ({i},{j})", {
+                        "pair": [i, j], "lhs": got.render(), "rhs": oracle.render()})
+        return f"all {ctx.dim * ctx.dim} basis pairs match the structure oracle"
 
     return _timed("oracle_pairing", fixture, run)
 
@@ -548,13 +507,10 @@ def check_choice_independence(ctx, fixture, rng, samples):
                 disagreements += 1
             if first_difference(free_poisson(ctx, omega, eta), free_poisson(last, omega, eta)):
                 disagreements += 1
-        note = "identical under both pivot strategies" if not disagreements \
+        return "identical under both pivot strategies" if not disagreements \
             else f"{disagreements} value differences between pivot strategies"
-        return True, note, None
 
-    result = _timed("bracket_choice_independence", fixture, run)
-    result.advisory = True
-    return result
+    return _timed("bracket_choice_independence", fixture, run, advisory=True)
 
 
 # -- the aggregated run -----------------------------------------------------------

@@ -8,7 +8,9 @@ text (read as a file path), the contents of an algebra file (its `dim`,
 numeric strings and other JSON values), the "value" strings of a cochain
 file, and the structure of cochain files for `leibcx d` (degree,
 component index k, es and fs lengths, indices out of range or not
-integers, repeated keys).
+integers, repeated keys), given to every command that reads a cochain
+(`d`, `cup` and `bracket` with a valid flat as the other operand, and
+`representable`), also under a lowered table budget.
 """
 
 import contextlib
@@ -16,11 +18,16 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leibniz_complex import cochains
+from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.cli import main
+from leibniz_complex.cochains import ComplexContext, cochain_to_dict
+from leibniz_complex.duality import flat_cochain
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -170,3 +177,59 @@ def test_algebra_file_contents_keep_the_exit_contract(data):
         for command in ("center", "check"):
             code, _, err = run_cli([command, "--algebra", path])
             assert_contract(code, err)
+
+
+def e0_flat(algebra):
+    """The file contents of e_0-flat over a fixture: a valid degree-1
+    cochain, representable by construction."""
+    ctx = ComplexContext(build_fixture(algebra))
+    return cochain_to_dict(flat_cochain(ctx, basis_vec(ctx.dim, 0)))
+
+
+FLATS = {algebra: e0_flat(algebra) for algebra in ("O1", "A3")}
+
+
+def run_cochain_commands(data):
+    """Every command that reads a cochain file, on `data` over O1 and A3:
+    `d`, `cup` and `bracket` with the fixture's e_0-flat on either side,
+    and `representable`; each must keep the exit contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, flat = os.path.join(tmp, "omega.json"), os.path.join(tmp, "flat.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for algebra, flat_data in FLATS.items():
+            with open(flat, "w", encoding="utf-8") as fh:
+                json.dump(flat_data, fh)
+            for command, files in (("d", [path]), ("cup", [path, flat]), ("cup", [flat, path]),
+                                   ("bracket", [path, flat]), ("bracket", [flat, path]),
+                                   ("representable", [path])):
+                argv = [command, "--algebra", algebra]
+                for name in files:
+                    argv += ["--cochain", name]
+                code, _, err = run_cli(argv)
+                assert_contract(code, err)
+
+
+@FUZZ
+@given(cochain_data)
+@example({"degree": 2, "components": [{"k": 0, "entries": [
+    {"es": [0, 1], "fs": [], "value": "z1"}, {"es": [1, 0], "fs": [], "value": "-z1"}]}]})
+@example({"degree": 2, "components": [{"k": 0, "entries": [
+    {"es": [0, 1], "fs": [], "value": "1"}, {"es": [1, 0], "fs": [], "value": "-1"}]}]})
+@example({"degree": 3, "components": [{"k": 1, "entries": [
+    {"es": [1], "fs": [0], "value": "z1^2"}]}]})
+def test_cochain_file_structure_keeps_the_exit_contract_in_every_cochain_command(data):
+    run_cochain_commands(data)
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.integers(0, 5).flatmap(lambda n: cochain_files(n, st.nothing())), st.integers(0, 12))
+@example({"degree": 2, "components": [{"k": 0, "entries": [
+    {"es": [0, 1], "fs": [], "value": "z1"}, {"es": [1, 0], "fs": [], "value": "-z1"}]}]}, 1)
+@example({"degree": 4, "components": [{"k": 0, "entries": [
+    {"es": [0, 1, 0, 1], "fs": [], "value": "1"}]}]}, 3)
+def test_cochain_commands_keep_the_exit_contract_over_a_lowered_table_budget(data, budget):
+    # a patch context, not the monkeypatch fixture: the budget is restored
+    # after each generated example
+    with mock.patch.object(cochains, "MAX_TABLE", budget):
+        run_cochain_commands(data)
