@@ -7,10 +7,11 @@ first center slot of the other, extended as a derivation:
 
     {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
 
-Each half returns its free part, its values at the free keys, and
-`poisson` expands their signed sum. The paper's defining formulas,
-pair_bracket and circ_compose, evaluate each half at every key in the
-test oracle tests/dense_reference.py.
+Each half sums its operand pairs straight into its free part, its values
+at the free keys (`cochains.pair_at_free_keys`), and `poisson` expands
+their signed sum. The paper's defining formulas, pair_bracket and
+circ_compose, evaluate each half at every key in the test oracle
+tests/dense_reference.py.
 
 The canonical cochains live here too: the degree-2 `zeta` (symmetric
 product plus the -2f tail) whose coboundary is the degree-3 `theta`, and
@@ -24,28 +25,25 @@ which on a fat algebra recovers e1 . e2 itself through the section.
 from itertools import chain
 
 from .algebra import basis_vec
-from .cochains import (_increasing, check_context, combine, entries, expand, free_pair_terms,
-                       free_view, operand_view, require_valid, scatter)
+from .cochains import (Cochain, _increasing, check_context, combine, entries, expand,
+                       free_view, operand_view, pair_at_free_keys, require_valid, scatter)
 from .duality import (NotRepresentableError, covector, dual_from_cochain, flat_cochain,
                       increasing_bars, lift, require_representable, tilde_value)
-from .sympoly import SymPoly, derivation_extend, dot
+from .sympoly import SymPoly, add_derivation, add_product
 
 
 def _lifts(ctx, omega):
     """(k, prefix, fs, lift) at each strictly increasing stored prefix of
-    omega (`duality.increasing_bars`), in key order: the section lift of
-    its bar covector, nonzero because the covector is. These are the only
-    lifts `bullet` reads at free keys, and only of its right operand.
+    omega (`duality.increasing_bars`), in key order: the nonzero section
+    lift of its bar covector, the only lifts `bullet` reads, and only of
+    its right operand.
 
-    omega must be valid (`cochains.require_valid`, InvalidCochainError
-    otherwise). Weak skew-symmetry then writes every bar covector as a
-    rational combination of those at strictly increasing prefixes, so
-    omega is representable exactly when these lifts exist
-    (NotRepresentableError otherwise). A lift depends on the context's
-    section, so the list is kept per cochain in the context's cache, and a
-    right operand bracketed again (a cached `basis_flat`) is validated
-    once and then costs one lookup; `tilde_value` still solves and stores
-    each lift.
+    omega must be valid (InvalidCochainError otherwise); weak
+    skew-symmetry then writes every bar covector as a rational combination
+    of these, so omega is representable exactly when they exist
+    (NotRepresentableError otherwise). A lift depends on the section, so
+    the list is kept per cochain in the context's cache; `tilde_value`
+    solves and stores each lift.
     """
     cache = ctx.cache.setdefault("lifts", {})
     lifts = cache.get(omega)
@@ -63,47 +61,44 @@ def bullet(ctx, omega, eta):
     A lift x of omega's bar covector at (prefix, fs) has phi(x) =
     omega(prefix, -; fs), so pairing x with a lift y of eta's is the dot
     product of omega's entries omega(prefix, e; fs) with y's
-    e-coefficients, signed by (-1)^(m-1): omega is never lifted, only
-    checked to be representable (`duality.require_representable`), and
-    each of its bar covectors at a strictly increasing prefix, read from
-    the view kept on the cochain (`duality.increasing_bars`), is paired
-    with each lift by one dot product. Only the pairs of strictly
-    increasing, disjoint prefixes reach a free key, so only those lifts of
-    eta are solved. Raises InvalidCochainError when either operand is not
-    weakly skew-symmetric, NotRepresentableError when it is not
-    representable, omega checked first.
+    e-coefficients, signed by (-1)^(m-1). So omega is only checked to be
+    representable, never lifted: each of its bar covectors at a strictly
+    increasing prefix (`duality.increasing_bars`) has each product v *
+    y_e added into the pair's key. Raises InvalidCochainError when either
+    operand is not weakly skew-symmetric, NotRepresentableError when it
+    is not representable, omega checked first.
     """
     check_context(ctx, omega, eta)
     require_representable(ctx, omega)
-    terms = free_pair_terms(increasing_bars(omega), _lifts(ctx, eta), lambda bar, y: dot(
-        ctx.zdim, ((v, y.coeffs[e]) for e, v in bar.items())))
     sign = -1 if eta.degree % 2 == 0 else 1
-    return scatter(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
-                   ((k, es, fs, value, sign * factor) for k, es, fs, value, factor in terms))
+
+    def add_pair(acc, bar, y, factor):
+        for e, v in bar.items():
+            add_product(acc, v, y.coeffs[e], sign * factor)
+
+    return pair_at_free_keys(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
+                             increasing_bars(omega), _lifts(ctx, eta), add_pair)
 
 
 def diamond(ctx, omega, eta):
-    """Composition half of the bracket at the free keys: each eta entry
-    fed, as a derivation, into the first center argument of omega's
+    """Composition half of the bracket at the free keys: each free eta
+    entry fed, as a derivation, into the first center argument of omega's
     components, wherever the two argument tuples are strictly increasing
-    and disjoint. omega's derivation bases (`_derivation_bases`) and
-    eta's free entries (`cochains.free_view`) are read from the views
-    kept on the cochains."""
+    and disjoint, and added into the key from the monomial images kept
+    with omega's derivation bases (`_derivation_bases`)."""
     check_context(ctx, omega, eta)
     degree = max(omega.degree + eta.degree - 2, 0)
     if omega.extent()[1] == 0:  # no stored center argument: nothing to feed into
-        return scatter(ctx.zdim, degree, ())
-    terms = free_pair_terms(operand_view(omega, "bases", _derivation_bases), free_view(eta),
-                            lambda b, y: derivation_extend(b[0], y, b[1]))
-    return scatter(ctx.zdim, degree, terms)
+        return Cochain.zero(degree, ctx.zdim)
+    return pair_at_free_keys(ctx.zdim, degree, operand_view(omega, "bases", _derivation_bases),
+                             free_view(eta), lambda acc, b, y, f: add_derivation(acc, b[0], y, b[1], f))
 
 
 def _derivation_bases(omega):
     """(k, es, others, (base, images)) for each strictly increasing es of
     omega stored with a center argument: base lists omega_{k+1}(es; r,
-    others) for each center generator r, and images is the dict of the
-    monomial images `sympoly.derivation_extend` fills for that base, kept
-    with it for as long as the cochain lives."""
+    others) for each center generator r, and images is the dict of its
+    monomial images `sympoly.add_derivation` fills, kept on the cochain."""
     bases = {}
     for k, es, fs, value in entries(omega):
         if fs and _increasing(es):
@@ -115,24 +110,17 @@ def _derivation_bases(omega):
 
 
 def poisson(ctx, omega, eta):
-    """{omega, eta} = bullet + diamond - (-1)^(nm) diamond flipped.
-
-    The operands must be valid and representable (InvalidCochainError,
-    NotRepresentableError otherwise, raised by `bullet`). Their bracket is
-    valid, so it is the expansion of `free_poisson`, and valid by
-    construction."""
+    """{omega, eta} = bullet + diamond - (-1)^(nm) diamond flipped, the
+    expansion of `free_poisson`. The operands must be valid and
+    representable (InvalidCochainError, NotRepresentableError otherwise)."""
     free = free_poisson(ctx, omega, eta)
     return expand(ctx, free.degree, free)
 
 
 def free_poisson(ctx, omega, eta):
-    """The free part of {omega, eta}: one signed sum of the three halves'
-    free parts, its values at the free keys.
-
-    `bullet` reads whole bar covectors of both operands, the values at
-    every last argument after a strictly increasing prefix, so both
-    operands must be whole valid cochains, not free parts (it validates
-    them, see `cochains.free_part`)."""
+    """The free part of {omega, eta}: the signed sum of the three halves.
+    `bullet` reads whole bar covectors of both operands, so both must be
+    whole valid cochains, not free parts (it validates them)."""
     n, m = omega.degree, eta.degree
     sign = -1 if (n * m) % 2 else 1
     return combine(ctx.zdim, max(n + m - 2, 0), (bullet(ctx, omega, eta), 1),
@@ -198,13 +186,9 @@ def _unit_index(v):
 
 def _outer_bracket(ctx, v, w):
     """{{theta, v-flat}, w-flat}, the degree-1 cochain both derived
-    brackets read.
-
-    The inner bracket is sum_i v_i {theta, e_i-flat}; for a basis vector v
-    it is the cached cochain itself, and for a basis vector w the flat is
-    the cached `basis_flat`, so both operands' section lifts are found by
-    identity.
-    """
+    brackets read. The inner bracket is sum_i v_i {theta, e_i-flat}; for
+    basis vectors v and w the cached {theta, e_i-flat} and `basis_flat` are
+    the operands, so their section lifts are found by identity."""
     i = _unit_index(v)
     if i is not None:
         inner = theta_flat(ctx, i)

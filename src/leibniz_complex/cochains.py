@@ -6,30 +6,28 @@ stored sparsely on basis keys:
 
     components[k][(e-index tuple, sorted z-index tuple)] = SymPoly
 
-Weak skew-symmetry ties neighbouring components together: swapping two
-adjacent algebra arguments is skew only up to a correction by the next
-component evaluated on the symmetric product of the swapped pair,
+Weak skew-symmetry, which `validate_cochain` checks and storage does not
+canonicalize, ties neighbouring components together:
 
     w_k(..e,e'..; fs) + w_k(..e',e..; fs) = -w_{k+1}(.. ; (e,e'), fs).
 
-Storage does not canonicalize this; `validate_cochain` checks it. A valid
-cochain is fixed by its values at the free keys, the keys with es
+A valid cochain is fixed by its values at the free keys, the keys with es
 strictly increasing, so d, the product and the bracket each derive only
-those (`free_coboundary`, `free_cup`, `brackets.free_poisson`) and
-return their `expand`.
+those (`free_coboundary`, `free_cup`, `brackets.free_poisson`) and return
+their `expand`. d = d0 + delta: d0 sums action terms and bracket
+insertions, delta feeds each center argument back in as the first
+algebra argument; the term moving center arguments along the bracket
+vanishes, as the left center kills everything on the left.
 
-d = d0 + delta: d0 sums action terms and bracket insertions, and delta
-feeds each center argument back in as the first algebra argument. The
-term moving center arguments along the bracket vanishes, because the
-left center kills everything on the left, so it is not implemented.
-
-`scatter` is the one builder of computed cochains, and `Cochain()`, which
-checks every key and value, the entry point for cochains from outside.
-No other module reads or writes the `components` layout.
-"""
+Computed cochains are built unchecked: `scatter` sums the terms d and a
+sum of cochains derive, the pair kernel `pair_at_free_keys` sums each
+operand pair of the product and the bracket halves straight into its
+key, and `expand` writes each free datum's table into its output, sharing
+the values. `Cochain()`, which checks every key and value, is the entry
+point for cochains from outside. No other module reads or writes the
+`components` layout."""
 
 import json
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +37,7 @@ from math import comb, factorial, prod
 
 from .algebra import _is_index
 from .linalg import rref
-from .sympoly import SymPoly, SymPolyParseError, _canonical, accumulate, exact, parse_sympoly
+from .sympoly import SymPoly, SymPolyParseError, _canonical, accumulate, exact, parse_sympoly, settle
 
 
 class CochainShapeError(ValueError):
@@ -93,14 +91,11 @@ _zero = cache(SymPoly.zero)  # one shared zero per generator count; SymPoly is i
 class Cochain:
     """Immutable sparse cochain; missing keys are zero."""
 
-    # _valid_over: the algebra the cochain is known to be weakly
-    # skew-symmetric over (set by `expand`, `cochain_space_basis`, a
-    # passing `validate_cochain` and `combine` of cochains known valid
-    # over it); _representable_over: the algebra it is
-    # known representable over (set by `duality.require_representable`);
-    # _views: what the operators read of it as an operand, by name, built
-    # from its entries alone on first use (`operand_view`), so every
-    # context shares them; what depends on a context stays in ctx.cache
+    # _valid_over: the algebra it is known weakly skew-symmetric over (set
+    # by `expand`, `cochain_space_basis`, a passing `validate_cochain`, and
+    # kept by `combine` and `scale`); _representable_over: the algebra it is
+    # known representable over (`duality.require_representable`); _views:
+    # what operators read of it as an operand (`operand_view`)
     __slots__ = ("degree", "nvars", "components", "_hash", "_extent", "_valid_over",
                  "_representable_over", "_views")
 
@@ -165,7 +160,14 @@ class Cochain:
         return self._extent
 
     def scale(self, factor):
-        return combine(self.nvars, self.degree, (self, factor))
+        """factor * self, valid wherever self is. Each value is scaled once,
+        also one that many keys share, as in an `expand` output."""
+        factor, done = exact(factor), {}
+        out = _stored(self.degree, self.nvars, {} if factor == 0 else {
+            k: {key: done[id(v)] if id(v) in done else done.setdefault(id(v), v.scale(factor))
+                for key, v in table.items()} for k, table in self.components.items()})
+        out._valid_over = self._valid_over
+        return out
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -205,11 +207,10 @@ class Cochain:
 
 # -- the table budget ------------------------------------------------------------
 
-# The most entries of a table whose size the input's own size does not
-# bound: the keys a free-datum walk visits (`_free_datum_cochain`), the
-# entries of an `expand` output, the operand pairs of `free_pair_terms`
-# and the columns of a system of phi (`duality.PhiSection`), each counted
-# before it is built.
+# The most entries of a table the input's size does not bound, counted
+# before it is built: the keys a free-datum walk visits, the entries of an
+# `expand` output, the operand pairs of `pair_at_free_keys` and the columns
+# of a system of phi (`duality.PhiSection`).
 MAX_TABLE = 100_000
 
 
@@ -237,10 +238,8 @@ def merge_centers(fs1, fs2):
 
 def check_context(ctx, *cochains):
     """ContextMismatchError unless every cochain lives over ctx: its center
-    basis has ctx's size, and its stored algebra and center indices lie
-    below ctx.dim and ctx.zdim. d (through `require_valid`), cup,
-    bullet, diamond and `duality.is_representable` call it before anything
-    else."""
+    basis has ctx's size, and its stored indices lie below ctx.dim and
+    ctx.zdim. Every operator calls it before anything else."""
     for omega in cochains:
         if omega.nvars != ctx.zdim:
             raise ContextMismatchError("cochains built over a different center basis")
@@ -260,10 +259,9 @@ def entries(omega):
 
 def operand_view(omega, name, build):
     """omega's view `name`, build(omega) on first use: what an operator
-    reads of omega as an operand, built from its `entries` alone. It
-    depends on no context, so it is kept on the cochain for as long as the
-    cochain lives and every context shares it; callers must not change
-    it."""
+    reads of omega as an operand, built from its entries alone, so it is
+    kept on the cochain and every context shares it; callers must not
+    change it."""
     views = omega._views
     if views is None:
         views = omega._views = {}
@@ -285,29 +283,23 @@ def _free_view(omega):
 
 def scatter(nvars, degree, terms):
     """The degree-n cochain summing factor * poly over its terms (k, es, fs,
-    poly, factor); operators derive them from stored entries, so the cost
-    follows the terms, never the dim^degree output keys. It is built
-    unchecked, as `sympoly._canonical` builds a SymPoly: each es must be a
-    tuple of n - 2k algebra indices, each fs a sorted tuple of k center
-    indices, each poly over nvars generators (see `check_context`), and
-    each factor exact."""
+    poly, factor), derived from stored entries, so the cost follows the
+    terms, not the dim^degree keys. Built unchecked, as `sympoly._canonical`
+    builds a SymPoly: each es a tuple of n - 2k algebra indices, each fs a
+    sorted tuple of k center indices, each poly over nvars generators."""
     sums = {}
     for k, es, fs, poly, factor in terms:
-        key = (k, es, fs)
-        acc = sums.get(key)
-        # most keys get one term (each permuted key of an expansion does),
-        # and a first term with factor 1 or -1 is copied as it is: the
-        # coefficients of a SymPoly are canonical, and so are their negatives
-        if acc is not None:
-            accumulate(acc, poly, factor)
-        elif factor == 1:
-            sums[key] = dict(poly.items())
-        elif factor == -1:
-            sums[key] = {mono: -coeff for mono, coeff in poly.items()}
-        else:
-            accumulate(sums.setdefault(key, {}), poly, factor)
+        accumulate(sums.setdefault((k, es, fs), {}), poly, factor)
+    return _gathered(nvars, degree, sums)
+
+
+def _gathered(nvars, degree, sums, raw=False):
+    """The degree-n cochain of the sums {(k, es, fs): {monomial: coefficient}},
+    unchecked (see `scatter`), raw ones settled first, zero ones left out."""
     comps = {}
     for (k, es, fs), acc in sums.items():
+        if raw:
+            acc = settle(acc)
         if acc:
             comps.setdefault(k, {})[(es, fs)] = _canonical(nvars, acc)
     return _stored(degree, nvars, comps)
@@ -324,12 +316,9 @@ def _stored(degree, nvars, comps):
 
 def combine(nvars, degree, *scaled):
     """sum factor * omega over the (omega, factor) pairs, a degree-n
-    cochain; a zero omega may have any degree.
-
-    Weak skew-symmetry is linear, so when every nonzero omega is marked
-    valid over one algebra, the sum is marked valid over it too; any
-    other sum (an unmarked operand, a `free_part`, operands valid over
-    different algebras, only zero operands) is left unmarked."""
+    cochain; a zero omega may have any degree. Weak skew-symmetry is
+    linear, so the sum is marked valid over an algebra when every nonzero
+    omega is, and left unmarked otherwise."""
     scaled = [(omega, exact(factor)) for omega, factor in scaled]
     valid_over = set()
     for omega, _ in scaled:
@@ -346,21 +335,23 @@ def combine(nvars, degree, *scaled):
     return out
 
 
-def free_pair_terms(left, right, pair):
-    """The terms a product-like operator puts at the free keys, the keys
-    with es strictly increasing.
+def pair_at_free_keys(nvars, degree, left, right, add_pair, raw=True):
+    """The pair kernel: the degree-n cochain `cup`, `bullet` or `diamond`
+    builds at the free keys, the keys with es strictly increasing.
 
     Items (i, es1, fs1, x) of the view `left` and (j, es2, fs2, y) of
-    `right`, one from each operand, put pair(x, y) at every signed
-    shuffle of es1 and es2, on the merged center multiset. A shuffle lands
-    on a free key only when es1 and es2 are strictly increasing and share
-    no index, and then it is the one that sorts es1 + es2. So a view lists
-    only the items whose es is strictly increasing (`free_view`), and each
-    disjoint pair is merged once with the sign of that shuffle. `cup`,
-    `bullet` and `diamond` derive their terms here. The |left| * |right|
-    pairs are checked against the table budget before the first merge.
+    `right` put pair(x, y) at every signed shuffle of es1 and es2, on the
+    merged center multiset. Only the shuffle sorting es1 + es2, of strictly
+    increasing es1 and es2 with no common index, lands on a free key, so a
+    view lists the items with es strictly increasing (`free_view`) and
+    add_pair(acc, x, y, factor) adds factor * pair(x, y), factor that
+    shuffle's sign times the center multiplicity, straight into acc, the
+    key's {monomial: coefficient} sum; `raw` sums are made canonical once,
+    at the end. The |left| * |right| pairs are checked against the table
+    budget before the first.
     """
     check_table(len(left) * len(right), "a pairing of two operands")
+    sums = {}
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             if es1 and es2:
@@ -370,10 +361,10 @@ def free_pair_terms(left, right, pair):
                 es, sign = merged
             else:
                 es, sign = es1 or es2, 1
-            value = pair(x, y)
-            if not value.is_zero():
-                fs, mult = merge_centers(fs1, fs2)
-                yield i + j, es, fs, value, sign * mult
+            fs, mult = merge_centers(fs1, fs2)
+            key = (i + j, es, fs)
+            add_pair(sums.get(key) or sums.setdefault(key, {}), x, y, sign * mult)
+    return _gathered(nvars, degree, sums, raw)
 
 
 def _increasing(es):
@@ -393,9 +384,8 @@ def _sorted_merge(es1, es2):
 # -- every key of a component ----------------------------------------------------
 
 
-# Nothing in the package walks every key any more; this stays in src/
-# because the benchmark's own tests (perfbench/test_perfbench.py) read it
-# from the package, as do the dense oracles in tests/dense_reference.py.
+# The package walks every key nowhere; the benchmark's tests and the dense
+# oracles in tests/dense_reference.py read this from it.
 def component_keys(ctx, degree, k):
     """Every basis key (es, fs) of component k of a degree-n cochain, es in
     lexicographic order, then fs."""
@@ -489,35 +479,28 @@ def _remove_one(fs, r):
 
 
 def coboundary(ctx, omega):
-    """d(omega) = d0(omega) + delta(omega), one degree up.
-
-    The input must be a valid cochain (InvalidCochainError otherwise,
-    through `require_valid`). Its image is valid too, so it is the
-    expansion of its values at the free keys, `free_coboundary`, and valid
-    by construction whatever those values; the every-key evaluation of d
-    is `coboundary` in `tests/dense_reference.py`.
-    """
+    """d(omega) = d0(omega) + delta(omega), one degree up: the expansion of
+    `free_coboundary`, valid by construction. omega must be valid
+    (InvalidCochainError otherwise); the every-key evaluation of d is
+    `coboundary` in `tests/dense_reference.py`."""
     return expand(ctx, omega.degree + 1, free_coboundary(ctx, omega))
 
 
 def free_coboundary(ctx, omega):
-    """The free part of d(omega): its values at the free keys (es strictly
-    increasing), from `_free_coboundary_terms`, and zero elsewhere.
-
-    d reads the entries of omega whose es has up to one descent, not only
-    its free entries, so omega must be a whole valid cochain, not a free
-    part: `require_valid` checks it (InvalidCochainError otherwise, see
-    `free_part`).
-    """
+    """The free part of d(omega), from `_free_coboundary_terms`. d reads
+    the entries whose es has up to one descent, so omega must be a whole
+    valid cochain, not a free part (InvalidCochainError otherwise)."""
     require_valid(ctx, omega)
     return scatter(ctx.zdim, omega.degree + 1, _free_coboundary_terms(ctx, omega))
 
 
-def action(ctx, i, poly):
-    """e_i acting on poly in S(Z) (`LeibnizAlgebra.rho_basis`), with the
-    image of every monomial kept in the context's cache, one dict per i."""
-    images = ctx.cache.setdefault("action_images", {}).setdefault(i, {})
-    return ctx.algebra.rho_basis(i, poly, images)
+def action(ctx, i, poly, images=None):
+    """e_i acting on poly in S(Z) (`LeibnizAlgebra.rho_basis`), each
+    monomial's image kept in images = ctx.cache["action_images"], one dict
+    per i; d fetches `images` once and passes it."""
+    if images is None:
+        images = ctx.cache.setdefault("action_images", {})
+    return ctx.algebra.rho_basis(i, poly, images.get(i) or images.setdefault(i, {}))
 
 
 def _free_coboundary_terms(ctx, omega):
@@ -542,6 +525,7 @@ def _free_coboundary_terms(ctx, omega):
     skipped at once.
     """
     alg = ctx.algebra
+    images = ctx.cache.setdefault("action_images", {})
     for k, es, fs, val in entries(omega):
         n = len(es)
         descents = [j for j in range(n - 1) if es[j] >= es[j + 1]]
@@ -551,7 +535,7 @@ def _free_coboundary_terms(ctx, omega):
                 for i in alg.acting:
                     a = bisect_left(es, i)
                     if a == n or es[a] != i:
-                        yield (k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val),
+                        yield (k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val, images),
                                -1 if a % 2 else 1)
         elif len(descents) == 1:
             j = descents[0]
@@ -576,22 +560,40 @@ def _free_coboundary_terms(ctx, omega):
 
 
 def expand(ctx, degree, free):
-    """The valid degree-n cochain whose values at the free keys, the keys
-    with es strictly increasing, are those the degree-n cochain `free`
-    stores: the sum of v * F over its entries v at (k, es, fs), F the
-    free-datum cochain of that key. Every key `free` stores must be free;
-    a valid cochain is the expansion of its entries at free keys. Below
-    degree 2 every key is free and is its own free-datum cochain, so
-    `free` itself is returned. The result is marked valid over ctx's
-    algebra. The entries of the free-datum cochains it sums are checked
-    against the table budget before any is scattered."""
+    """The valid degree-n cochain whose values at the free keys are those
+    `free` stores, all at free keys: the sum of v * F over its entries v at
+    (k, es, fs), F the free-datum table of that key. Each table is written
+    straight into the output: v itself at +1, one shared multiple of v at
+    each other coefficient, and a summed copy only where two tables share
+    a key. Below degree 2 `free` itself is returned. The result is marked
+    valid over ctx's algebra; the tables' entries are checked against the
+    table budget before any is written."""
     if degree >= 2:
         tables = [(value, _free_datum_cochain(ctx, k0, es0, fs0))
                   for k0, es0, fs0, value in entries(free)]
         check_table(sum(len(table) for _, table in tables), "an expansion")
-        free = scatter(ctx.zdim, degree, (
-            (k, es, fs, value, c) for value, table in tables
-            for (k, es, fs), c in table.items()))
+        comps, summed = {k: {} for k in range(degree // 2 + 1)}, {}
+        for value, table in tables:
+            scaled = {1: value}  # each multiple of value built once and shared
+            for key, c in table.items():
+                multiple = scaled.get(c)
+                if multiple is None:
+                    multiple = scaled[c] = value.scale(c)
+                k, es, fs = key
+                out = comps[k]
+                held = out.get((es, fs))
+                if held is None:
+                    out[es, fs] = multiple
+                else:  # a key two tables share is summed in a dict of its own
+                    accumulate(summed.get(key) or summed.setdefault(key, dict(held.items())),
+                               multiple)
+        for (k, es, fs), acc in summed.items():
+            if acc:
+                comps[k][es, fs] = _canonical(ctx.zdim, acc)
+            else:
+                del comps[k][es, fs]
+        comps = {k: table for k, table in comps.items() if table}
+        free = _stored(degree, ctx.zdim, comps)
     free._valid_over = ctx.algebra
     return free
 
@@ -600,15 +602,11 @@ def expand(ctx, degree, free):
 
 
 def cup(ctx, omega, eta):
-    """Graded product: double shuffle sum over argument splittings.
-
-    The algebra arguments contribute the shuffle sign; the symmetric
-    center arguments shuffle without sign. The operands must be valid
-    (InvalidCochainError otherwise, checked after the context), and so is
-    their product: it is the expansion of
-    `free_cup`, its values at the free keys. The every-key shuffle sum is
-    `cup` in `tests/dense_reference.py`.
-    """
+    """Graded product, a double shuffle sum over argument splittings: the
+    algebra arguments shuffle with sign, the center arguments without. The
+    operands must be valid (InvalidCochainError otherwise, checked after
+    the context); the product is the expansion of `free_cup`. The every-key
+    shuffle sum is `cup` in `tests/dense_reference.py`."""
     free = free_cup(ctx, omega, eta)
     require_valid(ctx, omega)
     require_valid(ctx, eta)
@@ -616,28 +614,19 @@ def cup(ctx, omega, eta):
 
 
 def free_cup(ctx, omega, eta):
-    """The free part of omega . eta: its values at the free keys, derived
-    by `free_pair_terms`, and zero elsewhere.
-
-    A shuffle lands on a free key only when it merges two strictly
-    increasing argument tuples, so the product reads only the free entries
-    of its operands: either may be a free part (`free_part`), with the same
-    result. It checks the context, not validity.
-    """
+    """The free part of omega . eta, from the pair kernel, which sums each
+    pair's product canonically. It reads only free entries, so either
+    operand may be a free part; it checks the context, not validity."""
     check_context(ctx, omega, eta)
-    return scatter(ctx.zdim, omega.degree + eta.degree,
-                   free_pair_terms(free_view(omega), free_view(eta), operator.mul))
+    return pair_at_free_keys(ctx.zdim, omega.degree + eta.degree, free_view(omega), free_view(eta),
+                             lambda acc, x, y, f: accumulate(acc, x * y, f), raw=False)
 
 
 def free_part(omega):
-    """omega's entries at the free keys, those with es strictly increasing.
-
-    A valid cochain is the `expand` of its free part, so two valid
-    cochains are equal exactly when their free parts are. The result is
-    never marked valid, and it is valid only when it is the whole cochain,
-    so an operator that validates its operands either gets the whole
-    cochain or raises InvalidCochainError; it never reads the missing keys
-    as zero."""
+    """omega's entries at the free keys. A valid cochain is the `expand`
+    of its free part, so two valid cochains are equal exactly when their
+    free parts are. It is never marked valid, so an operator that validates
+    its operands refuses it unless it is the whole cochain."""
     comps = {}
     for k, table in omega.components.items():
         free = {(es, fs): value for (es, fs), value in table.items() if _increasing(es)}

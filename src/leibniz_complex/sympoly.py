@@ -8,13 +8,13 @@ Monomial keys ("Z-multisets") are tuples of 0-based generator indices in
 non-decreasing order; two multisets are equal exactly when the sorted
 tuples are equal.
 
-Besides ring arithmetic this module provides the one derivation-style
-primitive everything downstream leans on: `derivation_extend`, the unique
-derivation of the algebra agreeing with a prescribed map on the
-generators (and therefore vanishing on scalars). A derivation is linear,
-so it is fixed by its value on each monomial; a caller that applies one
-base many times passes a dict of those values (`images`), which the
-calls read and fill, and each monomial's image is computed once.
+Besides ring arithmetic this module provides `derivation_extend`, the
+unique derivation agreeing with a prescribed map on the generators (so
+vanishing on scalars). It is fixed by its value on each monomial; a
+caller that applies one base many times passes a dict of those values
+(`images`), so each monomial's image is computed once. Products and
+derivations are also added raw into a caller's {monomial: coefficient}
+sum (`add_product`, `add_derivation`), which `settle` makes canonical once.
 
 Text form used by the CLI and the JSON formats: terms sorted by
 (degree descending, multiset lexicographic), e.g. ``3/2*z1^2*z2 + 1``.
@@ -165,6 +165,8 @@ class SymPoly:
         factor = exact(factor)
         if factor == 0:
             return SymPoly.zero(self.nvars)
+        if factor == -1:
+            return -self
         return _canonical(self.nvars, {m: exact(factor * c) for m, c in self._terms.items()})
 
     def __eq__(self, other):
@@ -204,15 +206,26 @@ class SymPoly:
 
 def accumulate(acc, terms, factor=1):
     """Add factor times the {key: exact} mapping `terms` (or a SymPoly)
-    into the dict acc, each sum made canonical by `exact`, zeros dropped."""
+    into the dict acc, each sum made canonical by `exact`, zeros dropped.
+    A factor of 1 or -1 adds the values, or their negatives, with no
+    product; a value at a key acc does not hold is stored as it is."""
     if factor == 0:
         return
-    for key, value in terms.items():
-        total = acc.get(key, 0) + value * factor
+    items = (terms.items() if factor == 1 else [(key, -value) for key, value in terms.items()]
+             if factor == -1 else [(key, exact(value * factor)) for key, value in terms.items()])
+    if not acc:  # every value is canonical
+        acc.update(items)
+        return
+    for key, value in items:
+        total = acc.get(key)
+        if total is None:
+            acc[key] = value
+            continue
+        total += value
         if total == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = exact(total)
+            del acc[key]
+        else:  # a sum of two ints is canonical as it is
+            acc[key] = total if type(total) is int else exact(total)
 
 
 def _canonical(nvars, terms):
@@ -226,15 +239,28 @@ def _canonical(nvars, terms):
 
 def dot(nvars, pairs):
     """sum x * y over the (x, y) pairs of SymPolys on nvars generators,
-    summed into one dict and made canonical once; a pair with a zero
-    factor costs nothing."""
+    added into one raw sum and made canonical once."""
     terms = {}
     for x, y in pairs:
-        for m1, c1 in x.items():
-            for m2, c2 in y.items():
-                mono = m1 if not m2 else m2 if not m1 else tuple(sorted(m1 + m2))
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-    return _canonical(nvars, {m: exact(c) for m, c in terms.items() if c != 0})
+        add_product(terms, x, y)
+    return _canonical(nvars, settle(terms))
+
+
+def add_product(acc, x, y, factor=1):
+    """Add factor * x * y, for SymPolys or {monomial: exact} dicts x and y,
+    into acc, a raw {monomial: coefficient} sum: nothing is made canonical."""
+    for m1, c1 in x.items():
+        if factor != 1:
+            c1 *= factor
+        for m2, c2 in y.items():
+            mono = m1 if not m2 else m2 if not m1 else tuple(sorted(m1 + m2))
+            old = acc.get(mono)  # a first product is stored, not added to 0
+            acc[mono] = c1 * c2 if old is None else old + c1 * c2
+
+
+def settle(acc):
+    """The raw sum acc as canonical terms, each coefficient exact, no zero."""
+    return {mono: exact(c) for mono, c in acc.items() if c != 0}
 
 
 def _render_monomial(mono):
@@ -320,31 +346,34 @@ def _number(token):
 
 
 def derivation_extend(base, poly, images=None):
-    """Apply the derivation sending generator r to base[r] to `poly`.
-
-    `base` assigns a SymPoly to every generator. The result is the unique
-    derivation of the algebra with those generator values; in particular
-    it kills the scalar part. `images`, when given, is a dict {monomial:
-    image} that the caller keeps for this one base: an image already in
-    it is read, a new one is computed and added, so a monomial met again
-    costs a lookup. `base` is checked on every call either way.
-    """
+    """Apply the derivation sending generator r to base[r], a SymPoly for
+    every generator, to `poly`; it kills the scalar part. `images`, when
+    given, is a dict {monomial: image} the caller keeps for this one base:
+    an image in it is read, a new one added. `base` is checked on every
+    call either way."""
     base = list(base)
     if len(base) != poly.nvars:
         raise DimensionError(f"base has {len(base)} entries for {poly.nvars} generators")
     for b in base:
         if b.nvars != poly.nvars:
             raise DimensionError("base values live over a different generator count")
-    if images is None:
-        images = {}
     terms = {}
+    add_derivation(terms, base, poly, {} if images is None else images)
+    return _canonical(poly.nvars, settle(terms))
+
+
+def add_derivation(acc, base, poly, images, factor=1):
+    """Add factor times `derivation_extend(base, poly, images)` into the
+    raw sum acc (see `add_product`), base unchecked."""
     for mono, coeff in poly.items():
         image = images.get(mono)
         if image is None:
             image = images[mono] = _monomial_image(base, mono)
+        if factor != 1:
+            coeff *= factor
         for m2, c2 in image:
-            terms[m2] = terms.get(m2, 0) + coeff * c2
-    return _canonical(poly.nvars, {m: exact(c) for m, c in terms.items() if c != 0})
+            old = acc.get(m2)
+            acc[m2] = coeff * c2 if old is None else old + coeff * c2
 
 
 def _monomial_image(base, mono):
@@ -352,8 +381,5 @@ def _monomial_image(base, mono):
     pairs with nonzero exact coefficients."""
     terms = {}
     for pos, r in enumerate(mono):  # a generator of multiplicity m counts m times
-        rest = mono[:pos] + mono[pos + 1:]
-        for m2, c2 in base[r].items():
-            key = tuple(sorted(rest + m2))
-            terms[key] = terms.get(key, 0) + c2
-    return tuple((m, exact(c)) for m, c in terms.items() if c != 0)
+        add_product(terms, {mono[:pos] + mono[pos + 1:]: 1}, base[r])
+    return tuple(settle(terms).items())

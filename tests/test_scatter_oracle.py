@@ -62,14 +62,18 @@ def same(ctx, op, omega, eta=None):
 
 
 def assert_canonical(result):
-    """`scatter` builds its result unchecked; the checked constructor must
-    find nothing to change: no zero value, tuple keys of the right arity
-    with sorted centers, and values whose terms SymPoly would store as they are."""
+    """The builders build their results unchecked; the checked constructor
+    must find nothing to change: no zero value, tuple keys of the right
+    arity with sorted centers, and values whose terms SymPoly would store
+    as they are, each coefficient of the same type too (an int, not a
+    whole Fraction)."""
     checked = Cochain(result.degree, result.nvars, result.components)
     assert checked.components == result.components
     for table in result.components.values():
         for value in table.values():
-            assert SymPoly(value.nvars, dict(value.items())) == value
+            rebuilt = SymPoly(value.nvars, dict(value.items()))
+            assert {m: (c, type(c)) for m, c in value.items()} == \
+                {m: (c, type(c)) for m, c in rebuilt.items()}
 
 
 def flats(ctx):
@@ -176,6 +180,67 @@ def test_canonical_cochains_on_omni3(omni3):
             same(omni3, "bullet", omega, eta)
             same(omni3, "diamond", omega, eta)
             same(omni3, "poisson", omega, eta)
+
+
+def fraction_valued_eta(ctx, rng):
+    """p.(flat(a) cup flat(b)) + flat(c) cup flat(d), a..d drawn by
+    `verify.random_element` and p = r + (s/2).z_k with s odd: the shape of
+    the benchmark's degree-2 eta on omni(3), with values whose
+    coefficients are Fractions, built by the package's own operators."""
+    def flat():
+        return flat_cochain(ctx, verify.random_element(rng, ctx.dim))
+
+    p = SymPoly(ctx.zdim, {(): rng.choice((-2, -1, 1, 2)),
+                           (rng.randrange(ctx.zdim),): Fraction(rng.choice((-1, 1)), 2)})
+    scaled = same(ctx, "cup", Cochain.constant(p), same(ctx, "cup", flat(), flat()))
+    return scaled + same(ctx, "cup", flat(), flat())
+
+
+@pytest.mark.parametrize("seed", (3, 4))
+def test_fraction_valued_eta_on_omni3(omni3, seed):
+    """Every operator on the benchmark's eta shape, at every key: cup
+    (building it), d, both bracket halves both ways round and the bracket
+    with theta, and `expand` of each dense output's free part."""
+    eta = fraction_valued_eta(omni3, Random(seed))
+    assert any(isinstance(c, Fraction) for *_, value in entries(eta) for _, c in value.items())
+    assert is_representable(omni3, eta).ok
+    th = theta(omni3)
+    d_eta = same(omni3, "coboundary", eta)
+    for omega, other in ((th, eta), (eta, th)):
+        same(omni3, "bullet", omega, other)
+        same(omni3, "diamond", omega, other)
+    assert same(omni3, "poisson", th, eta) == -d_eta
+    for whole in (dense.coboundary(omni3, eta), dense.poisson(omni3, th, eta)):
+        assert cochains.expand(omni3, whole.degree, free_part(whole)) == whole
+
+
+def test_expansions_leave_shared_values_unchanged(omni3):
+    """`expand` writes an input value itself at its +1 keys, one shared
+    multiple at each other coefficient, and a summed copy where two tables
+    share a key. Expansions that overlap everywhere, one value object at
+    every free key, change neither that value, nor the values of the
+    cochains it came from, nor those an earlier output shares."""
+    eta = fraction_valued_eta(omni3, Random(5))
+    d_eta = coboundary(omni3, eta)
+    free = free_part(d_eta)
+    one = next(entries(free))[3]
+    everywhere = Cochain(3, omni3.zdim, {k: dict.fromkeys(table, one)
+                                         for k, table in free.components.items()})
+    held = [value for omega in (eta, d_eta, free, everywhere) for *_, value in entries(omega)]
+    before = [dict(value.items()) for value in held]
+    first = cochains.expand(omni3, 3, free)
+    shared = [value for *_, value in entries(first)]
+    shared_before = [dict(value.items()) for value in shared]
+    overlapping = cochains.expand(omni3, 3, everywhere)
+    assert any(value is one for *_, value in entries(overlapping))
+    assert cochains.expand(omni3, 3, free) == first == d_eta
+    assert [dict(value.items()) for value in held] == before
+    assert [dict(value.items()) for value in shared] == shared_before
+    copies = Cochain(3, omni3.zdim, {
+        k: {key: SymPoly(omni3.zdim, dict(one.items())) for key in table}
+        for k, table in free.components.items()})
+    assert overlapping == cochains.expand(omni3, 3, copies)
+    assert free_part(overlapping) == everywhere
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -320,26 +385,18 @@ def is_free(es):
     return all(x < y for x, y in zip(es, es[1:]))
 
 
-def record_terms_outside_expand(monkeypatch):
-    """The es of every term sent to `scatter` other than by `expand`."""
-    scatter, expand = cochains.scatter, cochains.expand
-    expanding, keys = [], []
+def record_written_keys(monkeypatch):
+    """The es of every key d and the pair kernel write: the keys of the
+    sums `scatter` and `pair_at_free_keys` hand to `cochains._gathered`,
+    a key whose sum is zero included. `expand`, which fills in the other
+    keys, writes its output itself."""
+    gathered, keys = cochains._gathered, []
 
-    def recording_scatter(nvars, degree, terms):
-        terms = list(terms)
-        if not expanding:
-            keys.extend(es for _, es, _, _, _ in terms)
-        return scatter(nvars, degree, terms)
+    def recording_gathered(nvars, degree, sums, *raw):
+        keys.extend(es for _, es, _ in sums)
+        return gathered(nvars, degree, sums, *raw)
 
-    def marked_expand(ctx, degree, free):
-        expanding.append(degree)
-        try:
-            return expand(ctx, degree, free)
-        finally:
-            expanding.pop()
-
-    monkeypatch.setattr(cochains, "scatter", recording_scatter)
-    monkeypatch.setattr(cochains, "expand", marked_expand)
+    monkeypatch.setattr(cochains, "_gathered", recording_gathered)
     return keys
 
 
@@ -352,12 +409,12 @@ def free_key_inputs(ctx, name):
 
 @pytest.mark.parametrize("name", ("O2", "omni(3)"))
 def test_d_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
-    """d sends scatter only terms at strictly increasing es, and `expand`
-    fills in the other keys; an every-key d sends most of its terms to
-    the permuted copies of the free keys."""
+    """d writes only keys at strictly increasing es, and `expand` fills in
+    the other keys; an every-key d sends most of its terms to the permuted
+    copies of the free keys."""
     ctx = omni3 if name == "omni(3)" else contexts[name]
     inputs = free_key_inputs(ctx, name)
-    keys = record_terms_outside_expand(monkeypatch)
+    keys = record_written_keys(monkeypatch)
     for omega in inputs:
         coboundary(ctx, omega)
     assert keys and all(is_free(es) for es in keys)
@@ -365,12 +422,13 @@ def test_d_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ("O2", "omni(3)"))
 def test_cup_derives_terms_only_at_free_keys(contexts, omni3, monkeypatch, name):
-    """The product too sends scatter only terms at strictly increasing es
-    before `expand`: one per pair of disjoint strictly increasing argument
-    tuples, where an every-key product sends one per shuffle."""
+    """The product's pair kernel too writes only keys at strictly
+    increasing es before `expand`: one per pair of disjoint strictly
+    increasing argument tuples, where an every-key product writes one per
+    shuffle."""
     ctx = omni3 if name == "omni(3)" else contexts[name]
     inputs = free_key_inputs(ctx, name)
-    keys = record_terms_outside_expand(monkeypatch)
+    keys = record_written_keys(monkeypatch)
     for omega in inputs:
         for eta in (zeta(ctx), flats(ctx)[-1], inputs[-1]):
             if omega.degree + eta.degree <= 4:
@@ -384,9 +442,9 @@ def test_action_runs_only_on_values_it_can_move(contexts, omni3, monkeypatch):
     calls = []
     action = cochains.action
 
-    def counted_action(ctx, i, poly):
+    def counted_action(ctx, i, poly, images=None):
         calls.append(i)
-        return action(ctx, i, poly)
+        return action(ctx, i, poly, images)
 
     monkeypatch.setattr(cochains, "action", counted_action)
     for name, ctx in (*contexts.items(), ("omni(3)", omni3)):
