@@ -20,18 +20,18 @@ from .brackets import (bullet, derived_bracket, derived_bracket_dual, diamond, p
                        theta, zeta)
 from .cochains import (Cochain, ComplexContext, InvalidCochainError, coboundary,
                        cochain_space_basis, cup, load_cochain, validate_cochain)
-from .duality import (DualElement, ExtendedElement, NotRepresentableError, bar,
-                      flat, flat_cochain, is_representable, sharp)
+from .duality import (ExtendedElement, NotRepresentableError, bar, flat_cochain,
+                      is_representable, sharp)
 from .sympoly import DimensionError, SymPoly, derivation_extend, parse_sympoly
 from .verify import VerifyConfig, run_verify
 
 __all__ = [
-    "Cochain", "ComplexContext", "DimensionError", "DualElement", "ExtendedElement",
+    "Cochain", "ComplexContext", "DimensionError", "ExtendedElement",
     "IntegrityError", "InvalidAlgebraError", "InvalidCochainError", "LeibnizAlgebra",
     "NotRepresentableError", "PreconditionError", "SymPoly", "UnknownFixtureError",
     "VerifyConfig", "bar", "build_fixture", "bullet", "check_leibniz", "coboundary",
     "cochain_space_basis", "cup", "derivation_extend", "derived_bracket",
-    "derived_bracket_dual", "diamond", "flat", "flat_cochain", "is_representable",
+    "derived_bracket_dual", "diamond", "flat_cochain", "is_representable",
     "load_algebra", "load_cochain", "parse_sympoly", "poisson", "quotient_by_kernel",
     "run_verify", "sharp", "theta", "validate_cochain", "zeta",
 ]

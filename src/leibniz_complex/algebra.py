@@ -194,17 +194,40 @@ class LeibnizAlgebra:
 
 
 def check_leibniz(algebra):
-    """Exhaustively test the left Leibniz identity on basis triples."""
-    violations = []
+    """Exhaustively test the left Leibniz identity on basis triples (i, j,
+    l), both sides summed from the nonzero structure constants. A triple
+    whose products e_j.e_l, e_i.e_j and e_i.e_l all vanish holds with both
+    sides zero and is skipped. Violations come in (i, j, l) order."""
     dim = algebra.dim
+    prods = [[{t: c for t, c in enumerate(entry) if c != 0} for entry in row]
+             for row in algebra.table]
+
+    def summed(terms):
+        """The nonzero coordinates {t: value} of sum c * entry over the terms."""
+        out = {}
+        for c, entry in terms:
+            for t, d in entry.items():
+                out[t] = out.get(t, ZERO) + c * d
+        return {t: v for t, v in out.items() if v != 0}
+
+    violations = []
     for i, j, l in product(range(dim), repeat=3):
-        ei, ej, el = (basis_vec(dim, t) for t in (i, j, l))
-        lhs = algebra.bracket(ei, algebra.bracket(ej, el))
-        rhs = vec_add(algebra.bracket(algebra.bracket(ei, ej), el),
-                      algebra.bracket(ej, algebra.bracket(ei, el)))
-        if lhs != rhs:
-            violations.append((i, j, l, lhs, rhs))
+        jl, ij, il = prods[j][l], prods[i][j], prods[i][l]
+        if jl or ij or il:
+            lhs = summed((c, prods[i][t]) for t, c in jl.items())
+            rhs = summed([(c, prods[t][l]) for t, c in ij.items()]
+                         + [(c, prods[j][t]) for t, c in il.items()])
+            if lhs != rhs:
+                lhs, rhs = (_vec(side.get(t, ZERO) for t in range(dim)) for side in (lhs, rhs))
+                violations.append((i, j, l, lhs, rhs))
     return LeibnizReport(ok=not violations, violations=violations)
+
+
+def require_leibniz(algebra):
+    """InvalidAlgebraError unless the algebra passes `check_leibniz`."""
+    report = check_leibniz(algebra)
+    if not report.ok:
+        raise InvalidAlgebraError(report)
 
 
 def quotient_by_kernel(algebra):
@@ -385,9 +408,7 @@ def algebra_from_dict(data):
             raise AlgebraFormatError(f"bracket ({i},{j}) needs exactly {dim} coefficients")
         table[i][j] = _vec(_coefficient(c, i, j) for c in coeffs)
     algebra = LeibnizAlgebra(basis, table)
-    report = check_leibniz(algebra)
-    if not report.ok:
-        raise InvalidAlgebraError(report)
+    require_leibniz(algebra)
     return algebra
 
 

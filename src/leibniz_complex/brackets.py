@@ -27,8 +27,8 @@ from itertools import chain
 from .algebra import basis_vec
 from .cochains import (Cochain, _increasing, check_context, combine, entries, expand,
                        free_view, operand_view, pair_at_free_keys, require_valid, scatter)
-from .duality import (NotRepresentableError, covector, dual_from_cochain, flat_cochain,
-                      increasing_bars, lift, require_representable, tilde_value)
+from .duality import (NotRepresentableError, covector, flat_cochain, increasing_bars, lift,
+                      require_representable, tilde_value)
 from .sympoly import SymPoly, add_derivation, add_product
 
 
@@ -64,9 +64,10 @@ def bullet(ctx, omega, eta):
     e-coefficients, signed by (-1)^(m-1). So omega is only checked to be
     representable, never lifted: each of its bar covectors at a strictly
     increasing prefix (`duality.increasing_bars`) has each product v *
-    y_e added into the pair's key. Raises InvalidCochainError when either
-    operand is not weakly skew-symmetric, NotRepresentableError when it
-    is not representable, omega checked first.
+    y_e added into the pair's key, y read as `duality.tilde_value` keeps
+    it, {e: y_e} over its nonzero y_e. Raises InvalidCochainError when
+    either operand is not weakly skew-symmetric, NotRepresentableError
+    when it is not representable, omega checked first.
     """
     check_context(ctx, omega, eta)
     require_representable(ctx, omega)
@@ -74,7 +75,8 @@ def bullet(ctx, omega, eta):
 
     def add_pair(acc, bar, y, factor):
         for e, v in bar.items():
-            add_product(acc, v, y.coeffs[e], sign * factor)
+            if e in y:
+                add_product(acc, v, y[e], sign * factor)
 
     return pair_at_free_keys(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
                              increasing_bars(omega), _lifts(ctx, eta), add_pair)
@@ -200,8 +202,9 @@ def _outer_bracket(ctx, v, w):
 
 
 def derived_bracket_dual(ctx, v, w):
-    """-{{theta, v-flat}, w-flat} as a covector (defined for any algebra)."""
-    return -dual_from_cochain(ctx, _outer_bracket(ctx, v, w))
+    """-{{theta, v-flat}, w-flat}, a covector as a degree-1 cochain
+    (defined for any algebra)."""
+    return -_outer_bracket(ctx, v, w)
 
 
 def derived_bracket(ctx, v, w):
@@ -209,13 +212,13 @@ def derived_bracket(ctx, v, w):
 
     Returns the algebra element when the symmetric product is
     non-degenerate; otherwise the covector level is all there is and the
-    DualElement `derived_bracket_dual` is returned.
+    degree-1 cochain `derived_bracket_dual` is returned.
 
     On a fat algebra the outer bracket is read back in one pass: its
     stored entries as a covector (`duality.covector`), one section lift
     (`duality.lift`) of it, not of its negative, and one negation of the
     scalar coordinates, exact since the section is linear on Im(phi); no
-    DualElement or ExtendedElement is built. NotRepresentableError when
+    ExtendedElement is built. NotRepresentableError when
     the covector is outside Im(phi) or its lift has a coefficient of
     positive degree.
     """

@@ -15,12 +15,12 @@ import sys
 
 from .algebra import (AlgebraFormatError, InvalidAlgebraError, IntegrityError,
                       PreconditionError, UnknownFixtureError, algebra_to_dict,
-                      basis_vec, build_fixture, check_leibniz, load_algebra,
-                      quotient_by_kernel)
+                      basis_vec, build_fixture, load_algebra, quotient_by_kernel,
+                      require_leibniz)
 from .brackets import derived_bracket_dual, poisson
 from .cochains import (CochainFormatError, ComplexContext, InvalidCochainError,
                        TableBudgetError, coboundary, cochain_to_dict, cup, load_cochain)
-from .duality import NotRepresentableError, flat, is_representable, sharp
+from .duality import NotRepresentableError, covector, flat_cochain, is_representable, sharp
 from .sympoly import DigitBudgetError, SymPolyParseError, rational_text
 from .verify import VerifyConfig, VerifyConfigError, run_verify
 
@@ -49,6 +49,12 @@ def _texts(vector):
     return [rational_text(c) for c in vector]
 
 
+def _covector_texts(ctx, psi):
+    """The values psi(e_j) of a covector, a degree-1 cochain, as text."""
+    values = covector(psi)
+    return [values[j].render() if j in values else "0" for j in range(ctx.dim)]
+
+
 def _emit(args, payload, text):
     rendered = json.dumps(payload, indent=2) if args.format == "json" else text
     if args.out:
@@ -64,21 +70,27 @@ def _emit_cochain(args, omega):
 
 
 def cmd_check(args):
+    """The Leibniz identity, tested once: by the loader for a file, here
+    for a fixture."""
     try:
-        algebra = _load_algebra_arg(args.algebra)
+        try:
+            algebra = build_fixture(args.algebra)
+        except UnknownFixtureError:
+            algebra = load_algebra(args.algebra)
+        else:
+            require_leibniz(algebra)
     except InvalidAlgebraError as exc:
         i, j, l, lhs, rhs = exc.report.violations[0]
         _emit(args, {"passed": False, "violation": {
             "triple": [i, j, l], "lhs": _texts(lhs), "rhs": _texts(rhs)}},
             f"FAIL Leibniz identity at triple ({i},{j},{l})")
         return EXIT_CHECK_FAILED
-    report = check_leibniz(algebra)
     zdim = algebra.zdim
-    _emit(args, {"passed": report.ok, "dim": algebra.dim, "left_center_dim": zdim,
+    _emit(args, {"passed": True, "dim": algebra.dim, "left_center_dim": zdim,
                  "fat": algebra.is_fat()},
           f"PASS {algebra.dim}-dimensional algebra, left center dim {zdim}, "
           f"fat={algebra.is_fat()}")
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_center(args):
@@ -138,19 +150,20 @@ def cmd_derived_bracket(args):
         raise AlgebraFormatError(f"basis indices must lie in 0..{algebra.dim - 1}")
     ei, ej = basis_vec(algebra.dim, args.i), basis_vec(algebra.dim, args.j)
     direct = algebra.bracket(ei, ej)
-    dual = derived_bracket_dual(ctx, ei, ej)
-    expected = flat(ctx, direct).values
-    dual_equal = all(a == b for a, b in zip(dual.values, expected))
+    dual, expected = derived_bracket_dual(ctx, ei, ej), flat_cochain(ctx, direct)
+    dual_equal = dual == expected
+    dual_texts = _covector_texts(ctx, dual)
     payload = {
         "pair": [args.i, args.j],
         "structure_product": _texts(direct),
-        "derived_dual": [v.render() for v in dual.values],
-        "flat_of_product": [p.render() for p in expected],
+        "derived_dual": dual_texts,
+        "flat_of_product": _covector_texts(ctx, expected),
         "dual_equal": dual_equal,
     }
     lines = [f"e_{args.i} . e_{args.j} from structure constants: "
              + " ".join(_texts(direct)),
-             "derived covector: " + dual.render(ctx),
+             "derived covector: " + ", ".join(
+                 f"{label} -> {text}" for label, text in zip(algebra.labels, dual_texts)),
              f"covector level equal: {dual_equal}"]
     if algebra.is_fat():
         lifted = sharp(ctx, dual).as_vector()
@@ -206,10 +219,11 @@ def build_parser():
     db.add_argument("j", type=int)
     common(db)
     vf = sub.add_parser("verify", help="run the full identity suite")
-    vf.add_argument("--fixtures", nargs="+", default=["A3", "O1", "O2", "AFF_O1"])
-    vf.add_argument("--max-degree", type=int, default=3)
-    vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--samples", type=int, default=25)
+    defaults = VerifyConfig()
+    vf.add_argument("--fixtures", nargs="+", default=list(defaults.fixtures))
+    vf.add_argument("--max-degree", type=int, default=defaults.max_degree)
+    vf.add_argument("--seed", type=int, default=defaults.seed)
+    vf.add_argument("--samples", type=int, default=defaults.samples)
     vf.add_argument("--format", choices=("text", "json"), default="text")
     vf.add_argument("--out")
     vf.add_argument("--inject-mutation", choices=("zeta-sign", "d0-sign"),

@@ -13,6 +13,10 @@ slot left open (the "bar" covectors) land in Im(phi). For representable
 cochains the section supplies the lifts the graded bracket pairs; when
 the symmetric product is non-degenerate, the degree-0 part of a lift is
 unique and independent of the pivot strategy.
+
+A covector in Hom(L, S(Z)) is a degree-1 cochain, read as {j: value} by
+`covector`; a lift is kept as {i: x_i}, and only `sharp` builds an
+ExtendedElement.
 """
 
 from dataclasses import dataclass
@@ -30,23 +34,6 @@ class NotRepresentableError(ValueError):
 
 
 @dataclass(frozen=True)
-class DualElement:
-    """Element of Hom(L, S(Z)) on the chosen basis: values[j] = psi(e_j)."""
-
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-
-    def __neg__(self):
-        return DualElement(tuple(-v for v in self.values))
-
-    def render(self, ctx):
-        return ", ".join(f"{label} -> {v.render()}"
-                         for label, v in zip(ctx.algebra.labels, self.values))
-
-
-@dataclass(frozen=True)
 class ExtendedElement:
     """Element of S(Z) (x) L: coeffs[i] multiplies basis element e_i."""
 
@@ -57,20 +44,9 @@ class ExtendedElement:
 
     def as_vector(self):
         """Coordinate tuple over L if every coefficient is scalar, else None."""
-        out = []
-        for c in self.coeffs:
-            if c.is_zero():
-                out.append(0)
-            elif c.degree() == 0:
-                out.append(c.coeff(()))
-            else:
-                return None
-        return tuple(out)
-
-
-def flat(ctx, v):
-    """The covector (v, -), read off `flat_cochain`."""
-    return dual_from_cochain(ctx, flat_cochain(ctx, v))
+        if any(c.degree() > 0 for c in self.coeffs):
+            return None
+        return tuple(c.coeff(()) for c in self.coeffs)
 
 
 def flat_cochain(ctx, v):
@@ -88,18 +64,6 @@ def covector(omega):
     if omega.degree != 1:
         raise ValueError("only degree-1 cochains are covectors")
     return {es[0]: value for _, es, _, value in entries(omega)}
-
-
-def dual_from_cochain(ctx, omega):
-    """The `covector` of a degree-1 cochain as a DualElement."""
-    values = covector(omega)
-    zero = SymPoly.zero(ctx.zdim)
-    return DualElement(tuple(values.get(j, zero) for j in range(ctx.dim)))
-
-
-def nonzero_values(psi):
-    """The covector psi as {j: psi(e_j)} over its nonzero values."""
-    return {j: v for j, v in enumerate(psi.values) if not v.is_zero()}
 
 
 class PhiSection:
@@ -200,34 +164,36 @@ def lift(ctx, values):
 
 
 def sharp(ctx, psi):
-    """The chosen preimage of the DualElement psi under phi, as an
-    ExtendedElement (NotRepresentableError outside Im).
+    """The chosen preimage of the covector psi, a degree-1 cochain, under
+    phi, as an ExtendedElement (NotRepresentableError outside Im).
 
-    It wraps `lift`, one solve of psi's nonzero values. The derived
-    bracket reads its result back through `lift` directly, from the
-    outer bracket's stored entries (`covector`), and negates the scalar
-    coordinates once: the section is linear on Im(phi)."""
-    return _extended(ctx, lift(ctx, nonzero_values(psi)))
+    It wraps `lift`, one solve of psi's stored values (`covector`). The
+    derived bracket reads its result back through `lift` directly and
+    negates the scalar coordinates once: the section is linear on
+    Im(phi). ContextMismatchError for a covector from another context."""
+    check_context(ctx, psi)
+    coeffs, zero = _grouped(ctx, lift(ctx, covector(psi))), SymPoly.zero(ctx.zdim)
+    return ExtendedElement(tuple(coeffs.get(i, zero) for i in range(ctx.dim)))
 
 
-def _extended(ctx, preimage):
-    """The ExtendedElement of a sparse preimage {(mono, i): coeff}."""
-    terms = [{} for _ in range(ctx.dim)]
+def _grouped(ctx, preimage):
+    """The sparse preimage {(mono, i): coeff} grouped by basis element:
+    {i: x_i} for the nonzero coefficients x_i in S(Z) of e_i."""
+    terms = {}
     for (mono, i), c in preimage.items():
-        terms[i][mono] = c
-    return ExtendedElement(tuple(_canonical(ctx.zdim, t) for t in terms))
+        terms.setdefault(i, {})[mono] = c
+    return {i: _canonical(ctx.zdim, t) for i, t in terms.items()}
 
 
 def bar(ctx, omega, k, prefix, fs):
-    """Partial evaluation with the last algebra slot open:
-    e -> omega_k(prefix, e; fs)."""
+    """Partial evaluation with the last algebra slot open, the covector
+    e -> omega_k(prefix, e; fs) as a degree-1 cochain."""
     nl = omega.degree - 2 * k
     if nl < 1 or len(prefix) != nl - 1:
         raise ValueError(f"component {k} of a degree-{omega.degree} cochain "
                          f"takes {max(nl - 1, 0)} prefix arguments")
-    prefix = tuple(prefix)
-    fs = tuple(sorted(fs))
-    return DualElement(tuple(omega.value(k, prefix + (e,), fs) for e in range(ctx.dim)))
+    return scatter(omega.nvars, 1, ((0, (e,), (), omega.value(k, (*prefix, e), fs), 1)
+                                    for e in range(ctx.dim)))
 
 
 @dataclass
@@ -316,16 +282,17 @@ def _not_representable(k, prefix, fs):
 
 
 def tilde_value(ctx, omega, k, prefix, fs):
-    """Section lift of one bar covector, as an ExtendedElement. It is the
-    one place a lift is solved, for the right operand of
-    `brackets.bullet`, and a lift depends on the context's section, so it
-    is kept in ctx.cache["tilde"] under (cochain, k, prefix, fs)."""
+    """Section lift of one bar covector, grouped as {i: x_i} over its
+    nonzero coefficients (`_grouped`). It is the one place a lift is
+    solved, for the right operand of `brackets.bullet`, which reads the
+    dict directly, and a lift depends on the context's section, so it is
+    kept in ctx.cache["tilde"] under (cochain, k, prefix, fs)."""
     cache = ctx.cache.setdefault("tilde", {})
     key = (omega, k, tuple(prefix), tuple(sorted(fs)))
     hit = cache.get(key)
     if hit is None:
-        x = phi_section(ctx).solve(nonzero_values(bar(ctx, omega, k, prefix, fs)))
+        x = phi_section(ctx).solve(covector(bar(ctx, omega, k, prefix, fs)))
         if x is None:
             raise _not_representable(k, prefix, fs)
-        hit = cache[key] = _extended(ctx, x)
+        hit = cache[key] = _grouped(ctx, x)
     return hit

@@ -1,10 +1,16 @@
-"""Dense reference implementations of d, the product, the two bracket
-halves and their signed sum, the vector-level pairing, flats, the
-representability test, weak skew-symmetry, the basis of the valid
-cochains, the free-datum walk over every ordering, and exact elimination (with the row-by-row solve of a
-`LinearSolver` factorization), and the paper's defining formulas behind
-the bracket: phi, the pairing on S(Z) (x) L, and the two ingredient
-operations pair_bracket and circ_compose.
+"""Dense reference implementations of the Leibniz-identity check, d, the
+product, the two bracket halves and their signed sum, the vector-level
+pairing, flats, the representability test, weak skew-symmetry, the basis
+of the valid cochains, the free-datum walk over every ordering, and
+exact elimination (with the row-by-row solve of a `LinearSolver`
+factorization), and the paper's defining formulas behind the bracket:
+phi, the pairing on S(Z) (x) L, and the two ingredient operations
+pair_bracket and circ_compose. An element of S(Z) (x) L is {i: x_i}, the
+shape of a section lift, and a covector is a degree-1 cochain.
+
+The Leibniz check brackets basis vectors for every triple, where the
+package sums the nonzero structure constants and skips the triples whose
+products all vanish.
 
 These enumerate every output key (es, fs) of the result's degree (for the
 representability test, every bar prefix; for validity and the basis,
@@ -26,18 +32,36 @@ ordering, where the package visits only the keys that can be nonzero.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from leibniz_complex.algebra import basis_vec
+from leibniz_complex.algebra import LeibnizReport, basis_vec, vec_add
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
                                       accumulate, component_keys, signed_permutations)
-from leibniz_complex.duality import (DualElement, RepresentabilityReport, bar, nonzero_values,
-                                     phi_section, stored_bars, tilde_value)
+from leibniz_complex.duality import (RepresentabilityReport, bar, covector, phi_section,
+                                     stored_bars, tilde_value)
 from leibniz_complex.linalg import rref as sparse_rref
 from leibniz_complex.sympoly import SymPoly, derivation_extend
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+# -- the Leibniz identity ----------------------------------------------------------
+
+
+def check_leibniz(algebra):
+    """The left Leibniz identity on every basis triple, from three vector
+    brackets of freshly built basis vectors per triple."""
+    violations = []
+    dim = algebra.dim
+    for i, j, l in product(range(dim), repeat=3):
+        ei, ej, el = (basis_vec(dim, t) for t in (i, j, l))
+        lhs = algebra.bracket(ei, algebra.bracket(ej, el))
+        rhs = vec_add(algebra.bracket(algebra.bracket(ei, ej), el),
+                      algebra.bracket(ej, algebra.bracket(ei, el)))
+        if lhs != rhs:
+            violations.append((i, j, l, lhs, rhs))
+    return LeibnizReport(ok=not violations, violations=violations)
 
 
 # -- exact elimination -------------------------------------------------------------
@@ -311,26 +335,39 @@ def flat_cochain(ctx, v):
 
 
 def phi(ctx, x):
-    """phi(x)(e_j) = sum_i x_i * (e_i, e_j)."""
+    """phi(x)(e_j) = sum_i x_i * (e_i, e_j), a degree-1 cochain, for x in
+    S(Z) (x) L given as {i: x_i}, the shape of a section lift (`sparse`
+    reads an ExtendedElement so)."""
     alg = ctx.algebra
-    values = []
+    values = {}
     for j in range(ctx.dim):
         acc = SymPoly.zero(ctx.zdim)
-        for i, coeff in enumerate(x.coeffs):
+        for i, coeff in x.items():
             if not coeff.is_zero():
                 acc = acc + coeff * alg.pairing_poly_basis(i, j)
-        values.append(acc)
-    return DualElement(tuple(values))
+        values[(j,), ()] = acc
+    return Cochain(1, ctx.zdim, {0: values})
+
+
+def sparse(x):
+    """The ExtendedElement x as {i: x_i} over its nonzero coefficients."""
+    return {i: c for i, c in enumerate(x.coeffs) if not c.is_zero()}
+
+
+def covector_values(ctx, psi):
+    """The values psi(e_j) of a covector, a degree-1 cochain, for every j."""
+    return tuple(psi.value(0, (j,), ()) for j in range(ctx.dim))
 
 
 def pair_extended(ctx, x, y):
-    """S(Z)-bilinear symmetric product on S(Z) (x) L."""
+    """S(Z)-bilinear symmetric product on S(Z) (x) L, for x and y given as
+    {i: x_i}."""
     alg = ctx.algebra
     acc = SymPoly.zero(ctx.zdim)
-    for i, ci in enumerate(x.coeffs):
+    for i, ci in x.items():
         if ci.is_zero():
             continue
-        for j, cj in enumerate(y.coeffs):
+        for j, cj in y.items():
             if cj.is_zero():
                 continue
             acc = acc + ci * cj * alg.pairing_poly_basis(i, j)
@@ -362,7 +399,7 @@ class ArityError(ValueError):
 
 @dataclass
 class HomSym:
-    """Map from size-`arity` Z-multisets to S(Z), or to S(Z) (x) L."""
+    """Map from size-`arity` Z-multisets to S(Z), or to S(Z) (x) L as {i: x_i}."""
 
     arity: int
     fn: object
@@ -572,6 +609,6 @@ def is_representable(ctx, omega):
         if n - 2 * k < 1:
             break
         for es, fs in component_keys(ctx, n - 1, k):
-            if section.solve(nonzero_values(bar(ctx, omega, k, es, fs))) is None:
+            if section.solve(covector(bar(ctx, omega, k, es, fs))) is None:
                 failures.append((k, es, fs))
     return RepresentabilityReport(ok=not failures, failures=failures)

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import dense_reference as dense
 from dense_reference import pairing_poly
 from leibniz_complex.algebra import (AlgebraFormatError, IntegrityError, InvalidAlgebraError,
                                      LeibnizAlgebra, PreconditionError, UnknownFixtureError,
@@ -46,6 +47,34 @@ def test_check_leibniz_violation():
     # a.(a.a) = a but (a.a).a + a.(a.a) = 2a
     assert lhs == (F(1), F(0))
     assert rhs == (F(2), F(0))
+
+
+def same_leibniz_report(alg):
+    """check_leibniz and the vector loop over every triple agree exactly:
+    the same violations in the same order, each coordinate of the same
+    exact type."""
+    got, expected = check_leibniz(alg), dense.check_leibniz(alg)
+    assert (got.ok, got.violations) == (expected.ok, expected.violations)
+    assert [[type(c) for c in lhs + rhs] for *_, lhs, rhs in got.violations] == \
+        [[type(c) for c in lhs + rhs] for *_, lhs, rhs in expected.violations]
+    return got
+
+
+@pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1", "omni(2)", "omni(3)"))
+def test_check_leibniz_matches_the_vector_loop(name):
+    """On each fixture, and on tables with one to three structure constants
+    overwritten, most of them no longer Leibniz."""
+    alg = build_fixture(name)
+    assert same_leibniz_report(alg).ok
+    rng = Random(name)
+    invalid = 0
+    for _ in range(6):
+        table = [[list(entry) for entry in row] for row in alg.table]
+        for _ in range(rng.randint(1, 3)):
+            row = table[rng.randrange(alg.dim)]
+            row[rng.randrange(alg.dim)][rng.randrange(alg.dim)] = rng.choice((1, -1, 2, F(1, 2)))
+        invalid += not same_leibniz_report(LeibnizAlgebra(alg.labels, table)).ok
+    assert invalid >= 4
 
 
 def test_left_center_abelian_is_everything(algebras):

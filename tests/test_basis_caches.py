@@ -7,7 +7,7 @@ Work: calls counted by monkeypatching (nothing is timed), so that a
 derived-bracket table, on O2 and on omni(3), builds each basis flat once,
 solves each section lift once, builds each operand's bar covectors and
 derivation bases once (kept on the cochain), reads each pair back with
-one solve and no DualElement or ExtendedElement, and adds no other work
+one solve and builds no ExtendedElement, and adds no other work
 when it runs again on the same context, and `bullet` lifts only its
 right operand.
 """
@@ -151,7 +151,6 @@ def check_table_computes_each_piece_once(monkeypatch, name):
     lookups = count(monkeypatch, brackets, "tilde_value")
     bar_views = count(monkeypatch, duality, "_increasing_bars", id)
     base_views = count(monkeypatch, brackets, "_derivation_bases", id)
-    duals = count(monkeypatch, duality.DualElement, "__post_init__")
     extended = count(monkeypatch, duality.ExtendedElement, "__post_init__")
 
     def table():
@@ -175,9 +174,9 @@ def check_table_computes_each_piece_once(monkeypatch, name):
     assert len(solves) == len(lifts) + dim * dim  # plus one read-back per pair
     assert len(lookups) == len(lifts)  # each operand's lifts are listed once
     # the algebra is fat, so each pair's outer bracket is read back from its
-    # entries and its lift negated as a vector: the only DualElement and
-    # ExtendedElement built are the bar covector and lift of each tilde lift
-    assert len(duals) == len(extended) == len(lifts)
+    # entries and its lift negated as a vector, and each tilde lift is kept
+    # as the section's sparse output: no ExtendedElement is built
+    assert extended == []
     # each operand's views are built once, kept on the cochain: the bar
     # covectors of theta, of every {Theta, e_i-flat} (left operands) and of
     # every flat (right operands, lifted at those prefixes), and the
@@ -189,10 +188,10 @@ def check_table_computes_each_piece_once(monkeypatch, name):
     assert centered
     assert sorted(base_views) == sorted(map(id, [theta(ctx)] + centered))
     before = (len(flats), len(lifts), len(lookups), len(bar_views), len(base_views),
-              len(duals), len(extended), len(solves))
+              len(extended), len(solves))
     table()  # again: only the read-back of each pair is solved anew
     assert (len(flats), len(lifts), len(lookups), len(bar_views), len(base_views),
-            len(duals), len(extended), len(solves)) == before[:7] + (before[7] + dim * dim,)
+            len(extended), len(solves)) == before[:6] + (before[6] + dim * dim,)
 
 
 def increasing_prefixes(omega):

@@ -14,7 +14,7 @@ from leibniz_complex.cochains import Cochain, ComplexContext, coboundary, cochai
     cochain_to_dict, cup, expand
 from leibniz_complex.duality import flat_cochain
 from leibniz_complex.sympoly import SymPoly
-from leibniz_complex.verify import MAX_VERIFY_DEGREE, MAX_VERIFY_SAMPLES
+from leibniz_complex.verify import MAX_VERIFY_DEGREE, MAX_VERIFY_SAMPLES, Report, VerifyConfig
 
 
 @pytest.fixture()
@@ -44,6 +44,21 @@ def test_check_invalid_table(tmp_path):
     path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"],
                                 "brackets": [{"i": 0, "j": 0, "coeffs": ["1", "0"]}]}))
     assert main(["check", "--algebra", str(path)]) == 1
+
+
+def test_check_tests_the_identity_once(tmp_path, monkeypatch, o1_file):
+    """`leibcx check` runs the Leibniz check once: the loader's for a file,
+    valid or not, its own for a fixture."""
+    calls = []
+    inner = algebra.check_leibniz
+    monkeypatch.setattr(algebra, "check_leibniz", lambda alg: calls.append(alg) or inner(alg))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "basis": ["a", "b"],
+                               "brackets": [{"i": 0, "j": 0, "coeffs": ["1", "0"]}]}))
+    for arg, code in (("O2", 0), (o1_file, 0), (str(bad), 1)):
+        del calls[:]
+        assert main(["check", "--algebra", arg]) == code
+        assert len(calls) == 1, arg
 
 
 def test_check_malformed_json(tmp_path):
@@ -186,6 +201,51 @@ def test_derived_bracket_dual_only_on_non_fat(capsys):
     assert "covector-level comparison only" in capsys.readouterr().out
 
 
+# `leibcx derived-bracket` output as the command printed it when covectors
+# were rendered from a dense tuple of values, one per basis element
+FAT = ["covector level equal: True", "sharp recovers the product: True"]
+NOT_FAT = ["covector level equal: True", "algebra is not fat: covector-level comparison only"]
+DERIVED_BRACKET_PINS = [
+    ("O1", 0, 1, ["e_0 . e_1 from structure constants: 0 1",
+                  "derived covector: a -> z1, b -> 0"] + FAT,
+     {"pair": [0, 1], "structure_product": ["0", "1"], "derived_dual": ["z1", "0"],
+      "flat_of_product": ["z1", "0"], "dual_equal": True, "sharp": ["0", "1"],
+      "sharp_equal": True}),
+    ("O2", 0, 1, ["e_0 . e_1 from structure constants: 0 1 0 0 0 0",
+                  "derived covector: E11 -> 0, E12 -> 0, E21 -> 0, E22 -> 0, u1 -> 0, u2 -> z1"]
+     + FAT,
+     {"pair": [0, 1], "structure_product": ["0", "1", "0", "0", "0", "0"],
+      "derived_dual": ["0", "0", "0", "0", "0", "z1"],
+      "flat_of_product": ["0", "0", "0", "0", "0", "z1"], "dual_equal": True,
+      "sharp": ["0", "1", "0", "0", "0", "0"], "sharp_equal": True}),
+    ("O2", 1, 2, ["e_1 . e_2 from structure constants: 1 0 0 -1 0 0",
+                  "derived covector: E11 -> 0, E12 -> 0, E21 -> 0, E22 -> 0, u1 -> z1, u2 -> -z2"]
+     + FAT,
+     {"pair": [1, 2], "structure_product": ["1", "0", "0", "-1", "0", "0"],
+      "derived_dual": ["0", "0", "0", "0", "z1", "-z2"],
+      "flat_of_product": ["0", "0", "0", "0", "z1", "-z2"], "dual_equal": True,
+      "sharp": ["1", "0", "0", "-1", "0", "0"], "sharp_equal": True}),
+    ("AFF_O1", 0, 1, ["e_0 . e_1 from structure constants: 0 1 0 0",
+                      "derived covector: x -> 0, y -> 0, a -> 0, b -> 0"] + NOT_FAT,
+     {"pair": [0, 1], "structure_product": ["0", "1", "0", "0"],
+      "derived_dual": ["0", "0", "0", "0"], "flat_of_product": ["0", "0", "0", "0"],
+      "dual_equal": True}),
+    ("AFF_O1", 2, 3, ["e_2 . e_3 from structure constants: 0 0 0 1",
+                      "derived covector: x -> 0, y -> 0, a -> z1, b -> 0"] + NOT_FAT,
+     {"pair": [2, 3], "structure_product": ["0", "0", "0", "1"],
+      "derived_dual": ["0", "0", "z1", "0"], "flat_of_product": ["0", "0", "z1", "0"],
+      "dual_equal": True}),
+]
+
+
+@pytest.mark.parametrize("name, i, j, lines, payload", DERIVED_BRACKET_PINS)
+def test_derived_bracket_output_is_pinned(capsys, name, i, j, lines, payload):
+    assert main(["derived-bracket", str(i), str(j), "--algebra", name]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert main(["derived-bracket", str(i), str(j), "--algebra", name, "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_derived_bracket_index_range():
     assert main(["derived-bracket", "0", "9", "--algebra", "O1"]) == 2
 
@@ -200,6 +260,14 @@ def test_verify_text_and_json(tmp_path, capsys):
         data = json.load(fh)
     assert data["passed"] is True
     assert json.loads(json.dumps(data)) == data
+
+
+def test_verify_defaults_are_those_of_verify_config(monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(cli, "run_verify",
+                        lambda config, mutation=None: configs.append(config) or Report())
+    assert main(["verify"]) == 0
+    assert configs == [VerifyConfig()]
 
 
 def test_verify_runs_at_every_small_max_degree(capsys):

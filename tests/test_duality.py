@@ -4,17 +4,16 @@ from random import Random
 import pytest
 
 import dense_reference as dense
-from dense_reference import phi, stored_prefixes
+from dense_reference import covector_values, phi, sparse, stored_prefixes
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import basis_flat, theta, zeta
-from leibniz_complex import cochains
+from leibniz_complex import cochains, duality
 from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
                                       TableBudgetError, cochain_from_dict, cochain_space_basis,
                                       cochain_to_dict, cup, entries, validate_cochain)
-from leibniz_complex.duality import (DualElement, ExtendedElement, NotRepresentableError,
-                                     PhiSection, bar, dual_from_cochain, flat, flat_cochain,
-                                     is_representable, nonzero_values, phi_section, sharp,
-                                     tilde_value)
+from leibniz_complex.duality import (ExtendedElement, NotRepresentableError, PhiSection, bar,
+                                     covector, flat_cochain, is_representable, phi_section,
+                                     sharp, tilde_value)
 from leibniz_complex.linalg import LinearSolver
 from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import random_poly, random_representable
@@ -24,41 +23,45 @@ Z1 = SymPoly.generator(1, 0)
 
 
 def zero_dual(ctx):
-    return DualElement(tuple(SymPoly.zero(ctx.zdim) for _ in range(ctx.dim)))
+    return Cochain.zero(1, ctx.zdim)
 
 
 def zero_ext(ctx):
     return ExtendedElement(tuple(SymPoly.zero(ctx.zdim) for _ in range(ctx.dim)))
 
 
+def rendered(ctx, psi):
+    return [v.render() for v in covector_values(ctx, psi)]
+
+
 def test_phi_on_basis_element(o1):
-    x = ExtendedElement((SymPoly.constant(1, 1), SymPoly.zero(1)))  # a
-    psi = phi(o1, x)
-    assert psi.values[0].is_zero()      # (a, a) = 0
-    assert psi.values[1] == Z1          # (a, b) = b
+    x = {0: SymPoly.constant(1, 1)}  # a
+    values = covector_values(o1, phi(o1, x))
+    assert values[0].is_zero()      # (a, a) = 0
+    assert values[1] == Z1          # (a, b) = b
 
 
 def test_phi_is_s_linear(o1):
     b2 = SymPoly.monomial(1, (0, 0))
-    x = ExtendedElement((b2, SymPoly.zero(1)))  # b^2 (x) a
-    psi = phi(o1, x)
-    assert psi.values[1] == SymPoly.monomial(1, (0, 0, 0))  # b^3
+    x = {0: b2, 1: SymPoly.zero(1)}  # b^2 (x) a
+    values = covector_values(o1, phi(o1, x))
+    assert values[1] == SymPoly.monomial(1, (0, 0, 0))  # b^3
 
 
 def test_phi_zero(o1):
-    assert phi(o1, zero_ext(o1)) == zero_dual(o1)
+    assert phi(o1, sparse(zero_ext(o1))) == zero_dual(o1)
 
 
 def test_flat_o1(o1):
-    fa = flat(o1, basis_vec(2, 0))
-    assert [v.render() for v in fa.values] == ["0", "z1"]
-    fb = flat(o1, basis_vec(2, 1))
-    assert [v.render() for v in fb.values] == ["z1", "0"]
+    fa = flat_cochain(o1, basis_vec(2, 0))
+    assert rendered(o1, fa) == ["0", "z1"]
+    fb = flat_cochain(o1, basis_vec(2, 1))
+    assert rendered(o1, fb) == ["z1", "0"]
 
 
 def test_flat_vanishes_on_abelian(a3):
     for i in range(3):
-        assert flat(a3, basis_vec(3, i)) == zero_dual(a3)
+        assert flat_cochain(a3, basis_vec(3, i)) == zero_dual(a3)
         assert flat_cochain(a3, basis_vec(3, i)).is_zero()
 
 
@@ -66,7 +69,7 @@ def test_sharp_inverts_flat_on_fat(o1, o2):
     for ctx in (o1, o2):
         for i in range(ctx.dim):
             e = basis_vec(ctx.dim, i)
-            lifted = sharp(ctx, flat(ctx, e))
+            lifted = sharp(ctx, flat_cochain(ctx, e))
             assert lifted.as_vector() == e
 
 
@@ -75,28 +78,36 @@ def test_sharp_of_zero(o1):
 
 
 def test_sharp_rejects_degree_zero_values(o1):
-    psi = DualElement((SymPoly.constant(1, 1), SymPoly.zero(1)))
+    psi = Cochain(1, 1, {0: {((0,), ()): SymPoly.constant(1, 1)}})
     with pytest.raises(NotRepresentableError):
         sharp(o1, psi)
+
+
+def test_sharp_checks_the_covector(o1, o2):
+    # a covector over another center basis, and a cochain of another degree
+    with pytest.raises(ContextMismatchError):
+        sharp(o1, flat_cochain(o2, basis_vec(6, 0)))
+    with pytest.raises(ValueError, match="only degree-1 cochains are covectors"):
+        sharp(o1, theta(o1))
 
 
 def test_phi_after_sharp_is_identity(o1, o2):
     for ctx in (o1, o2):
         for i in range(ctx.dim):
-            psi = flat(ctx, basis_vec(ctx.dim, i))
-            assert phi(ctx, sharp(ctx, psi)) == psi
+            psi = flat_cochain(ctx, basis_vec(ctx.dim, i))
+            assert phi(ctx, sparse(sharp(ctx, psi))) == psi
 
 
 def test_bar_of_theta_level_zero(o1):
     # e -> (a.b, e) = (b, e)
     psi = bar(o1, theta(o1), 0, (0, 1), ())
-    assert [v.render() for v in psi.values] == ["z1", "0"]
+    assert psi.degree == 1 and rendered(o1, psi) == ["z1", "0"]
 
 
 def test_bar_of_theta_level_one(o1):
     # e -> -(e, b)
     psi = bar(o1, theta(o1), 1, (), (0,))
-    assert [v.render() for v in psi.values] == ["-z1", "0"]
+    assert rendered(o1, psi) == ["-z1", "0"]
 
 
 def test_bar_of_zero_component(o1):
@@ -144,16 +155,16 @@ def test_degree_zero_cochains_vacuously_representable(o1):
 
 def test_tilde_of_theta_is_the_product(o1):
     lift = tilde_value(o1, theta(o1), 0, (0, 1), ())
-    assert lift.as_vector() == basis_vec(2, 1)  # a.b = b, unique on a fat algebra
+    assert lift == {1: SymPoly.constant(1, 1)}  # a.b = b, unique on a fat algebra
 
 
 def test_tilde_of_flat(o1):
     fa = flat_cochain(o1, basis_vec(2, 0))
-    assert tilde_value(o1, fa, 0, (), ()).as_vector() == basis_vec(2, 0)
+    assert tilde_value(o1, fa, 0, (), ()) == {0: SymPoly.constant(1, 1)}
 
 
 def test_tilde_of_zero(o1):
-    assert tilde_value(o1, Cochain.zero(3, 1), 0, (0, 0), ()) == zero_ext(o1)
+    assert tilde_value(o1, Cochain.zero(3, 1), 0, (0, 0), ()) == {}
 
 
 def test_tilde_at_level_one_reproduces_the_bar_covector(o1):
@@ -175,7 +186,7 @@ def test_section_unique_on_fat_degree_one(algebras):
         first = ComplexContext(algebras[name], pivot_strategy="first")
         last = ComplexContext(algebras[name], pivot_strategy="last")
         for i in range(first.dim):
-            psi = flat(first, basis_vec(first.dim, i))
+            psi = flat_cochain(first, basis_vec(first.dim, i))
             assert sharp(first, psi) == sharp(last, psi)
 
 
@@ -188,18 +199,25 @@ def test_not_representable_error_from_tilde(aff_o1):
 def test_mixed_degree_solve(o1):
     # psi with values in two symmetric degrees at once splits cleanly
     e = basis_vec(2, 0)
-    psi_low = flat(o1, e)
-    x_high = ExtendedElement((SymPoly.monomial(1, (0,)), SymPoly.zero(1)))
-    psi = DualElement(tuple(a + b for a, b in zip(psi_low.values, phi(o1, x_high).values)))
+    psi_low = flat_cochain(o1, e)
+    x_high = {0: SymPoly.monomial(1, (0,))}
+    psi = psi_low + phi(o1, x_high)
+    assert set(covector(psi)) == {1} and covector(psi)[1].degree() == 2  # z1 + z1^2
     lifted = sharp(o1, psi)
-    assert phi(o1, lifted) == psi
+    assert phi(o1, sparse(lifted)) == psi
 
 
-def test_dual_from_cochain_roundtrip(o1):
+def test_covectors_have_one_type():
+    for name in ("DualElement", "dual_from_cochain", "nonzero_values", "flat"):
+        assert not hasattr(duality, name), name
+
+
+def test_covector_reads_the_stored_values(o1):
     fa = flat_cochain(o1, basis_vec(2, 0))
-    assert dual_from_cochain(o1, fa) == flat(o1, basis_vec(2, 0))
+    assert covector(fa) == {1: Z1}
+    assert covector(zero_dual(o1)) == {}
     with pytest.raises(ValueError):
-        dual_from_cochain(o1, theta(o1))
+        covector(theta(o1))
 
 
 # -- the stored-prefix walk against the dense reference ----------------------------
@@ -265,14 +283,14 @@ def random_covectors(ctx, rng):
     the bars of Theta."""
     out = []
     for _ in range(6):
-        x = ExtendedElement(tuple(random_poly(rng, ctx.zdim, max_degree=2)
-                                  for _ in range(ctx.dim)))
+        x = {i: random_poly(rng, ctx.zdim, max_degree=2) for i in range(ctx.dim)}
         member = phi(ctx, x)
         out.append(member)
-        values = list(member.values)
-        values[rng.randrange(ctx.dim)] += SymPoly.constant(ctx.zdim, rng.choice((1, -2)))
-        out.append(DualElement(values))
-        out.append(DualElement(random_poly(rng, ctx.zdim, max_degree=3) for _ in range(ctx.dim)))
+        scalar = Cochain(1, ctx.zdim, {0: {((rng.randrange(ctx.dim),), ()): SymPoly.constant(
+            ctx.zdim, rng.choice((1, -2)))}})
+        out.append(member + scalar)
+        out.append(Cochain(1, ctx.zdim, {0: {((j,), ()): random_poly(rng, ctx.zdim, max_degree=3)
+                                             for j in range(ctx.dim)}}))
     t = theta(ctx)
     out += [bar(ctx, t, k, prefix, fs) for k, prefix, fs in stored_prefixes(t)][:20]
     return out
@@ -287,10 +305,10 @@ def test_phi_membership_agrees_with_the_section(algebras, name, strategy):
     rng = Random(f"{name}-{strategy}")
     seen = set()
     for psi in random_covectors(ctx, rng):
-        x = section.solve(nonzero_values(psi))
-        assert section.contains(nonzero_values(psi)) == (x is not None), psi
+        x = section.solve(covector(psi))
+        assert section.contains(covector(psi)) == (x is not None), psi
         if x is not None:
-            assert phi(ctx, sharp(ctx, psi)) == psi
+            assert phi(ctx, sparse(sharp(ctx, psi))) == psi
         seen.add(x is not None)
     assert seen == {True, False}
 

@@ -3,8 +3,10 @@ from random import Random
 
 import pytest
 
+from leibniz_complex import verify
 from leibniz_complex.cochains import validate_cochain
-from leibniz_complex.duality import is_representable
+from leibniz_complex.duality import ExtendedElement, flat_cochain, is_representable
+from leibniz_complex.sympoly import SymPoly
 from leibniz_complex.verify import (VerifyConfig, check_derived_bracket, check_quotient,
                                     check_theta_is_dzeta, first_difference,
                                     random_representable, run_verify)
@@ -56,6 +58,24 @@ def test_clean_checks_unaffected_by_nothing(o1):
     assert check_theta_is_dzeta(o1, "O1").passed
     assert check_derived_bracket(o1, "O1").passed
     assert check_quotient().passed
+
+
+def test_derived_bracket_check_reports_the_first_differing_value(o1, monkeypatch):
+    # e_i-flat in place of (e_i . e_j)-flat: at (0, 0) it has z1 at e_1, the flat of 0 nothing
+    monkeypatch.setattr(verify, "derived_bracket_dual", lambda ctx, v, w: flat_cochain(ctx, v))
+    result = check_derived_bracket(o1, "O1")
+    assert not result.passed and result.details == "flat-level identity fails at pair (0,0)"
+    assert result.counterexample == {"component": 0, "es": [1], "fs": [], "lhs": "z1",
+                                     "rhs": "0", "pair": [0, 0]}
+
+
+def test_derived_bracket_check_reports_a_wrong_sharp(o1, monkeypatch):
+    wrong = ExtendedElement((SymPoly.constant(1, 1), SymPoly.generator(1, 0)))
+    monkeypatch.setattr(verify, "sharp", lambda ctx, psi: wrong)
+    result = check_derived_bracket(o1, "O1")
+    assert not result.passed
+    assert result.details == "sharp does not recover the product at (0,0)"
+    assert result.counterexample == {"pair": [0, 0], "lhs": ["1", "z1"], "rhs": ["0", "0"]}
 
 
 def test_report_json_roundtrip_idempotent():
