@@ -25,10 +25,10 @@ which on a fat algebra recovers e1 . e2 itself through the section.
 from itertools import chain
 
 from .algebra import basis_vec
-from .cochains import (Cochain, _increasing, check_context, combine, entries, expand,
-                       free_view, operand_view, pair_at_free_keys, require_valid, scatter)
+from .cochains import (Cochain, check_context, combine, expand, free_view, has_free_centers,
+                       operand_view, pair_at_free_keys, require_valid, scatter)
 from .duality import (NotRepresentableError, covector, flat_cochain, increasing_bars, lift,
-                      require_representable, tilde_value)
+                      require_representable, require_vector, tilde_value)
 from .sympoly import SymPoly, add_derivation, add_product
 
 
@@ -90,20 +90,20 @@ def diamond(ctx, omega, eta):
     with omega's derivation bases (`_derivation_bases`)."""
     check_context(ctx, omega, eta)
     degree = max(omega.degree + eta.degree - 2, 0)
-    if omega.extent()[1] == 0:  # no stored center argument: nothing to feed into
+    if not has_free_centers(omega):  # no center argument to feed into
         return Cochain.zero(degree, ctx.zdim)
     return pair_at_free_keys(ctx.zdim, degree, operand_view(omega, "bases", _derivation_bases),
                              free_view(eta), lambda acc, b, y, f: add_derivation(acc, b[0], y, b[1], f))
 
 
 def _derivation_bases(omega):
-    """(k, es, others, (base, images)) for each strictly increasing es of
-    omega stored with a center argument: base lists omega_{k+1}(es; r,
-    others) for each center generator r, and images is the dict of its
-    monomial images `sympoly.add_derivation` fills, kept on the cochain."""
+    """(k, es, others, (base, images)) for each free entry of omega with a
+    center argument (`free_view`): base lists omega_{k+1}(es; r, others)
+    for each center generator r, and images is the dict of its monomial
+    images `sympoly.add_derivation` fills, kept on the cochain."""
     bases = {}
-    for k, es, fs, value in entries(omega):
-        if fs and _increasing(es):
+    for k, es, fs, value in free_view(omega):
+        if fs:
             for pos, r in enumerate(fs):
                 base = bases.setdefault((k - 1, es, fs[:pos] + fs[pos + 1:]),
                                         [SymPoly.zero(omega.nvars)] * omega.nvars)
@@ -138,6 +138,7 @@ def zeta(ctx):
                     for i in range(ctx.dim) for j in range(ctx.dim))
         tail = ((1, (), (r,), SymPoly.generator(ctx.zdim, r), -2) for r in range(ctx.zdim))
         cached = scatter(ctx.zdim, 2, chain(pairings, tail))
+        cached._valid_over = ctx.algebra  # weakly skew-symmetric by construction
         ctx.cache["zeta"] = cached
     return cached
 
@@ -153,6 +154,7 @@ def theta(ctx):
         tail = ((1, (i,), (r,), pairing(i, s), -c) for i in range(ctx.dim)
                 for r, zvec in enumerate(alg.z_basis) for s, c in enumerate(zvec) if c != 0)
         cached = scatter(ctx.zdim, 3, chain(products, tail))
+        cached._valid_over = ctx.algebra  # d(zeta), so weakly skew-symmetric
         ctx.cache["theta"] = cached
     return cached
 
@@ -190,7 +192,9 @@ def _outer_bracket(ctx, v, w):
     """{{theta, v-flat}, w-flat}, the degree-1 cochain both derived
     brackets read. The inner bracket is sum_i v_i {theta, e_i-flat}; for
     basis vectors v and w the cached {theta, e_i-flat} and `basis_flat` are
-    the operands, so their section lifts are found by identity."""
+    the operands, so their section lifts are found by identity.
+    ValueError unless v and w have ctx.dim coordinates."""
+    require_vector(ctx, v, w)
     i = _unit_index(v)
     if i is not None:
         inner = theta_flat(ctx, i)
@@ -220,7 +224,7 @@ def derived_bracket(ctx, v, w):
     scalar coordinates, exact since the section is linear on Im(phi); no
     ExtendedElement is built. NotRepresentableError when
     the covector is outside Im(phi) or its lift has a coefficient of
-    positive degree.
+    positive degree; ValueError unless v and w have ctx.dim coordinates.
     """
     if not ctx.algebra.is_fat():
         return derived_bracket_dual(ctx, v, w)

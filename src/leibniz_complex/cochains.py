@@ -20,12 +20,15 @@ algebra argument; the term moving center arguments along the bracket
 vanishes, as the left center kills everything on the left.
 
 Computed cochains are built unchecked: `scatter` sums the terms d and a
-sum of cochains derive, the pair kernel `pair_at_free_keys` sums each
+sum of cochains derive, and the pair kernel `pair_at_free_keys` sums each
 operand pair of the product and the bracket halves straight into its
-key, and `expand` writes each free datum's table into its output, sharing
-the values. `Cochain()`, which checks every key and value, is the entry
-point for cochains from outside. No other module reads or writes the
-`components` layout."""
+key. `expand` fetches each free datum's table when the operator runs but
+writes the tables into its output, sharing the values, only when an
+entry is first read; until then the output holds its free part, from
+which comparison, `is_zero`, scaling, sums of valid cochains, `cup` and
+`diamond` work. `Cochain()`, which checks every key and value, is the
+entry point for cochains from outside. No other module reads or writes
+the `components` layout."""
 
 import json
 from bisect import bisect_left
@@ -89,21 +92,30 @@ _zero = cache(SymPoly.zero)  # one shared zero per generator count; SymPoly is i
 
 
 class Cochain:
-    """Immutable sparse cochain; missing keys are zero."""
+    """Immutable sparse cochain; missing keys are zero.
 
+    An `expand` output holds its free part and each free key's free-datum
+    table, and writes its other entries on first read of `components`.
+    Comparison, hashing, `is_zero`, `scale`, sums of valid cochains and
+    the operators that read only free entries work from the free part.
+    """
+
+    # components: the entries, {k: {(es, fs): value}}, unset on an
+    # expansion until first read (`_Unwritten`); _free: the entries at the
+    # free keys, in component order, kept once asked for; _tables: an
+    # expansion's free-datum table at each free key, kept by `scale` and
+    # `combine`, so a cochain that has them is valid by construction;
     # _valid_over: the algebra it is known weakly skew-symmetric over (set
-    # by `expand`, `cochain_space_basis`, a passing `validate_cochain`, and
-    # kept by `combine` and `scale`); _representable_over: the algebra it is
+    # by `expand`, `cochain_space_basis`, `brackets.theta` and `zeta`, a
+    # passing `validate_cochain`, and kept by `combine` and `scale`); _representable_over: the algebra it is
     # known representable over (`duality.require_representable`); _views:
     # what operators read of it as an operand (`operand_view`)
-    __slots__ = ("degree", "nvars", "components", "_hash", "_extent", "_valid_over",
-                 "_representable_over", "_views")
+    __slots__ = ("degree", "nvars", "components", "_free", "_tables", "_hash", "_extent",
+                 "_valid_over", "_representable_over", "_views")
 
     def __init__(self, degree, nvars, components=None):
         if degree < 0:
             raise CochainShapeError(f"negative degree {degree}")
-        self.degree = degree
-        self.nvars = nvars
         clean = {}
         for k, table in (components or {}).items():
             if not (0 <= k <= degree // 2):
@@ -124,9 +136,9 @@ class Cochain:
                     out[(es, fs)] = value
             if out:
                 clean[k] = out
-        self.components = clean
-        self._hash = self._extent = self._valid_over = self._representable_over = None
-        self._views = None
+        self.degree, self.nvars, self.components = degree, nvars, clean
+        self._free = self._tables = self._hash = self._extent = None
+        self._valid_over = self._representable_over = self._views = None
 
     @classmethod
     def zero(cls, degree, nvars):
@@ -143,7 +155,7 @@ class Cochain:
         return found or _zero(self.nvars)
 
     def is_zero(self):
-        return not self.components
+        return not (self.components if self._tables is None else self._free)
 
     def extent(self):
         """One more than the largest stored algebra index and than the largest
@@ -161,11 +173,22 @@ class Cochain:
 
     def scale(self, factor):
         """factor * self, valid wherever self is. Each value is scaled once,
-        also one that many keys share, as in an `expand` output."""
+        also one that many keys share, as in an `expand` output; an
+        expansion scales its free part and stays one."""
         factor, done = exact(factor), {}
-        out = _stored(self.degree, self.nvars, {} if factor == 0 else {
-            k: {key: done[id(v)] if id(v) in done else done.setdefault(id(v), v.scale(factor))
-                for key, v in table.items()} for k, table in self.components.items()})
+
+        def scaled(table):
+            return {key: done[id(v)] if id(v) in done else done.setdefault(id(v), v.scale(factor))
+                    for key, v in table.items()}
+
+        if factor == 0:
+            out = _stored(self.degree, self.nvars, {})
+        elif self._tables is not None:
+            out = _expansion(self.degree, self.nvars,
+                             {k: scaled(table) for k, table in self._free.items()}, self._tables)
+        else:
+            out = _stored(self.degree, self.nvars,
+                          {k: scaled(table) for k, table in self.components.items()})
         out._valid_over = self._valid_over
         return out
 
@@ -187,22 +210,44 @@ class Cochain:
         return self.scale(-1)
 
     def __eq__(self, other):
+        """Equal entries. Two cochains known valid over one algebra are
+        compared at the free keys: each is the expansion of its free part."""
         if not isinstance(other, Cochain):
             return NotImplemented
-        return (self.degree == other.degree and self.nvars == other.nvars
-                and self.components == other.components)
+        if self.degree != other.degree or self.nvars != other.nvars:
+            return False
+        if self._valid_over is not None and self._valid_over is other._valid_over:
+            return _free_table(self) == _free_table(other)
+        return self.components == other.components
 
     def __hash__(self):
+        """Hashes the free entries, which equal cochains share."""
         if self._hash is None:
-            frozen = tuple(sorted(
-                (k, key, value) for k, table in self.components.items()
-                for key, value in table.items()))
-            self._hash = hash((self.degree, self.nvars, frozen))
+            self._hash = hash((self.degree, self.nvars, frozenset(
+                (k, key, value) for k, table in _free_table(self).items()
+                for key, value in table.items())))
         return self._hash
 
     def __repr__(self):
         entries = sum(len(t) for t in self.components.values())
         return f"Cochain(degree={self.degree}, entries={entries})"
+
+
+class _Unwritten(Cochain):
+    """An expansion whose entries are not written yet. Its first read of
+    `components` writes them (`_write_expansion`) and makes it a plain
+    `Cochain`, whose every later read is a slot read."""
+
+    __slots__ = ()
+
+    @property
+    def components(self):
+        comps = _write_expansion(self.degree, self.nvars, (
+            (value, self._tables[k, es, fs]) for k, table in self._free.items()
+            for (es, fs), value in table.items()))
+        self.__class__ = Cochain
+        self.components = comps
+        return comps
 
 
 # -- the table budget ------------------------------------------------------------
@@ -239,10 +284,14 @@ def merge_centers(fs1, fs2):
 def check_context(ctx, *cochains):
     """ContextMismatchError unless every cochain lives over ctx: its center
     basis has ctx's size, and its stored indices lie below ctx.dim and
-    ctx.zdim. Every operator calls it before anything else."""
+    ctx.zdim. Every operator calls it before anything else. A cochain
+    known valid over ctx's algebra has its keys in range and is not
+    scanned."""
     for omega in cochains:
         if omega.nvars != ctx.zdim:
             raise ContextMismatchError("cochains built over a different center basis")
+        if omega._valid_over is ctx.algebra:
+            continue
         dim, zdim = omega.extent()
         if dim > ctx.dim or zdim > ctx.zdim:
             raise ContextMismatchError(
@@ -273,12 +322,35 @@ def operand_view(omega, name, build):
 
 def free_view(omega):
     """omega's entries (k, es, fs, value) at the free keys, es strictly
-    increasing, in storage order. Kept on the cochain (`operand_view`)."""
+    increasing, in storage order, read from its free part (an expansion
+    is not written). Kept on the cochain (`operand_view`)."""
     return operand_view(omega, "free", _free_view)
 
 
 def _free_view(omega):
-    return tuple(item for item in entries(omega) if _increasing(item[1]))
+    return tuple((k, es, fs, value) for k, table in _free_table(omega).items()
+                 for (es, fs), value in table.items())
+
+
+def has_free_centers(omega):
+    """Does omega hold a free entry with a center argument, one in a
+    component k > 0? Read from its free part, which keeps only nonempty
+    components."""
+    free = _free_table(omega)
+    return len(free) > (0 in free)
+
+
+def _free_table(omega):
+    """omega's entries at the free keys, {k: {(es, fs): value}}, kept on
+    it: an expansion holds them from the start."""
+    if omega._free is None:
+        free = {}
+        for k, table in omega.components.items():
+            kept = {key: value for key, value in table.items() if _increasing(key[0])}
+            if kept:
+                free[k] = kept
+        omega._free = free
+    return omega._free
 
 
 def scatter(nvars, degree, terms):
@@ -305,12 +377,23 @@ def _gathered(nvars, degree, sums, raw=False):
     return _stored(degree, nvars, comps)
 
 
-def _stored(degree, nvars, comps):
+def _stored(degree, nvars, comps, cls=Cochain):
     """The cochain holding the components comps as they are, unchecked."""
-    out = Cochain.__new__(Cochain)
-    out.degree, out.nvars, out.components = degree, nvars, comps
-    out._hash = out._extent = out._valid_over = out._representable_over = None
-    out._views = None
+    out = cls.__new__(cls)
+    out.degree, out.nvars = degree, nvars
+    if comps is not None:
+        out.components = comps
+    out._free = out._tables = out._hash = out._extent = None
+    out._valid_over = out._representable_over = out._views = None
+    return out
+
+
+def _expansion(degree, nvars, free, tables):
+    """The unwritten expansion of the free entries `free`, {k: {(es, fs):
+    value}}, with the free-datum table of each key in `tables`: its
+    entries are written on first read of `components`."""
+    out = _stored(degree, nvars, None, _Unwritten)
+    out._free, out._tables = {k: free[k] for k in sorted(free)}, tables
     return out
 
 
@@ -318,9 +401,11 @@ def combine(nvars, degree, *scaled):
     """sum factor * omega over the (omega, factor) pairs, a degree-n
     cochain; a zero omega may have any degree. Weak skew-symmetry is
     linear, so the sum is marked valid over an algebra when every nonzero
-    omega is, and left unmarked otherwise."""
+    omega is, and left unmarked otherwise. A sum of expansions valid over
+    one algebra is the expansion of the sum of their free parts, and is
+    built as one, unwritten."""
     scaled = [(omega, exact(factor)) for omega, factor in scaled]
-    valid_over = set()
+    valid_over, tables = set(), ()
     for omega, _ in scaled:
         if omega.nvars != nvars:
             raise CochainShapeError("cannot add cochains over different centers")
@@ -328,8 +413,19 @@ def combine(nvars, degree, *scaled):
             if omega.degree != degree:
                 raise CochainShapeError("cannot add nonzero cochains of different degree")
             valid_over.add(omega._valid_over)
-    out = scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
-                                  for k, es, fs, value in entries(omega)))
+    if len(valid_over) == 1 and None not in valid_over:
+        tables = [omega._tables for omega, _ in scaled if not omega.is_zero()]
+    if tables and None not in tables:
+        free = scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
+                                       for k, table in _free_table(omega).items()
+                                       for (es, fs), value in table.items()))
+        comps = free.components
+        out = _expansion(degree, nvars, comps, {
+            key: next(table[key] for table in tables if key in table)
+            for key in ((k, es, fs) for k, table in comps.items() for es, fs in table)})
+    else:
+        out = scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
+                                      for k, es, fs, value in entries(omega)))
     if len(valid_over) == 1:
         out._valid_over = valid_over.pop()
     return out
@@ -451,16 +547,18 @@ def validate_cochain(ctx, omega):
                 rhs = rhs + omega.value(k + 1, reduced, fs + (r,)).scale(-c)
             violations.append((k, pos, es, fs, lhs, rhs))
     violations.sort(key=lambda v: (v[0], v[2], v[3], v[1]))
-    if not violations:
-        omega._valid_over = alg
+    if not violations and omega._valid_over is not alg:
+        # an expansion's tables are those of the algebra it was marked over
+        omega._valid_over, omega._tables = alg, None
     return ValidationReport(ok=not violations, violations=violations)
 
 
 def require_valid(ctx, omega):
     """InvalidCochainError unless omega is weakly skew-symmetric. A cochain
     already known valid over ctx's algebra, built by `expand`,
-    `cochain_space_basis` or `combine` of such cochains, or passed by
-    `validate_cochain`, is only checked against the context."""
+    `cochain_space_basis`, `brackets.theta`, `brackets.zeta` or `combine`
+    of such cochains, or passed by `validate_cochain`, is only checked
+    against the context."""
     if omega._valid_over is ctx.algebra:
         check_context(ctx, omega)
         return
@@ -562,40 +660,48 @@ def _free_coboundary_terms(ctx, omega):
 def expand(ctx, degree, free):
     """The valid degree-n cochain whose values at the free keys are those
     `free` stores, all at free keys: the sum of v * F over its entries v at
-    (k, es, fs), F the free-datum table of that key. Each table is written
-    straight into the output: v itself at +1, one shared multiple of v at
-    each other coefficient, and a summed copy only where two tables share
-    a key. Below degree 2 `free` itself is returned. The result is marked
-    valid over ctx's algebra; the tables' entries are checked against the
-    table budget before any is written."""
+    (k, es, fs), F the free-datum table of that key. Below degree 2 `free`
+    itself is returned. The result is marked valid over ctx's algebra.
+
+    The tables are fetched now and their entries checked against the table
+    budget, but written only when the result's `components` are first read
+    (`_write_expansion`); until then it holds `free`'s entries as its free
+    part."""
     if degree >= 2:
-        tables = [(value, _free_datum_cochain(ctx, k0, es0, fs0))
-                  for k0, es0, fs0, value in entries(free)]
-        check_table(sum(len(table) for _, table in tables), "an expansion")
-        comps, summed = {k: {} for k in range(degree // 2 + 1)}, {}
-        for value, table in tables:
-            scaled = {1: value}  # each multiple of value built once and shared
-            for key, c in table.items():
-                multiple = scaled.get(c)
-                if multiple is None:
-                    multiple = scaled[c] = value.scale(c)
-                k, es, fs = key
-                out = comps[k]
-                held = out.get((es, fs))
-                if held is None:
-                    out[es, fs] = multiple
-                else:  # a key two tables share is summed in a dict of its own
-                    accumulate(summed.get(key) or summed.setdefault(key, dict(held.items())),
-                               multiple)
-        for (k, es, fs), acc in summed.items():
-            if acc:
-                comps[k][es, fs] = _canonical(ctx.zdim, acc)
-            else:
-                del comps[k][es, fs]
-        comps = {k: table for k, table in comps.items() if table}
-        free = _stored(degree, ctx.zdim, comps)
+        tables = {(k0, es0, fs0): _free_datum_cochain(ctx, k0, es0, fs0)
+                  for k0, es0, fs0, _ in entries(free)}
+        check_table(sum(len(table) for table in tables.values()), "an expansion")
+        free = _expansion(degree, ctx.zdim, free.components, tables)
     free._valid_over = ctx.algebra
     return free
+
+
+def _write_expansion(degree, nvars, tables):
+    """The components of the sum of v * F over the pairs (v, F) of
+    `tables`, F a free-datum table. Each table is written straight into
+    the output: v itself at +1, one shared multiple of v at each other
+    coefficient, and a summed copy only where two tables share a key."""
+    comps, summed = {k: {} for k in range(degree // 2 + 1)}, {}
+    for value, table in tables:
+        scaled = {1: value}  # each multiple of value built once and shared
+        for key, c in table.items():
+            multiple = scaled.get(c)
+            if multiple is None:
+                multiple = scaled[c] = value.scale(c)
+            k, es, fs = key
+            out = comps[k]
+            held = out.get((es, fs))
+            if held is None:
+                out[es, fs] = multiple
+            else:  # a key two tables share is summed in a dict of its own
+                accumulate(summed.get(key) or summed.setdefault(key, dict(held.items())),
+                           multiple)
+    for (k, es, fs), acc in summed.items():
+        if acc:
+            comps[k][es, fs] = _canonical(nvars, acc)
+        else:
+            del comps[k][es, fs]
+    return {k: table for k, table in comps.items() if table}
 
 
 # -- the product ----------------------------------------------------------------
@@ -623,16 +729,14 @@ def free_cup(ctx, omega, eta):
 
 
 def free_part(omega):
-    """omega's entries at the free keys. A valid cochain is the `expand`
-    of its free part, so two valid cochains are equal exactly when their
-    free parts are. It is never marked valid, so an operator that validates
-    its operands refuses it unless it is the whole cochain."""
-    comps = {}
-    for k, table in omega.components.items():
-        free = {(es, fs): value for (es, fs), value in table.items() if _increasing(es)}
-        if free:
-            comps[k] = free
-    return _stored(omega.degree, omega.nvars, comps)
+    """omega's entries at the free keys; an expansion's are read without
+    writing it. A valid cochain is the `expand` of its free part, so two
+    valid cochains are equal exactly when their free parts are. It is
+    never marked valid, so an operator that validates its operands refuses
+    it unless it is the whole cochain."""
+    out = _stored(omega.degree, omega.nvars, _free_table(omega))
+    out._free = out.components
+    return out
 
 
 # -- a basis of the space of valid cochains --------------------------------------

@@ -49,9 +49,20 @@ class ExtendedElement:
         return tuple(c.coeff(()) for c in self.coeffs)
 
 
+def require_vector(ctx, *vectors):
+    """ValueError unless each vector has one coordinate per basis element
+    of ctx's algebra."""
+    for v in vectors:
+        if len(v) != ctx.dim:
+            raise ValueError(f"a vector of {len(v)} coordinates in an algebra of "
+                             f"dimension {ctx.dim}")
+
+
 def flat_cochain(ctx, v):
     """(v, -) packaged as a degree-1 cochain: (v, e_j) summed from the
-    stored basis pairings (e_i, e_j) over the nonzero coordinates v_i."""
+    stored basis pairings (e_i, e_j) over the nonzero coordinates v_i.
+    ValueError unless v has ctx.dim coordinates."""
+    require_vector(ctx, v)
     pairing = ctx.algebra.pairing_poly_basis
     return scatter(ctx.zdim, 1, ((0, (j,), (), pairing(i, j), vi)
                                  for i, vi in enumerate(v) if vi != 0 for j in range(ctx.dim)))

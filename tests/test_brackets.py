@@ -194,6 +194,25 @@ def test_derived_bracket_o1(o1):
     assert derived_bracket(o1, a, a) == (F(0), F(0))
 
 
+@pytest.mark.parametrize("call", (
+    lambda ctx: derived_bracket(ctx, (1,), (0, 1)),  # too short, not read as (1, 0)
+    lambda ctx: derived_bracket(ctx, (0, 0), (0, 1, 5)),
+    lambda ctx: derived_bracket_dual(ctx, (1, 0), (1,)),
+    lambda ctx: flat_cochain(ctx, (1, 0, 7))))
+def test_vectors_of_the_wrong_length_are_refused(o1, call):
+    with pytest.raises(ValueError, match="in an algebra of dimension 2$"):
+        call(o1)
+
+
+@pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1", "omni(3)"))
+def test_theta_and_zeta_are_known_valid_when_built(name):
+    ctx = ComplexContext(build_fixture(name))
+    for omega in (zeta(ctx), theta(ctx)):
+        assert omega._valid_over is ctx.algebra
+        assert validate_cochain(ctx, omega).ok
+    assert coboundary(ctx, zeta(ctx)) == theta(ctx)
+
+
 def test_derived_bracket_abelian(a3):
     for i, j in product(range(3), repeat=2):
         dual = derived_bracket(a3, basis_vec(3, i), basis_vec(3, j))

@@ -5,23 +5,29 @@ written in `cochains.py` alone: other modules read entries through
 `cochains.entries` and `Cochain.value`, and build computed cochains as
 streams of terms into `cochains.scatter`. `Cochain(degree, nvars,
 components)` checks its input and is left to cochains from outside. The
-`_views` slot, what the operators read of a cochain as an operand, is
-filled in `cochains.py` alone too, through `cochains.operand_view`.
+other private slots are read and written in `cochains.py` alone too: the
+free part and free-datum tables an unwritten expansion holds (`_free`,
+`_tables`), the cached hash and extent, and `_views`, what the operators
+read of a cochain as an operand (`cochains.operand_view`). Only the
+validity marks, `_valid_over` and `_representable_over`, are shared.
 """
 
 import ast
 from pathlib import Path
 
+from leibniz_complex.cochains import Cochain
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibniz_complex"
+SHARED = {"degree", "nvars", "_valid_over", "_representable_over"}
+LAYOUT = sorted(set(Cochain.__slots__) - SHARED)
 
 
 def layout_uses(tree):
-    """(line, what) for each read or write of `.components` or `._views`
-    and each `Cochain(...)` call given components, in one module's syntax
-    tree."""
+    """(line, what) for each read or write of a `LAYOUT` slot and each
+    `Cochain(...)` call given components, in one module's syntax tree."""
     uses = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("components", "_views"):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT:
             uses.append((node.lineno, "." + node.attr))
         elif isinstance(node, ast.Call):
             func = node.func
@@ -40,6 +46,10 @@ def test_only_cochains_reads_or_writes_the_components_layout():
     assert outside == []
 
 
+def test_the_layout_covers_every_private_slot():
+    assert LAYOUT == ["_extent", "_free", "_hash", "_tables", "_views", "components"]
+
+
 def test_the_scan_sees_each_kind_of_use():
     source = ("omega.components[0]\n"
               "omega.components = {}\n"
@@ -48,5 +58,8 @@ def test_the_scan_sees_each_kind_of_use():
               "Cochain(1, 2, **kwargs)\n"
               "Cochain.zero(1, 2)\n"
               "Cochain(1, 2)\n"
-              "omega._views\n")
-    assert [line for line, _ in layout_uses(ast.parse(source))] == [1, 2, 3, 4, 5, 8]
+              "omega._views\n"
+              "omega._free\n"
+              "omega._tables = tables\n"
+              "omega._valid_over\n")
+    assert [line for line, _ in layout_uses(ast.parse(source))] == [1, 2, 3, 4, 5, 8, 9, 10]

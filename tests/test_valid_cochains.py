@@ -261,10 +261,10 @@ def test_verify_walks_stay_small(monkeypatch):
 
 
 def test_known_valid_cochains_are_not_validated_again(ctxs, monkeypatch):
-    """A cochain built by `expand`, or one that passed `validate_cochain`,
-    is known valid over its context's algebra: `coboundary` and the
-    bracket's lifts skip its validation, but still check its context.
-    `validate_cochain` itself always runs in full."""
+    """A cochain built by `expand`, `theta` or `zeta`, or one that passed
+    `validate_cochain`, is known valid over its context's algebra:
+    `coboundary` and the bracket's lifts skip its validation, but still
+    check its context. `validate_cochain` itself always runs in full."""
     ctx = ComplexContext(build_fixture("O2"))
     calls = []
     validate = cochains.validate_cochain
@@ -279,8 +279,12 @@ def test_known_valid_cochains_are_not_validated_again(ctxs, monkeypatch):
     assert calls == [built]
     coboundary(ctx, built)
     coboundary(ctx, d_built)  # an expansion
-    poisson(ctx, theta(ctx), expand(ctx, 1, flat_cochain(ctx, basis_vec(ctx.dim, 0))))
-    assert calls == [built, theta(ctx)]
+    flat = expand(ctx, 1, flat_cochain(ctx, basis_vec(ctx.dim, 0)))
+    poisson(ctx, theta(ctx), flat)  # theta is valid by construction
+    assert calls == [built]
+    theta_copy = Cochain(3, ctx.zdim, theta(ctx).components)  # not yet known valid
+    poisson(ctx, theta_copy, flat)
+    assert calls == [built, theta_copy]
     assert cochains.validate_cochain(ctx, built).ok and len(calls) == 3
     with pytest.raises(ContextMismatchError):
         coboundary(ctxs["omni(3)"], d_built)
@@ -374,8 +378,8 @@ def test_mixed_combinations_stay_unmarked(ctxs):
 def test_eta_of_the_omni3_workload_skips_validation(monkeypatch):
     """A sum of products, the shape of the representable samples of the
     omni(3) benchmark, is known valid: d, the bracket's lifts and
-    `is_representable` do not validate it, while Theta and the flats are
-    still validated once each."""
+    `is_representable` do not validate it, and neither do they Theta,
+    valid by construction; the flats are still validated once each."""
     ctx = ComplexContext(build_fixture("omni(3)"))
     rng = Random(3)
     calls = []
@@ -396,8 +400,9 @@ def test_eta_of_the_omni3_workload_skips_validation(monkeypatch):
     validated = list(calls)  # the operands of the products
     assert all(omega.degree <= 1 for omega in validated)
     assert is_representable(ctx, eta).ok
+    assert theta(ctx)._valid_over is ctx.algebra
     assert poisson(ctx, theta(ctx), eta) == -coboundary(ctx, eta)
-    assert calls[len(validated):] == [theta(ctx)]
+    assert calls[len(validated):] == []
 
 
 def test_the_d0_sign_mutant_stays_unmarked(ctxs):
