@@ -26,7 +26,7 @@ from itertools import chain
 
 from .algebra import basis_vec
 from .cochains import (Cochain, check_context, combine, expand, free_view, has_free_centers,
-                       operand_view, pair_at_free_keys, require_valid, scatter)
+                       mark_valid, operand_view, pair_at_free_keys, require_valid, scatter)
 from .duality import (NotRepresentableError, covector, flat_cochain, increasing_bars, lift,
                       require_representable, require_vector, tilde_value)
 from .sympoly import SymPoly, add_derivation, add_product
@@ -137,9 +137,8 @@ def zeta(ctx):
         pairings = ((0, (i, j), (), alg.pairing_poly_basis(i, j), 1)
                     for i in range(ctx.dim) for j in range(ctx.dim))
         tail = ((1, (), (r,), SymPoly.generator(ctx.zdim, r), -2) for r in range(ctx.zdim))
-        cached = scatter(ctx.zdim, 2, chain(pairings, tail))
-        cached._valid_over = ctx.algebra  # weakly skew-symmetric by construction
-        ctx.cache["zeta"] = cached
+        # weakly skew-symmetric by construction
+        cached = ctx.cache["zeta"] = mark_valid(ctx, scatter(ctx.zdim, 2, chain(pairings, tail)))
     return cached
 
 
@@ -153,9 +152,8 @@ def theta(ctx):
                     for x, y, c in alg.product_index[t] for l in range(ctx.dim))
         tail = ((1, (i,), (r,), pairing(i, s), -c) for i in range(ctx.dim)
                 for r, zvec in enumerate(alg.z_basis) for s, c in enumerate(zvec) if c != 0)
-        cached = scatter(ctx.zdim, 3, chain(products, tail))
-        cached._valid_over = ctx.algebra  # d(zeta), so weakly skew-symmetric
-        ctx.cache["theta"] = cached
+        # d(zeta), so weakly skew-symmetric
+        cached = ctx.cache["theta"] = mark_valid(ctx, scatter(ctx.zdim, 3, chain(products, tail)))
     return cached
 
 

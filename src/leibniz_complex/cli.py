@@ -2,11 +2,12 @@
 
 Exit codes are a stable contract: 0 all checks passed, 1 an identity or
 validity check failed, 2 unusable input (bad file, bad syntax, unknown
-fixture, an algebra over MAX_DIM, an input whose free-datum walk or
-system of phi is over the table budget, a result with a coefficient too
-long to print), 3 an internal error (any other exception, reported on
-one line without a traceback). `--algebra` accepts either a JSON file
-path or the name of a bundled fixture (A3, O1, O2, AFF_O1, omni(n)).
+fixture, an algebra over MAX_DIM, a cochain file of more entries than
+the table budget, an input whose free-datum walk or system of phi is
+over it, a result with a coefficient too long to print), 3 an internal
+error (any other exception, reported on one line without a traceback).
+`--algebra` accepts either a JSON file path or the name of a bundled
+fixture (A3, O1, O2, AFF_O1, omni(n)).
 """
 
 import argparse

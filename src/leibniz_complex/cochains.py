@@ -22,12 +22,14 @@ vanishes, as the left center kills everything on the left.
 Computed cochains are built unchecked: `scatter` sums the terms d and a
 sum of cochains derive, and the pair kernel `pair_at_free_keys` sums each
 operand pair of the product and the bracket halves straight into its
-key. `expand` fetches each free datum's table when the operator runs but
-writes the tables into its output, sharing the values, only when an
-entry is first read; until then the output holds its free part, from
-which comparison, `is_zero`, scaling, sums of valid cochains, `cup` and
-`diamond` work. `Cochain()`, which checks every key and value, is the
-entry point for cochains from outside. No other module reads or writes
+key. A valid cochain is its free part plus the context that marked it
+(`mark_valid`), whose free-datum store writes its other entries: `expand`
+walks each free datum's table when the operator runs but writes the
+output only when an entry is first read, and sums and scalings of valid
+cochains sum and scale their free parts into unwritten outputs of the
+same kind. Comparison, `is_zero`, `cup` and `diamond` work from the free
+part. `Cochain()`, which checks every key and value, is the entry point
+for cochains from outside. No other module reads or writes
 the `components` layout."""
 
 import json
@@ -94,23 +96,24 @@ _zero = cache(SymPoly.zero)  # one shared zero per generator count; SymPoly is i
 class Cochain:
     """Immutable sparse cochain; missing keys are zero.
 
-    An `expand` output holds its free part and each free key's free-datum
-    table, and writes its other entries on first read of `components`.
+    A valid cochain is fixed by its free part, its entries at the free
+    keys, and holds the context that marked it (`mark_valid`), whose
+    free-datum store writes every other entry. One that is not written
+    yet (`_Unwritten`) writes them on first read of `components`.
     Comparison, hashing, `is_zero`, `scale`, sums of valid cochains and
     the operators that read only free entries work from the free part.
     """
 
     # components: the entries, {k: {(es, fs): value}}, unset on an
-    # expansion until first read (`_Unwritten`); _free: the entries at the
-    # free keys, in component order, kept once asked for; _tables: an
-    # expansion's free-datum table at each free key, kept by `scale` and
-    # `combine`, so a cochain that has them is valid by construction;
-    # _valid_over: the algebra it is known weakly skew-symmetric over (set
-    # by `expand`, `cochain_space_basis`, `brackets.theta` and `zeta`, a
-    # passing `validate_cochain`, and kept by `combine` and `scale`); _representable_over: the algebra it is
-    # known representable over (`duality.require_representable`); _views:
-    # what operators read of it as an operand (`operand_view`)
-    __slots__ = ("degree", "nvars", "components", "_free", "_tables", "_hash", "_extent",
+    # unwritten cochain until first read (`_Unwritten`); _free: the
+    # entries at the free keys, in component order, kept once asked for;
+    # _valid_over: the algebra it is known weakly skew-symmetric over and
+    # _valid_in: the context that marked it so, whose free-datum store
+    # writes it from _free (both set by `mark_valid` alone);
+    # _representable_over: the algebra it is known representable over
+    # (`duality.require_representable`); _views: what operators read of
+    # it as an operand (`operand_view`)
+    __slots__ = ("degree", "nvars", "components", "_free", "_valid_in", "_hash", "_extent",
                  "_valid_over", "_representable_over", "_views")
 
     def __init__(self, degree, nvars, components=None):
@@ -137,7 +140,7 @@ class Cochain:
             if out:
                 clean[k] = out
         self.degree, self.nvars, self.components = degree, nvars, clean
-        self._free = self._tables = self._hash = self._extent = None
+        self._free = self._valid_in = self._hash = self._extent = None
         self._valid_over = self._representable_over = self._views = None
 
     @classmethod
@@ -155,7 +158,7 @@ class Cochain:
         return found or _zero(self.nvars)
 
     def is_zero(self):
-        return not (self.components if self._tables is None else self._free)
+        return not (self.components if self._valid_in is None else _free_table(self))
 
     def extent(self):
         """One more than the largest stored algebra index and than the largest
@@ -172,25 +175,9 @@ class Cochain:
         return self._extent
 
     def scale(self, factor):
-        """factor * self, valid wherever self is. Each value is scaled once,
-        also one that many keys share, as in an `expand` output; an
-        expansion scales its free part and stays one."""
-        factor, done = exact(factor), {}
-
-        def scaled(table):
-            return {key: done[id(v)] if id(v) in done else done.setdefault(id(v), v.scale(factor))
-                    for key, v in table.items()}
-
-        if factor == 0:
-            out = _stored(self.degree, self.nvars, {})
-        elif self._tables is not None:
-            out = _expansion(self.degree, self.nvars,
-                             {k: scaled(table) for k, table in self._free.items()}, self._tables)
-        else:
-            out = _stored(self.degree, self.nvars,
-                          {k: scaled(table) for k, table in self.components.items()})
-        out._valid_over = self._valid_over
-        return out
+        """factor * self, a sum of one term (`combine`): a valid cochain
+        scales its free part and is not written."""
+        return combine(self.nvars, self.degree, (self, factor))
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -229,22 +216,24 @@ class Cochain:
         return self._hash
 
     def __repr__(self):
-        entries = sum(len(t) for t in self.components.values())
-        return f"Cochain(degree={self.degree}, entries={entries})"
+        """Counts the free entries, so an unwritten cochain stays unwritten."""
+        entries = sum(len(t) for t in _free_table(self).values())
+        return f"Cochain(degree={self.degree}, free_entries={entries})"
 
 
 class _Unwritten(Cochain):
-    """An expansion whose entries are not written yet. Its first read of
-    `components` writes them (`_write_expansion`) and makes it a plain
-    `Cochain`, whose every later read is a slot read."""
+    """A valid cochain whose entries are not written yet. Its first read
+    of `components` writes them from its free part through its context's
+    free-datum store (`_write_expansion`) and makes it a plain `Cochain`.
+    A subclass, not a `components` property or `__getattr__` on `Cochain`:
+    every later read stays a plain slot read, which CPython specialises,
+    and the hot loops read `components` of written cochains."""
 
     __slots__ = ()
 
     @property
     def components(self):
-        comps = _write_expansion(self.degree, self.nvars, (
-            (value, self._tables[k, es, fs]) for k, table in self._free.items()
-            for (es, fs), value in table.items()))
+        comps = _write_expansion(self._valid_in, self.degree, self._free)
         self.__class__ = Cochain
         self.components = comps
         return comps
@@ -255,7 +244,8 @@ class _Unwritten(Cochain):
 # The most entries of a table the input's size does not bound, counted
 # before it is built: the keys a free-datum walk visits, the entries of an
 # `expand` output, the operand pairs of `pair_at_free_keys` and the columns
-# of a system of phi (`duality.PhiSection`).
+# of a system of phi (`duality.PhiSection`); and the most entries of a
+# cochain file, counted before any value is parsed.
 MAX_TABLE = 100_000
 
 
@@ -342,7 +332,7 @@ def has_free_centers(omega):
 
 def _free_table(omega):
     """omega's entries at the free keys, {k: {(es, fs): value}}, kept on
-    it: an expansion holds them from the start."""
+    it: an unwritten cochain holds them from the start."""
     if omega._free is None:
         free = {}
         for k, table in omega.components.items():
@@ -383,52 +373,52 @@ def _stored(degree, nvars, comps, cls=Cochain):
     out.degree, out.nvars = degree, nvars
     if comps is not None:
         out.components = comps
-    out._free = out._tables = out._hash = out._extent = None
+    out._free = out._valid_in = out._hash = out._extent = None
     out._valid_over = out._representable_over = out._views = None
     return out
 
 
-def _expansion(degree, nvars, free, tables):
-    """The unwritten expansion of the free entries `free`, {k: {(es, fs):
-    value}}, with the free-datum table of each key in `tables`: its
-    entries are written on first read of `components`."""
-    out = _stored(degree, nvars, None, _Unwritten)
-    out._free, out._tables = {k: free[k] for k in sorted(free)}, tables
-    return out
+def mark_valid(ctx, omega):
+    """Mark omega weakly skew-symmetric over ctx's algebra, its entries
+    written from ctx's free-datum store, and return it. The one writer of
+    a validity mark: omega must be valid over that algebra, and written if
+    another context marked it before, as that context's store writes it."""
+    omega._valid_over, omega._valid_in = ctx.algebra, ctx
+    return omega
+
+
+def _expansion(ctx, degree, free):
+    """The valid cochain with the free entries `free`, {k: {(es, fs):
+    value}}, marked valid in ctx: unwritten from degree 2 on, and `free`
+    itself as its components below, where every key is free."""
+    out = _stored(degree, ctx.zdim, free if degree < 2 else None,
+                  Cochain if degree < 2 else _Unwritten)
+    out._free = {k: free[k] for k in sorted(free)}
+    return mark_valid(ctx, out)
 
 
 def combine(nvars, degree, *scaled):
     """sum factor * omega over the (omega, factor) pairs, a degree-n
     cochain; a zero omega may have any degree. Weak skew-symmetry is
-    linear, so the sum is marked valid over an algebra when every nonzero
-    omega is, and left unmarked otherwise. A sum of expansions valid over
-    one algebra is the expansion of the sum of their free parts, and is
-    built as one, unwritten."""
-    scaled = [(omega, exact(factor)) for omega, factor in scaled]
-    valid_over, tables = set(), ()
-    for omega, _ in scaled:
+    linear, so when every nonzero omega is valid over one algebra the sum
+    is too: the unwritten sum of their free parts, marked in the first
+    one's context. Any other sum is summed entry by entry, unmarked."""
+    live = []
+    for omega, factor in scaled:
         if omega.nvars != nvars:
             raise CochainShapeError("cannot add cochains over different centers")
         if not omega.is_zero():
             if omega.degree != degree:
                 raise CochainShapeError("cannot add nonzero cochains of different degree")
-            valid_over.add(omega._valid_over)
-    if len(valid_over) == 1 and None not in valid_over:
-        tables = [omega._tables for omega, _ in scaled if not omega.is_zero()]
-    if tables and None not in tables:
-        free = scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
+            live.append((omega, exact(factor)))
+    marks = {omega._valid_over for omega, _ in live}
+    if len(marks) == 1 and None not in marks:
+        free = scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in live
                                        for k, table in _free_table(omega).items()
                                        for (es, fs), value in table.items()))
-        comps = free.components
-        out = _expansion(degree, nvars, comps, {
-            key: next(table[key] for table in tables if key in table)
-            for key in ((k, es, fs) for k, table in comps.items() for es, fs in table)})
-    else:
-        out = scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in scaled
-                                      for k, es, fs, value in entries(omega)))
-    if len(valid_over) == 1:
-        out._valid_over = valid_over.pop()
-    return out
+        return _expansion(live[0][0]._valid_in, degree, free.components)
+    return scatter(nvars, degree, ((k, es, fs, value, factor) for omega, factor in live
+                                   for k, es, fs, value in entries(omega)))
 
 
 def pair_at_free_keys(nvars, degree, left, right, add_pair, raw=True):
@@ -548,17 +538,16 @@ def validate_cochain(ctx, omega):
             violations.append((k, pos, es, fs, lhs, rhs))
     violations.sort(key=lambda v: (v[0], v[2], v[3], v[1]))
     if not violations and omega._valid_over is not alg:
-        # an expansion's tables are those of the algebra it was marked over
-        omega._valid_over, omega._tables = alg, None
+        mark_valid(ctx, omega)  # written above, by `entries`
     return ValidationReport(ok=not violations, violations=violations)
 
 
 def require_valid(ctx, omega):
     """InvalidCochainError unless omega is weakly skew-symmetric. A cochain
-    already known valid over ctx's algebra, built by `expand`,
-    `cochain_space_basis`, `brackets.theta`, `brackets.zeta` or `combine`
-    of such cochains, or passed by `validate_cochain`, is only checked
-    against the context."""
+    already known valid over ctx's algebra (`mark_valid`: built by
+    `expand`, `cochain_space_basis`, `brackets.theta`, `brackets.zeta`,
+    or `combine` or `scale` of such cochains, or passed by
+    `validate_cochain`) is only checked against the context."""
     if omega._valid_over is ctx.algebra:
         check_context(ctx, omega)
         return
@@ -660,45 +649,47 @@ def _free_coboundary_terms(ctx, omega):
 def expand(ctx, degree, free):
     """The valid degree-n cochain whose values at the free keys are those
     `free` stores, all at free keys: the sum of v * F over its entries v at
-    (k, es, fs), F the free-datum table of that key. Below degree 2 `free`
-    itself is returned. The result is marked valid over ctx's algebra.
+    (k, es, fs), F the free-datum table of that key. Below degree 2 every
+    key is free and `free` itself is returned. The result is marked valid
+    in ctx (`mark_valid`).
 
-    The tables are fetched now and their entries checked against the table
-    budget, but written only when the result's `components` are first read
-    (`_write_expansion`); until then it holds `free`'s entries as its free
-    part."""
-    if degree >= 2:
-        tables = {(k0, es0, fs0): _free_datum_cochain(ctx, k0, es0, fs0)
-                  for k0, es0, fs0, _ in entries(free)}
-        check_table(sum(len(table) for table in tables.values()), "an expansion")
-        free = _expansion(degree, ctx.zdim, free.components, tables)
-    free._valid_over = ctx.algebra
-    return free
+    From degree 2 on the tables are walked now, in ctx's free-datum store,
+    and their entries checked against the table budget, but the result
+    keeps only `free`'s entries, its free part, and is written from the
+    store when its `components` are first read (`_write_expansion`)."""
+    if degree < 2:
+        return mark_valid(ctx, free)
+    comps = free.components
+    check_table(sum(len(_free_datum_cochain(ctx, k, es, fs)) for k, table in comps.items()
+                    for es, fs in table), "an expansion")
+    return _expansion(ctx, degree, comps)
 
 
-def _write_expansion(degree, nvars, tables):
-    """The components of the sum of v * F over the pairs (v, F) of
-    `tables`, F a free-datum table. Each table is written straight into
-    the output: v itself at +1, one shared multiple of v at each other
+def _write_expansion(ctx, degree, free):
+    """The components of the sum of v * F over the free entries v at
+    (k, es, fs) of `free`, F that key's free-datum table in ctx's store
+    (`_free_datum_cochain`). Each table is written straight into the
+    output: v itself at +1, one shared multiple of v at each other
     coefficient, and a summed copy only where two tables share a key."""
     comps, summed = {k: {} for k in range(degree // 2 + 1)}, {}
-    for value, table in tables:
-        scaled = {1: value}  # each multiple of value built once and shared
-        for key, c in table.items():
-            multiple = scaled.get(c)
-            if multiple is None:
-                multiple = scaled[c] = value.scale(c)
-            k, es, fs = key
-            out = comps[k]
-            held = out.get((es, fs))
-            if held is None:
-                out[es, fs] = multiple
-            else:  # a key two tables share is summed in a dict of its own
-                accumulate(summed.get(key) or summed.setdefault(key, dict(held.items())),
-                           multiple)
+    for k0, table in free.items():
+        for (es0, fs0), value in table.items():
+            scaled = {1: value}  # each multiple of value built once and shared
+            for key, c in _free_datum_cochain(ctx, k0, es0, fs0).items():
+                multiple = scaled.get(c)
+                if multiple is None:
+                    multiple = scaled[c] = value.scale(c)
+                k, es, fs = key
+                out = comps[k]
+                held = out.get((es, fs))
+                if held is None:
+                    out[es, fs] = multiple
+                else:  # a key two tables share is summed in a dict of its own
+                    accumulate(summed.get(key) or summed.setdefault(key, dict(held.items())),
+                               multiple)
     for (k, es, fs), acc in summed.items():
         if acc:
-            comps[k][es, fs] = _canonical(nvars, acc)
+            comps[k][es, fs] = _canonical(ctx.zdim, acc)
         else:
             del comps[k][es, fs]
     return {k: table for k, table in comps.items() if table}
@@ -770,9 +761,7 @@ def cochain_space_basis(ctx, degree):
         comps = {}
         for (k, es, fs), c in row.items():
             comps.setdefault(k, {})[(es, fs)] = _canonical(ctx.zdim, {(): c})
-        omega = _stored(degree, ctx.zdim, comps)
-        omega._valid_over = ctx.algebra
-        basis.append(omega)
+        basis.append(mark_valid(ctx, _stored(degree, ctx.zdim, comps)))
     return basis
 
 
@@ -901,13 +890,16 @@ def cochain_to_dict(omega):
 
 
 def cochain_from_dict(ctx, data):
+    """The cochain a file's JSON data describes, over ctx. Its entries are
+    counted before any value is parsed, and a file of more than MAX_TABLE
+    entries is refused (TableBudgetError)."""
     if not isinstance(data, dict) or not _is_index(data.get("degree")):
         raise CochainFormatError("cochain file needs an integer 'degree'")
     degree = data["degree"]
-    comps = {}
     blocks = data.get("components", [])
     if not isinstance(blocks, list):
         raise CochainFormatError("'components' must be a list")
+    tables = []
     for block in blocks:
         try:
             k = block["k"]
@@ -916,6 +908,10 @@ def cochain_from_dict(ctx, data):
             raise CochainFormatError(f"bad component block {block!r}") from exc
         if not _is_index(k) or not isinstance(entries, list):
             raise CochainFormatError(f"bad component block {block!r}")
+        tables.append((k, entries))
+    check_table(sum(len(entries) for _, entries in tables), "a cochain file")
+    comps = {}
+    for k, entries in tables:
         table = comps.setdefault(k, {})
         for entry in entries:
             try:

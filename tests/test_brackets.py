@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import dense_reference as dense
 from dense_reference import (ArityError, HomSym, circ_compose, covector_values, pair_bracket,
                              pairing_poly)
 from leibniz_complex import cochains
@@ -211,6 +212,22 @@ def test_theta_and_zeta_are_known_valid_when_built(name):
         assert omega._valid_over is ctx.algebra
         assert validate_cochain(ctx, omega).ok
     assert coboundary(ctx, zeta(ctx)) == theta(ctx)
+
+
+@pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1", "omni(3)"))
+def test_theta_brackets_to_zero_with_itself(name):
+    # {theta, theta} = 0 at every key. On O2 and omni(3) the halves are not
+    # zero: bullet cancels the two diamonds. On the fixtures of dim <= 4
+    # the dense bracket, built from the paper's formulas, agrees.
+    ctx = ComplexContext(build_fixture(name))
+    th = theta(ctx)
+    bracket = poisson(ctx, th, th)
+    assert bracket.degree == 4 and bracket == Cochain.zero(4, ctx.zdim)
+    assert bracket.components == {}
+    if name in ("O2", "omni(3)"):
+        assert not bullet(ctx, th, th).is_zero() and not diamond(ctx, th, th).is_zero()
+    if ctx.dim <= 4:
+        assert dense.poisson(ctx, th, th).components == {}
 
 
 def test_derived_bracket_abelian(a3):

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from leibniz_complex import algebra, cli
+from leibniz_complex import algebra, cli, cochains
 from leibniz_complex.algebra import MAX_DIM, algebra_to_dict, basis_vec, build_fixture
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cli import main
@@ -512,6 +512,26 @@ def test_representability_over_the_table_budget_is_an_input_error(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "241200 table entries" in err \
         and err.count("\n") == 1, err
+
+
+def test_cochain_files_over_the_table_budget_are_input_errors(tmp_path, capsys, monkeypatch):
+    # five entries under a budget of four: refused before any value is
+    # parsed; under a budget of five the same file is read
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"degree": 1, "components": [
+        {"k": 0, "entries": [{"es": [0], "fs": [], "value": "1"}] * 3},
+        {"k": 0, "entries": [{"es": [1], "fs": [], "value": "z1"}] * 2}]}))
+    parsed = []
+    parse = cochains.parse_sympoly
+    monkeypatch.setattr(cochains, "parse_sympoly", lambda *args: parsed.append(args) or parse(*args))
+    monkeypatch.setattr(cochains, "MAX_TABLE", 4)
+    assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: a cochain file needs 5 table entries, above the limit of 4\n"
+    assert parsed == []
+    monkeypatch.setattr(cochains, "MAX_TABLE", 5)
+    assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 0
+    assert len(parsed) == 5
 
 
 def test_unexpected_exceptions_exit_3_with_one_line(monkeypatch, capsys):

@@ -1,10 +1,11 @@
 """Outputs of d, cup and the bracket are written on first read.
 
-`expand` fetches each free datum's table and checks the table budget
+`expand` walks each free datum's table and checks the table budget
 when the operator runs, but writes the output's entries only when its
-`components` are first read. Comparison, hashing, `is_zero`, scaling,
-sums of valid cochains and the operators that read only free entries
-work from the free part it holds. These tests pin that down: equality
+`components` are first read. Sums and scalings of valid cochains sum and
+scale their free parts and stay unwritten too. Comparison, hashing,
+`is_zero` and the operators that read only free entries work from the
+free part. These tests pin that down: equality
 agrees with comparing every entry, whatever state the operands are in,
 and the readers that need every entry write the expansion exactly once.
 """
@@ -20,7 +21,8 @@ from leibniz_complex import cochains, verify
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import poisson, theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, coboundary, cochain_space_basis,
-                                      cochain_to_dict, combine, cup, free_part, validate_cochain)
+                                      cochain_to_dict, combine, cup, expand, free_part,
+                                      validate_cochain)
 from leibniz_complex.duality import flat_cochain, is_representable
 from leibniz_complex.sympoly import SymPoly
 
@@ -45,9 +47,9 @@ def writes(monkeypatch):
     """The degree of each expansion written from here on."""
     written, write = [], cochains._write_expansion
 
-    def counted(degree, nvars, tables):
+    def counted(ctx, degree, free):
         written.append(degree)
-        return write(degree, nvars, tables)
+        return write(ctx, degree, free)
 
     monkeypatch.setattr(cochains, "_write_expansion", counted)
     return written
@@ -99,8 +101,8 @@ def test_equality_matches_every_entry(ctxs, name):
     lazy = {label for label, omega in members.items() if unwritten(omega)}
     assert {"d0", "-d0", "d0 + d1 - d1", "f0 f1", "{th, f0}", "d zeta", "d0 f1 - f0 d1",
             "2 d0"} <= lazy
-    # theta holds no free-datum tables, so a sum with it is summed entry by entry
-    assert "zeta f0 + theta" not in lazy
+    # theta is valid, so a sum with it sums free parts and stays unwritten
+    assert "zeta f0 + theta" in lazy
     # cochains both known valid over ctx's algebra are compared first, at
     # their free keys, and none is written; any other pair compares entries
     marked = {label for label, omega in members.items() if omega._valid_over is ctx.algebra}
@@ -179,3 +181,73 @@ def test_readers_of_every_entry_write_it_once(ctxs, writes, reader):
         assert len(writes) == 1
         assert whole(lazy) == whole(expected)
         assert len(writes) == 1
+
+
+def test_repr_counts_free_entries_and_writes_nothing(ctxs, writes):
+    ctx = ctxs["omni(3)"]
+    flats = [flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in range(2)]
+    product = cup(ctx, coboundary(ctx, flats[0]), flats[1])
+    free = sum(len(table) for table in free_part(product).components.values())
+    assert repr(product) == f"Cochain(degree=3, free_entries={free})"
+    assert unwritten(product) and writes == []
+
+
+def valid_kinds(ctx):
+    """One fresh cochain of each kind known valid over ctx's algebra, of
+    degrees 2 and 3: `expand` outputs, theta and zeta, basis cochains, a
+    validated file cochain, and scale and combine outputs."""
+    f = [flat_cochain(ctx, basis_vec(ctx.dim, i)) for i in range(3)]
+    th, ze = theta(ctx), zeta(ctx)
+    filed = cochains.cochain_from_dict(ctx, cochain_to_dict(cup(ctx, f[1], f[0])))
+    assert filed._valid_over is None and validate_cochain(ctx, filed).ok
+    kinds = {"d f0": coboundary(ctx, f[0]), "f1 f2": cup(ctx, f[1], f[2]),
+             "{theta, f0}": poisson(ctx, th, f[0]), "zeta f1": cup(ctx, ze, f[1]),
+             "d zeta": coboundary(ctx, ze), "zeta": ze, "theta": th, "file": filed,
+             "basis2": cochain_space_basis(ctx, 2)[-1], "basis3": cochain_space_basis(ctx, 3)[-1]}
+    kinds.update({"-theta": -th, "3/2 basis2": kinds["basis2"].scale(Fraction(3, 2)),
+                  "zeta - d f0": ze - kinds["d f0"], "file + basis2": filed + kinds["basis2"]})
+    return kinds
+
+
+def entrywise(degree, nvars, *scaled):
+    """sum factor * omega over the (omega, factor) pairs, summed entry by
+    entry over every written entry, as plain dicts."""
+    comps = {}
+    for omega, factor in scaled:
+        for k, table in whole(omega).items():
+            out = comps.setdefault(k, {})
+            for key, value in table.items():
+                out[key] = out.get(key, SymPoly.zero(nvars)) + value.scale(factor)
+    return whole(Cochain(degree, nvars, comps))
+
+
+@pytest.mark.parametrize("strategy", ("first", "last"))
+@pytest.mark.parametrize("name", ("O2", "omni(3)"))
+def test_every_valid_kind_is_the_expansion_of_its_free_part(name, strategy):
+    ctx = ComplexContext(build_fixture(name), strategy)
+    kinds = valid_kinds(ctx)
+    sums = {}
+    for (a, x), (b, y) in combinations_with_replacement(kinds.items(), 2):
+        if x.degree == y.degree:
+            sums[a, b] = combine(ctx.zdim, x.degree, (x, 2), (y, Fraction(-1, 3)))
+    scalings = {a: x.scale(Fraction(-5, 2)) for a, x in kinds.items()}
+    for omega in (*sums.values(), *scalings.values()):
+        assert unwritten(omega) and omega._valid_over is ctx.algebra
+    for label, x in kinds.items():
+        assert x._valid_over is ctx.algebra and not x.is_zero(), label
+        assert whole(x) == whole(expand(ctx, x.degree, free_part(x))), label
+    for (a, b), total in sums.items():
+        assert whole(total) == entrywise(total.degree, ctx.zdim, (kinds[a], 2),
+                                         (kinds[b], Fraction(-1, 3))), (a, b)
+    for a, scaled in scalings.items():
+        assert whole(scaled) == entrywise(scaled.degree, ctx.zdim, (kinds[a], Fraction(-5, 2))), a
+
+
+def test_sums_over_contexts_of_one_algebra_stay_unwritten():
+    # a "first" and a "last" context over one algebra share their free
+    # data, so a sum of cochains marked in each is the expansion of one
+    alg = build_fixture("O2")
+    first, last = ComplexContext(alg, "first"), ComplexContext(alg, "last")
+    total = theta(first) + coboundary(last, zeta(last)).scale(2)
+    assert unwritten(total) and total._valid_over is alg
+    assert whole(total) == entrywise(3, first.zdim, (theta(first), 3))
