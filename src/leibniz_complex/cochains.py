@@ -19,8 +19,9 @@ insertions, delta feeds each center argument back in as the first
 algebra argument; the term moving center arguments along the bracket
 vanishes, as the left center kills everything on the left.
 
-Computed cochains are built unchecked: `scatter` sums the terms d and a
-sum of cochains derive, and the pair kernel `pair_at_free_keys` sums each
+Computed cochains are built unchecked: d sums the action terms of its
+input's free values and their keys' cached B(K), `scatter` the terms a
+sum of cochains derives, and the pair kernel `pair_at_free_keys` sums each
 operand pair of the product and the bracket halves straight into its
 key. A valid cochain is its free part plus the context that marked it
 (`mark_valid`), whose free-datum store writes its other entries: `expand`
@@ -33,6 +34,7 @@ for cochains from outside. No other module reads or writes
 the `components` layout."""
 
 import json
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,7 +44,8 @@ from math import comb, factorial, prod
 
 from .algebra import _is_index
 from .linalg import rref
-from .sympoly import SymPoly, SymPolyParseError, _canonical, accumulate, exact, parse_sympoly, settle
+from .sympoly import (SymPoly, SymPolyParseError, _canonical, accumulate, add_scaled, exact,
+                      parse_sympoly, settle)
 
 
 class CochainShapeError(ValueError):
@@ -574,11 +577,29 @@ def coboundary(ctx, omega):
 
 
 def free_coboundary(ctx, omega):
-    """The free part of d(omega), from `_free_coboundary_terms`. d reads
-    the entries whose es has up to one descent, so omega must be a whole
-    valid cochain, not a free part (InvalidCochainError otherwise)."""
+    """The free part of d(omega), from its free entries alone (`free_view`).
+    A valid omega is the sum of v * F over its free entries v at K, F the
+    scalar free-datum table of K, and d acts on values only through the
+    action term, which kills scalars and reaches a free key only from K.
+    So each v adds e_i acting on it at position a = bisect(es, i), for i
+    in `LeibnizAlgebra.acting` and not in es, and v * B(K)
+    (`_free_boundary`), all summed raw and settled once. omega must be
+    valid (InvalidCochainError otherwise), so a free part is refused."""
     require_valid(ctx, omega)
-    return scatter(ctx.zdim, omega.degree + 1, _free_coboundary_terms(ctx, omega))
+    acting = ctx.algebra.acting
+    images = ctx.cache.setdefault("action_images", {})
+    sums = {}
+    for k, es, fs, val in free_view(omega):
+        if val.degree() > 0:
+            for i in acting:
+                a = bisect_left(es, i)
+                if a == len(es) or es[a] != i:
+                    key = (k, es[:a] + (i,) + es[a:], fs)
+                    add_scaled(sums.get(key) or sums.setdefault(key, {}),
+                               action(ctx, i, val, images), -1 if a % 2 else 1)
+        for key, c in _free_boundary(ctx, k, es, fs):
+            add_scaled(sums.get(key) or sums.setdefault(key, {}), val, c)
+    return _gathered(ctx.zdim, omega.degree + 1, sums, True)
 
 
 def action(ctx, i, poly, images=None):
@@ -590,46 +611,31 @@ def action(ctx, i, poly, images=None):
     return ctx.algebra.rho_basis(i, poly, images.get(i) or images.setdefault(i, {}))
 
 
-def _free_coboundary_terms(ctx, omega):
-    """The terms of d that land on free keys, from each stored entry
-    omega_k(es; fs).
-
-    d0's action terms put e_i acting on it at each position a; the key is
-    free only when es is strictly increasing, i is not in es and a is
-    bisect(es, i). The action kills scalars, and only the indices in
-    `LeibnizAlgebra.acting` act at all. d0's bracket terms replace the
-    argument t = es[b] by y and put x at a position a <= b, for each pair
-    (x, y) whose product x.y has a t-component c; the key is free only when
-    es less es[b] is strictly increasing, x < y, es[b-1] < y < es[b+1], x
-    is not in es and a = bisect_left(es, x, 0, b). delta trades the first
-    argument t for each center generator z_r whose basis vector has a
-    t-coordinate; the key is free only when es[1:] is strictly increasing.
-    So an entry with no descent gives terms of all three kinds at every
-    position; one with a single descent at j gives bracket terms only at
-    b = j and b = j + 1 (the window for y checks es[b-1] < es[b+1]) and a
-    delta term only when j = 0; one with two descents or more reaches no
-    free key (two adjacent ones, at b-1 and b, leave no room for y) and is
-    skipped at once.
-    """
-    alg = ctx.algebra
-    images = ctx.cache.setdefault("action_images", {})
-    for k, es, fs, val in entries(omega):
+def _free_boundary(ctx, k0, es0, fs0):
+    """B(K), the free part of d of the scalar free-datum table of the free
+    key K = (k0, es0, fs0), as ((k, es, fs), c) over its nonzero c, kept in
+    ctx.cache["free_coboundary"]; the table is fetched on every call, so
+    its walk is checked against the budget. Only d0's bracket terms and
+    delta act on scalars. A bracket term replaces t = es[b] by y and puts
+    x at a <= b, for each x.y with a t-component c; the key is free only
+    when es less es[b] is strictly increasing, x < y, es[b-1] < y <
+    es[b+1], x is not in es and a = bisect_left(es, x, 0, b). delta trades
+    es[0] for each z_r with an es[0]-coordinate; the key is free only when
+    es[1:] is strictly increasing. So only b = j and j + 1 reach a free key
+    from an entry with one descent j, delta only when j = 0, and nothing
+    from an entry with two descents or more."""
+    table = _free_datum_cochain(ctx, k0, es0, fs0)
+    store = ctx.cache.setdefault("free_coboundary", {})
+    found = store.get((k0, es0, fs0))
+    if found is not None:
+        return found
+    alg, sums = ctx.algebra, {}
+    for (k, es, fs), value in table.items():
         n = len(es)
         descents = [j for j in range(n - 1) if es[j] >= es[j + 1]]
-        if not descents:
-            positions, delta = range(n), n > 0
-            if val.degree() > 0:
-                for i in alg.acting:
-                    a = bisect_left(es, i)
-                    if a == n or es[a] != i:
-                        yield (k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val, images),
-                               -1 if a % 2 else 1)
-        elif len(descents) == 1:
-            j = descents[0]
-            positions, delta = (j, j + 1), j == 0
-        else:
+        if len(descents) > 1:
             continue
-        for b in positions:
+        for b in (descents[0], descents[0] + 1) if descents else range(n):
             t = es[b]
             lo = es[b - 1] if b else -1
             hi = es[b + 1] if b + 1 < n else ctx.dim
@@ -637,13 +643,16 @@ def _free_coboundary_terms(ctx, omega):
                 if x < y and lo < y < hi:
                     a = bisect_left(es, x, 0, b)
                     if a == b or es[a] != x:
-                        yield (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs, val,
-                               c if a % 2 else -c)
-        if delta:
+                        key = (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs)
+                        sums[key] = sums.get(key, 0) + (c if a % 2 else -c) * value
+        if n and descents in ([], [0]):
             for r, zvec in enumerate(alg.z_basis):
                 if zvec[es[0]] != 0:
                     out_fs, mult = merge_centers((r,), fs)
-                    yield k + 1, es[1:], out_fs, val, zvec[es[0]] * mult
+                    key = (k + 1, es[1:], out_fs)
+                    sums[key] = sums.get(key, 0) + zvec[es[0]] * mult * value
+    store[k0, es0, fs0] = found = tuple((key, exact(c)) for key, c in sums.items() if c)
+    return found
 
 
 def expand(ctx, degree, free):
@@ -934,8 +943,17 @@ def cochain_from_dict(ctx, data):
         raise CochainFormatError(str(exc)) from exc
 
 
+# A cochain file longer than MAX_FILE_BYTES_PER_ENTRY * MAX_TABLE bytes
+# (100 MB) is refused before it is read.
+MAX_FILE_BYTES_PER_ENTRY = 1000
+
+
 def load_cochain(ctx, path):
     with open(path, "r", encoding="utf-8") as fh:
+        size, limit = os.fstat(fh.fileno()).st_size, MAX_FILE_BYTES_PER_ENTRY * MAX_TABLE
+        if size > limit:
+            raise TableBudgetError(f"a cochain file of {size} bytes is above the limit of "
+                                   f"{limit} bytes")
         try:
             data = json.load(fh)
         except ValueError as exc:  # also an integer literal too long for int()

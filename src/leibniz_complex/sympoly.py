@@ -258,6 +258,13 @@ def add_product(acc, x, y, factor=1):
             acc[mono] = c1 * c2 if old is None else old + c1 * c2
 
 
+def add_scaled(acc, x, factor):
+    """Add factor * x, a SymPoly or {monomial: exact} dict, into the raw sum acc."""
+    for mono, c in x.items():
+        old = acc.get(mono)
+        acc[mono] = c * factor if old is None else old + c * factor
+
+
 def settle(acc):
     """The raw sum acc as canonical terms, each coefficient exact, no zero."""
     return {mono: exact(c) for mono, c in acc.items() if c != 0}

@@ -28,15 +28,22 @@ all of them visits, where the package reads only its strictly
 increasing ones (`duality.increasing_bars`). `free_datum_cochain`
 evaluates each lower group of a free-datum walk at every distinct
 ordering, where the package visits only the keys that can be nonzero.
+`one_descent_coboundary` is the sparse free part of d the package ran
+before it read only free entries: the terms at free keys of every stored
+entry with at most one descent, where the package sums the action terms
+of each free value and its key's cached B(K).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from leibniz_complex.algebra import LeibnizReport, basis_vec, vec_add
 from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationReport,
-                                      accumulate, component_keys, signed_permutations)
+                                      accumulate, action, component_keys, entries,
+                                      merge_centers, require_valid, scatter,
+                                      signed_permutations)
 from leibniz_complex.duality import (RepresentabilityReport, bar, covector, phi_section,
                                      stored_bars, tilde_value)
 from leibniz_complex.linalg import rref as sparse_rref
@@ -499,6 +506,69 @@ def coboundary(ctx, omega):
                         accumulate(acc, omega.value(k - 1, (t,) + es, rest_fs), c)
 
     return assemble(ctx, n + 1, fill)
+
+
+def one_descent_coboundary(ctx, omega):
+    """The free part of d(omega) from every stored entry of omega whose es
+    has at most one descent, as the package computed it before it read
+    only free entries and the cached B(K); reading `components`, it writes
+    an unwritten input."""
+    require_valid(ctx, omega)
+    return scatter(ctx.zdim, omega.degree + 1, one_descent_terms(ctx, omega))
+
+
+def one_descent_terms(ctx, omega):
+    """The terms of d that land on free keys, from each stored entry
+    omega_k(es; fs).
+
+    d0's action terms put e_i acting on it at each position a; the key is
+    free only when es is strictly increasing, i is not in es and a is
+    bisect(es, i). The action kills scalars, and only the indices in
+    `LeibnizAlgebra.acting` act at all. d0's bracket terms replace the
+    argument t = es[b] by y and put x at a position a <= b, for each pair
+    (x, y) whose product x.y has a t-component c; the key is free only when
+    es less es[b] is strictly increasing, x < y, es[b-1] < y < es[b+1], x
+    is not in es and a = bisect_left(es, x, 0, b). delta trades the first
+    argument t for each center generator z_r whose basis vector has a
+    t-coordinate; the key is free only when es[1:] is strictly increasing.
+    So an entry with no descent gives terms of all three kinds at every
+    position; one with a single descent at j gives bracket terms only at
+    b = j and b = j + 1 and a delta term only when j = 0; one with two
+    descents or more reaches no free key and is skipped.
+    """
+    alg = ctx.algebra
+    images = ctx.cache.setdefault("action_images", {})
+    for k, es, fs, val in entries(omega):
+        n = len(es)
+        descents = [j for j in range(n - 1) if es[j] >= es[j + 1]]
+        if not descents:
+            positions, delta = range(n), n > 0
+            if val.degree() > 0:
+                for i in alg.acting:
+                    a = bisect_left(es, i)
+                    if a == n or es[a] != i:
+                        yield (k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val, images),
+                               -1 if a % 2 else 1)
+        elif len(descents) == 1:
+            j = descents[0]
+            positions, delta = (j, j + 1), j == 0
+        else:
+            continue
+        for b in positions:
+            t = es[b]
+            lo = es[b - 1] if b else -1
+            hi = es[b + 1] if b + 1 < n else ctx.dim
+            for x, y, c in alg.product_index[t]:
+                if x < y and lo < y < hi:
+                    a = bisect_left(es, x, 0, b)
+                    if a == b or es[a] != x:
+                        yield (k, es[:a] + (x,) + es[a:b] + (y,) + es[b + 1:], fs, val,
+                               c if a % 2 else -c)
+        if delta:
+            for r, zvec in enumerate(alg.z_basis):
+                if zvec[es[0]] != 0:
+                    out_fs, mult = merge_centers((r,), fs)
+                    yield k + 1, es[1:], out_fs, val, zvec[es[0]] * mult
 
 
 def cup(ctx, omega, eta):

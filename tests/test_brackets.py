@@ -316,7 +316,9 @@ def test_bracket_choice_independence_on_fat(algebras):
 def test_products_check_the_table_budget_of_their_sparse_walks(monkeypatch):
     """On O1, d(zeta) = Theta and {Theta, zeta} expand the free datum
     (1, (0,), (0,)), whose walk visits 3 keys: the key itself and the 2
-    keys at k = 0 that can be nonzero. zeta . e_0-flat expands
+    keys at k = 0 that can be nonzero. d also walks zeta's own free keys,
+    (0, (0, 1), ()) and (1, (), (0,)), 2 keys each, for their free parts
+    of d (`cochains._free_boundary`). zeta . e_0-flat expands
     (1, (1,), (0,)), a walk of 2 keys, and zeta . zeta walks 5. The
     bracket halves expand nothing; they pair 4, 2 and 1 operand entries,
     and phi's systems on O1 have 2 columns. So each op runs at the largest
@@ -324,16 +326,17 @@ def test_products_check_the_table_budget_of_their_sparse_walks(monkeypatch):
     its walk."""
     o1 = ComplexContext(build_fixture("O1"))
     z, t, f = zeta(o1), theta(o1), flat_cochain(o1, basis_vec(2, 0))
-    # (op, its operands, its largest walk, its largest table)
-    ops = ((coboundary, (z,), 3, 3), (cup, (z, f), 2, 2), (poisson, (t, z), 3, 4),
-           (bullet, (t, z), None, 4), (diamond, (t, z), None, 2), (diamond, (z, t), None, 1))
+    # (op, its operands, the sizes of its walks, its output's walk, its
+    # largest table)
+    ops = ((coboundary, (z,), {2, 3}, 3, 3), (cup, (z, f), {2}, 2, 2),
+           (poisson, (t, z), {3}, 3, 4), (bullet, (t, z), set(), None, 4),
+           (diamond, (t, z), set(), None, 2), (diamond, (z, t), set(), None, 1))
     outs = []
-    for op, args, walk, _ in ops:
+    for op, args, walks, _, _ in ops:
         fresh = ComplexContext(o1.algebra)
         outs.append(op(fresh, *args))
-        assert {count for count, _ in fresh.cache.get("free_datum", {}).values()} == (
-            {walk} if walk else set())
-    for (op, args, walk, largest), out in zip(ops, outs):
+        assert {count for count, _ in fresh.cache.get("free_datum", {}).values()} == walks
+    for (op, args, _, walk, largest), out in zip(ops, outs):
         monkeypatch.setattr(cochains, "MAX_TABLE", largest)
         assert op(o1, *args) == out
         monkeypatch.setattr(cochains, "MAX_TABLE", largest - 1)

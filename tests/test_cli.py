@@ -534,6 +534,47 @@ def test_cochain_files_over_the_table_budget_are_input_errors(tmp_path, capsys, 
     assert len(parsed) == 5
 
 
+def test_cochain_files_over_the_byte_budget_are_input_errors(tmp_path, capsys, monkeypatch):
+    # sparse files, made by seeking and writing one byte, so no large data
+    # is written: one byte over MAX_FILE_BYTES_PER_ENTRY * MAX_TABLE is
+    # refused before the text is read, a file of exactly that size is read
+    limit = cochains.MAX_FILE_BYTES_PER_ENTRY * cochains.MAX_TABLE
+    assert limit == 100_000_000
+    loads = []
+    load = cochains.json.load
+    monkeypatch.setattr(cochains.json, "load", lambda fh: loads.append(fh) or load(fh))
+
+    def sparse(name, size):
+        path = tmp_path / name
+        with open(path, "wb") as fh:
+            fh.seek(size - 1)
+            fh.write(b" ")
+        return str(path)
+
+    start = time.perf_counter()
+    assert main(["d", "--algebra", "O1", "--cochain", sparse("big.json", limit + 1)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == (f"input error: a cochain file of {limit + 1} bytes is above the limit of "
+                   f"{limit} bytes\n")
+    assert loads == []
+    # under a budget of 4 entries the limit is 4,000 bytes; a valid file
+    # padded with spaces to exactly that size runs
+    monkeypatch.setattr(cochains, "MAX_TABLE", 4)
+    text = json.dumps({"degree": 1, "components": [
+        {"k": 0, "entries": [{"es": [0], "fs": [], "value": "z1"}]}]})
+    path = tmp_path / "padded.json"
+    path.write_text(text.ljust(4000))
+    assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 0
+    assert len(loads) == 1
+    capsys.readouterr()
+    path.write_text(text.ljust(4001))
+    assert main(["d", "--algebra", "O1", "--cochain", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: a cochain file of 4001 bytes is above the limit of 4000 bytes\n")
+    assert len(loads) == 1
+
+
 def test_unexpected_exceptions_exit_3_with_one_line(monkeypatch, capsys):
     def broken(args):
         raise RuntimeError("boom\nsecond line")

@@ -338,13 +338,16 @@ def stored(omega):
 
 
 def test_work_follows_stored_entries_not_output_keys(monkeypatch):
-    """Counts the kernel's accumulate calls (and, for cup, value lookups) on
-    omni(4), dim 20. A dense loop over the 20^4 output keys of d(theta), or
-    the 20^3 of a degree-3 product, exceeds these bounds many times over."""
+    """Counts the kernels' units of work on omni(4), dim 20: for d, the
+    entries of B(K) it reads and the action terms it adds; for cup, its
+    accumulate calls and value lookups. A dense loop over the 20^4 output
+    keys of d(theta), or the 20^3 of a degree-3 product, exceeds these
+    bounds many times over."""
     ctx = ComplexContext(build_fixture("omni(4)"))
     dim = ctx.dim
     work = Counter()
     accumulate, value = cochains.accumulate, Cochain.value
+    free_boundary, action = cochains._free_boundary, cochains.action
 
     def counted_accumulate(acc, poly, factor=1):
         work["accumulate"] += 1
@@ -354,22 +357,36 @@ def test_work_follows_stored_entries_not_output_keys(monkeypatch):
         work["value"] += 1
         return value(self, k, es, fs)
 
+    def counted_free_boundary(ctx, k, es, fs):
+        terms = free_boundary(ctx, k, es, fs)
+        work["d"] += len(terms)
+        return terms
+
+    def counted_action(ctx, i, poly, images=None):
+        work["d"] += 1
+        return action(ctx, i, poly, images)
+
     monkeypatch.setattr(cochains, "accumulate", counted_accumulate)
     monkeypatch.setattr(Cochain, "value", counted_value)
+    monkeypatch.setattr(cochains, "_free_boundary", counted_free_boundary)
+    monkeypatch.setattr(cochains, "action", counted_action)
     th, ze = theta(ctx), zeta(ctx)
     flat = flat_cochain(ctx, tuple(Fraction(1) for _ in range(dim)))
     assert dim == 20 and stored(th) and stored(ze) and stored(flat)
 
     # per entry of theta (n = 3 arguments), d has at most dim * (n + 1)
     # action terms, 8 * n(n + 1)/2 bracket terms (no basis element is a
-    # component of more than 8 products) and zdim delta terms: < 2 (n + 1) dim
+    # component of more than 8 products) and zdim delta terms: < 2 (n + 1) dim;
+    # d reads them at theta's free entries only, the action terms of each
+    # free value and the summed bracket and delta terms of its key, B(K)
     table = ctx.algebra.table
     assert all(sum(table[x][y][t] != 0 for x in range(dim) for y in range(dim)) <= 8
                for t in range(dim))
     work.clear()
     assert coboundary(ctx, th).is_zero()
     bound = 2 * stored(th) * (th.degree + 1) * dim
-    assert 0 < work["accumulate"] <= bound < dim ** 4 // 4
+    assert 0 < work["d"] <= bound < dim ** 4 // 4
+    assert work["accumulate"] == work["value"] == 0
 
     work.clear()
     cup(ctx, ze, flat)
@@ -387,7 +404,7 @@ def is_free(es):
 
 def record_written_keys(monkeypatch):
     """The es of every key d and the pair kernel write: the keys of the
-    sums `scatter` and `pair_at_free_keys` hand to `cochains._gathered`,
+    sums d and `pair_at_free_keys` hand to `cochains._gathered`,
     a key whose sum is zero included. `expand`, which fills in the other
     keys, writes its output itself."""
     gathered, keys = cochains._gathered, []
