@@ -173,13 +173,14 @@ class LeibnizAlgebra:
 
     # -- the action on S(Z) ---------------------------------------------------
 
-    def rho_basis(self, i, poly, images=None):
+    def rho_basis(self, i, poly, images=None, acc=None, factor=1):
         """Action of basis element e_i on S(Z), extended as a derivation;
-        `images` is passed on to `derivation_extend` (one dict per i)."""
+        `images` (one dict per i), and the raw sum `acc` that factor times
+        the action is added into, are passed on to `derivation_extend`."""
         base = self._rho_base[i]
         if base is None:
             raise IntegrityError(f"e_{i} does not preserve the left center")
-        return derivation_extend(base, poly, images)
+        return derivation_extend(base, poly, images, acc, factor)
 
     # -- fatness and the quotient ---------------------------------------------
 

@@ -7,10 +7,13 @@ first center slot of the other, extended as a derivation:
 
     {w, h} = bullet(w, h) + diamond(w, h) - (-1)^(nm) diamond(h, w).
 
-Each half sums its operand pairs straight into its free part, its values
-at the free keys (`cochains.pair_at_free_keys`), and `poisson` expands
-their signed sum. The paper's defining formulas, pair_bracket and
-circ_compose, evaluate each half at every key in the test oracle
+Each half sums its operand pairs straight into its values at the free
+keys (`cochains.pair_at_free_keys`). `free_poisson` hands the three
+halves one raw {monomial: coefficient} sum per key, each adding its pairs
+with its sign, settles every key once and `poisson` expands the result;
+no half becomes a cochain there. Called alone, a half returns its free
+part. The paper's defining formulas, pair_bracket and circ_compose,
+evaluate each half at every key in the test oracle
 tests/dense_reference.py.
 
 The canonical cochains live here too: the degree-2 `zeta` (symmetric
@@ -25,8 +28,9 @@ which on a fat algebra recovers e1 . e2 itself through the section.
 from itertools import chain
 
 from .algebra import basis_vec
-from .cochains import (Cochain, check_context, combine, expand, free_view, has_free_centers,
-                       mark_valid, operand_view, pair_at_free_keys, require_valid, scatter)
+from .cochains import (Cochain, _gathered, check_context, combine, expand, free_view,
+                       has_free_centers, mark_valid, operand_view, pair_at_free_keys,
+                       require_valid, scatter)
 from .duality import (NotRepresentableError, covector, flat_cochain, increasing_bars, lift,
                       require_representable, require_vector, tilde_value)
 from .sympoly import SymPoly, add_derivation, add_product
@@ -54,9 +58,10 @@ def _lifts(ctx, omega):
     return lifts
 
 
-def bullet(ctx, omega, eta):
+def bullet(ctx, omega, eta, sums=None, factor=1):
     """Pairing half of the bracket at the free keys: the lifts of both
-    operands paired.
+    operands paired. Given a raw `sums` (`pair_at_free_keys`), factor
+    times the half is added into it and nothing is returned.
 
     A lift x of omega's bar covector at (prefix, fs) has phi(x) =
     omega(prefix, -; fs), so pairing x with a lift y of eta's is the dot
@@ -71,29 +76,31 @@ def bullet(ctx, omega, eta):
     """
     check_context(ctx, omega, eta)
     require_representable(ctx, omega)
-    sign = -1 if eta.degree % 2 == 0 else 1
+    sign = -factor if eta.degree % 2 == 0 else factor
 
-    def add_pair(acc, bar, y, factor):
+    def add_pair(acc, bar, y, f):
         for e, v in bar.items():
             if e in y:
-                add_product(acc, v, y[e], sign * factor)
+                add_product(acc, v, y[e], sign * f)
 
     return pair_at_free_keys(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
-                             increasing_bars(omega), _lifts(ctx, eta), add_pair)
+                             increasing_bars(omega), _lifts(ctx, eta), add_pair, sums=sums)
 
 
-def diamond(ctx, omega, eta):
+def diamond(ctx, omega, eta, sums=None, factor=1):
     """Composition half of the bracket at the free keys: each free eta
     entry fed, as a derivation, into the first center argument of omega's
     components, wherever the two argument tuples are strictly increasing
     and disjoint, and added into the key from the monomial images kept
-    with omega's derivation bases (`_derivation_bases`)."""
+    with omega's derivation bases (`_derivation_bases`). Given a raw
+    `sums`, factor times the half is added into it, as `bullet` does."""
     check_context(ctx, omega, eta)
     degree = max(omega.degree + eta.degree - 2, 0)
     if not has_free_centers(omega):  # no center argument to feed into
-        return Cochain.zero(degree, ctx.zdim)
+        return Cochain.zero(degree, ctx.zdim) if sums is None else None
     return pair_at_free_keys(ctx.zdim, degree, operand_view(omega, "bases", _derivation_bases),
-                             free_view(eta), lambda acc, b, y, f: add_derivation(acc, b[0], y, b[1], f))
+                             free_view(eta), lambda acc, b, y, f: add_derivation(
+                                 acc, b[0], y, b[1], f * factor), sums=sums)
 
 
 def _derivation_bases(omega):
@@ -120,13 +127,16 @@ def poisson(ctx, omega, eta):
 
 
 def free_poisson(ctx, omega, eta):
-    """The free part of {omega, eta}: the signed sum of the three halves.
-    `bullet` reads whole bar covectors of both operands, so both must be
-    whole valid cochains, not free parts (it validates them)."""
+    """The free part of {omega, eta}: the signed sum of the three halves,
+    each added into one raw sum per key and settled once. `bullet` reads
+    whole bar covectors of both operands, so both must be whole valid
+    cochains, not free parts (it validates them)."""
     n, m = omega.degree, eta.degree
-    sign = -1 if (n * m) % 2 else 1
-    return combine(ctx.zdim, max(n + m - 2, 0), (bullet(ctx, omega, eta), 1),
-                   (diamond(ctx, omega, eta), 1), (diamond(ctx, eta, omega), -sign))
+    sums = {}
+    bullet(ctx, omega, eta, sums=sums)
+    diamond(ctx, omega, eta, sums=sums)
+    diamond(ctx, eta, omega, sums=sums, factor=1 if (n * m) % 2 else -1)
+    return _gathered(ctx.zdim, max(n + m - 2, 0), sums, raw=True)
 
 
 def zeta(ctx):

@@ -201,11 +201,14 @@ class Cochain:
 
     def __eq__(self, other):
         """Equal entries. Two cochains known valid over one algebra are
-        compared at the free keys: each is the expansion of its free part."""
+        compared at the free keys: each is the expansion of its free part.
+        Against a zero cochain, `is_zero` decides, so nothing is written."""
         if not isinstance(other, Cochain):
             return NotImplemented
         if self.degree != other.degree or self.nvars != other.nvars:
             return False
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
         if self._valid_over is not None and self._valid_over is other._valid_over:
             return _free_table(self) == _free_table(other)
         return self.components == other.components
@@ -424,7 +427,7 @@ def combine(nvars, degree, *scaled):
                                    for k, es, fs, value in entries(omega)))
 
 
-def pair_at_free_keys(nvars, degree, left, right, add_pair, raw=True):
+def pair_at_free_keys(nvars, degree, left, right, add_pair, raw=True, sums=None):
     """The pair kernel: the degree-n cochain `cup`, `bullet` or `diamond`
     builds at the free keys, the keys with es strictly increasing.
 
@@ -436,11 +439,13 @@ def pair_at_free_keys(nvars, degree, left, right, add_pair, raw=True):
     add_pair(acc, x, y, factor) adds factor * pair(x, y), factor that
     shuffle's sign times the center multiplicity, straight into acc, the
     key's {monomial: coefficient} sum; `raw` sums are made canonical once,
-    at the end. The |left| * |right| pairs are checked against the table
-    budget before the first.
+    at the end. Given a caller's raw `sums`, {(k, es, fs): sum}, the pairs
+    are added into it and nothing is returned: the caller settles it (one
+    sum for the three halves of a bracket). The |left| * |right| pairs are
+    checked against the table budget before the first.
     """
     check_table(len(left) * len(right), "a pairing of two operands")
-    sums = {}
+    out = {} if sums is None else sums
     for i, es1, fs1, x in left:
         for j, es2, fs2, y in right:
             if es1 and es2:
@@ -452,8 +457,8 @@ def pair_at_free_keys(nvars, degree, left, right, add_pair, raw=True):
                 es, sign = es1 or es2, 1
             fs, mult = merge_centers(fs1, fs2)
             key = (i + j, es, fs)
-            add_pair(sums.get(key) or sums.setdefault(key, {}), x, y, sign * mult)
-    return _gathered(nvars, degree, sums, raw)
+            add_pair(out.get(key) or out.setdefault(key, {}), x, y, sign * mult)
+    return _gathered(nvars, degree, out, raw) if sums is None else None
 
 
 def _increasing(es):
@@ -583,11 +588,11 @@ def free_coboundary(ctx, omega):
     action term, which kills scalars and reaches a free key only from K.
     So each v adds e_i acting on it at position a = bisect(es, i), for i
     in `LeibnizAlgebra.acting` and not in es, and v * B(K)
-    (`_free_boundary`), all summed raw and settled once. omega must be
+    (`_free_boundary`), all summed raw into the key's sum (the action with
+    its sign through `action`'s `into`) and settled once. omega must be
     valid (InvalidCochainError otherwise), so a free part is refused."""
     require_valid(ctx, omega)
     acting = ctx.algebra.acting
-    images = ctx.cache.setdefault("action_images", {})
     sums = {}
     for k, es, fs, val in free_view(omega):
         if val.degree() > 0:
@@ -595,20 +600,22 @@ def free_coboundary(ctx, omega):
                 a = bisect_left(es, i)
                 if a == len(es) or es[a] != i:
                     key = (k, es[:a] + (i,) + es[a:], fs)
-                    add_scaled(sums.get(key) or sums.setdefault(key, {}),
-                               action(ctx, i, val, images), -1 if a % 2 else 1)
+                    action(ctx, i, val, (sums.get(key) or sums.setdefault(key, {}),
+                                         -1 if a % 2 else 1))
         for key, c in _free_boundary(ctx, k, es, fs):
             add_scaled(sums.get(key) or sums.setdefault(key, {}), val, c)
     return _gathered(ctx.zdim, omega.degree + 1, sums, True)
 
 
-def action(ctx, i, poly, images=None):
+def action(ctx, i, poly, into=None):
     """e_i acting on poly in S(Z) (`LeibnizAlgebra.rho_basis`), each
-    monomial's image kept in images = ctx.cache["action_images"], one dict
-    per i; d fetches `images` once and passes it."""
-    if images is None:
-        images = ctx.cache.setdefault("action_images", {})
-    return ctx.algebra.rho_basis(i, poly, images.get(i) or images.setdefault(i, {}))
+    monomial's image kept in ctx.cache["action_images"], one dict per i.
+    With into = (acc, factor), factor times the action is added into the
+    raw {monomial: coefficient} sum acc instead and no SymPoly is built:
+    d passes its key's sum and sign so."""
+    images = ctx.cache.setdefault("action_images", {})
+    images = images.get(i) or images.setdefault(i, {})
+    return ctx.algebra.rho_basis(i, poly, images, *(into or ()))
 
 
 def _free_boundary(ctx, k0, es0, fs0):

@@ -352,11 +352,13 @@ def _number(token):
         raise SymPolyParseError(f"bad number {token[:20]!r}: {exc}") from exc
 
 
-def derivation_extend(base, poly, images=None):
+def derivation_extend(base, poly, images=None, acc=None, factor=1):
     """Apply the derivation sending generator r to base[r], a SymPoly for
     every generator, to `poly`; it kills the scalar part. `images`, when
     given, is a dict {monomial: image} the caller keeps for this one base:
-    an image in it is read, a new one added. `base` is checked on every
+    an image in it is read, a new one added. With `acc`, a caller's raw
+    {monomial: coefficient} sum, factor times the image is added into acc
+    (`add_derivation`) and no SymPoly is built. `base` is checked on every
     call either way."""
     base = list(base)
     if len(base) != poly.nvars:
@@ -364,9 +366,9 @@ def derivation_extend(base, poly, images=None):
     for b in base:
         if b.nvars != poly.nvars:
             raise DimensionError("base values live over a different generator count")
-    terms = {}
-    add_derivation(terms, base, poly, {} if images is None else images)
-    return _canonical(poly.nvars, settle(terms))
+    terms = {} if acc is None else acc
+    add_derivation(terms, base, poly, {} if images is None else images, factor)
+    return _canonical(poly.nvars, settle(terms)) if acc is None else None
 
 
 def add_derivation(acc, base, poly, images, factor=1):

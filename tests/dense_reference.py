@@ -537,7 +537,6 @@ def one_descent_terms(ctx, omega):
     descents or more reaches no free key and is skipped.
     """
     alg = ctx.algebra
-    images = ctx.cache.setdefault("action_images", {})
     for k, es, fs, val in entries(omega):
         n = len(es)
         descents = [j for j in range(n - 1) if es[j] >= es[j + 1]]
@@ -547,7 +546,7 @@ def one_descent_terms(ctx, omega):
                 for i in alg.acting:
                     a = bisect_left(es, i)
                     if a == n or es[a] != i:
-                        yield (k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val, images),
+                        yield (k, es[:a] + (i,) + es[a:], fs, action(ctx, i, val),
                                -1 if a % 2 else 1)
         elif len(descents) == 1:
             j = descents[0]

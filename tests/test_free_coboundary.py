@@ -149,9 +149,9 @@ def test_the_action_terms_go_through_derivation_extend(contexts, monkeypatch):
     calls = []
     extend = algebra.derivation_extend
 
-    def counted(base, poly, images=None):
+    def counted(base, poly, images=None, acc=None, factor=1):
         calls.append(poly)
-        return extend(base, poly, images)
+        return extend(base, poly, images, acc, factor)
 
     monkeypatch.setattr(algebra, "derivation_extend", counted)
     ctx = contexts["O2"]

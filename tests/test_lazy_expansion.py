@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 import dense_reference as dense
-from leibniz_complex import cochains, verify
+from leibniz_complex import cli, cochains, verify
 from leibniz_complex.algebra import basis_vec, build_fixture
 from leibniz_complex.brackets import poisson, theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, coboundary, cochain_space_basis,
@@ -181,6 +181,30 @@ def test_readers_of_every_entry_write_it_once(ctxs, writes, reader):
         assert len(writes) == 1
         assert whole(lazy) == whole(expected)
         assert len(writes) == 1
+
+
+def test_comparison_with_zero_reads_is_zero(ctxs, writes):
+    """d(d(omega)) == 0, as `verify.check_d_squared` asks it, writes
+    nothing; an unmarked nonzero cochain from outside, even one whose
+    free part is zero, still differs from zero, both ways round."""
+    ctx = ctxs["omni(3)"]
+    zero = Cochain.zero(5, ctx.zdim)
+    twice = coboundary(ctx, coboundary(ctx, cup(ctx, zeta(ctx), flat_cochain(ctx, (1,) * 12))))
+    assert unwritten(twice) and twice == zero and zero == twice and writes == []
+    z = SymPoly.generator(ctx.zdim, 0)
+    for table in ({((0, 1), ()): z}, {((1, 0), ()): z}):
+        outside = Cochain(2, ctx.zdim, {0: table})
+        assert outside != Cochain.zero(2, ctx.zdim) and Cochain.zero(2, ctx.zdim) != outside
+    assert Cochain.zero(2, ctx.zdim) == Cochain(2, ctx.zdim) != Cochain.zero(3, ctx.zdim)
+
+
+def test_default_verify_writes_few_expansions(writes, capsys):
+    """Default `leibcx verify` writes at most 153 expansions: comparing
+    d(d(omega)) with zero writes none (`increasing_bars` still writes the
+    cochains it reads)."""
+    assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    assert 0 < len(writes) <= 153
 
 
 def test_repr_counts_free_entries_and_writes_nothing(ctxs, writes):

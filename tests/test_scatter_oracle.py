@@ -28,7 +28,7 @@ from leibniz_complex.cochains import (Cochain, ComplexContext, InvalidCochainErr
                                       cochain_space_basis, cup, entries, free_coboundary,
                                       free_cup, free_part, scatter)
 from leibniz_complex.duality import NotRepresentableError, flat_cochain, is_representable
-from leibniz_complex.sympoly import SymPoly
+from leibniz_complex.sympoly import SymPoly, add_scaled
 from leibniz_complex.verify import (check_dga_axioms, check_poisson_axioms, check_theta_bracket,
                                     d0_sign_mutant, random_representable)
 
@@ -554,14 +554,20 @@ def test_free_parts_are_refused_by_the_public_operators(contexts, name):
 
 def flip_one_value(fn):
     """fn with the value at the least key of each nonzero result negated:
-    one wrong sign among the free values of an operator."""
+    one wrong sign among the free values of an operator. Given a caller's
+    raw sums, as `free_poisson` hands each bracket half, the half is
+    computed alone, flipped, and added into them times factor."""
 
-    def mutant(ctx, *operands):
+    def mutant(ctx, *operands, sums=None, factor=1):
         result = fn(ctx, *operands)
         keys = sorted((k, es, fs) for k, es, fs, _ in entries(result))
-        return scatter(result.nvars, result.degree, (
+        flipped = scatter(result.nvars, result.degree, (
             (k, es, fs, value, -1 if keys and (k, es, fs) == keys[0] else 1)
             for k, es, fs, value in entries(result)))
+        if sums is None:
+            return flipped
+        for k, es, fs, value in entries(flipped):
+            add_scaled(sums.setdefault((k, es, fs), {}), value, factor)
 
     return mutant
 
