@@ -20,6 +20,7 @@ coordinate an exact rational in the canonical form of `sympoly.exact`
 """
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -305,6 +306,14 @@ MAX_COEFF_DIGITS = 1000
 # omni(7), dim 56, is the largest omni(n) under it.
 MAX_DIM = 64
 
+# The most bytes per structure constant an algebra file may spend: a
+# coefficient at MAX_COEFF_DIGITS, its quotes and, in `json.dump`'s
+# indented form, its separator and indentation, with room to spare for
+# the entry keys and the labels. A file longer than this times MAX_DIM^3,
+# the constants of a full table at MAX_DIM (about 268 MB), holds no valid
+# algebra and is refused before it is read.
+MAX_FILE_BYTES_PER_COEFF = MAX_COEFF_DIGITS + 24
+
 
 def build_fixture(name):
     """Named test algebras: A3, O1, O2, AFF_O1, or omni(n)."""
@@ -398,6 +407,7 @@ def algebra_from_dict(data):
     if not isinstance(brackets, list):
         raise AlgebraFormatError("'brackets' must be a list")
     table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+    given = set()
     for entry in brackets:
         try:
             i, j, coeffs = entry["i"], entry["j"], entry["coeffs"]
@@ -405,6 +415,9 @@ def algebra_from_dict(data):
             raise AlgebraFormatError(f"bad bracket entry {entry!r}") from exc
         if not (_is_index(i) and 0 <= i < dim and _is_index(j) and 0 <= j < dim):
             raise AlgebraFormatError(f"bracket indices ({i},{j}) are not integers in 0..{dim - 1}")
+        if (i, j) in given:
+            raise AlgebraFormatError(f"bracket ({i},{j}) is given more than once")
+        given.add((i, j))
         if not isinstance(coeffs, list) or len(coeffs) != dim:
             raise AlgebraFormatError(f"bracket ({i},{j}) needs exactly {dim} coefficients")
         table[i][j] = _vec(_coefficient(c, i, j) for c in coeffs)
@@ -430,7 +443,14 @@ def _coefficient(value, i, j):
 
 
 def load_algebra(path):
+    """The algebra an algebra file describes. A file longer than
+    MAX_FILE_BYTES_PER_COEFF * MAX_DIM^3 bytes is refused from its size
+    alone (`os.fstat`), before it is read."""
     with open(path, "r", encoding="utf-8") as fh:
+        size, limit = os.fstat(fh.fileno()).st_size, MAX_FILE_BYTES_PER_COEFF * MAX_DIM ** 3
+        if size > limit:
+            raise AlgebraFormatError(f"an algebra file of {size} bytes is above the limit of "
+                                     f"{limit} bytes")
         try:
             data = json.load(fh)
         except ValueError as exc:  # also an integer literal too long for int()

@@ -25,13 +25,15 @@ sum of cochains derives, and the pair kernel `pair_at_free_keys` sums each
 operand pair of the product and the bracket halves straight into its
 key. A valid cochain is its free part plus the context that marked it
 (`mark_valid`), whose free-datum store writes its other entries: `expand`
-walks each free datum's table when the operator runs but writes the
-output only when an entry is first read, and sums and scalings of valid
-cochains sum and scale their free parts into unwritten outputs of the
-same kind. Comparison, `is_zero`, `cup` and `diamond` work from the free
-part. `Cochain()`, which checks every key and value, is the entry point
-for cochains from outside. No other module reads or writes
-the `components` layout."""
+checks the output against the table budget from a closed-form bound on
+each free datum's walk, walking the tables only when the bounds pass the
+budget, and writes the output when an entry is first read; sums and
+scalings of valid cochains sum and scale their free parts into unwritten
+outputs of the same kind. Comparison, `is_zero`, `cup` and `diamond` work
+from the free part. `Cochain()`, which checks the entry count against
+the table budget and then every key and value, is the entry point for
+cochains from outside. No other module reads or writes the `components`
+layout."""
 
 import json
 import os
@@ -122,8 +124,10 @@ class Cochain:
     def __init__(self, degree, nvars, components=None):
         if degree < 0:
             raise CochainShapeError(f"negative degree {degree}")
+        components = components or {}
+        check_table(sum(len(table) for table in components.values()), "a cochain")
         clean = {}
-        for k, table in (components or {}).items():
+        for k, table in components.items():
             if not (0 <= k <= degree // 2):
                 raise CochainShapeError(f"component index {k} out of range for degree {degree}")
             nl = degree - 2 * k
@@ -251,7 +255,8 @@ class _Unwritten(Cochain):
 # before it is built: the keys a free-datum walk visits, the entries of an
 # `expand` output, the operand pairs of `pair_at_free_keys` and the columns
 # of a system of phi (`duality.PhiSection`); and the most entries of a
-# cochain file, counted before any value is parsed.
+# cochain file or of a `Cochain(...)`, counted before any value is
+# parsed or checked.
 MAX_TABLE = 100_000
 
 
@@ -669,16 +674,41 @@ def expand(ctx, degree, free):
     key is free and `free` itself is returned. The result is marked valid
     in ctx (`mark_valid`).
 
-    From degree 2 on the tables are walked now, in ctx's free-datum store,
-    and their entries checked against the table budget, but the result
-    keeps only `free`'s entries, its free part, and is written from the
-    store when its `components` are first read (`_write_expansion`)."""
+    From degree 2 on the result keeps only `free`'s entries, its free part,
+    and is written from ctx's free-datum store when its `components` are
+    first read (`_write_expansion`). Its entries are checked against the
+    table budget now: when the keys' `_walk_bound`s sum to at most
+    MAX_TABLE no walk or table can pass it and nothing is walked; else
+    every table is walked, in the store, and its entries counted, so each
+    budget raises where and as a walk of every table would."""
     if degree < 2:
         return mark_valid(ctx, free)
     comps = free.components
-    check_table(sum(len(_free_datum_cochain(ctx, k, es, fs)) for k, table in comps.items()
-                    for es, fs in table), "an expansion")
+    bounds = ctx.cache.setdefault("walk_bound", {})
+    if sum(bounds.get(key) or _walk_bound(ctx, key) for table in comps.values()
+           for key in table) > MAX_TABLE:
+        check_table(sum(len(_free_datum_cochain(ctx, k, es, fs)) for k, table in comps.items()
+                        for es, fs in table), "an expansion")
     return _expansion(ctx, degree, comps)
+
+
+def _walk_bound(ctx, key):
+    """An upper bound on the keys the walk of the free key (len(fs), es,
+    fs) visits, so on its table's entries: sum_j s^j (n + 2j)! over
+    j = 0..len(fs), n = len(es), s the number of pairings (x, y) in
+    `pairing_index[r]` over the distinct r in fs. A key j levels down
+    orders es and j inserted pairs, each drawn for a center taken out of
+    fs: at most s^j choices of pairs and (n + 2j)! orders. Kept in
+    ctx.cache["walk_bound"] under (es, fs). A key that is not free gets
+    no bound (infinity, not kept), so `expand` walks it and raises."""
+    es, fs = key
+    if not _increasing(es):
+        return float("inf")
+    pairings = ctx.algebra.pairing_index
+    s = sum(len(pairings[r]) for r in set(fs))
+    bound = sum(s ** j * factorial(len(es) + 2 * j) for j in range(len(fs) + 1))
+    ctx.cache.setdefault("walk_bound", {})[key] = bound
+    return bound
 
 
 def _write_expansion(ctx, degree, free):

@@ -319,17 +319,18 @@ def test_products_check_the_table_budget_of_their_sparse_walks(monkeypatch):
     keys at k = 0 that can be nonzero. d also walks zeta's own free keys,
     (0, (0, 1), ()) and (1, (), (0,)), 2 keys each, for their free parts
     of d (`cochains._free_boundary`). zeta . e_0-flat expands
-    (1, (1,), (0,)), a walk of 2 keys, and zeta . zeta walks 5. The
-    bracket halves expand nothing; they pair 4, 2 and 1 operand entries,
-    and phi's systems on O1 have 2 columns. So each op runs at the largest
-    table it builds and raises one below it, and each expansion raises at
-    its walk."""
+    (1, (1,), (0,)), a walk of 2 keys, and zeta . zeta walks 5. At the
+    default budget an expansion walks nothing: its keys' walk bounds (7
+    for each key above) sum to far less. The bracket halves expand
+    nothing; they pair 4, 2 and 1 operand entries, and phi's systems on O1
+    have 2 columns. So each op runs at the largest table it builds and
+    raises one below it, and each expansion raises at its walk."""
     o1 = ComplexContext(build_fixture("O1"))
     z, t, f = zeta(o1), theta(o1), flat_cochain(o1, basis_vec(2, 0))
     # (op, its operands, the sizes of its walks, its output's walk, its
     # largest table)
-    ops = ((coboundary, (z,), {2, 3}, 3, 3), (cup, (z, f), {2}, 2, 2),
-           (poisson, (t, z), {3}, 3, 4), (bullet, (t, z), set(), None, 4),
+    ops = ((coboundary, (z,), {2}, 3, 3), (cup, (z, f), set(), 2, 2),
+           (poisson, (t, z), set(), 3, 4), (bullet, (t, z), set(), None, 4),
            (diamond, (t, z), set(), None, 2), (diamond, (z, t), set(), None, 1))
     outs = []
     for op, args, walks, _, _ in ops:

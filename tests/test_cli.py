@@ -427,6 +427,56 @@ def test_algebras_over_the_size_budget_are_input_errors(tmp_path, capsys, monkey
         assert err.startswith("input error:") and "MAX_DIM" in err and err.count("\n") == 1
 
 
+def test_algebra_files_over_the_byte_budget_are_input_errors(tmp_path, capsys, monkeypatch):
+    # a sparse file, made by seeking and writing one byte: one byte over
+    # MAX_FILE_BYTES_PER_COEFF * MAX_DIM^3 is refused before the text is
+    # read, from every command that reads an algebra
+    limit = algebra.MAX_FILE_BYTES_PER_COEFF * MAX_DIM ** 3
+    assert limit == (algebra.MAX_COEFF_DIGITS + 24) * 64 ** 3 == 268_435_456
+    loads = []
+    load = algebra.json.load
+    monkeypatch.setattr(algebra.json, "load", lambda fh: loads.append(fh) or load(fh))
+    path = tmp_path / "big.json"
+    with open(path, "wb") as fh:
+        fh.seek(limit)
+        fh.write(b" ")
+    for argv in (["check"], ["center"], ["fat"], ["quotient"], ["derived-bracket", "0", "1"]):
+        start = time.perf_counter()
+        assert main(argv + ["--algebra", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (f"input error: an algebra file of {limit + 1} bytes "
+                                           f"is above the limit of {limit} bytes\n")
+    assert loads == []
+    # under MAX_DIM = 2 the limit is 8,192 bytes; O1's file padded with
+    # spaces to exactly that size is read, one byte more is refused
+    monkeypatch.setattr(algebra, "MAX_DIM", 2)
+    text = json.dumps(algebra_to_dict(build_fixture("O1")))
+    path.write_text(text.ljust(8192))
+    assert main(["check", "--algebra", str(path)]) == 0
+    assert len(loads) == 1
+    capsys.readouterr()
+    path.write_text(text.ljust(8193))
+    assert main(["check", "--algebra", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: an algebra file of 8193 bytes is above the limit of 8192 bytes\n")
+    assert len(loads) == 1
+
+
+def test_repeated_brackets_in_an_algebra_file_are_input_errors(tmp_path, capsys):
+    # (0, 1) listed three times, each time a valid O1 bracket: the last
+    # entry used to win silently and `check` passed
+    entry = {"i": 0, "j": 1, "coeffs": ["0", "1"]}
+    path = tmp_path / "repeated.json"
+    for count in (2, 3):
+        path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "brackets": [entry] * count}))
+        for argv in (["check"], ["center"], ["fat"], ["quotient"], ["derived-bracket", "0", "1"]):
+            assert main(argv + ["--algebra", str(path)]) == 2
+            assert capsys.readouterr().err == \
+                "input error: bracket (0,1) is given more than once\n"
+    path.write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "brackets": [entry]}))
+    assert main(["check", "--algebra", str(path)]) == 0
+
+
 def test_omni_with_more_digits_than_int_converts_is_input_error(capsys):
     # 5,000 digits is over the interpreter's int-from-string limit (4,300)
     for digits in ("9" * 5000, "0" * 5000 + "9" * 3):

@@ -13,6 +13,11 @@ integers, repeated keys), given to every command that reads a cochain
 `representable`), also under a lowered table budget. The files for `d`
 alone are mostly ones the loader rejects; those for every command are
 mostly well-shaped, so most of them load and reach the operators.
+Oversized inputs to the algebra commands (`check`, `center`, `fat`,
+`quotient`) and to `derived-bracket` (an omni(n) or a `dim` over
+MAX_DIM, a coefficient over MAX_COEFF_DIGITS, a bracket given more than
+once, a file over the byte limit, a basis index far out of range) must
+each exit 2 with one line.
 """
 
 import contextlib
@@ -26,7 +31,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leibniz_complex import cochains
-from leibniz_complex.algebra import basis_vec, build_fixture
+from leibniz_complex.algebra import (MAX_COEFF_DIGITS, MAX_DIM, MAX_FILE_BYTES_PER_COEFF,
+                                     basis_vec, build_fixture)
 from leibniz_complex.cli import main
 from leibniz_complex.cochains import ComplexContext, cochain_to_dict
 from leibniz_complex.duality import flat_cochain
@@ -190,6 +196,60 @@ def test_algebra_file_contents_keep_the_exit_contract(data):
         for command in ("center", "check"):
             code, _, err = run_cli([command, "--algebra", path])
             assert_contract(code, err)
+
+
+# Each over one bound: (kind, payload), kind "name" an --algebra name,
+# "data" the contents of an algebra file, "text" its text (a JSON integer
+# longer than the interpreter converts), "bytes" how far a file is over
+# the byte limit.
+oversized_algebras = st.one_of(
+    st.one_of(st.integers(8, 10**12).map(str),
+              st.integers(4, 6000).map(lambda n: "9" * n)).map(lambda n: ("name", f"omni({n})")),
+    st.integers(MAX_DIM + 1, 10**30).map(
+        lambda dim: ("data", {"dim": dim, "basis": [f"e{i}" for i in range(MAX_DIM + 1)]})),
+    st.one_of(st.integers(MAX_COEFF_DIGITS + 1, 3000).map(lambda n: "7" * n),
+              st.integers(MAX_COEFF_DIGITS, 10**9).map(lambda n: f"1e{n}"),
+              st.integers(MAX_COEFF_DIGITS, 10**9).map(lambda n: f"2.5e-{n}")).map(
+        lambda coeff: ("data", one_bracket(coeff))),
+    st.integers(5000, 8000).map(
+        lambda n: ("text", json.dumps(one_bracket(0)).replace("[0]", f"[{'9' * n}]"))),
+    st.integers(2, 50).map(lambda count: ("data", dict(one_bracket("1"),
+                                                       brackets=one_bracket("0")["brackets"] * count))),
+    st.integers(1, 10**6).map(lambda extra: ("bytes", extra)))
+
+
+@FUZZ
+@given(oversized_algebras)
+@example(("name", "omni(8)"))
+@example(("data", {"dim": MAX_DIM + 1, "basis": []}))
+@example(("data", one_bracket("1" * (MAX_COEFF_DIGITS + 1))))
+@example(("bytes", 1))
+def test_oversized_algebras_exit_2_in_every_algebra_command(case):
+    kind, payload = case
+    with tempfile.TemporaryDirectory() as tmp:
+        name = path = os.path.join(tmp, "algebra.json")
+        if kind == "name":
+            name = payload
+        elif kind in ("data", "text"):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload) if kind == "data" else payload)
+        else:  # a sparse file, one byte written past the limit
+            with open(path, "wb") as fh:
+                fh.seek(MAX_FILE_BYTES_PER_COEFF * MAX_DIM ** 3 + payload - 1)
+                fh.write(b" ")
+        for argv in (["check"], ["center"], ["fat"], ["quotient"], ["derived-bracket", "0", "1"]):
+            code, _, err = run_cli(argv + ["--algebra", name])
+            assert code == 2 and err.startswith("input error:"), (argv, code, err)
+            assert_contract(code, err)
+
+
+@FUZZ
+@given(st.integers(2, 10**40), st.integers(0, 1))
+def test_oversized_basis_indices_exit_2_in_derived_bracket(index, other):
+    for i, j in ((index, other), (other, index)):
+        code, _, err = run_cli(["derived-bracket", str(i), str(j), "--algebra", "O1"])
+        assert code == 2 and err.startswith("input error:"), (i, j, code, err)
+        assert_contract(code, err)
 
 
 def e0_flat(algebra):

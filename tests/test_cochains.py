@@ -7,9 +7,11 @@ from random import Random
 import pytest
 
 from dense_reference import orderings, position_splits, split_sign
+from leibniz_complex import cochains
 from leibniz_complex.brackets import theta, zeta
 from leibniz_complex.cochains import (Cochain, CochainFormatError, CochainShapeError,
-                                      ContextMismatchError, InvalidCochainError, coboundary,
+                                      ContextMismatchError, InvalidCochainError,
+                                      TableBudgetError, coboundary,
                                       cochain_from_dict, cochain_space_basis, cochain_to_dict,
                                       _inversion_sign, cup,
                                       load_cochain, signed_permutations, validate_cochain)
@@ -20,6 +22,23 @@ from leibniz_complex.verify import check_d_squared
 
 F = Fraction
 Z1 = SymPoly.generator(1, 0)
+
+
+def test_library_cochains_over_the_table_budget_are_refused(monkeypatch):
+    # counted over every component before any key or value is checked: a
+    # value that is not a SymPoly is not reached above the budget
+    one = SymPoly.constant(1, 1)
+    comps = {0: {((0, 1), ()): one, ((1, 0), ()): one}, 1: {((), (0,)): "not a SymPoly"}}
+    monkeypatch.setattr(cochains, "MAX_TABLE", 2)
+    with pytest.raises(TableBudgetError,
+                       match="^a cochain needs 3 table entries, above the limit of 2$"):
+        Cochain(2, 1, comps)
+    monkeypatch.setattr(cochains, "MAX_TABLE", 3)
+    with pytest.raises(TypeError, match="must be SymPoly"):
+        Cochain(2, 1, comps)
+    del comps[1]
+    monkeypatch.setattr(cochains, "MAX_TABLE", 2)
+    assert Cochain(2, 1, comps).value(0, (1, 0), ()) == one
 
 
 # -- validity ---------------------------------------------------------------

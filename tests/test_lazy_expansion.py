@@ -1,8 +1,7 @@
 """Outputs of d, cup and the bracket are written on first read.
 
-`expand` walks each free datum's table and checks the table budget
-when the operator runs, but writes the output's entries only when its
-`components` are first read. Sums and scalings of valid cochains sum and
+`expand` checks the table budget when the operator runs, but writes
+the output's entries only when its `components` are first read. Sums and scalings of valid cochains sum and
 scale their free parts and stay unwritten too. Comparison, hashing,
 `is_zero` and the operators that read only free entries work from the
 free part. These tests pin that down: equality
