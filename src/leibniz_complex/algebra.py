@@ -93,8 +93,9 @@ def basis_vec(dim, i):
 class LeibnizAlgebra:
     """Structure constants plus the facts every layer reads, each computed
     once here: the left center, the pairing kernel, the pairing and the
-    action on Z as SymPolys, the basis elements that act on Z, and the
-    indexes of nonzero pairing coefficients and structure constants."""
+    action on Z as SymPolys, the generators each basis element moves, and
+    the indexes of nonzero pairings, pairing coefficients and structure
+    constants."""
 
     def __init__(self, labels, table):
         self.labels = tuple(str(s) for s in labels)
@@ -118,10 +119,16 @@ class LeibnizAlgebra:
         self._pairing = [[self._z_poly(sym[i][j]) for j in dims] for i in dims]
         rho = [[self._z_poly(self.bracket(basis_vec(self.dim, i), z)) for z in self.z_basis] for i in dims]
         self._rho_base = [None if None in base else base for base in rho]
-        # the basis indices i whose e_i acts on Z as nonzero (or outside Z,
-        # so that using the action raises); d's action terms come from these
-        self.acting = tuple(i for i, base in enumerate(self._rho_base)
-                            if base is None or any(base))
+        # i -> the generators z_r that e_i moves, every one when e_i moves
+        # one outside Z (so that using the action raises); d's action terms
+        # come from the basis indices i that move some generator, `acting`
+        self.moves = tuple(frozenset(range(self.zdim)) if base is None else
+                           frozenset(r for r, b in enumerate(base) if b) for base in self._rho_base)
+        self.acting = tuple(i for i, moved in enumerate(self.moves) if moved)
+        # i -> ((j, (e_i, e_j)), ...) over the nonzero pairings of e_i, in j
+        # order, or None when one lies outside Z (`pairings` raises then)
+        self._paired = [None if None in row else tuple((j, p) for j, p in enumerate(row) if p)
+                        for row in self._pairing]
         # r -> [(x, y, c)]: x <= y and (e_x, e_y) has z_r-component c != 0
         self.pairing_index = [[] for _ in range(self.zdim)]
         for x, y in combinations_with_replacement(dims, 2):
@@ -171,6 +178,17 @@ class LeibnizAlgebra:
         if entry is None:
             raise IntegrityError(f"pairing of basis elements {i},{j} lies outside the left center")
         return entry
+
+    def pairings(self, i):
+        """((j, (e_i, e_j)), ...) over the nonzero pairings of e_i, in j
+        order: what flats, zeta, theta and the systems of phi sum over.
+        IntegrityError, as `pairing_poly_basis` raises it at the first j,
+        when a pairing of e_i lies outside the left center."""
+        row = self._paired[i]
+        if row is None:
+            for j in range(self.dim):
+                self.pairing_poly_basis(i, j)
+        return row
 
     # -- the action on S(Z) ---------------------------------------------------
 

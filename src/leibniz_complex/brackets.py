@@ -79,9 +79,12 @@ def bullet(ctx, omega, eta, sums=None, factor=1):
     sign = -factor if eta.degree % 2 == 0 else factor
 
     def add_pair(acc, bar, y, f):
-        for e, v in bar.items():
-            if e in y:
-                add_product(acc, v, y[e], sign * f)
+        # e over the smaller dict: a basis flat's lift has one entry, a bar
+        # covector of {Theta, e_i-flat} up to dim
+        small, large = (y, bar) if len(y) < len(bar) else (bar, y)
+        for e in small:
+            if e in large:
+                add_product(acc, bar[e], y[e], sign * f)
 
     return pair_at_free_keys(ctx.zdim, max(omega.degree + eta.degree - 2, 0),
                              increasing_bars(omega), _lifts(ctx, eta), add_pair, sums=sums)
@@ -143,9 +146,8 @@ def zeta(ctx):
     """Degree-2 cochain: the symmetric product with tail f -> -2f."""
     cached = ctx.cache.get("zeta")
     if cached is None:
-        alg = ctx.algebra
-        pairings = ((0, (i, j), (), alg.pairing_poly_basis(i, j), 1)
-                    for i in range(ctx.dim) for j in range(ctx.dim))
+        pairings = ((0, (i, j), (), p, 1) for i in range(ctx.dim)
+                    for j, p in ctx.algebra.pairings(i))
         tail = ((1, (), (r,), SymPoly.generator(ctx.zdim, r), -2) for r in range(ctx.zdim))
         # weakly skew-symmetric by construction
         cached = ctx.cache["zeta"] = mark_valid(ctx, scatter(ctx.zdim, 2, chain(pairings, tail)))
@@ -158,8 +160,8 @@ def theta(ctx):
     if cached is None:
         alg = ctx.algebra
         pairing = alg.pairing_poly_basis
-        products = ((0, (x, y, l), (), pairing(t, l), c) for t in range(ctx.dim)
-                    for x, y, c in alg.product_index[t] for l in range(ctx.dim))
+        products = ((0, (x, y, l), (), p, c) for t in range(ctx.dim)
+                    for x, y, c in alg.product_index[t] for l, p in alg.pairings(t))
         tail = ((1, (i,), (r,), pairing(i, s), -c) for i in range(ctx.dim)
                 for r, zvec in enumerate(alg.z_basis) for s, c in enumerate(zvec) if c != 0)
         # d(zeta), so weakly skew-symmetric
@@ -192,8 +194,7 @@ def theta_flat(ctx, i):
 
 def _unit_index(v):
     """i when v is the basis vector e_i, else None."""
-    support = [i for i, vi in enumerate(v) if vi != 0]
-    return support[0] if len(support) == 1 and v[support[0]] == 1 else None
+    return v.index(1) if v.count(0) == len(v) - 1 and 1 in v else None
 
 
 def _outer_bracket(ctx, v, w):

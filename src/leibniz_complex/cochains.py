@@ -25,15 +25,15 @@ sum of cochains derives, and the pair kernel `pair_at_free_keys` sums each
 operand pair of the product and the bracket halves straight into its
 key. A valid cochain is its free part plus the context that marked it
 (`mark_valid`), whose free-datum store writes its other entries: `expand`
-checks the output against the table budget from a closed-form bound on
-each free datum's walk, walking the tables only when the bounds pass the
-budget, and writes the output when an entry is first read; sums and
-scalings of valid cochains sum and scale their free parts into unwritten
-outputs of the same kind. Comparison, `is_zero`, `cup` and `diamond` work
-from the free part. `Cochain()`, which checks the entry count against
-the table budget and then every key and value, is the entry point for
-cochains from outside. No other module reads or writes the `components`
-layout."""
+checks the output against the table budget from each free datum's walk
+count, once walked, or a closed-form bound on it, walking the tables only
+when those pass the budget, and writes the output when an entry is first
+read; sums and scalings of valid cochains sum and scale their free parts
+into unwritten outputs of the same kind. Comparison, `is_zero`, `cup`
+and `diamond` work from the free part. `Cochain()`, which checks the
+entry count against the table budget and then every key and value, is
+the entry point for cochains from outside. No other module reads or
+writes the `components` layout."""
 
 import json
 import os
@@ -595,13 +595,18 @@ def free_coboundary(ctx, omega):
     in `LeibnizAlgebra.acting` and not in es, and v * B(K)
     (`_free_boundary`), all summed raw into the key's sum (the action with
     its sign through `action`'s `into`) and settled once. omega must be
-    valid (InvalidCochainError otherwise), so a free part is refused."""
+    valid (InvalidCochainError otherwise), so a free part is refused.
+    An e_i that moves none of the generators in v's monomials
+    (`LeibnizAlgebra.moves`) maps v to zero and is skipped."""
     require_valid(ctx, omega)
-    acting = ctx.algebra.acting
+    acting, moves = ctx.algebra.acting, ctx.algebra.moves
     sums = {}
     for k, es, fs, val in free_view(omega):
-        if val.degree() > 0:
+        gens = {r for mono, _ in val.items() for r in mono}
+        if gens:
             for i in acting:
+                if gens.isdisjoint(moves[i]):
+                    continue
                 a = bisect_left(es, i)
                 if a == len(es) or es[a] != i:
                     key = (k, es[:a] + (i,) + es[a:], fs)
@@ -677,16 +682,19 @@ def expand(ctx, degree, free):
     From degree 2 on the result keeps only `free`'s entries, its free part,
     and is written from ctx's free-datum store when its `components` are
     first read (`_write_expansion`). Its entries are checked against the
-    table budget now: when the keys' `_walk_bound`s sum to at most
-    MAX_TABLE no walk or table can pass it and nothing is walked; else
-    every table is walked, in the store, and its entries counted, so each
-    budget raises where and as a walk of every table would."""
+    table budget now: each key counts the keys its walk visited when the
+    store holds its table, else its `_walk_bound`; when those sum to at
+    most MAX_TABLE no walk or table can pass it and nothing is walked;
+    else every table is walked, in the store, and its entries counted, so
+    each budget raises where and as a walk of every table would."""
     if degree < 2:
         return mark_valid(ctx, free)
     comps = free.components
+    walked = ctx.cache.get("free_datum", {})
     bounds = ctx.cache.setdefault("walk_bound", {})
-    if sum(bounds.get(key) or _walk_bound(ctx, key) for table in comps.values()
-           for key in table) > MAX_TABLE:
+    if sum(walked[k, es, fs][0] if (k, es, fs) in walked else
+           bounds.get((es, fs)) or _walk_bound(ctx, (es, fs))
+           for k, table in comps.items() for es, fs in table) > MAX_TABLE:
         check_table(sum(len(_free_datum_cochain(ctx, k, es, fs)) for k, table in comps.items()
                         for es, fs in table), "an expansion")
     return _expansion(ctx, degree, comps)

@@ -60,12 +60,12 @@ def require_vector(ctx, *vectors):
 
 def flat_cochain(ctx, v):
     """(v, -) packaged as a degree-1 cochain: (v, e_j) summed from the
-    stored basis pairings (e_i, e_j) over the nonzero coordinates v_i.
-    ValueError unless v has ctx.dim coordinates."""
+    nonzero basis pairings (e_i, e_j) (`LeibnizAlgebra.pairings`) over the
+    nonzero coordinates v_i. ValueError unless v has ctx.dim coordinates."""
     require_vector(ctx, v)
-    pairing = ctx.algebra.pairing_poly_basis
-    return scatter(ctx.zdim, 1, ((0, (j,), (), pairing(i, j), vi)
-                                 for i, vi in enumerate(v) if vi != 0 for j in range(ctx.dim)))
+    pairings = ctx.algebra.pairings
+    return scatter(ctx.zdim, 1, ((0, (j,), (), p, vi)
+                                 for i, vi in enumerate(v) if vi != 0 for j, p in pairings(i)))
 
 
 def covector(omega):
@@ -103,8 +103,8 @@ class PhiSection:
                    for i in range(ctx.dim)]
         rows = {}
         for mono, i in columns:
-            for j in range(ctx.dim):
-                for (r,), c in ctx.algebra.pairing_poly_basis(i, j).items():
+            for j, p in ctx.algebra.pairings(i):
+                for (r,), c in p.items():
                     rows.setdefault((j, tuple(sorted(mono + (r,)))), {})[(mono, i)] = c
         if ctx.pivot_strategy == "last":
             columns.reverse()
@@ -198,13 +198,16 @@ def _grouped(ctx, preimage):
 
 def bar(ctx, omega, k, prefix, fs):
     """Partial evaluation with the last algebra slot open, the covector
-    e -> omega_k(prefix, e; fs) as a degree-1 cochain."""
+    e -> omega_k(prefix, e; fs) as a degree-1 cochain. omega is read only
+    at the e where it stores an entry (`stored_bars`), in increasing order;
+    it is zero at every other e."""
     nl = omega.degree - 2 * k
     if nl < 1 or len(prefix) != nl - 1:
         raise ValueError(f"component {k} of a degree-{omega.degree} cochain "
                          f"takes {max(nl - 1, 0)} prefix arguments")
+    stored = stored_bars(omega).get((k, tuple(prefix), tuple(sorted(fs))), ())
     return scatter(omega.nvars, 1, ((0, (e,), (), omega.value(k, (*prefix, e), fs), 1)
-                                    for e in range(ctx.dim)))
+                                    for e in sorted(stored)))
 
 
 @dataclass
@@ -216,7 +219,13 @@ class RepresentabilityReport:
 def stored_bars(omega):
     """{(k, prefix, fs): {e: omega_k(prefix, e; fs)}}: the bar covectors at
     omega's stored prefixes, each as its nonzero values, grouped in one
-    pass over the entries. Every other bar covector is zero."""
+    pass over the entries. Every other bar covector is zero. Kept on the
+    cochain (`cochains.operand_view`), where `bar`, `increasing_bars` and
+    `is_representable` read it."""
+    return operand_view(omega, "stored_bars", _stored_bars)
+
+
+def _stored_bars(omega):
     bars = {}
     for k, es, fs, value in entries(omega):
         if es:

@@ -360,7 +360,6 @@ def derivation_extend(base, poly, images=None, acc=None, factor=1):
     {monomial: coefficient} sum, factor times the image is added into acc
     (`add_derivation`) and no SymPoly is built. `base` is checked on every
     call either way."""
-    base = list(base)
     if len(base) != poly.nvars:
         raise DimensionError(f"base has {len(base)} entries for {poly.nvars} generators")
     for b in base:

@@ -19,12 +19,13 @@ every weak skew-symmetry equation) and pull each input value through
 stored entries; elimination runs on dense rows. They cost dim^degree per
 call, so the tests run them only on small inputs, as an oracle that the
 sparse code must match by exact equality. The flat pairs v with a fresh
-basis vector per slot, as the package did before it summed the stored
-basis pairings over v's nonzero coordinates. The package's bracket halves
-return only their values at the free keys; the tests cut a dense half
-down to those with `cochains.free_part`. `stored_prefixes` lists every
-stored prefix of a cochain, the prefixes a representability walk over
-all of them visits, where the package reads only its strictly
+basis vector per slot, as the package did before it summed the nonzero
+basis pairings over v's nonzero coordinates, and `bar` reads a cochain at
+every e, where the package reads only the e it stores. The package's
+bracket halves return only their values at the free keys; the tests cut
+a dense half down to those with `cochains.free_part`. `stored_prefixes`
+lists every stored prefix of a cochain, the prefixes a representability
+walk over all of them visits, where the package reads only its strictly
 increasing ones (`duality.increasing_bars`). `free_datum_cochain`
 evaluates each lower group of a free-datum walk at every distinct
 ordering, where the package visits only the keys that can be nonzero.
@@ -44,7 +45,7 @@ from leibniz_complex.cochains import (Cochain, InvalidCochainError, ValidationRe
                                       accumulate, action, component_keys, entries,
                                       merge_centers, require_valid, scatter,
                                       signed_permutations)
-from leibniz_complex.duality import (RepresentabilityReport, bar, covector, phi_section,
+from leibniz_complex.duality import (RepresentabilityReport, covector, phi_section,
                                      stored_bars, tilde_value)
 from leibniz_complex.linalg import rref as sparse_rref
 from leibniz_complex.sympoly import SymPoly, derivation_extend
@@ -661,6 +662,13 @@ def first_slot_action(ctx, omega):
                 accumulate(acc, ctx.algebra.rho_basis(es[0], val))
 
     return assemble(ctx, n + 1, fill)
+
+
+def bar(ctx, omega, k, prefix, fs):
+    """The bar covector e -> omega_k(prefix, e; fs), read at every e,
+    where the package reads only the e at which omega stores an entry."""
+    return scatter(omega.nvars, 1, ((0, (e,), (), omega.value(k, (*prefix, e), fs), 1)
+                                    for e in range(ctx.dim)))
 
 
 def stored_prefixes(omega):

@@ -88,3 +88,33 @@ def test_operators_walk_only_the_tables_of_d_input_at_the_default_budget(seed):
     assert set(ctx.cache["free_datum"]) == {(k, es, fs) for k, es, fs, _ in free_view(product)}
     assert all(isinstance(out, cochains._Unwritten) for out in (bracket, product, d_product))
     assert ctx.cache["walk_bound"]
+
+
+def test_walked_keys_count_their_own_walk(monkeypatch):
+    """Once the store holds a key's table, `expand` adds the keys its walk
+    visited, not its bound: with the budget between the two sums, an
+    expansion of walked keys walks nothing and raises nothing, and one of
+    keys not walked yet still walks every table to count it."""
+    alg = build_fixture("O1")
+    ctx = ComplexContext(alg)
+    keys = [(k, es, fs) for k, es, fs in free_keys(ctx, 8) if k > 1]
+    free = {}
+    for k, es, fs in keys:
+        free.setdefault(k, {})[es, fs] = SymPoly.constant(ctx.zdim, 1)
+        cochains._free_datum_cochain(ctx, k, es, fs)
+    visited = sum(ctx.cache["free_datum"][key][0] for key in keys)
+    bound = sum(cochains._walk_bound(ctx, (es, fs)) for _, es, fs in keys)
+    assert visited < bound
+    walks, walk = [], cochains._free_datum_cochain
+
+    def counted(ctx, k0, es0, fs0):
+        walks.append((k0, es0, fs0))
+        return walk(ctx, k0, es0, fs0)
+
+    monkeypatch.setattr(cochains, "_free_datum_cochain", counted)
+    monkeypatch.setattr(cochains, "MAX_TABLE", visited)
+    out = expand(ctx, 8, Cochain(8, ctx.zdim, free))
+    assert walks == [] and isinstance(out, cochains._Unwritten)
+    fresh = ComplexContext(alg)
+    expand(fresh, 8, Cochain(8, ctx.zdim, free))
+    assert sorted(walks) == sorted(keys)
