@@ -516,7 +516,8 @@ def validate_cochain(ctx, omega):
     down made by inserting a pair (x <= y) whose pairing has a
     z_r-component, r in the stored fs. Each stored entry adds itself,
     coefficient by coefficient, into the residual lhs - rhs of every such
-    equation, a {monomial: coefficient} dict, so a valid cochain costs a
+    equation, a {monomial: coefficient} dict that the first unit term to
+    reach it starts as a copy of its value, so a valid cochain costs a
     dict update per stored coefficient and builds no SymPoly. Only an
     equation whose residual is nonzero has its lhs and rhs built for the
     report. Violations are sorted by (k, es, fs, pos), the order of a walk
@@ -527,18 +528,29 @@ def validate_cochain(ctx, omega):
     check_context(ctx, omega)
     alg = ctx.algebra
     residuals = {}
-    for k, es, fs, value in entries(omega):
-        for pos in range(len(es) - 1):
-            x, y = es[pos], es[pos + 1]
-            key = es if x <= y else es[:pos] + (y, x) + es[pos + 2:]
-            # at x == y, es is its own swap and stands in lhs twice
-            accumulate(residuals.setdefault((k, key, fs, pos), {}), value, 2 if x == y else 1)
-        for r in set(fs):
-            rest = _remove_one(fs, r)
-            for x, y, c in alg.pairing_index[r]:
-                for pos in range(len(es) + 1):
-                    key = (k - 1, es[:pos] + (x, y) + es[pos:], rest, pos)
-                    accumulate(residuals.setdefault(key, {}), value, c)
+    for k, table in omega.components.items():
+        for (es, fs), value in table.items():
+            terms = value._terms
+            for pos in range(len(es) - 1):
+                x, y = es[pos], es[pos + 1]
+                key = (k, es if x <= y else es[:pos] + (y, x) + es[pos + 2:], fs, pos)
+                # at x == y, es is its own swap and stands in lhs twice
+                factor = 2 if x == y else 1
+                acc = residuals.get(key)
+                if acc is not None:
+                    accumulate(acc, terms, factor)
+                elif factor == 1:  # a copy, as later terms add into it
+                    residuals[key] = dict(terms)
+                else:
+                    accumulate(residuals.setdefault(key, {}), terms, factor)
+            if not fs:
+                continue
+            for r in set(fs):
+                rest = _remove_one(fs, r)
+                for x, y, c in alg.pairing_index[r]:
+                    for pos in range(len(es) + 1):
+                        key = (k - 1, es[:pos] + (x, y) + es[pos:], rest, pos)
+                        accumulate(residuals.setdefault(key, {}), terms, c)
     violations = []
     for (k, es, fs, pos), residual in residuals.items():
         if residual:
@@ -551,7 +563,7 @@ def validate_cochain(ctx, omega):
             violations.append((k, pos, es, fs, lhs, rhs))
     violations.sort(key=lambda v: (v[0], v[2], v[3], v[1]))
     if not violations and omega._valid_over is not alg:
-        mark_valid(ctx, omega)  # written above, by `entries`
+        mark_valid(ctx, omega)  # written above, by reading its components
     return ValidationReport(ok=not violations, violations=violations)
 
 
@@ -799,22 +811,26 @@ def cochain_space_basis(ctx, degree):
     it. Their reduced echelon form over the keys they touch, ordered by
     (k, es, fs), is returned in pivot order from one `rref` call, whose
     work stays inside each key-disjoint group of them; each row becomes a
-    cochain as it is, one constant per entry. It depends only on the
-    space, so it is the kernel basis of the full constraint matrix, entry
-    for entry. Each is valid by construction and marked valid over ctx's
-    algebra, so d does not validate it again. Single-key indicator tables
-    are NOT valid cochains in general, which is why the exhaustive d.d = 0
-    and product suites run over this basis instead.
+    cochain as it is, one constant per distinct value, shared by the rows.
+    It depends only on the space, so it is the kernel basis of the full
+    constraint matrix, entry for entry. Each is valid by construction and
+    marked valid over ctx's algebra, so d does not validate it again.
+    Single-key indicator tables are NOT valid cochains in general, which
+    is why the exhaustive d.d = 0 and product suites run over this basis
+    instead.
     """
     vectors = [_free_datum_cochain(ctx, k, es, fs)
                for k in range(degree // 2 + 1)
                for es in combinations(range(ctx.dim), degree - 2 * k)
                for fs in combinations_with_replacement(range(ctx.zdim), k)]
-    basis = []
+    basis, constants = [], {}  # value -> its constant SymPoly, which is immutable
     for row in rref(vectors):
         comps = {}
         for (k, es, fs), c in row.items():
-            comps.setdefault(k, {})[(es, fs)] = _canonical(ctx.zdim, {(): c})
+            poly = constants.get(c)
+            if poly is None:
+                poly = constants[c] = _canonical(ctx.zdim, {(): c})
+            comps.setdefault(k, {})[(es, fs)] = poly
         basis.append(mark_valid(ctx, _stored(degree, ctx.zdim, comps)))
     return basis
 
@@ -852,9 +868,9 @@ def _free_datum_cochain(ctx, k0, es0, fs0):
     alg = ctx.algebra
     count = factorial(len(es0))
     check_table(count, _WALK)
-    upper = {(tuple([es0[i] for i in perm]), fs0): sign
-             for perm, sign in signed_permutations(len(es0))}
-    out = {(k0, es, fs): value for (es, fs), value in upper.items()}
+    out = {(k0, tuple([es0[i] for i in perm]), fs0): sign
+           for perm, sign in signed_permutations(len(es0))}
+    upper = {(es, fs): value for (_, es, fs), value in out.items()} if k0 else {}
     for k in range(k0 - 1, -1, -1):
         reachable = _reachable_keys(alg, upper, count)
         count += len(reachable)

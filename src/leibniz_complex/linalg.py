@@ -49,8 +49,8 @@ def rref(rows):
             continue
         lead = min(vec)
         if vec[lead] != 1:
-            inv = Fraction(1, vec[lead])
-            vec = {c: exact(v * inv) for c, v in vec.items()}
+            inv = Fraction(1, vec[lead])  # on the left: Fraction * int is the fast dispatch
+            vec = {c: exact(inv * v) for c, v in vec.items()}
         pivot_rows[lead] = vec
     order = sorted(pivot_rows)
     for p in reversed(order):

@@ -41,16 +41,17 @@ EXPECTED_CENTERS = {
 
 
 # The largest --max-degree. `leibcx verify --max-degree 12` takes about
-# 0.6 s on the default fixtures, 0.4 s of it in the d.d = 0 checks, which
-# grow the fastest: called directly they take about 0.5 s to degree 13
-# and 0.6 s to degree 14, about 1.5 times more per two degrees (2-vCPU
-# Intel Xeon VM, Python 3.11.7). The other checks are not timed past 12.
+# 0.33 s on the default fixtures, 0.2 s of it in the d.d = 0 checks, which
+# grow the fastest: called directly they take about 0.19 s to degree 12,
+# 0.23 s to degree 13 and 0.28 s to degree 14, about 1.5 times more per
+# two degrees (in process, median of 3 to 5 runs; 2-vCPU Intel Xeon VM,
+# Python 3.11.7). The other checks are not timed past 12.
 MAX_VERIFY_DEGREE = 12
 
 # The largest --samples: the run's time grows linearly with the count, by
-# about 4.2 ms a sample on the default fixtures (2-vCPU Intel Xeon VM,
-# Python 3.11.7): 1,000 samples take about 4.5 s, and a million would run
-# for over an hour.
+# about 3.9 ms a sample on the default fixtures (in process; 2-vCPU Intel
+# Xeon VM, Python 3.11.7): 1,000 samples take about 4 s, and a million
+# would run for over an hour.
 MAX_VERIFY_SAMPLES = 1000
 
 

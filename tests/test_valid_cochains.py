@@ -9,7 +9,8 @@ free keys, and only a valid one.
 """
 
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
 from random import Random
 
@@ -17,7 +18,7 @@ import pytest
 
 import dense_reference as dense
 from leibniz_complex import cochains, verify
-from leibniz_complex.algebra import basis_vec, build_fixture
+from leibniz_complex.algebra import LeibnizAlgebra, basis_vec, build_fixture, zero_vec
 from leibniz_complex.brackets import poisson, theta, zeta
 from leibniz_complex.cochains import (Cochain, ComplexContext, ContextMismatchError,
                                       InvalidCochainError, coboundary, cochain_space_basis,
@@ -125,6 +126,51 @@ def test_validating_valid_cochains_builds_no_polynomial(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     assert all(validate_cochain(ctx, omega).ok for omega in cochains)
     assert not calls, calls
+
+
+def two_center_pairing():
+    """a . b = c + d and every other product zero: the left center is
+    span(b, c, d), and (a, b) has a unit component on two of its three
+    generators, so an equation at k = 0 takes a pair insertion from two
+    different k = 1 entries."""
+    table = [[zero_vec(4) for _ in range(4)] for _ in range(4)]
+    table[0][1] = (0, 0, 1, 1)
+    alg = LeibnizAlgebra(["a", "b", "c", "d"], table)
+    assert alg.pairing_index == [[], [(0, 1, 1)], [(0, 1, 1)]]
+    return alg
+
+
+def stored_terms(omega):
+    return {(k, key): dict(value._terms) for k, table in omega.components.items()
+            for key, value in table.items()}
+
+
+def test_validation_adds_into_copies_of_stored_values():
+    # the first term to reach an equation starts its residual and later
+    # terms add into it, so that start must not be the stored value itself
+    def poly(nvars, *terms):
+        return SymPoly(nvars, {mono: Fraction(num, den) for mono, num, den in terms})
+
+    o2 = ComplexContext(build_fixture("O2"))
+    odd = ComplexContext(two_center_pairing())
+    p, q = poly(2, ((), 1, 2), ((0, 1), -3, 4)), poly(2, ((1,), 5, 3), ((0, 0), 1, 1))
+    u, v = poly(3, ((0,), 1, 3), ((1, 2), -2, 5)), poly(3, ((), 7, 2), ((2, 2), 1, 6))
+    cases = [
+        # a descent, then its ascent twin, at the equation of (0, 4)
+        (o2, Cochain(2, 2, {0: {((4, 0), ()): p, ((0, 4), ()): q}})),
+        # the same at position 0, and an ascent, then its descent twin, at 2
+        (o2, Cochain(4, 2, {0: {((5, 1, 2, 3), ()): p, ((1, 5, 2, 3), ()): q,
+                                ((1, 5, 3, 2), ()): p + q}})),
+        # (0, 1) pairs to generators 1 and 2: both entries insert it at
+        # the same two keys, after an ascent there or on their own
+        (odd, Cochain(3, 3, {1: {((3,), (1,)): u, ((3,), (2,)): v}})),
+        (odd, Cochain(3, 3, {0: {((0, 1, 3), ()): v}, 1: {((3,), (1,)): u, ((3,), (2,)): u}})),
+    ]
+    for ctx, omega in cases:
+        stored = stored_terms(omega)
+        first, second = same_report(ctx, omega), validate_cochain(ctx, omega)
+        assert not first.ok and (first.ok, first.violations) == (second.ok, second.violations)
+        assert stored_terms(omega) == stored
 
 
 @pytest.mark.parametrize("name", ("A3", "O1", "O2", "AFF_O1"))
@@ -237,6 +283,26 @@ def test_the_walk_visits_only_keys_that_can_be_nonzero():
     count, expected = dense.free_datum_cochain(ctx, *key)
     assert table == expected and len(table) == 406
     assert (ctx.cache["free_datum"][key][0], count) == (806, 88_938)
+
+
+def test_level_zero_tables_are_the_signed_permutations(monkeypatch):
+    """At k0 = 0 the table is sign(sigma) at each sigma(es0), counted as
+    len(es0)! keys before it is built, and checked again when cached."""
+    es0 = (0, 2, 5, 9)
+    expected = {(0, tuple(es0[i] for i in sigma), ()):
+                (-1) ** sum(a > b for a, b in combinations(sigma, 2))
+                for sigma in permutations(range(len(es0)))}
+    ctx = ComplexContext(build_fixture("omni(3)"))
+    assert cochains._free_datum_cochain(ctx, 0, es0, ()) == expected
+    assert dense.free_datum_cochain(ctx, 0, es0, ())[1] == expected
+    assert ctx.cache["free_datum"][0, es0, ()][0] == factorial(len(es0)) == len(expected)
+    monkeypatch.setattr(cochains, "MAX_TABLE", factorial(len(es0)) - 1)
+    with pytest.raises(cochains.TableBudgetError):
+        cochains._free_datum_cochain(ctx, 0, es0, ())
+    fresh = ComplexContext(ctx.algebra)
+    with pytest.raises(cochains.TableBudgetError):
+        cochains._free_datum_cochain(fresh, 0, es0, ())
+    assert (0, es0, ()) not in fresh.cache.get("free_datum", {})
 
 
 def test_verify_walks_stay_small(monkeypatch):
